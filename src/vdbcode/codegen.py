@@ -6,23 +6,35 @@ error placements that can realize m stays within F(m):
 
     sum over masks e in S_m of  prod_i p_i**e_i (1-p_i)**(1-e_i)  <=  F(m)
 
-The i.i.d. solver maximizes a single p; the per-bit solver maximizes the
-vector p_0..p_{L-1} coordinate-wise.  The constraint polynomials are not
-monotone in p (mass can flow back out of S_m as p grows), so the feasible
-set along any line is generally a union of intervals; the solvers return
-the supremum of the interval attached to p=0, which is the operating
-point the encoding is driven to from the error-free side.
+The solvers and verify_table evaluate every left-hand side at once: the
+placement sets are flattened to (m, mask) arrays and the product measure
+over all masks is summed per m with one bincount.
+
+The i.i.d. solver maximizes a single p.  Its constraint polynomials are
+not monotone in p (mass can flow back out of S_m as p grows), so the
+feasible set along p is generally a union of intervals; it returns the
+supremum of the interval attached to p=0, the operating point reached
+from the error-free side, by a grid scan and bisection.  The per-bit
+solver maximizes p_0..p_{L-1} by coordinate ascent from that point.  With
+the other coordinates fixed each constraint is affine in p_i, so each
+coordinate step is a closed-form minimum over the rising constraints, and
+the m that attains it is the one blocking p_i.  Coordinate ascent finds a
+local maximum, and which one depends on the path taken.  constraint_lhs
+evaluates one placement set on its own and serves as the independent
+oracle for the array evaluation.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range, popcount
+from . import _kernels
+from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range
 from .setgen import PlacementSets
 
 CONSTRAINT_FORMAT = "vdb-constraint-v1"
@@ -58,7 +70,7 @@ class TailConstraint:
             if not 0.0 <= b <= 1.0:
                 raise ParameterError(f"bound at m={m} is {b}, outside [0, 1]")
 
-    @property
+    @cached_property
     def m_max(self) -> int:
         return max(self.bounds)
 
@@ -308,29 +320,92 @@ def constraint_lhs(placements: Iterable[int], p_vec: Sequence[float], L: int | N
     return float(np.sum(terms))
 
 
-def _weight_profile(placements: frozenset[int]) -> np.ndarray:
-    counts = np.zeros(0, dtype=np.int64)
-    for e in placements:
-        w = popcount(e)
-        if w >= counts.size:
-            counts = np.concatenate([counts, np.zeros(w + 1 - counts.size, dtype=np.int64)])
-        counts[w] += 1
-    return counts
-
-
-def _iid_lhs(weight_counts: np.ndarray, p: float, L: int) -> float:
-    total = 0.0
-    for w, c in enumerate(weight_counts):
-        if c:
-            total += c * p**w * (1.0 - p) ** (L - w)
-    return total
-
-
 def _check_compatible(sets: PlacementSets, c: TailConstraint) -> None:
     if (sets.L, sets.k) != (c.L, c.k):
         raise ParameterError(
             f"placement sets are (L={sets.L}, k={sets.k}) but constraint is (L={c.L}, k={c.k})"
         )
+
+
+@dataclass(frozen=True)
+class _SetArrays:
+    """Placement sets and their bounds, flattened to arrays for one solve.
+
+    One row per (m, mask) pair, sorted by (m, mask): `m_idx[r]` indexes the
+    sorted distortions `ms` and `masks[r]` is the mask.  `bounds[j]` is
+    F(ms[j]).  Every constraint left-hand side is then one bincount of the
+    mask probability table.
+    """
+
+    L: int
+    ms: np.ndarray
+    m_idx: np.ndarray
+    masks: np.ndarray
+    bounds: np.ndarray
+
+    @classmethod
+    def build(cls, sets: PlacementSets, c: TailConstraint) -> "_SetArrays":
+        _check_compatible(sets, c)
+        ms = sorted(sets.sets)
+        sizes = [len(sets.sets[m]) for m in ms]
+        m_idx = np.repeat(np.arange(len(ms)), sizes)
+        masks = np.fromiter(
+            (e for m in ms for e in sorted(sets.sets[m])), dtype=np.int64, count=sum(sizes)
+        )
+        bounds = np.array([c.bounds[m] for m in ms], dtype=np.float64)
+        return cls(sets.L, np.array(ms, dtype=np.int64), m_idx, masks, bounds)
+
+    def lhs(self, p_vec: Sequence[float]) -> np.ndarray:
+        """Placement mass of every S_m under independent per-bit errors."""
+        probs = _kernels.mask_probabilities(np.asarray(p_vec, dtype=np.float64))
+        return np.bincount(self.m_idx, weights=probs[self.masks], minlength=self.ms.size)
+
+    def feasible(self, p_vec: Sequence[float]) -> bool:
+        return bool(np.all(self.lhs(p_vec) <= self.bounds))
+
+    def margins(self, p_vec: Sequence[float]) -> dict[int, float]:
+        return dict(zip(self.ms.tolist(), (self.bounds - self.lhs(p_vec)).tolist()))
+
+    def weight_profile(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weight counts of the nonempty S_m, and those m's bounds.
+
+        profile[j, w] is the number of weight-w masks in the j-th nonempty
+        set.  Empty sets carry no mass and never bind, so they are left out.
+        """
+        rows = np.flatnonzero(np.bincount(self.m_idx, minlength=self.ms.size))
+        row_of = np.searchsorted(rows, self.m_idx)
+        weights = sum((self.masks >> i) & 1 for i in range(self.L))
+        width = self.L + 1
+        flat = np.bincount(row_of * width + weights, minlength=rows.size * width)
+        return flat.reshape(rows.size, width).astype(np.float64), self.bounds[rows]
+
+    def coordinate_limit(self, p: np.ndarray, i: int) -> tuple[float, int | None]:
+        """Largest feasible p_i with the other coordinates of p fixed.
+
+        Each left-hand side is affine in p_i: lhs(p_i) = a + p_i * slope,
+        with a = lhs(p_i=0) and slope = lhs(p_i=1) - a.  Only the m with a
+        positive slope bound p_i from above, at (F_m - a_m) / slope_m.
+        Returns the limit and the m that sets it, or (1.0, None) when no
+        m binds before the domain boundary.
+        """
+        trial = p.copy()
+        trial[i] = 0.0
+        a = self.lhs(trial)
+        trial[i] = 1.0
+        slope = self.lhs(trial) - a
+        rising = np.flatnonzero(slope > 0.0)
+        if rising.size == 0:
+            return 1.0, None
+        limits = (self.bounds[rising] - a[rising]) / slope[rising]
+        j = int(np.argmin(limits))
+        if limits[j] >= 1.0:
+            return 1.0, None
+        return float(limits[j]), int(self.ms[rising[j]])
+
+
+# Grid points per iid feasibility evaluation: enough to amortize the
+# matrix product, small enough that the usual early stop wastes little.
+_IID_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -340,45 +415,49 @@ def _check_compatible(sets: PlacementSets, c: TailConstraint) -> None:
 def solve_iid(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | None = None) -> CodeTable:
     """Largest single error probability on the feasible interval at p=0.
 
-    Scans a dense grid upward from 0 until the first infeasible point,
-    then bisects the bracketing step down to opts.tol and returns the
-    feasible end.  If the whole grid is feasible the answer is exactly 1.
-    The returned table is re-verified by direct constraint evaluation.
+    With all p_i equal, S_m's mass is sum_w n_mw p**w (1-p)**(L-w), where
+    n_mw counts the weight-w masks of S_m.  The grid upward from 0 is
+    evaluated against these profiles a block at a time, stopping at the
+    block holding the first infeasible point; the bracketing step is then
+    bisected down to opts.tol and the feasible end returned.  If the whole
+    grid is feasible the answer is exactly 1.  The returned table is
+    re-verified by direct constraint evaluation.
     """
     opts = opts or SolverOptions()
-    _check_compatible(sets, c)
-    profiles = {m: _weight_profile(s) for m, s in sets.sets.items()}
-    bounds = {m: c.bounds[m] for m in sets.sets}
+    view = _SetArrays.build(sets, c)
+    profile, bounds = view.weight_profile()
+    w = np.arange(sets.L + 1)[:, None]
 
-    def feasible(p: float) -> bool:
-        return all(_iid_lhs(profiles[m], p, sets.L) <= bounds[m] for m in profiles)
+    def infeasible(ps: np.ndarray) -> np.ndarray:
+        basis = ps[None, :] ** w * (1.0 - ps[None, :]) ** (sets.L - w)
+        return np.any(profile @ basis > bounds[:, None], axis=0)
 
-    if not feasible(0.0):
+    if infeasible(np.zeros(1))[0]:
         raise InfeasibleConstraintError("p=0 violates the constraint (negative bound?)")
 
-    lo, hi = 0.0, None
     steps = int(math.ceil(1.0 / opts.grid_step))
-    for i in range(1, steps + 1):
-        p = min(i * opts.grid_step, 1.0)
-        if feasible(p):
-            lo = p
-        else:
-            hi = p
+    grid = np.minimum(np.arange(1, steps + 1) * opts.grid_step, 1.0)
+    first = None
+    for start in range(0, steps, _IID_BLOCK):
+        bad = np.flatnonzero(infeasible(grid[start : start + _IID_BLOCK]))
+        if bad.size:
+            first = start + int(bad[0])
             break
     metadata = {"grid_step": opts.grid_step, "tol": opts.tol, "solver": "grid+bisect"}
-    if hi is None:
+    if first is None:
         p_star = 1.0
         metadata["first_infeasible_p"] = None
     else:
+        lo, hi = (float(grid[first - 1]) if first else 0.0), float(grid[first])
         while hi - lo > opts.tol:
             mid = (lo + hi) / 2.0
-            if feasible(mid):
-                lo = mid
-            else:
+            if infeasible(np.array([mid]))[0]:
                 hi = mid
+            else:
+                lo = mid
         p_star = lo
         metadata["first_infeasible_p"] = hi
-    margins = _margins(sets, c, (p_star,) * sets.L)
+    margins = view.margins((p_star,) * sets.L)
     if not _margins_pass(margins):
         raise InfeasibleConstraintError(f"solver output failed re-verification: {margins}")
     metadata["margins"] = margins
@@ -391,61 +470,43 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | N
     Starts from the iid solution and repeatedly maximizes one p_i with
     the rest held fixed, sweeping i from the most significant bit down,
     until a full sweep moves no coordinate by more than opts.tol.  With
-    all other coordinates fixed every constraint is affine in p_i, so the
-    per-coordinate feasible set is an interval and bisection against the
-    upper end is exact.  The result carries a local-maximality
-    certificate: each p_i is 1 or becomes infeasible within 4*tol.
+    all other coordinates fixed every constraint is affine in p_i, so each
+    step is exact: two evaluations give every m's intercept and slope, and
+    p_i rises to the smallest (F_m - a_m) / slope_m over the m with a
+    positive slope, or to 1 when none binds sooner.  The result carries a
+    local-maximality certificate (each p_i is 1 or becomes infeasible
+    within 4*tol) and, per bit, the m that blocks it at the returned point
+    ("binding", None at the domain boundary).  Which local maximum is
+    reached depends on the sweep order and the steps taken on the way.
     """
     opts = opts or SolverOptions()
-    _check_compatible(sets, c)
     start = solve_iid(sets, c, opts)
-    mask_arrays = {m: np.fromiter(sorted(s), dtype=np.int64) for m, s in sets.sets.items() if s}
-    bounds = {m: c.bounds[m] for m in mask_arrays}
-
-    def feasible(p_vec: np.ndarray) -> bool:
-        for m, masks in mask_arrays.items():
-            terms = np.ones(masks.size, dtype=np.float64)
-            for i in range(sets.L):
-                bit = (masks >> i) & 1
-                terms *= np.where(bit == 1, p_vec[i], 1.0 - p_vec[i])
-            if float(np.sum(terms)) > bounds[m]:
-                return False
-        return True
+    view = _SetArrays.build(sets, c)
 
     p = np.full(sets.L, start.p, dtype=np.float64)
     sweeps = 0
     for sweeps in range(1, opts.max_sweeps + 1):
         largest_move = 0.0
         for i in range(sets.L - 1, -1, -1):
-            trial = p.copy()
-            trial[i] = 1.0
-            if feasible(trial):
-                largest_move = max(largest_move, 1.0 - p[i])
-                p[i] = 1.0
-                continue
-            lo, hi = p[i], 1.0
-            while hi - lo > opts.tol:
-                mid = (lo + hi) / 2.0
-                trial[i] = mid
-                if feasible(trial):
-                    lo = mid
-                else:
-                    hi = mid
-            largest_move = max(largest_move, lo - p[i])
-            p[i] = lo
+            # Round-off can put the limit a hair below the current value.
+            limit = max(p[i], view.coordinate_limit(p, i)[0])
+            largest_move = max(largest_move, limit - p[i])
+            p[i] = limit
         if largest_move <= opts.tol:
             break
 
-    certificate = []
+    certificate, binding = [], []
     for i in range(sets.L):
         if p[i] >= 1.0:
             certificate.append("at-domain-boundary")
+            binding.append(None)
             continue
         trial = p.copy()
         trial[i] = min(1.0, p[i] + 4.0 * opts.tol)
-        certificate.append("blocked" if not feasible(trial) or trial[i] >= 1.0 else "open")
+        certificate.append("blocked" if not view.feasible(trial) or trial[i] >= 1.0 else "open")
+        binding.append(view.coordinate_limit(p, i)[1])
     p_vec = tuple(float(v) for v in p)
-    margins = _margins(sets, c, p_vec)
+    margins = view.margins(p_vec)
     if not _margins_pass(margins):
         raise InfeasibleConstraintError(f"solver output failed re-verification: {margins}")
     metadata = {
@@ -455,6 +516,7 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | N
         "solver": "coordinate-ascent",
         "start_p": start.p,
         "certificate": tuple(certificate),
+        "binding": tuple(binding),
         "margins": margins,
     }
     return CodeTable.perbit(sets.L, sets.k, p_vec, metadata)
@@ -474,23 +536,16 @@ class VerifyReport:
         return min(self.margins.values())
 
 
-def _margins(sets: PlacementSets, c: TailConstraint, p_vec: Sequence[float]) -> dict[int, float]:
-    return {
-        m: c.bounds[m] - constraint_lhs(s, p_vec, sets.L)
-        for m, s in sorted(sets.sets.items())
-    }
-
-
 def _margins_pass(margins: dict[int, float]) -> bool:
     return all(v >= VERIFY_MARGIN for v in margins.values())
 
 
 def verify_table(sets: PlacementSets, c: TailConstraint, table: CodeTable) -> VerifyReport:
     """Per-m margins F(m) - lhs(m); passes when none is materially negative."""
-    _check_compatible(sets, c)
+    view = _SetArrays.build(sets, c)
     if (table.L, table.k) != (sets.L, sets.k):
         raise ParameterError(
             f"table is (L={table.L}, k={table.k}) but sets are (L={sets.L}, k={sets.k})"
         )
-    margins = _margins(sets, c, table.p_vec)
+    margins = view.margins(table.p_vec)
     return VerifyReport(margins, _margins_pass(margins))

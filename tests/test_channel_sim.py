@@ -18,6 +18,7 @@ from vdbcode import (
     tail_of,
 )
 from vdbcode.channel_sim import (
+    CheckRow,
     DistortionDistribution,
     EmpiricalPMF,
     UpsetModel,
@@ -27,8 +28,10 @@ from vdbcode.channel_sim import (
     parse_pmf_csv,
     parse_upsets,
     serialize_upsets,
+    check_against_constraint,
     single_error_oracle,
 )
+from conftest import EXAMPLE_BOUNDS
 
 
 def flip_oracle(p_vec, value_probs):
@@ -110,6 +113,25 @@ def test_placement_mass_equals_constraint_lhs(L, k):
 
 # ---------------------------------------------------------------------------
 # simulate
+
+
+def test_check_against_constraint_rows_extend_last_bound():
+    # support reaches m=9 beyond m_max=6 of (3, 2): rows run to 9 and
+    # every m > m_max is checked against F(6)
+    c = TailConstraint.from_table(3, 2, EXAMPLE_BOUNDS)
+    trials = 1000
+    d = DistortionDistribution({0: 0.85, 2: 0.05, 9: 0.10}, "monte_carlo", trials=trials)
+    rows, passed = check_against_constraint(d, c, trials)
+    tails = tail_of(d)
+    want = []
+    for m in range(1, 10):
+        bound = EXAMPLE_BOUNDS[min(m, 6)]
+        slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
+        mass, tail = d.at(m), tails[m]
+        want.append(CheckRow(m, mass, tail, bound, slack, mass <= bound + slack, tail <= bound + slack))
+    assert rows == tuple(want)
+    assert not rows[8].mass_ok and not rows[6].tail_ok  # 0.10 > 2/30 + slack
+    assert passed is False
 
 
 def test_simulate_zero_table_trivially_passes(example_constraint):

@@ -15,6 +15,7 @@ from vdbcode import (
     verify_table,
 )
 from vdbcode.codegen import (
+    _SetArrays,
     load_constraint,
     load_table,
     parse_constraint,
@@ -87,6 +88,71 @@ def test_lhs_accuracy_against_fsum_oracle():
             term *= p_vec[i] if (e >> i) & 1 else 1 - p_vec[i]
         exact_terms.append(term)
     assert abs(constraint_lhs(masks, p_vec) - math.fsum(exact_terms)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Array view of the placement sets (solver and verify internals)
+
+
+@pytest.mark.parametrize("L,k", [(3, 1), (3, 2), (5, 3), (6, 6), (8, 3)])
+def test_array_lhs_matches_constraint_lhs(L, k):
+    sets = sets_fast(L, k)
+    view = _SetArrays.build(sets, TailConstraint.reciprocal(L, k))
+    assert view.ms.tolist() == sorted(sets.sets)
+    rng = np.random.default_rng(L * 10 + k)
+    for _ in range(4):
+        p_vec = rng.random(L)
+        lhs = view.lhs(p_vec)
+        for j, m in enumerate(view.ms.tolist()):
+            assert abs(lhs[j] - constraint_lhs(sets.sets[m], p_vec, L)) <= 1e-12
+    if (L, k) == (3, 1):
+        assert lhs[view.ms.tolist().index(3)] == 0.0  # S_3 is empty
+
+
+def _bisection_limit(sets, c, p_vec, i, tol):
+    """The per-coordinate step as bisection against constraint_lhs."""
+    def feasible(v):
+        trial = list(p_vec)
+        trial[i] = v
+        return all(constraint_lhs(s, trial, sets.L) <= c.bounds[m] for m, s in sets.sets.items())
+
+    if feasible(1.0):
+        return 1.0
+    lo, hi = p_vec[i], 1.0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("L,k", [(3, 2), (5, 3), (6, 6)])
+def test_coordinate_limit_matches_bisection(L, k):
+    sets = sets_fast(L, k)
+    c = TailConstraint.reciprocal(L, k)
+    view = _SetArrays.build(sets, c)
+    tol = SolverOptions().tol
+    p_vec = np.full(L, 0.5 * solve_iid(sets, c).p)
+    for i in range(L):
+        limit, _ = view.coordinate_limit(p_vec, i)
+        lo = _bisection_limit(sets, c, p_vec, i, tol)
+        assert lo <= limit <= lo + tol
+
+
+@pytest.mark.parametrize("target", [0.0315, 0.0325, 0.3205])
+def test_solve_iid_grid_block_edges(example_sets, target):
+    # only S_1 (mass p(1-p), rising below 1/2) binds, at exactly `target`;
+    # the first infeasible grid point is the last point of the first scan
+    # block, the first point of the second, and the first of the eleventh
+    sets = example_sets
+    p1 = constraint_lhs(sets.sets[1], [target] * 3)
+    c = TailConstraint.from_table(3, 2, {1: p1, 2: 1.0}, allow_nonmonotone=True)
+    opts = SolverOptions()
+    table = solve_iid(sets, c, opts)
+    hi = table.metadata["first_infeasible_p"]
+    assert table.p <= target <= hi and hi - table.p <= opts.tol
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +261,44 @@ def test_solve_perbit_local_maximality(example_sets, example_constraint):
         bumped = list(table.p_vec)
         bumped[i] = min(1.0, p + 4 * opts.tol)
         assert not verify_table(example_sets, example_constraint, CodeTable.perbit(3, 2, bumped)).passed
+
+
+def _assert_binding_blocks(sets, c, table, tol):
+    binding = table.metadata["binding"]
+    assert len(binding) == sets.L
+    for i, (p, m) in enumerate(zip(table.p_vec, binding)):
+        if p >= 1.0:
+            assert m is None
+            continue
+        bumped = list(table.p_vec)
+        bumped[i] = p + 4 * tol
+        assert verify_table(sets, c, CodeTable.perbit(sets.L, sets.k, bumped)).margins[m] < 0
+
+
+def test_solve_perbit_binding_example(example_sets, example_constraint):
+    opts = SolverOptions()
+    table = solve_perbit(example_sets, example_constraint, opts)
+    _assert_binding_blocks(example_sets, example_constraint, table, opts.tol)
+
+
+def test_solve_perbit_binding_seeded_budget():
+    rng = np.random.default_rng(2024)
+    L = 5
+    sets = sets_fast(L, L)
+    m = np.arange(1, max(sets.sets) + 1)
+    f = np.minimum.accumulate(0.8 / (m + 1.0) * rng.uniform(0.9, 1.1, m.size))
+    c = TailConstraint.from_table(L, L, {int(i): float(v) for i, v in zip(m, f)})
+    opts = SolverOptions()
+    table = solve_perbit(sets, c, opts)
+    assert all(b is not None for b in table.metadata["binding"])
+    _assert_binding_blocks(sets, c, table, opts.tol)
+
+
+def test_solve_perbit_binding_none_at_domain_boundary(example_sets):
+    ones = TailConstraint.from_table(3, 2, {m: 1.0 for m in range(1, 7)})
+    table = solve_perbit(example_sets, ones)
+    assert table.p_vec == (1.0, 1.0, 1.0)
+    assert table.metadata["binding"] == (None, None, None)
 
 
 def test_solve_perbit_zero_bounds(sets_l3k3):
