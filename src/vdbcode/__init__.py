@@ -8,7 +8,6 @@ exhaustive validation of the resulting code tables.
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND
 from .core import (
     ASYMMETRIC,
     ErrorPlacement,
@@ -62,7 +61,6 @@ from .channel_sim import (
 
 __all__ = [
     "ASYMMETRIC",
-    "BACKEND",
     "CodeTable",
     "DistortionDistribution",
     "EmpiricalPMF",

@@ -1,65 +1,33 @@
-"""Hot enumeration kernels, numba-jitted with a pure-numpy fallback.
+"""Hot enumeration kernels, in plain numpy.
 
 Everything here is exhaustive counting over word/mask spaces: 2**L words
 crossed with error masks, or 4**L (word, mask) outcomes for the exact
-distortion sweep.  The numba variants are plain loops; the numpy variants
-push the same computation through broadcast arrays.  Integer-valued
-kernels are bit-identical across backends; the float PMF kernels agree to
-round-off (different accumulation grouping) and each backend is
-deterministic on its own.
+distortion sweep.  Each kernel pushes its loop through broadcast arrays
+and is deterministic:
 
-Backend selection happens once at import:
+    distance_counts(L, masks)      int64 histogram of |x - (x ^ e)| over all
+                                   2**L words x and every mask e in `masks`
+    reach_matrix(L, masks)         bool [len(masks), 2**L]; [j, m] is set iff
+                                   some word x has |x - (x ^ masks[j])| = m
+    mask_probabilities(probs)      float64 [2**L]; the product measure of mask e,
+                                   with bit i of e set <-> factor probs[i]
+    distortion_pmf_flip(p, f_V)    float64 [2**L]; exact f_M of the independent
+                                   bit-flip channel under the value law f_V
+    distortion_pmf_forced(q1, q0, f_V)
+                                   float64 [2**L]; exact f_M of the forced-value
+                                   channel (q1/q0: per-bit force-to-1/0 laws)
+    trial_distortions(words, bits) int64 [n]; |w - (w ^ mask)| per trial, the
+                                   mask read from the boolean error columns
 
-    VDBCODE_BACKEND=numba   force the jitted kernels (error if numba missing)
-    VDBCODE_BACKEND=numpy   force the pure-numpy fallback
-    unset                   numba when importable, numpy otherwise
-
-The benchmark in benchmarks/bench_backends.py imports both variants
-directly and times them against each other.
+The PMF kernels call `mask_probabilities` through this module's public
+name, so a wrapper installed on that name sees their inner calls too.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _select_backend() -> str:
-    requested = os.environ.get("VDBCODE_BACKEND", "").strip().lower()
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba":
-        if not HAVE_NUMBA:
-            raise ImportError("VDBCODE_BACKEND=numba but numba is not importable")
-        return "numba"
-    if requested:
-        raise ValueError(f"VDBCODE_BACKEND must be 'numba' or 'numpy', got {requested!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _select_backend()
-
-
-# ---------------------------------------------------------------------------
-# distance_counts: histogram of |x - (x ^ mask)| over all words x and masks.
-
-
-def _distance_counts_np(L: int, masks: np.ndarray) -> np.ndarray:
+def distance_counts(L: int, masks: np.ndarray) -> np.ndarray:
     n = 1 << L
     counts = np.zeros(n, dtype=np.int64)
     x = np.arange(n, dtype=np.int64)
@@ -69,25 +37,7 @@ def _distance_counts_np(L: int, masks: np.ndarray) -> np.ndarray:
     return counts
 
 
-@njit(cache=True)
-def _distance_counts_nb(L, masks):  # pragma: no cover - jitted
-    n = 1 << L
-    counts = np.zeros(n, dtype=np.int64)
-    for j in range(masks.shape[0]):
-        e = masks[j]
-        for x in range(n):
-            d = x - (x ^ e)
-            if d < 0:
-                d = -d
-            counts[d] += 1
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# reach_matrix: reach[j, m] = True iff some word x has |x - (x ^ masks[j])| = m.
-
-
-def _reach_matrix_np(L: int, masks: np.ndarray) -> np.ndarray:
+def reach_matrix(L: int, masks: np.ndarray) -> np.ndarray:
     n = 1 << L
     x = np.arange(n, dtype=np.int64)
     reach = np.zeros((masks.shape[0], n), dtype=np.bool_)
@@ -97,57 +47,18 @@ def _reach_matrix_np(L: int, masks: np.ndarray) -> np.ndarray:
     return reach
 
 
-@njit(cache=True)
-def _reach_matrix_nb(L, masks):  # pragma: no cover - jitted
-    n = 1 << L
-    reach = np.zeros((masks.shape[0], n), dtype=np.bool_)
-    for j in range(masks.shape[0]):
-        e = masks[j]
-        for x in range(n):
-            d = x - (x ^ e)
-            if d < 0:
-                d = -d
-            reach[j, d] = True
-    return reach
-
-
-# ---------------------------------------------------------------------------
-# mask_probabilities: product measure over all 2**L masks from per-bit
-# probabilities, by iterative doubling (mask bit i set <-> factor probs[i]).
-
-
-def _mask_probabilities_np(probs: np.ndarray) -> np.ndarray:
+def mask_probabilities(probs: np.ndarray) -> np.ndarray:
     out = np.ones(1, dtype=np.float64)
     for p in probs:
         out = np.concatenate([out * (1.0 - p), out * p])
     return out
 
 
-@njit(cache=True)
-def _mask_probabilities_nb(probs):  # pragma: no cover - jitted
-    L = probs.shape[0]
-    out = np.empty(1 << L, dtype=np.float64)
-    out[0] = 1.0
-    size = 1
-    for i in range(L):
-        p = probs[i]
-        for j in range(size - 1, -1, -1):
-            v = out[j]
-            out[j] = v * (1.0 - p)
-            out[size + j] = v * p
-        size *= 2
-    return out
-
-
-# ---------------------------------------------------------------------------
-# distortion_pmf_flip: exact f_M for the independent bit-flip channel.
 # Flip probabilities do not depend on the carrier word, so the mask
 # measure is computed once and scattered over |x - (x ^ e)|.
-
-
-def _distortion_pmf_flip_np(flip_probs: np.ndarray, value_probs: np.ndarray) -> np.ndarray:
+def distortion_pmf_flip(flip_probs: np.ndarray, value_probs: np.ndarray) -> np.ndarray:
     n = value_probs.shape[0]
-    mask_p = _mask_probabilities_np(flip_probs)
+    mask_p = mask_probabilities(flip_probs)
     pmf = np.zeros(n, dtype=np.float64)
     masks = np.arange(n, dtype=np.int64)
     for x in range(n):
@@ -159,32 +70,10 @@ def _distortion_pmf_flip_np(flip_probs: np.ndarray, value_probs: np.ndarray) -> 
     return pmf
 
 
-@njit(cache=True)
-def _distortion_pmf_flip_nb(flip_probs, value_probs):  # pragma: no cover - jitted
-    n = value_probs.shape[0]
-    mask_p = _mask_probabilities_nb(flip_probs)
-    pmf = np.zeros(n, dtype=np.float64)
-    for x in range(n):
-        vp = value_probs[x]
-        if vp == 0.0:
-            continue
-        for e in range(n):
-            d = x - (x ^ e)
-            if d < 0:
-                d = -d
-            pmf[d] += vp * mask_p[e]
-    return pmf
-
-
-# ---------------------------------------------------------------------------
-# distortion_pmf_forced: exact f_M for the forced-value channel.  Given the
-# carrier word, each bit still flips independently: a 0 bit flips when
-# forced to 1, a 1 bit flips when forced to 0 (a matching force is masked),
-# so the flip probabilities depend on the word's bits and the mask measure
-# is rebuilt per word.
-
-
-def _distortion_pmf_forced_np(
+# Given the carrier word, each bit still flips independently: a 0 bit flips
+# when forced to 1, a 1 bit flips when forced to 0 (a matching force is
+# masked), so the mask measure is rebuilt per word.
+def distortion_pmf_forced(
     force_to_one: np.ndarray, force_to_zero: np.ndarray, value_probs: np.ndarray
 ) -> np.ndarray:
     n = value_probs.shape[0]
@@ -197,88 +86,15 @@ def _distortion_pmf_forced_np(
             continue
         bits = (x >> np.arange(L)) & 1
         flip = np.where(bits == 0, force_to_one, force_to_zero)
-        mask_p = _mask_probabilities_np(flip)
+        mask_p = mask_probabilities(flip)
         m = np.abs(x - (x ^ masks))
         pmf += vp * np.bincount(m, weights=mask_p, minlength=n)
     return pmf
 
 
-@njit(cache=True)
-def _distortion_pmf_forced_nb(force_to_one, force_to_zero, value_probs):  # pragma: no cover
-    n = value_probs.shape[0]
-    L = force_to_one.shape[0]
-    pmf = np.zeros(n, dtype=np.float64)
-    flip = np.empty(L, dtype=np.float64)
-    for x in range(n):
-        vp = value_probs[x]
-        if vp == 0.0:
-            continue
-        for i in range(L):
-            if (x >> i) & 1:
-                flip[i] = force_to_zero[i]
-            else:
-                flip[i] = force_to_one[i]
-        mask_p = _mask_probabilities_nb(flip)
-        for e in range(n):
-            d = x - (x ^ e)
-            if d < 0:
-                d = -d
-            pmf[d] += vp * mask_p[e]
-    return pmf
-
-
-# ---------------------------------------------------------------------------
-# trial_distortions: turn pre-drawn uniforms into per-trial distortions.
-# The uniforms are drawn outside the kernel so both backends consume the
-# RNG stream identically and yield bit-identical trials.
-
-
-def _trial_distortions_np(words: np.ndarray, uniforms: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    L = probs.shape[0]
-    bits = (uniforms < probs[None, :]).astype(np.int64)
-    masks = bits @ (np.int64(1) << np.arange(L, dtype=np.int64))
+def trial_distortions(words: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    # One shift-or per boolean column: no n x L integer copy of `bits`.
+    masks = np.zeros(words.shape[0], dtype=np.int64)
+    for i in range(bits.shape[1]):
+        masks |= bits[:, i].astype(np.int64) << i
     return np.abs(words - (words ^ masks))
-
-
-@njit(cache=True)
-def _trial_distortions_nb(words, uniforms, probs):  # pragma: no cover - jitted
-    n = words.shape[0]
-    L = probs.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    for t in range(n):
-        mask = np.int64(0)
-        for i in range(L):
-            if uniforms[t, i] < probs[i]:
-                mask |= np.int64(1) << i
-        d = words[t] - (words[t] ^ mask)
-        out[t] = -d if d < 0 else d
-    return out
-
-
-VARIANTS = {
-    "numpy": {
-        "distance_counts": _distance_counts_np,
-        "reach_matrix": _reach_matrix_np,
-        "mask_probabilities": _mask_probabilities_np,
-        "distortion_pmf_flip": _distortion_pmf_flip_np,
-        "distortion_pmf_forced": _distortion_pmf_forced_np,
-        "trial_distortions": _trial_distortions_np,
-    },
-    "numba": {
-        "distance_counts": _distance_counts_nb,
-        "reach_matrix": _reach_matrix_nb,
-        "mask_probabilities": _mask_probabilities_nb,
-        "distortion_pmf_flip": _distortion_pmf_flip_nb,
-        "distortion_pmf_forced": _distortion_pmf_forced_nb,
-        "trial_distortions": _trial_distortions_nb,
-    },
-}
-
-_active = VARIANTS[BACKEND]
-
-distance_counts = _active["distance_counts"]
-reach_matrix = _active["reach_matrix"]
-mask_probabilities = _active["mask_probabilities"]
-distortion_pmf_flip = _active["distortion_pmf_flip"]
-distortion_pmf_forced = _active["distortion_pmf_forced"]
-trial_distortions = _active["trial_distortions"]

@@ -2,13 +2,15 @@
 
 Monte Carlo validation draws words, flips bits with the code-table
 probabilities, and checks the observed distortion masses and tails
-against the constraint with binomial 3-sigma slack.  The exhaustive
-counterpart sums over every (word, error) outcome and is the ground
-truth the simulator converges to.  The forced-value channel (errors
-overwrite a bit with a target value, so matching targets are masked) is
-covered by the same exhaustive sweep plus the single-error analytic
-form, which is checked against a restricted enumeration rather than
-trusted.
+against the constraint with binomial 3-sigma slack; each shard draws its
+error bits once and turns them into distortions with
+`_kernels.trial_distortions`, with or without the weight cap.  The
+exhaustive counterpart sums over every (word, error) outcome and is the
+ground truth the simulator converges to.  The forced-value channel
+(errors overwrite a bit with a target value, so matching targets are
+masked) is covered by the same exhaustive sweep plus the single-error
+analytic form, which is checked against a restricted enumeration rather
+than trusted.
 """
 from __future__ import annotations
 
@@ -196,22 +198,18 @@ def _simulate_shard(
         words = rng.integers(0, n_words, size=n, dtype=np.int64)
     else:
         words = rng.choice(n_words, size=n, p=value_probs).astype(np.int64)
-    uniforms = rng.random((n, L))
-    if cap_weight is None:
-        m = _kernels.trial_distortions(words, uniforms, probs)
-    else:
+    bits = rng.random((n, L)) < probs
+    if cap_weight is not None:
         # Rejection: redraw any trial whose error exceeds the weight cap,
         # realizing the conditional <=k-upsets channel.
-        bits = uniforms < probs[None, :]
         for _ in range(100_000):
             bad = bits.sum(axis=1) > cap_weight
             if not bad.any():
                 break
-            bits[bad] = rng.random((int(bad.sum()), L)) < probs[None, :]
+            bits[bad] = rng.random((int(bad.sum()), L)) < probs
         else:
             raise ParameterError("cap-weight rejection did not converge; are all p_i = 1?")
-        masks = bits.astype(np.int64) @ (np.int64(1) << np.arange(L, dtype=np.int64))
-        m = np.abs(words - (words ^ masks))
+    m = _kernels.trial_distortions(words, bits)
     return np.bincount(m, minlength=n_words)
 
 
@@ -331,19 +329,14 @@ def placement_mass(table: CodeTable, k: int | None = None) -> dict[int, float]:
     _, m_max = distortion_range(WordSpec(table.L, SYMMETRIC), k)
     masks = masks_up_to_weight(table.L, k)
     p = np.asarray(table.p_vec, dtype=np.float64)
-    terms = np.ones(masks.size, dtype=np.float64)
-    for i in range(table.L):
-        bit = (masks >> i) & 1
-        terms *= np.where(bit == 1, p[i], 1.0 - p[i])
-    out = {m: 0.0 for m in range(1, m_max + 1)}
+    terms = _kernels.mask_probabilities(p)[masks]
+    out = np.zeros(1 << table.L, dtype=np.float64)
     step = reach_chunk_rows(table.L)
     for start in range(0, masks.size, step):
         reach = _kernels.reach_matrix(table.L, masks[start : start + step])
         for j in range(reach.shape[0]):
-            for m in np.nonzero(reach[j])[0]:
-                if m >= 1:
-                    out[int(m)] += float(terms[start + j])
-    return out
+            out[reach[j]] += terms[start + j]
+    return {m: float(out[m]) for m in range(1, m_max + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -406,29 +399,21 @@ def analytic_single_error(
     n = 1 << L
     fv = pmf.to_array()
 
+    q0 = upsets.force_to_zero()
+    q1 = upsets.force_to_one()
+    a = np.arange(n)
     bracket = np.zeros(n, dtype=np.float64)
-    for a in range(n):
-        acc = 0.0
-        for i in range(L):
-            q0 = upsets.force_probability(i, 0)
-            q1 = upsets.force_probability(i, 1)
-            hi = a + (1 << i)
-            lo = a - (1 << i)
-            if hi < n:
-                acc += fv[hi] * q0
-            if lo >= 0:
-                acc += fv[lo] * q1
-            acc += fv[a] * upsets.force_probability(i, (a >> i) & 1)
-        bracket[a] = acc
+    for i in range(L):
+        s = 1 << i
+        bracket[:-s] += fv[s:] * q0[i]
+        bracket[s:] += fv[:-s] * q1[i]
+        bracket += fv * np.where((a >> i) & 1, q1[i], q0[i])
 
+    # corr[n - 1 + d] = sum_a B(a) f_V(a - d), for d = -(n - 1)..(n - 1).
+    corr = np.correlate(bracket, fv, "full")
+    totals = corr[n:] + corr[n - 2 :: -1]
     mass: dict[int, float] = {}
-    for m in range(1, n):
-        total = 0.0
-        for a in range(n):
-            if a - m >= 0:
-                total += bracket[a] * fv[a - m]
-            if a + m < n:
-                total += bracket[a] * fv[a + m]
+    for m, total in enumerate(totals, start=1):
         if total:
             mass[m] = float(total)
     mass[0] = 1.0 - math.fsum(v for m, v in mass.items() if m != 0)

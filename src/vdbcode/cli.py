@@ -17,7 +17,6 @@ import json
 import sys
 
 from . import __version__
-from ._kernels import BACKEND
 from . import channel_sim, codegen, combinatorics, setgen
 from .core import ParameterError
 
@@ -49,7 +48,6 @@ def _write_manifest(args: argparse.Namespace, inputs: list[str], outputs: list[s
     manifest = {
         "tool": "vdbcode",
         "version": __version__,
-        "backend": BACKEND,
         "formats": FORMAT_VERSIONS,
         "subcommand": args.command,
         "arguments": recorded,
@@ -205,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     version = f"vdbcode {__version__} (" + ", ".join(
         f"{k}={v}" for k, v in FORMAT_VERSIONS.items()
-    ) + f", backend={BACKEND})"
+    ) + ")"
     parser.add_argument("--version", action="version", version=version)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line with its runtime (run with -s to see them live).
 
-Runtime budgets are asserted on the steady-state operation; the jitted
-kernels are warmed once up front so first-call compilation is not billed
-to any criterion.
+Runtime budgets are asserted on the steady-state operation; the kernels
+are warmed once up front so first-call set-up is not billed to any
+criterion.
 """
 import math
 import time
@@ -40,7 +40,7 @@ REPORTED_L3K3 = (0.25, 0.44, 0.31)
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # trigger jit compilation outside the timed sections
+    # load numpy's code paths and fill the lru caches outside the timed sections
     sets_bruteforce(3, 2)
     exact_distortion(CodeTable.iid(3, 2, 0.1))
     exact_distortion(UpsetModel(2, (0.1, 0.0), (1.0, 0.0)), EmpiricalPMF.uniform(2))

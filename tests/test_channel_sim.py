@@ -191,6 +191,15 @@ def test_simulate_cap_weight_never_exceeds_bound():
     assert max(uncapped.distribution.mass) > 12
 
 
+def test_simulate_cap_weight_at_word_length_is_uncapped():
+    # a cap of L rejects nothing, so the same seed gives the same trials
+    c = TailConstraint.from_table(4, 2, {m: 1.0 for m in range(1, 13)})
+    table = CodeTable.iid(4, 2, 0.6)
+    capped = simulate(table, c, 70_000, seed=8, cap_weight=4)
+    uncapped = simulate(table, c, 70_000, seed=8)
+    assert capped.distribution.mass == uncapped.distribution.mass
+
+
 def test_simulate_empirical_value_source(reciprocal_constraint):
     pmf = EmpiricalPMF(3, {0: 0.9, 7: 0.1})
     table = CodeTable.iid(3, 3, 0.1)
@@ -283,6 +292,52 @@ def test_analytic_single_error_uniform_reports_divergence():
     assert oracle.at(1) == pytest.approx(0.15)
     if not report.agreed:
         assert report.max_abs > 1e-9
+
+
+def loop_single_error(pmf, upsets):
+    """Loop transcription of the single-upset formula, one (a, i) at a time."""
+    L = pmf.L
+    n = 1 << L
+    fv = pmf.to_array()
+    bracket = np.zeros(n, dtype=np.float64)
+    for a in range(n):
+        acc = 0.0
+        for i in range(L):
+            hi = a + (1 << i)
+            lo = a - (1 << i)
+            if hi < n:
+                acc += fv[hi] * upsets.force_probability(i, 0)
+            if lo >= 0:
+                acc += fv[lo] * upsets.force_probability(i, 1)
+            acc += fv[a] * upsets.force_probability(i, (a >> i) & 1)
+        bracket[a] = acc
+    mass = {}
+    for m in range(1, n):
+        total = 0.0
+        for a in range(n):
+            if a - m >= 0:
+                total += bracket[a] * fv[a - m]
+            if a + m < n:
+                total += bracket[a] * fv[a + m]
+        if total:
+            mass[m] = float(total)
+    mass[0] = 1.0 - math.fsum(v for m, v in mass.items() if m != 0)
+    return mass
+
+
+@pytest.mark.parametrize("L", [2, 4, 6])
+def test_analytic_single_error_matches_loop_form(L):
+    rng = np.random.default_rng(20 + L)
+    values = rng.random(1 << L)
+    values[rng.random(1 << L) < 0.3] = 0.0
+    values /= values.sum()
+    pmf = EmpiricalPMF(L, {v: float(p) for v, p in enumerate(values) if p})
+    upsets = UpsetModel(L, tuple(rng.uniform(0, 0.3, L)), tuple(rng.random(L)))
+    dist, _ = analytic_single_error(pmf, upsets)
+    ref = loop_single_error(pmf, upsets)
+    assert set(dist.mass) == set(ref)
+    for m, v in ref.items():
+        assert dist.at(m) == pytest.approx(v, rel=0, abs=1e-15)
 
 
 def test_single_error_oracle_masking():
