@@ -9,7 +9,6 @@ exhaustive validation of the resulting code tables.
 __version__ = "0.1.0"
 
 from .core import (
-    ASYMMETRIC,
     ErrorPlacement,
     ParameterError,
     PlacementInfeasibleError,
@@ -19,7 +18,6 @@ from .core import (
     distortion_range,
     hamming_distance,
     integer_distance,
-    to_integer,
 )
 from .combinatorics import (
     bounds_dataset,
@@ -60,7 +58,6 @@ from .channel_sim import (
 )
 
 __all__ = [
-    "ASYMMETRIC",
     "CodeTable",
     "DistortionDistribution",
     "EmpiricalPMF",
@@ -93,7 +90,6 @@ __all__ = [
     "solve_iid",
     "solve_perbit",
     "tail_of",
-    "to_integer",
     "values_at_distance",
     "verify_table",
     "y_star",

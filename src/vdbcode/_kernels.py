@@ -16,8 +16,6 @@ and is deterministic:
     distortion_pmf_forced(q1, q0, f_V)
                                    float64 [2**L]; exact f_M of the forced-value
                                    channel (q1/q0: per-bit force-to-1/0 laws)
-    trial_distortions(words, bits) int64 [n]; |w - (w ^ mask)| per trial, the
-                                   mask read from the boolean error columns
 
 The PMF kernels call `mask_probabilities` through this module's public
 name, so a wrapper installed on that name sees their inner calls too.
@@ -91,10 +89,3 @@ def distortion_pmf_forced(
         pmf += vp * np.bincount(m, weights=mask_p, minlength=n)
     return pmf
 
-
-def trial_distortions(words: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    # One shift-or per boolean column: no n x L integer copy of `bits`.
-    masks = np.zeros(words.shape[0], dtype=np.int64)
-    for i in range(bits.shape[1]):
-        masks |= bits[:, i].astype(np.int64) << i
-    return np.abs(words - (words ^ masks))

@@ -1,23 +1,21 @@
 """Channel simulation and distortion-distribution analytics.
 
-Monte Carlo validation draws words, flips bits with the code-table
-probabilities, and checks the observed distortion masses and tails
-against the constraint with binomial 3-sigma slack; each shard draws its
-error bits once and turns them into distortions with
-`_kernels.trial_distortions`, with or without the weight cap.  The
-exhaustive counterpart sums over every (word, error) outcome and is the
-ground truth the simulator converges to.  The forced-value channel
-(errors overwrite a bit with a target value, so matching targets are
-masked) is covered by the same exhaustive sweep plus the single-error
-analytic form, which is checked against a restricted enumeration rather
-than trusted.
+Monte Carlo validation draws words and error masks, and checks the
+observed distortion masses and tails against the constraint with
+binomial 3-sigma slack.  Masks are drawn from the code table's product
+law `_kernels.mask_probabilities(p_vec)`, restricted to masks of weight
+<= cap and renormalised when a weight cap is given, so the capped and
+uncapped channels are one sampling path.  The exhaustive counterpart
+sums over every (word, error) outcome and is the ground truth the
+simulator converges to.  The forced-value channel (errors overwrite a
+bit with a target value, so matching targets are masked) is covered by
+the same exhaustive sweep plus the single-error analytic form, which is
+checked against a restricted enumeration rather than trusted.
 """
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -28,7 +26,7 @@ from .codegen import CodeTable, TailConstraint
 from .combinatorics import masks_up_to_weight, reach_chunk_rows
 from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range
 
-GENERATOR_ID = "pcg64"
+GENERATOR_ID = "pcg64-mask-table"
 UPSETS_FORMAT = "vdb-upsets-v1"
 
 PROVENANCE_MONTE_CARLO = "monte_carlo"
@@ -38,7 +36,7 @@ PROVENANCE_SINGLE_ERROR = "analytic_single_error"
 MODE_FLIP = "independent-flip"
 MODE_CAPPED = "cap-weight"
 
-_SHARD_SIZE = 1 << 16
+_CHUNK_SIZE = 1 << 16
 _MAX_EXACT_L = 16
 
 
@@ -166,14 +164,6 @@ class SimulationResult:
     mode: str
 
 
-def _worker_count(n_shards: int) -> int:
-    cap = os.environ.get("VDBCODE_THREADS", "")
-    workers = min(4, os.cpu_count() or 1, n_shards)
-    if cap.strip():
-        workers = max(1, min(workers, int(cap)))
-    return workers
-
-
 def _value_probs(value_source: Union[str, EmpiricalPMF], L: int) -> np.ndarray | None:
     if isinstance(value_source, EmpiricalPMF):
         if value_source.L != L:
@@ -184,33 +174,10 @@ def _value_probs(value_source: Union[str, EmpiricalPMF], L: int) -> np.ndarray |
     raise ParameterError(f"unknown value source {value_source!r}")
 
 
-def _simulate_shard(
-    seed_seq: np.random.SeedSequence,
-    n: int,
-    probs: np.ndarray,
-    value_probs: np.ndarray | None,
-    cap_weight: int | None,
-) -> np.ndarray:
-    L = probs.shape[0]
-    n_words = 1 << L
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    if value_probs is None:
-        words = rng.integers(0, n_words, size=n, dtype=np.int64)
-    else:
-        words = rng.choice(n_words, size=n, p=value_probs).astype(np.int64)
-    bits = rng.random((n, L)) < probs
-    if cap_weight is not None:
-        # Rejection: redraw any trial whose error exceeds the weight cap,
-        # realizing the conditional <=k-upsets channel.
-        for _ in range(100_000):
-            bad = bits.sum(axis=1) > cap_weight
-            if not bad.any():
-                break
-            bits[bad] = rng.random((int(bad.sum()), L)) < probs
-        else:
-            raise ParameterError("cap-weight rejection did not converge; are all p_i = 1?")
-    m = _kernels.trial_distortions(words, bits)
-    return np.bincount(m, minlength=n_words)
+def _cdf(law: np.ndarray) -> np.ndarray:
+    """Cumulative law scaled to end at exactly 1, so a draw in [0, 1) always lands."""
+    cdf = np.cumsum(law)
+    return cdf / cdf[-1]
 
 
 def simulate(
@@ -223,39 +190,50 @@ def simulate(
 ) -> SimulationResult:
     """Monte Carlo channel run followed by the constraint check.
 
-    Each trial draws a word, flips bit i independently with probability
-    p_i, and records the integer distortion.  The check requires every
-    per-m mass and every tail Pr(M > m) to stay within the constraint
-    plus 3-sigma binomial slack.  Trials are generated in fixed-size
-    shards with spawned sub-seeds, so results do not depend on how many
-    workers process them.
+    Each trial draws a word and an error mask and records the integer
+    distortion |w - (w ^ mask)|.  Masks follow the product law of
+    `_kernels.mask_probabilities(p_vec)` (bit i flips independently with
+    probability p_i); with `cap_weight` the law is restricted to masks of
+    at most that many set bits and renormalised, which is the channel
+    conditioned on <= cap_weight upsets.  The check requires every per-m
+    mass and every tail Pr(M > m) to stay within the constraint plus
+    3-sigma binomial slack.  Trials come from one PCG64 stream seeded
+    with `seed`, drawn in fixed-size chunks, so a seed fixes the result.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
+    if cap_weight is not None and cap_weight < 0:
+        raise ParameterError(f"cap_weight must be >= 0, got {cap_weight}")
     if (table.L, table.k) != (constraint.L, constraint.k):
         raise ParameterError(
             f"table is (L={table.L}, k={table.k}) but constraint is (L={constraint.L}, k={constraint.k})"
         )
-    probs = np.asarray(table.p_vec, dtype=np.float64)
+    n = 1 << table.L
+    mask_law = _kernels.mask_probabilities(np.asarray(table.p_vec, dtype=np.float64))
+    if cap_weight is not None:
+        mask_law[np.bitwise_count(np.arange(n)) > cap_weight] = 0.0
+        if not mask_law.any():
+            raise ParameterError(f"no error mask of weight <= {cap_weight} has positive probability")
+    mask_cdf = _cdf(mask_law)
     value_probs = _value_probs(value_source, table.L)
+    word_cdf = None if value_probs is None else _cdf(value_probs)
 
-    shard_sizes = [_SHARD_SIZE] * (trials // _SHARD_SIZE)
-    if trials % _SHARD_SIZE:
-        shard_sizes.append(trials % _SHARD_SIZE)
-    seqs = np.random.SeedSequence(seed).spawn(len(shard_sizes))
-
-    def run(args):
-        seq, n = args
-        return _simulate_shard(seq, n, probs, value_probs, cap_weight)
-
-    workers = _worker_count(len(shard_sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(run, zip(seqs, shard_sizes)))
-    else:
-        counts = sum(run(args) for args in zip(seqs, shard_sizes))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    counts = np.zeros(n, dtype=np.int64)
+    for start in range(0, trials, _CHUNK_SIZE):
+        size = min(_CHUNK_SIZE, trials - start)
+        # Inverse-CDF draws; side="right" never picks an entry of mass zero.
+        if word_cdf is None:
+            words = rng.integers(0, n, size=size, dtype=np.int64)
+        else:
+            words = np.searchsorted(word_cdf, rng.random(size), side="right")
+        # Sorted uniforms make the mask search about 3x faster; the words are
+        # iid and independent of the masks, so sorting the masks within a
+        # chunk leaves the law of the distortion histogram unchanged.
+        masks = np.searchsorted(mask_cdf, np.sort(rng.random(size)), side="right")
+        counts += np.bincount(np.abs(words - (words ^ masks)), minlength=n)
 
     mass = {int(m): int(c) / trials for m, c in enumerate(counts) if c}
     dist = DistortionDistribution(

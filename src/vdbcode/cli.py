@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Every subcommand that writes an output also writes `<out>.manifest.json`
-recording the tool version, the full parameter set, digests of the input
-files, and the seed; `vdbcode replay --manifest FILE` re-runs the
-recorded invocation and reproduces the outputs byte for byte.
+recording the tool version, the file formats and random generator, the
+full parameter set, digests of the input files, and the seed;
+`vdbcode replay --manifest FILE` re-runs the recorded invocation and
+reproduces the outputs byte for byte.  A manifest written with other
+formats or another random generator is refused, since replaying it
+would not reproduce its outputs.
 
 Exit codes: 0 success/pass, 1 verification or simulation failure,
 2 usage/validation error, 3 internal consistency failure (construction
@@ -30,6 +33,7 @@ FORMAT_VERSIONS = {
     "constraint": codegen.CONSTRAINT_FORMAT,
     "table": codegen.TABLE_FORMAT,
     "upsets": channel_sim.UPSETS_FORMAT,
+    "generator": channel_sim.GENERATOR_ID,
 }
 
 
@@ -182,6 +186,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    recorded = manifest.get("formats", {})
+    for key in sorted(set(recorded) | set(FORMAT_VERSIONS)):
+        if recorded.get(key) != FORMAT_VERSIONS.get(key):
+            raise ParameterError(
+                f"manifest {key}={recorded.get(key)} differs from this build's "
+                f"{key}={FORMAT_VERSIONS.get(key)}; it cannot be replayed"
+            )
     for path, digest in manifest.get("inputs", {}).items():
         if _digest(path) != digest:
             raise ParameterError(f"input {path} no longer matches its recorded digest")
@@ -241,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pmf", help="empirical value PMF CSV (default: uniform values)")
-    p.add_argument("--cap-weight", type=int, default=None, help="reject trials with more upsets")
+    p.add_argument(
+        "--cap-weight", type=int, default=None, help="condition the channel on at most this many upsets"
+    )
     p.add_argument("--allow-nonmonotone", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 SYMMETRIC = "symmetric"
-ASYMMETRIC = "asymmetric"
 
 # Exhaustive enumeration over all 2**L words (and over error masks) is the
 # validation strategy throughout; the ceiling keeps that tractable.
@@ -30,7 +29,10 @@ class PlacementInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class WordSpec:
-    """Word length plus channel polarity; defines the universe of words."""
+    """Word length plus channel polarity; defines the universe of words.
+
+    Only the symmetric channel (errors flip a bit either way) is supported.
+    """
 
     word_length: int
     polarity: str = SYMMETRIC
@@ -40,7 +42,7 @@ class WordSpec:
             raise ParameterError(
                 f"word_length must be in [1, {MAX_WORD_LENGTH}], got {self.word_length}"
             )
-        if self.polarity not in (SYMMETRIC, ASYMMETRIC):
+        if self.polarity != SYMMETRIC:
             raise ParameterError(f"unknown polarity {self.polarity!r}")
 
     @property
@@ -77,11 +79,6 @@ def popcount(x: int) -> int:
     return bin(x).count("1")
 
 
-def to_integer(word: int, spec: WordSpec) -> int:
-    """Unsigned-integer value of a word (bit i contributes 2**i)."""
-    return spec.validate_word(word)
-
-
 def hamming_distance(x: int, y: int) -> int:
     """Number of bit positions in which x and y differ."""
     return popcount(x ^ y)
@@ -96,17 +93,14 @@ def distortion_range(spec: WordSpec, k: int) -> tuple[int, int]:
     """Range of integer distortions reachable with up to k bit errors.
 
     The maximum is hit when all k errors share a polarity and sit in the
-    top k bit positions.  On a symmetric channel a run of k errors with
-    the most significant one opposing the rest yields distortion 1; on an
-    asymmetric channel the k errors cannot cancel, so the minimum is the
-    k low bits all flipping together.
+    top k bit positions.  A run of k errors with the most significant one
+    opposing the rest yields distortion 1.
     """
     L = spec.word_length
     if not 1 <= k <= L:
         raise ParameterError(f"k must be in [1, {L}], got {k}")
-    m_min = 1 if spec.polarity == SYMMETRIC else (1 << k) - 1
     m_max = (1 << (L - k)) * ((1 << k) - 1)
-    return m_min, m_max
+    return 1, m_max
 
 
 def apply_flip_errors(x: int, placement: ErrorPlacement, signs: Mapping[int, int]) -> int:

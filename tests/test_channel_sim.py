@@ -31,7 +31,7 @@ from vdbcode.channel_sim import (
     check_against_constraint,
     single_error_oracle,
 )
-from conftest import EXAMPLE_BOUNDS
+from conftest import EXAMPLE_BOUNDS, bin_sigmas, law_bins, sidak_z
 
 
 def flip_oracle(p_vec, value_probs):
@@ -150,15 +150,6 @@ def test_simulate_is_seed_deterministic(reciprocal_constraint):
     assert c.distribution.mass != a.distribution.mass
 
 
-def test_simulate_independent_of_worker_count(reciprocal_constraint, monkeypatch):
-    table = CodeTable.iid(3, 3, 0.29)
-    monkeypatch.setenv("VDBCODE_THREADS", "1")
-    a = simulate(table, reciprocal_constraint, 200_000, seed=9)
-    monkeypatch.setenv("VDBCODE_THREADS", "4")
-    b = simulate(table, reciprocal_constraint, 200_000, seed=9)
-    assert a.distribution.mass == b.distribution.mass
-
-
 def test_simulate_converges_to_exact(reciprocal_constraint):
     table = CodeTable.iid(3, 3, 0.29)
     trials = 100_000
@@ -198,6 +189,59 @@ def test_simulate_cap_weight_at_word_length_is_uncapped():
     capped = simulate(table, c, 70_000, seed=8, cap_weight=4)
     uncapped = simulate(table, c, 70_000, seed=8)
     assert capped.distribution.mass == uncapped.distribution.mass
+
+
+def capped_flip_oracle(p_vec, cap, value_probs):
+    """Flip-channel f_M conditioned on <= cap flips, by a plain product per mask."""
+    L = len(p_vec)
+    joint = {}
+    for e in range(1 << L):
+        if bin(e).count("1") > cap:
+            continue
+        prob = 1.0
+        for i in range(L):
+            prob *= p_vec[i] if (e >> i) & 1 else 1 - p_vec[i]
+        for x in range(1 << L):
+            if value_probs[x]:
+                m = abs(x - (x ^ e))
+                joint[m] = joint.get(m, 0.0) + value_probs[x] * prob
+    total = math.fsum(joint.values())
+    return {m: v / total for m, v in joint.items() if v}
+
+
+def test_simulate_cap_weight_matches_conditional_law():
+    trials = 200_000
+    spread = np.random.default_rng(12).random(64)
+    spread[[0, 5, 17, 40, 41, 63]] = 0.0
+    spread /= spread.sum()
+    cases = [
+        (CodeTable.perbit(4, 2, (0.5, 0.3, 0.6, 0.2)), 2, None),
+        (
+            CodeTable.perbit(6, 3, (0.45, 0.1, 0.35, 0.6, 0.25, 0.5)),
+            3,
+            EmpiricalPMF(6, {v: float(p) for v, p in enumerate(spread) if p}),
+        ),
+    ]
+    bins = []
+    for table, cap, pmf in cases:
+        c = TailConstraint.from_table(table.L, table.k, {1: 1.0})
+        source = "uniform" if pmf is None else pmf
+        result = simulate(table, c, trials, seed=21, value_source=source, cap_weight=cap)
+        values = (pmf or EmpiricalPMF.uniform(table.L)).to_array()
+        exact = capped_flip_oracle(table.p_vec, cap, values)
+        bins += law_bins(result.distribution.mass, exact, trials)
+    assert max(bin_sigmas(bins, trials)) <= sidak_z(len(bins))
+
+
+def test_simulate_rejects_impossible_weight_caps():
+    c = TailConstraint.from_table(4, 2, {m: 1.0 for m in range(1, 13)})
+    with pytest.raises(ParameterError, match="cap_weight"):
+        simulate(CodeTable.iid(4, 2, 0.3), c, 100, seed=0, cap_weight=-1)
+    # all p_i = 1: the only mask with mass has weight 4
+    with pytest.raises(ParameterError, match="weight <= 2"):
+        simulate(CodeTable.iid(4, 2, 1.0), c, 100, seed=0, cap_weight=2)
+    # a cap of 4 admits that mask
+    simulate(CodeTable.iid(4, 2, 1.0), c, 100, seed=0, cap_weight=4)
 
 
 def test_simulate_empirical_value_source(reciprocal_constraint):

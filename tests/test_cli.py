@@ -141,7 +141,7 @@ def test_simulate_p29_passes(tmp_path, reciprocal_file):
     text = out.read_text()
     assert "# provenance=monte_carlo" in text
     assert "# trials=10000" in text
-    assert "# generator=pcg64" in text
+    assert "# generator=pcg64-mask-table" in text.splitlines()
 
 
 def test_simulate_zero_trials_usage_error(tmp_path, reciprocal_file):
@@ -178,6 +178,18 @@ def test_simulate_cap_weight_mode(tmp_path, reciprocal_file):
         "--trials", "5000", "--seed", "0", "--cap-weight", "3", "--out", str(out),
     ])
     assert code == 0
+
+
+def test_simulate_impossible_cap_weight_usage_error(tmp_path, reciprocal_file, capsys):
+    table = tmp_path / "ones.txt"
+    table.write_text("format=vdb-table-v1\nL=3\nk=3\nmode=iid\np=1.0\n")
+    for cap in ("-1", "2"):
+        code = main([
+            "simulate", "--table", str(table), "--constraint", str(reciprocal_file),
+            "--trials", "100", "--cap-weight", cap, "--out", str(tmp_path / "d.csv"),
+        ])
+        assert code == 2
+    assert "weight <= 2" in capsys.readouterr().err
 
 
 def test_distort_exact_zero_upsets(tmp_path):
@@ -261,6 +273,25 @@ def test_simulate_manifest_replay_bitwise(tmp_path, reciprocal_file):
     assert out.read_bytes() == original
 
 
+def test_replay_rejects_other_generator(tmp_path, reciprocal_file, capsys):
+    table = tmp_path / "p29.txt"
+    table.write_text(P29_TABLE_TEXT)
+    out = tmp_path / "dist.csv"
+    assert main([
+        "simulate", "--table", str(table), "--constraint", str(reciprocal_file),
+        "--trials", "2000", "--seed", "11", "--out", str(out),
+    ]) == 0
+    manifest_path = tmp_path / "dist.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["formats"]["generator"] == "pcg64-mask-table"
+    manifest["formats"]["generator"] = "pcg64"
+    manifest_path.write_text(json.dumps(manifest))
+    original = out.read_bytes()
+    assert main(["replay", "--manifest", str(manifest_path)]) == 2
+    assert "generator" in capsys.readouterr().err
+    assert out.read_bytes() == original
+
+
 def test_replay_rejects_drifted_inputs(tmp_path, example_constraint_file, capsys):
     out = tmp_path / "table.txt"
     assert main(["encode", "--constraint", str(example_constraint_file), "--mode", "iid", "--out", str(out)]) == 0
@@ -275,6 +306,7 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     assert "vdbcode" in text and "vdb-sets-v1" in text
+    assert "generator=pcg64-mask-table" in text
 
 
 def test_missing_file_is_usage_error(tmp_path, capsys):

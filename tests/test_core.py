@@ -1,7 +1,6 @@
 import pytest
 
 from vdbcode import (
-    ASYMMETRIC,
     ErrorPlacement,
     ParameterError,
     PlacementInfeasibleError,
@@ -10,19 +9,21 @@ from vdbcode import (
     distortion_range,
     hamming_distance,
     integer_distance,
-    to_integer,
 )
 
 
 def test_to_integer_examples():
-    assert to_integer(0b00101010, WordSpec(8)) == 42
-    assert to_integer(0, WordSpec(5)) == 0
-    assert to_integer(0b111, WordSpec(3)) == 7
+    # a word's integer value is the word itself; validate_word returns it
+    assert WordSpec(8).validate_word(0b00101010) == 42
+    assert WordSpec(5).validate_word(0) == 0
+    assert WordSpec(3).validate_word(0b111) == 7
 
 
 def test_to_integer_range_check():
     with pytest.raises(ParameterError):
-        to_integer(8, WordSpec(3))
+        WordSpec(3).validate_word(8)
+    with pytest.raises(ParameterError):
+        WordSpec(3).validate_word(-1)
 
 
 def test_wordspec_validation():
@@ -32,6 +33,8 @@ def test_wordspec_validation():
         WordSpec(25)
     with pytest.raises(ParameterError):
         WordSpec(3, "weird")
+    with pytest.raises(ParameterError):
+        WordSpec(3, "asymmetric")
 
 
 def test_hamming_distance_examples():
@@ -61,7 +64,7 @@ def test_integer_distance_matches_bitwise_value_recomputation(L):
     # rebuild each word's value from its bits and difference those
     values = [sum(((x >> i) & 1) << i for i in range(L)) for x in range(1 << L)]
     for x in range(1 << L):
-        assert values[x] == to_integer(x, WordSpec(L))
+        assert values[x] == x
     for x in range(0, 1 << L, max(1, (1 << L) // 64)):
         for y in range(1 << L):
             assert integer_distance(x, y) == abs(values[x] - values[y])
@@ -69,7 +72,6 @@ def test_integer_distance_matches_bitwise_value_recomputation(L):
 
 def test_distortion_range_examples():
     assert distortion_range(WordSpec(3), 2) == (1, 6)
-    assert distortion_range(WordSpec(3, ASYMMETRIC), 2) == (3, 6)
     assert distortion_range(WordSpec(1), 1) == (1, 1)
 
 

@@ -76,20 +76,6 @@ def ref_distortion_pmf_forced(force_to_one, force_to_zero, value_probs):
     return pmf
 
 
-def ref_trial_distortions(words, uniforms, probs):
-    n = words.shape[0]
-    L = probs.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    for t in range(n):
-        mask = 0
-        for i in range(L):
-            if uniforms[t, i] < probs[i]:
-                mask |= 1 << i
-        w = int(words[t])
-        out[t] = abs(w - (w ^ mask))
-    return out
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -142,14 +128,3 @@ def test_distortion_pmf_forced_matches_loop(L):
         atol=1e-14,
     )
 
-
-def test_trial_distortions_matches_loop_bitwise():
-    rng = np.random.default_rng(4)
-    L = 6
-    words = rng.integers(0, 1 << L, size=5000, dtype=np.int64)
-    uniforms = rng.random((5000, L))
-    probs = rng.random(L)
-    assert np.array_equal(
-        _kernels.trial_distortions(words, uniforms < probs),
-        ref_trial_distortions(words, uniforms, probs),
-    )
