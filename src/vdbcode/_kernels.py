@@ -1,9 +1,9 @@
 """Hot enumeration kernels, in plain numpy.
 
-Everything here is exhaustive counting over word/mask spaces: 2**L words
-crossed with error masks, or 4**L (word, mask) outcomes for the exact
-distortion sweep.  Each kernel pushes its loop through broadcast arrays
-and is deterministic:
+The counting kernels sweep 2**L words against a set of error masks; the
+distortion-law kernel folds the word one bit at a time instead of
+sweeping (word, mask) pairs.  Each kernel pushes its loop through
+broadcast arrays and is deterministic:
 
     distance_counts(L, masks)      int64 histogram of |x - (x ^ e)| over all
                                    2**L words x and every mask e in `masks`
@@ -11,14 +11,12 @@ and is deterministic:
                                    some word x has |x - (x ^ masks[j])| = m
     mask_probabilities(probs)      float64 [2**L]; the product measure of mask e,
                                    with bit i of e set <-> factor probs[i]
-    distortion_pmf_flip(p, f_V)    float64 [2**L]; exact f_M of the independent
-                                   bit-flip channel under the value law f_V
     distortion_pmf_forced(q1, q0, f_V)
                                    float64 [2**L]; exact f_M of the forced-value
                                    channel (q1/q0: per-bit force-to-1/0 laws)
-
-The PMF kernels call `mask_probabilities` through this module's public
-name, so a wrapper installed on that name sees their inner calls too.
+                                   under the value law f_V, in O(L * 2**L) time
+                                   and O(2**L) memory; q1 = q0 = p is the
+                                   independent bit-flip channel
 """
 from __future__ import annotations
 
@@ -52,40 +50,26 @@ def mask_probabilities(probs: np.ndarray) -> np.ndarray:
     return out
 
 
-# Flip probabilities do not depend on the carrier word, so the mask
-# measure is computed once and scattered over |x - (x ^ e)|.
-def distortion_pmf_flip(flip_probs: np.ndarray, value_probs: np.ndarray) -> np.ndarray:
-    n = value_probs.shape[0]
-    mask_p = mask_probabilities(flip_probs)
-    pmf = np.zeros(n, dtype=np.float64)
-    masks = np.arange(n, dtype=np.int64)
-    for x in range(n):
-        vp = value_probs[x]
-        if vp == 0.0:
-            continue
-        m = np.abs(x - (x ^ masks))
-        pmf += vp * np.bincount(m, weights=mask_p, minlength=n)
-    return pmf
-
-
-# Given the carrier word, each bit still flips independently: a 0 bit flips
-# when forced to 1, a 1 bit flips when forced to 0 (a matching force is
-# masked), so the mask measure is rebuilt per word.
+# Given the carrier word, bit i moves independently: a 0 bit rises by 2**i
+# when forced to 1, a 1 bit drops by 2**i when forced to 0 (a matching
+# force is masked).  acc[r, c] is the mass of words whose unfolded high
+# bits are r and whose folded low bits moved the value by c - (2**i - 1);
+# folding bit i halves the rows and widens the deviation range by 2**(i+1).
 def distortion_pmf_forced(
     force_to_one: np.ndarray, force_to_zero: np.ndarray, value_probs: np.ndarray
 ) -> np.ndarray:
+    acc = value_probs.reshape(-1, 1)
+    for i, (q1, q0) in enumerate(zip(force_to_one, force_to_zero)):
+        s = 1 << i
+        width = acc.shape[1]
+        zero, one = acc[0::2], acc[1::2]
+        nxt = np.zeros((zero.shape[0], width + 2 * s), dtype=np.float64)
+        nxt[:, s : s + width] += zero * (1.0 - q1) + one * (1.0 - q0)
+        nxt[:, 2 * s :] += zero * q1
+        nxt[:, :width] += one * q0
+        acc = nxt
+    row = acc[0]
     n = value_probs.shape[0]
-    L = force_to_one.shape[0]
-    pmf = np.zeros(n, dtype=np.float64)
-    masks = np.arange(n, dtype=np.int64)
-    for x in range(n):
-        vp = value_probs[x]
-        if vp == 0.0:
-            continue
-        bits = (x >> np.arange(L)) & 1
-        flip = np.where(bits == 0, force_to_one, force_to_zero)
-        mask_p = mask_probabilities(flip)
-        m = np.abs(x - (x ^ masks))
-        pmf += vp * np.bincount(m, weights=mask_p, minlength=n)
+    pmf = row[n - 1 :].copy()
+    pmf[1:] += row[n - 2 :: -1]
     return pmf
-

@@ -5,12 +5,13 @@ observed distortion masses and tails against the constraint with
 binomial 3-sigma slack.  Masks are drawn from the code table's product
 law `_kernels.mask_probabilities(p_vec)`, restricted to masks of weight
 <= cap and renormalised when a weight cap is given, so the capped and
-uncapped channels are one sampling path.  The exhaustive counterpart
-sums over every (word, error) outcome and is the ground truth the
-simulator converges to.  The forced-value channel (errors overwrite a
-bit with a target value, so matching targets are masked) is covered by
-the same exhaustive sweep plus the single-error analytic form, which is
-checked against a restricted enumeration rather than trusted.
+uncapped channels are one sampling path.  The exact counterpart folds
+the value law through the word one bit at a time, each bit adding an
+independent signed step, and is the ground truth the simulator converges
+to.  The forced-value channel (errors overwrite a bit with a target
+value, so matching targets are masked) is covered by the same exact fold
+plus the single-error analytic form, which is checked against a
+restricted enumeration rather than trusted.
 """
 from __future__ import annotations
 
@@ -128,17 +129,25 @@ class DistortionDistribution:
         return self.mass.get(m, 0.0)
 
 
+def _mass_and_tail(d: DistortionDistribution, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masses f(m) and tails Pr(M > m) for m = 0..top, as float64 arrays.
+
+    The tail is a running sum from the top of the support down (cumsum
+    adds in sequence), so every entry is bit-for-bit that loop's value.
+    """
+    mass = np.zeros(top + 1, dtype=np.float64)
+    mass[list(d.mass)] = list(d.mass.values())
+    tail = np.zeros(top + 1, dtype=np.float64)
+    tail[:-1] = np.cumsum(mass[:0:-1])[::-1]
+    return mass, tail
+
+
 def tail_of(d: DistortionDistribution) -> dict[int, float]:
     """Complementary cumulative masses Pr(M > m) for m = 0..max support."""
     if not d.mass:
         return {}
-    top = max(d.mass)
-    tails = {}
-    running = 0.0
-    for m in range(top, -1, -1):
-        tails[m] = running
-        running += d.mass.get(m, 0.0)
-    return dict(sorted(tails.items()))
+    _, tail = _mass_and_tail(d, max(d.mass))
+    return dict(enumerate(tail.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -248,36 +257,31 @@ def check_against_constraint(
     dist: DistortionDistribution, constraint: TailConstraint, trials: int
 ) -> tuple[tuple[CheckRow, ...], bool]:
     """Per-m mass and tail checks with 3-sigma binomial slack."""
-    tails = tail_of(dist)
     top = max(max(dist.mass, default=0), constraint.m_max)
-    rows = []
-    for m in range(1, top + 1):
-        bound = constraint.bound(m)
-        slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
-        mass = dist.at(m)
-        tail = tails.get(m, 0.0)
-        rows.append(
-            CheckRow(
-                m=m,
-                mass=mass,
-                tail=tail,
-                bound=bound,
-                slack=slack,
-                mass_ok=mass <= bound + slack,
-                tail_ok=tail <= bound + slack,
-            )
-        )
-    return tuple(rows), all(r.mass_ok and r.tail_ok for r in rows)
+    mass, tail = _mass_and_tail(dist, top)
+    bound = np.array([constraint.bound(m) for m in range(1, top + 1)], dtype=np.float64)
+    slack = 3.0 * np.sqrt(bound * (1.0 - bound) / trials)
+    mass_ok = mass[1:] <= bound + slack
+    tail_ok = tail[1:] <= bound + slack
+    columns = (mass[1:], tail[1:], bound, slack, mass_ok, tail_ok)
+    rows = tuple(map(CheckRow, range(1, top + 1), *(c.tolist() for c in columns)))
+    return rows, bool((mass_ok & tail_ok).all())
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive oracles
+# Exact oracles
 
 
 def exact_distortion(
     model: Union[CodeTable, UpsetModel], value_source: Union[str, EmpiricalPMF] = "uniform"
 ) -> DistortionDistribution:
-    """Exact f_M by summing over all words and all error outcomes."""
+    """Exact f_M, folding the word's value law through one bit at a time.
+
+    Given the word, each bit moves the value by an independent step: a
+    flip under a `CodeTable` (probability p_i either way), a force to the
+    other value under an `UpsetModel`.  The law is that sum of steps,
+    computed exactly by `_kernels.distortion_pmf_forced`.
+    """
     L = model.L
     if L > _MAX_EXACT_L:
         raise ParameterError(f"exact enumeration supports L <= {_MAX_EXACT_L}, got {L}")
@@ -285,12 +289,10 @@ def exact_distortion(
     if value_probs is None:
         value_probs = np.full(1 << L, 1.0 / (1 << L))
     if isinstance(model, CodeTable):
-        probs = np.asarray(model.p_vec, dtype=np.float64)
-        pmf = _kernels.distortion_pmf_flip(probs, value_probs)
+        force_to_one = force_to_zero = np.asarray(model.p_vec, dtype=np.float64)
     else:
-        pmf = _kernels.distortion_pmf_forced(
-            model.force_to_one(), model.force_to_zero(), value_probs
-        )
+        force_to_one, force_to_zero = model.force_to_one(), model.force_to_zero()
+    pmf = _kernels.distortion_pmf_forced(force_to_one, force_to_zero, value_probs)
     mass = {int(m): float(p) for m, p in enumerate(pmf) if p}
     return DistortionDistribution(mass, PROVENANCE_EXACT)
 

@@ -1,5 +1,5 @@
 """Each numpy kernel against a plain-Python loop transcription of it:
-integer kernels bit for bit, the PMF kernels to round-off."""
+integer kernels bit for bit, the distortion-law kernel to round-off."""
 import numpy as np
 import pytest
 
@@ -98,33 +98,61 @@ def test_mask_probabilities_matches_loop_bitwise():
         assert np.array_equal(_kernels.mask_probabilities(probs), ref_mask_probabilities(probs))
 
 
-@pytest.mark.parametrize("L", [2, 4, 6])
+PMF_LENGTHS = [1, 2, 3, 4, 5, 6, 8]
+
+
+def value_laws(rng, L):
+    """A dense law with some zero masses, a point mass and a sparse law."""
+    n = 1 << L
+    dense = rng.random(n)
+    dense[rng.random(n) < 0.25] = 0.0
+    dense[rng.integers(n)] += 1.0
+    point = np.zeros(n)
+    point[rng.integers(n)] = 1.0
+    sparse = np.zeros(n)
+    sparse[rng.choice(n, size=min(3, n), replace=False)] = rng.random(min(3, n)) + 0.1
+    return [law / law.sum() for law in (dense, point, sparse)]
+
+
+def force_laws(rng, L):
+    """Random per-bit laws, and one with some entries at exactly 0 and 1."""
+    q = rng.random(L)
+    edge = rng.random(L)
+    edge[0] = 0.0
+    edge[L // 2] = 1.0
+    return [q, edge]
+
+
+def assert_pmf_matches(pmf, ref):
+    np.testing.assert_allclose(pmf, ref, rtol=0, atol=1e-14)
+    # Impossible distortions must come out as exact zeros (the support
+    # check of the acceptance suite relies on them).
+    assert np.array_equal(pmf == 0.0, ref == 0.0)
+
+
+@pytest.mark.parametrize("L", PMF_LENGTHS)
 def test_distortion_pmf_flip_matches_loop(L):
+    # The flip channel is the forced channel with equal force laws.
     rng = np.random.default_rng(2 + L)
-    probs = rng.random(L)
-    values = rng.random(1 << L)
-    values[rng.random(1 << L) < 0.25] = 0.0  # exercise the zero-mass skip
-    values /= values.sum()
-    np.testing.assert_allclose(
-        _kernels.distortion_pmf_flip(probs, values),
-        ref_distortion_pmf_flip(probs, values),
-        rtol=0,
-        atol=1e-14,
-    )
+    for probs in force_laws(rng, L):
+        for values in value_laws(rng, L):
+            assert_pmf_matches(
+                _kernels.distortion_pmf_forced(probs, probs, values),
+                ref_distortion_pmf_flip(probs, values),
+            )
 
 
-@pytest.mark.parametrize("L", [2, 4, 6])
+@pytest.mark.parametrize("L", PMF_LENGTHS)
 def test_distortion_pmf_forced_matches_loop(L):
     rng = np.random.default_rng(3 + L)
-    f1 = rng.random(L) * 0.5
-    f0 = rng.random(L) * 0.5
-    values = rng.random(1 << L)
-    values[rng.random(1 << L) < 0.25] = 0.0
-    values /= values.sum()
-    np.testing.assert_allclose(
-        _kernels.distortion_pmf_forced(f1, f0, values),
-        ref_distortion_pmf_forced(f1, f0, values),
-        rtol=0,
-        atol=1e-14,
-    )
-
+    f1, f0 = rng.random(L) * 0.5, rng.random(L) * 0.5
+    e1, e0 = rng.random(L) * 0.5, rng.random(L) * 0.5
+    e1[0] = e0[0] = 0.0  # never upset
+    e1[L // 2], e0[L // 2] = 1.0, 0.0  # always forced to 1
+    e0[-1] = 1.0 - e1[-1]  # always upset
+    for q1, q0 in ((f1, f0), (e1, e0)):
+        for values in value_laws(rng, L):
+            assert_pmf_matches(
+                _kernels.distortion_pmf_forced(q1, q0, values),
+                ref_distortion_pmf_forced(q1, q0, values),
+            )
