@@ -29,10 +29,8 @@ from .combinatorics import (
 )
 from .setgen import (
     PlacementSets,
-    SignedDigitVector,
     sets_bruteforce,
     sets_fast,
-    signed_digit_reps,
     values_at_distance,
 )
 from .codegen import (
@@ -67,7 +65,6 @@ __all__ = [
     "PlacementInfeasibleError",
     "PlacementSets",
     "SYMMETRIC",
-    "SignedDigitVector",
     "SolverOptions",
     "TailConstraint",
     "UpsetModel",
@@ -85,7 +82,6 @@ __all__ = [
     "placement_mass",
     "sets_bruteforce",
     "sets_fast",
-    "signed_digit_reps",
     "simulate",
     "solve_iid",
     "solve_perbit",

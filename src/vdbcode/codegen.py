@@ -6,9 +6,9 @@ error placements that can realize m stays within F(m):
 
     sum over masks e in S_m of  prod_i p_i**e_i (1-p_i)**(1-e_i)  <=  F(m)
 
-The solvers and verify_table evaluate every left-hand side at once: the
-placement sets are flattened to (m, mask) arrays and the product measure
-over all masks is summed per m with one bincount.
+The solvers and verify_table evaluate every left-hand side at once: they
+read the placement sets' cached (m, mask) rows (PlacementSets.rows) and
+sum the product measure over all masks per m with one bincount.
 
 The i.i.d. solver maximizes a single p.  Its constraint polynomials are
 not monotone in p (mass can flow back out of S_m as p grows), so the
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _kernels
 from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range
-from .setgen import PlacementSets
+from .setgen import PlacementSets, SetRows
 
 CONSTRAINT_FORMAT = "vdb-constraint-v1"
 TABLE_FORMAT = "vdb-table-v1"
@@ -327,80 +327,46 @@ def _check_compatible(sets: PlacementSets, c: TailConstraint) -> None:
         )
 
 
-@dataclass(frozen=True)
-class _SetArrays:
-    """Placement sets and their bounds, flattened to arrays for one solve.
+def _bound_vector(sets: PlacementSets, c: TailConstraint) -> np.ndarray:
+    """F(m) for every m of sets.rows.ms, in that order."""
+    _check_compatible(sets, c)
+    return np.array([c.bounds[m] for m in sets.rows.ms.tolist()], dtype=np.float64)
 
-    One row per (m, mask) pair, sorted by (m, mask): `m_idx[r]` indexes the
-    sorted distortions `ms` and `masks[r]` is the mask.  `bounds[j]` is
-    F(ms[j]).  Every constraint left-hand side is then one bincount of the
-    mask probability table.
+
+def _lhs(rows: SetRows, p_vec: Sequence[float]) -> np.ndarray:
+    """Placement mass of every S_m under independent per-bit errors."""
+    probs = _kernels.mask_probabilities(np.asarray(p_vec, dtype=np.float64))
+    return np.bincount(rows.m_idx, weights=probs[rows.masks], minlength=rows.ms.size)
+
+
+def _margins(rows: SetRows, bounds: np.ndarray, p_vec: Sequence[float]) -> dict[int, float]:
+    return dict(zip(rows.ms.tolist(), (bounds - _lhs(rows, p_vec)).tolist()))
+
+
+def _coordinate_limit(
+    rows: SetRows, bounds: np.ndarray, p: np.ndarray, i: int
+) -> tuple[float, int | None]:
+    """Largest feasible p_i with the other coordinates of p fixed.
+
+    Each left-hand side is affine in p_i: lhs(p_i) = a + p_i * slope,
+    with a = lhs(p_i=0) and slope = lhs(p_i=1) - a.  Only the m with a
+    positive slope bound p_i from above, at (F_m - a_m) / slope_m.
+    Returns the limit and the m that sets it, or (1.0, None) when no
+    m binds before the domain boundary.
     """
-
-    L: int
-    ms: np.ndarray
-    m_idx: np.ndarray
-    masks: np.ndarray
-    bounds: np.ndarray
-
-    @classmethod
-    def build(cls, sets: PlacementSets, c: TailConstraint) -> "_SetArrays":
-        _check_compatible(sets, c)
-        ms = sorted(sets.sets)
-        sizes = [len(sets.sets[m]) for m in ms]
-        m_idx = np.repeat(np.arange(len(ms)), sizes)
-        masks = np.fromiter(
-            (e for m in ms for e in sorted(sets.sets[m])), dtype=np.int64, count=sum(sizes)
-        )
-        bounds = np.array([c.bounds[m] for m in ms], dtype=np.float64)
-        return cls(sets.L, np.array(ms, dtype=np.int64), m_idx, masks, bounds)
-
-    def lhs(self, p_vec: Sequence[float]) -> np.ndarray:
-        """Placement mass of every S_m under independent per-bit errors."""
-        probs = _kernels.mask_probabilities(np.asarray(p_vec, dtype=np.float64))
-        return np.bincount(self.m_idx, weights=probs[self.masks], minlength=self.ms.size)
-
-    def feasible(self, p_vec: Sequence[float]) -> bool:
-        return bool(np.all(self.lhs(p_vec) <= self.bounds))
-
-    def margins(self, p_vec: Sequence[float]) -> dict[int, float]:
-        return dict(zip(self.ms.tolist(), (self.bounds - self.lhs(p_vec)).tolist()))
-
-    def weight_profile(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weight counts of the nonempty S_m, and those m's bounds.
-
-        profile[j, w] is the number of weight-w masks in the j-th nonempty
-        set.  Empty sets carry no mass and never bind, so they are left out.
-        """
-        rows = np.flatnonzero(np.bincount(self.m_idx, minlength=self.ms.size))
-        row_of = np.searchsorted(rows, self.m_idx)
-        weights = sum((self.masks >> i) & 1 for i in range(self.L))
-        width = self.L + 1
-        flat = np.bincount(row_of * width + weights, minlength=rows.size * width)
-        return flat.reshape(rows.size, width).astype(np.float64), self.bounds[rows]
-
-    def coordinate_limit(self, p: np.ndarray, i: int) -> tuple[float, int | None]:
-        """Largest feasible p_i with the other coordinates of p fixed.
-
-        Each left-hand side is affine in p_i: lhs(p_i) = a + p_i * slope,
-        with a = lhs(p_i=0) and slope = lhs(p_i=1) - a.  Only the m with a
-        positive slope bound p_i from above, at (F_m - a_m) / slope_m.
-        Returns the limit and the m that sets it, or (1.0, None) when no
-        m binds before the domain boundary.
-        """
-        trial = p.copy()
-        trial[i] = 0.0
-        a = self.lhs(trial)
-        trial[i] = 1.0
-        slope = self.lhs(trial) - a
-        rising = np.flatnonzero(slope > 0.0)
-        if rising.size == 0:
-            return 1.0, None
-        limits = (self.bounds[rising] - a[rising]) / slope[rising]
-        j = int(np.argmin(limits))
-        if limits[j] >= 1.0:
-            return 1.0, None
-        return float(limits[j]), int(self.ms[rising[j]])
+    trial = p.copy()
+    trial[i] = 0.0
+    a = _lhs(rows, trial)
+    trial[i] = 1.0
+    slope = _lhs(rows, trial) - a
+    rising = np.flatnonzero(slope > 0.0)
+    if rising.size == 0:
+        return 1.0, None
+    limits = (bounds[rising] - a[rising]) / slope[rising]
+    j = int(np.argmin(limits))
+    if limits[j] >= 1.0:
+        return 1.0, None
+    return float(limits[j]), int(rows.ms[rising[j]])
 
 
 # Grid points per iid feasibility evaluation: enough to amortize the
@@ -424,13 +390,19 @@ def solve_iid(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | None
     re-verified by direct constraint evaluation.
     """
     opts = opts or SolverOptions()
-    view = _SetArrays.build(sets, c)
-    profile, bounds = view.weight_profile()
-    w = np.arange(sets.L + 1)[:, None]
+    rows, bounds = sets.rows, _bound_vector(sets, c)
+    # profile[j, w] counts the weight-w masks of the j-th nonempty S_m.
+    # Empty sets carry no mass and never bind, so they are left out.
+    nonempty = np.flatnonzero(np.bincount(rows.m_idx, minlength=rows.ms.size))
+    width = sets.L + 1
+    cells = np.searchsorted(nonempty, rows.m_idx) * width + np.bitwise_count(rows.masks)
+    profile = np.bincount(cells, minlength=nonempty.size * width).reshape(-1, width).astype(np.float64)
+    profile_bounds = bounds[nonempty, None]
+    w = np.arange(width)[:, None]
 
     def infeasible(ps: np.ndarray) -> np.ndarray:
         basis = ps[None, :] ** w * (1.0 - ps[None, :]) ** (sets.L - w)
-        return np.any(profile @ basis > bounds[:, None], axis=0)
+        return np.any(profile @ basis > profile_bounds, axis=0)
 
     if infeasible(np.zeros(1))[0]:
         raise InfeasibleConstraintError("p=0 violates the constraint (negative bound?)")
@@ -457,7 +429,7 @@ def solve_iid(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | None
                 lo = mid
         p_star = lo
         metadata["first_infeasible_p"] = hi
-    margins = view.margins((p_star,) * sets.L)
+    margins = _margins(rows, bounds, (p_star,) * sets.L)
     if not _margins_pass(margins):
         raise InfeasibleConstraintError(f"solver output failed re-verification: {margins}")
     metadata["margins"] = margins
@@ -481,7 +453,7 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | N
     """
     opts = opts or SolverOptions()
     start = solve_iid(sets, c, opts)
-    view = _SetArrays.build(sets, c)
+    rows, bounds = sets.rows, _bound_vector(sets, c)
 
     p = np.full(sets.L, start.p, dtype=np.float64)
     sweeps = 0
@@ -489,7 +461,7 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | N
         largest_move = 0.0
         for i in range(sets.L - 1, -1, -1):
             # Round-off can put the limit a hair below the current value.
-            limit = max(p[i], view.coordinate_limit(p, i)[0])
+            limit = max(p[i], _coordinate_limit(rows, bounds, p, i)[0])
             largest_move = max(largest_move, limit - p[i])
             p[i] = limit
         if largest_move <= opts.tol:
@@ -503,10 +475,11 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | N
             continue
         trial = p.copy()
         trial[i] = min(1.0, p[i] + 4.0 * opts.tol)
-        certificate.append("blocked" if not view.feasible(trial) or trial[i] >= 1.0 else "open")
-        binding.append(view.coordinate_limit(p, i)[1])
+        blocked = trial[i] >= 1.0 or np.any(_lhs(rows, trial) > bounds)
+        certificate.append("blocked" if blocked else "open")
+        binding.append(_coordinate_limit(rows, bounds, p, i)[1])
     p_vec = tuple(float(v) for v in p)
-    margins = view.margins(p_vec)
+    margins = _margins(rows, bounds, p_vec)
     if not _margins_pass(margins):
         raise InfeasibleConstraintError(f"solver output failed re-verification: {margins}")
     metadata = {
@@ -542,10 +515,10 @@ def _margins_pass(margins: dict[int, float]) -> bool:
 
 def verify_table(sets: PlacementSets, c: TailConstraint, table: CodeTable) -> VerifyReport:
     """Per-m margins F(m) - lhs(m); passes when none is materially negative."""
-    view = _SetArrays.build(sets, c)
+    bounds = _bound_vector(sets, c)
     if (table.L, table.k) != (sets.L, sets.k):
         raise ParameterError(
             f"table is (L={table.L}, k={table.k}) but sets are (L={sets.L}, k={sets.k})"
         )
-    margins = view.margins(table.p_vec)
+    margins = _margins(sets.rows, bounds, table.p_vec)
     return VerifyReport(margins, _margins_pass(margins))

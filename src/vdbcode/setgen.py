@@ -3,16 +3,22 @@
 For each integer distortion m, the placement set S_m holds every error
 mask of weight <= k that can change some word's value by exactly m.  Two
 independent constructions are provided: the brute-force route enumerates
-all (word, mask) pairs, while the fast route enumerates signed-binary
-representations of m (digits -1/0/+1 over powers of two) and takes their
-supports: a mask can realize m precisely when m has a signed-binary
-expansion living on that mask.  Their exact agreement is the correctness
-anchor for the fast route.
+all (word, mask) pairs, while the fast route enumerates from the mask
+side: every mask of weight <= k with every sign pattern on its bits
+(top sign +) gives one (m, mask) pair, m = sum_i s_i * 2**i, since a mask
+realizes m precisely when m has a signed-binary expansion living on it.
+Their exact agreement is the correctness anchor for the fast route.
+PlacementSets keeps the mapping m -> S_m and derives from it, once, the
+sorted (m, mask) rows that the solvers evaluate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from itertools import combinations
+from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from . import _kernels
 from .combinatorics import masks_up_to_weight, reach_chunk_rows
@@ -21,31 +27,16 @@ from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range
 SETS_FORMAT = "vdb-sets-v1"
 
 
-@dataclass(frozen=True)
-class SignedDigitVector:
-    """Length-L digit vector over {-1, 0, +1}; digit i weighs 2**i."""
+class SetRows(NamedTuple):
+    """Placement sets flattened to one row per (m, mask) pair, sorted by (m, mask).
 
-    digits: tuple[int, ...]
+    `ms` holds every distortion key in ascending order, empty sets
+    included; row r pairs `ms[m_idx[r]]` with the mask `masks[r]`.
+    """
 
-    @property
-    def value(self) -> int:
-        return sum(d << i for i, d in enumerate(self.digits))
-
-    @property
-    def support(self) -> int:
-        mask = 0
-        for i, d in enumerate(self.digits):
-            if d != 0:
-                mask |= 1 << i
-        return mask
-
-    @property
-    def weight(self) -> int:
-        return sum(1 for d in self.digits if d != 0)
-
-    def mirror(self) -> "SignedDigitVector":
-        """The sign-mirrored vector representing the negated value."""
-        return SignedDigitVector(tuple(-d for d in self.digits))
+    ms: np.ndarray
+    m_idx: np.ndarray
+    masks: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -58,6 +49,19 @@ class PlacementSets:
 
     def cardinalities(self) -> dict[int, int]:
         return {m: len(s) for m, s in sorted(self.sets.items())}
+
+    @cached_property
+    def rows(self) -> SetRows:
+        """The (m, mask) pairs of .sets as read-only arrays, built once."""
+        ms = sorted(self.sets)
+        sizes = [len(self.sets[m]) for m in ms]
+        masks = np.fromiter(
+            (e for m in ms for e in sorted(self.sets[m])), dtype=np.int64, count=sum(sizes)
+        )
+        rows = SetRows(np.array(ms, dtype=np.int64), np.repeat(np.arange(len(ms)), sizes), masks)
+        for array in rows:
+            array.flags.writeable = False
+        return rows
 
 
 def _range_for(L: int, k: int) -> tuple[int, int]:
@@ -83,55 +87,38 @@ def sets_bruteforce(L: int, k: int) -> PlacementSets:
     return PlacementSets(L, k, {m: frozenset(s) for m, s in collected.items()})
 
 
-def signed_digit_reps(m: int, L: int, max_weight: int) -> frozenset[SignedDigitVector]:
-    """All signed-binary expansions of +m with at most max_weight nonzero digits.
-
-    Branches digit by digit from the least significant position: the
-    running remainder fixes the parity of the next digit, an odd remainder
-    forks into the +1 and -1 choices, and branches die when the remainder
-    outgrows what the remaining positions can represent or the weight
-    budget is spent.  The expansions of -m are the sign mirrors of these
-    (see SignedDigitVector.mirror) and share their supports, so only the
-    +m family is returned.
-    """
-    if L < 1:
-        raise ParameterError(f"L must be >= 1, got {L}")
-    if not 1 <= m <= (1 << L) - 1:
-        raise ParameterError(f"m must be in [1, {(1 << L) - 1}], got {m}")
-    if max_weight < 0:
-        raise ParameterError(f"max_weight must be >= 0, got {max_weight}")
-
-    found: list[SignedDigitVector] = []
-    digits = [0] * L
-
-    def branch(i: int, remainder: int, nonzeros: int) -> None:
-        if remainder == 0:
-            # Zero has no nonzero signed-binary expansion, so the
-            # remaining digits must all stay 0: record and stop.
-            found.append(SignedDigitVector(tuple(digits)))
-            return
-        if i == L or abs(remainder) > (1 << (L - i)) - 1:
-            return
-        if remainder % 2 == 0:
-            digits[i] = 0
-            branch(i + 1, remainder // 2, nonzeros)
-        elif nonzeros < max_weight:
-            for d in (1, -1):
-                digits[i] = d
-                branch(i + 1, (remainder - d) // 2, nonzeros + 1)
-            digits[i] = 0
-
-    branch(0, m, 0)
-    return frozenset(found)
-
-
 def sets_fast(L: int, k: int) -> PlacementSets:
-    """Placement sets via signed-digit enumeration; equals sets_bruteforce."""
+    """Placement sets enumerated from the mask side; equals sets_bruteforce.
+
+    Flipping the bits of a mask e moves a word by sum_{i in e} s_i * 2**i,
+    with s_i = +1 for a 0->1 flip and -1 for a 1->0 flip, and every sign
+    pattern occurs for some word.  So e lies in S_m exactly when some
+    signed-binary expansion of m (digits -1/0/+1, digit i weighing 2**i)
+    has support e.  The top digit outweighs all lower ones together
+    (2**t > 2**t - 1), so it fixes the expansion's sign: the patterns with
+    a + on top give every m > 0 that e carries, and their sign mirrors
+    give the -m on the same support.  Two patterns on one support never
+    share a value (their difference has a lowest nonzero digit of +-2), so
+    each (m, e) pair comes out exactly once, sum_{w<=k} C(L, w) * 2**(w-1)
+    pairs in all, and no dedup is needed.
+    """
     _, m_max = _range_for(L, k)
-    sets = {
-        m: frozenset(d.support for d in signed_digit_reps(m, L, k))
-        for m in range(1, m_max + 1)
-    }
+    m_parts, mask_parts = [], []
+    for w in range(1, k + 1):
+        # One row per mask of weight w: the powers 2**i of its bits, ascending.
+        powers = np.left_shift(1, np.array(list(combinations(range(L), w)), dtype=np.int64))
+        # Row j holds the signs of pattern j; bit w-1 of j < 2**(w-1) is 0,
+        # so the top (last) position always gets +.
+        signs = 1 - 2 * ((np.arange(1 << (w - 1))[:, None] >> np.arange(w)) & 1)
+        m_parts.append((powers @ signs.T).ravel())
+        mask_parts.append(np.repeat(powers.sum(axis=1), signs.shape[0]))
+    ms, masks = np.concatenate(m_parts), np.concatenate(mask_parts)
+    order = np.argsort(ms, kind="stable")
+    ms, masks = ms[order], masks[order]
+    cuts = np.flatnonzero(np.diff(ms)) + 1
+    sets = dict.fromkeys(range(1, m_max + 1), frozenset())
+    for m, group in zip(ms[np.r_[0, cuts]].tolist(), np.split(masks, cuts)):
+        sets[m] = frozenset(group.tolist())
     return PlacementSets(L, k, sets)
 
 
@@ -192,5 +179,9 @@ def parse_sets(text: str) -> PlacementSets:
             raise ParameterError(f"line {lineno}: bad row {line!r}") from None
         if not 1 <= m <= m_max:
             raise ParameterError(f"line {lineno}: m={m} outside [1, {m_max}]")
+        if not 0 <= mask < 1 << L:
+            raise ParameterError(f"line {lineno}: mask {mask_text} is not an L={L}-bit mask")
+        if mask.bit_count() > k:
+            raise ParameterError(f"line {lineno}: mask {mask_text} has weight above k={k}")
         sets[m].add(mask)
     return PlacementSets(L, k, {m: frozenset(s) for m, s in sets.items()})

@@ -15,7 +15,9 @@ from vdbcode import (
     verify_table,
 )
 from vdbcode.codegen import (
-    _SetArrays,
+    _bound_vector,
+    _coordinate_limit,
+    _lhs,
     load_constraint,
     load_table,
     parse_constraint,
@@ -91,22 +93,23 @@ def test_lhs_accuracy_against_fsum_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Array view of the placement sets (solver and verify internals)
+# Array view of the placement sets (PlacementSets.rows, read by the solvers
+# and verify)
 
 
 @pytest.mark.parametrize("L,k", [(3, 1), (3, 2), (5, 3), (6, 6), (8, 3)])
 def test_array_lhs_matches_constraint_lhs(L, k):
     sets = sets_fast(L, k)
-    view = _SetArrays.build(sets, TailConstraint.reciprocal(L, k))
-    assert view.ms.tolist() == sorted(sets.sets)
+    rows = sets.rows
+    assert rows.ms.tolist() == sorted(sets.sets)
     rng = np.random.default_rng(L * 10 + k)
     for _ in range(4):
         p_vec = rng.random(L)
-        lhs = view.lhs(p_vec)
-        for j, m in enumerate(view.ms.tolist()):
+        lhs = _lhs(rows, p_vec)
+        for j, m in enumerate(rows.ms.tolist()):
             assert abs(lhs[j] - constraint_lhs(sets.sets[m], p_vec, L)) <= 1e-12
     if (L, k) == (3, 1):
-        assert lhs[view.ms.tolist().index(3)] == 0.0  # S_3 is empty
+        assert lhs[rows.ms.tolist().index(3)] == 0.0  # S_3 is empty
 
 
 def _bisection_limit(sets, c, p_vec, i, tol):
@@ -132,11 +135,11 @@ def _bisection_limit(sets, c, p_vec, i, tol):
 def test_coordinate_limit_matches_bisection(L, k):
     sets = sets_fast(L, k)
     c = TailConstraint.reciprocal(L, k)
-    view = _SetArrays.build(sets, c)
+    bounds = _bound_vector(sets, c)
     tol = SolverOptions().tol
     p_vec = np.full(L, 0.5 * solve_iid(sets, c).p)
     for i in range(L):
-        limit, _ = view.coordinate_limit(p_vec, i)
+        limit, _ = _coordinate_limit(sets.rows, bounds, p_vec, i)
         lo = _bisection_limit(sets, c, p_vec, i, tol)
         assert lo <= limit <= lo + tol
 

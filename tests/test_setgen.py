@@ -1,17 +1,20 @@
+from itertools import product
+from math import comb
+
 import pytest
 
 from vdbcode import (
     ParameterError,
     PlacementInfeasibleError,
+    PlacementSets,
     apply_flip_errors,
     sets_bruteforce,
     sets_fast,
-    signed_digit_reps,
     values_at_distance,
     y_star,
 )
 from vdbcode.core import ErrorPlacement
-from vdbcode.setgen import SignedDigitVector, parse_sets, serialize_sets
+from vdbcode.setgen import parse_sets, serialize_sets
 
 REFERENCE_FAMILY_L3K2 = {
     1: {0b001, 0b011},
@@ -45,53 +48,82 @@ def test_sets_keys_span_range_with_empty_sets():
     assert ps.sets[3] == frozenset()
 
 
-def test_signed_digit_reps_examples():
-    reps = signed_digit_reps(1, 3, 2)
-    assert {d.support for d in reps} == {0b001, 0b011}
-    reps = signed_digit_reps(4, 3, 2)
-    assert {d.support for d in reps} == {0b100}
-    reps = signed_digit_reps(7, 3, 3)
-    assert SignedDigitVector((1, 1, 1)) in reps
-    assert signed_digit_reps(7, 3, 1) == frozenset()
-    assert signed_digit_reps(1, 1, 1) == frozenset({SignedDigitVector((1,))})
+def test_sets_fast_worked_examples():
+    assert sets_fast(3, 2).sets[1] == {0b001, 0b011}
+    assert sets_fast(3, 2).sets[4] == {0b100}
+    assert 0b111 in sets_fast(3, 3).sets[7]  # (+, +, +)
+    assert sets_fast(3, 1).sets.get(7, frozenset()) == frozenset()  # beyond m_max = 4
+    assert sets_fast(1, 1).sets == {1: frozenset({0b1})}
+
+
+def _signed_values(mask):
+    """|sum_i s_i 2**i| over every sign pattern on the mask's bits."""
+    powers = [1 << i for i in range(mask.bit_length()) if (mask >> i) & 1]
+    return {abs(sum(s * q for s, q in zip(signs, powers)))
+            for signs in product((-1, 1), repeat=len(powers))}
 
 
 def test_signed_digit_reps_value_and_weight_postconditions():
+    # every (m, mask) row carries a signed-binary expansion of m of weight <= k
     for L in range(1, 9):
-        for m in range(1, (1 << L)):
-            for w in (1, 2, L):
-                for d in signed_digit_reps(m, L, w):
-                    assert d.value == m
-                    assert d.weight <= w
-                    assert all(digit in (-1, 0, 1) for digit in d.digits)
+        values = {e: _signed_values(e) for e in range(1, 1 << L)}
+        for k in sorted({1, min(2, L), L}):
+            for m, masks in sets_fast(L, k).sets.items():
+                for mask in masks:
+                    assert 0 < mask < 1 << L
+                    assert bin(mask).count("1") <= k
+                    assert m in values[mask]
+
+
+def _exhaustive_supports(L, value, max_weight):
+    # independent oracle: walk all 3**L digit vectors
+    return {
+        sum(1 << i for i, d in enumerate(digits) if d)
+        for digits in product((-1, 0, 1), repeat=L)
+        if sum(d << i for i, d in enumerate(digits)) == value
+        and sum(1 for d in digits if d) <= max_weight
+    }
 
 
 def test_signed_digit_reps_against_exhaustive_digit_search():
-    # independent oracle: walk all 3**L digit vectors
-    from itertools import product
-
-    L = 6
+    ps = sets_fast(6, 3)
     for m in (1, 5, 21, 63):
-        expected = set()
-        for digits in product((-1, 0, 1), repeat=L):
-            if sum(d << i for i, d in enumerate(digits)) == m:
-                if sum(1 for d in digits if d) <= 3:
-                    expected.add(digits)
-        got = {d.digits for d in signed_digit_reps(m, L, 3)}
-        assert got == expected
+        assert ps.sets.get(m, frozenset()) == _exhaustive_supports(6, m, 3)
 
 
 def test_signed_digit_reps_mirror():
-    for d in signed_digit_reps(5, 4, 3):
-        assert d.mirror().value == -5
-        assert d.mirror().support == d.support
+    # the expansions of -m are the sign mirrors of those of +m: same supports
+    ps = sets_fast(4, 3)
+    for m in (1, 5, 11):
+        assert ps.sets[m] == _exhaustive_supports(4, -m, 3) == _exhaustive_supports(4, m, 3)
 
 
-def test_signed_digit_reps_parameter_errors():
+def test_sets_fast_parameter_errors():
     with pytest.raises(ParameterError):
-        signed_digit_reps(0, 3, 2)
+        sets_fast(3, 0)
     with pytest.raises(ParameterError):
-        signed_digit_reps(8, 3, 2)  # 2**L - 1 = 7
+        sets_fast(3, 4)  # k > L
+
+
+def test_sets_fast_row_count():
+    # each (m, mask) pair comes out once: no pair lost, none merged
+    for L in range(1, 17):
+        for k in range(1, min(L, 4) + 1):
+            total = sum(sets_fast(L, k).cardinalities().values())
+            assert total == sum(comb(L, w) * 2 ** (w - 1) for w in range(1, k + 1)), (L, k)
+
+
+def test_rows_follow_the_mapping():
+    ps = PlacementSets(3, 2, {m: frozenset(s) for m, s in REFERENCE_FAMILY_L3K2.items()})
+    rows = ps.rows
+    assert rows is ps.rows  # built once
+    pairs = list(zip(rows.ms[rows.m_idx].tolist(), rows.masks.tolist()))
+    assert pairs == sorted((m, e) for m, s in REFERENCE_FAMILY_L3K2.items() for e in s)
+    assert rows.ms.tolist() == [1, 2, 3, 4, 5, 6]
+    empty = sets_bruteforce(3, 1).rows  # S_3 is empty but keeps its m
+    assert empty.ms.tolist() == [1, 2, 3, 4] and 2 not in empty.m_idx.tolist()
+    with pytest.raises(ValueError):
+        rows.masks[0] = 0
 
 
 def test_fast_equals_bruteforce_small():
@@ -101,7 +133,8 @@ def test_fast_equals_bruteforce_small():
 
 
 def test_fast_equals_bruteforce_wide_word():
-    assert sets_fast(12, 2) == sets_bruteforce(12, 2)
+    for L, k in [(12, 2), (14, 3)]:
+        assert sets_fast(L, k) == sets_bruteforce(L, k)
 
 
 def test_cardinalities_match_y_star():
@@ -168,3 +201,7 @@ def test_parse_sets_rejects_bad_rows():
         parse_sets("format=vdb-sets-v1\nL=3\nk=2\n9,001\n")
     with pytest.raises(ParameterError):
         parse_sets("format=wrong\nL=3\nk=2\n")
+    with pytest.raises(ParameterError, match="line 4: .*weight above k=1"):
+        parse_sets("format=vdb-sets-v1\nL=3\nk=1\n1,111\n")
+    with pytest.raises(ParameterError, match="line 5: .*not an L=3-bit mask"):
+        parse_sets("format=vdb-sets-v1\nL=3\nk=1\n1,001\n2,1111111\n")
