@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -419,32 +420,42 @@ def ingest_trace(
     clamp: bool = False,
     skip_header: int = 0,
 ) -> EmpiricalPMF:
-    """Histogram a CSV column of integers into an L-bit value PMF."""
+    """Histogram a CSV column of integers into an L-bit value PMF.
+
+    The column is converted and range-checked as one array; the rows are
+    walked one at a time only when that fails, to name the first bad one.
+    """
     WordSpec(L, SYMMETRIC)
     n = 1 << L
-    counts: dict[int, int] = {}
-    reader = csv.reader(stream)
-    for rownum, row in enumerate(reader, start=1):
-        if rownum <= skip_header or not row:
+    lines = list(stream)
+    try:
+        rows = islice(csv.reader(lines), skip_header, None)
+        values = np.array([int(row[column]) + signed_offset for row in rows if row])
+    except (IndexError, ValueError):
+        values = None
+    if values is None or not clamp and values.size and (values.min() < 0 or values.max() >= n):
+        _raise_bad_row(lines, column, n, signed_offset, clamp, skip_header)
+    # np.unique keeps memory at the sample count; a bincount would span all 2**L values.
+    seen, counts = np.unique(np.clip(values, 0, n - 1), return_counts=True)
+    return EmpiricalPMF.from_counts(L, dict(zip(seen.tolist(), counts.tolist())))
+
+
+def _raise_bad_row(lines: list[str], column: int, n: int, offset: int, clamp: bool, skip: int) -> None:
+    """Raise the ParameterError of the first row that ingest_trace cannot take."""
+    for rownum, row in enumerate(csv.reader(lines), start=1):
+        if rownum <= skip or not row:
             continue
         if column >= len(row):
             raise ParameterError(f"row {rownum}: no column {column} (row has {len(row)})")
         text = row[column].strip()
         try:
-            value = int(text)
+            value = int(text) + offset
         except ValueError:
             raise ParameterError(
                 f"row {rownum}, column {column}: cannot parse {text!r} as integer"
             ) from None
-        value += signed_offset
-        if not 0 <= value < n:
-            if not clamp:
-                raise ParameterError(
-                    f"row {rownum}: value {value} outside [0, {n}) after offset {signed_offset}"
-                )
-            value = min(max(value, 0), n - 1)
-        counts[value] = counts.get(value, 0) + 1
-    return EmpiricalPMF.from_counts(L, counts)
+        if not clamp and not 0 <= value < n:
+            raise ParameterError(f"row {rownum}: value {value} outside [0, {n}) after offset {offset}")
 
 
 def format_distribution_csv(d: DistortionDistribution) -> str:

@@ -69,14 +69,12 @@ def cmd_sets(args: argparse.Namespace) -> int:
         fast = setgen.sets_fast(args.L, args.k)
     if args.method in ("brute", "both"):
         brute = setgen.sets_bruteforce(args.L, args.k)
-    if args.method == "both":
-        if fast != brute:
-            diff = [m for m in fast.sets if fast.sets[m] != brute.sets[m]]
-            print(f"mismatch between fast and brute-force sets at m={diff}", file=sys.stderr)
-            return EXIT_MISMATCH
-        result = fast
-    else:
-        result = fast if args.method == "fast" else brute
+    if args.method == "both" and fast != brute:
+        fast_pairs, brute_pairs = (set(zip(s.ms.tolist(), s.masks.tolist())) for s in (fast, brute))
+        diff = sorted({m for m, _ in fast_pairs ^ brute_pairs})
+        print(f"mismatch between fast and brute-force sets at m={diff}", file=sys.stderr)
+        return EXIT_MISMATCH
+    result = brute if args.method == "brute" else fast
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(setgen.serialize_sets(result))
     _write_manifest(args, [], [args.out])

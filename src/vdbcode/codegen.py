@@ -7,8 +7,10 @@ error placements that can realize m stays within F(m):
     sum over masks e in S_m of  prod_i p_i**e_i (1-p_i)**(1-e_i)  <=  F(m)
 
 The solvers and verify_table evaluate every left-hand side at once: they
-read the placement sets' cached (m, mask) rows (PlacementSets.rows) and
-sum the product measure over all masks per m with one bincount.
+read the placement sets' sorted (m, mask) arrays and sum the product
+measure over all masks per m with one bincount.  An empty S_m carries no
+mass and can never bind, so only the nonempty S_m are constrained, given
+margins and reported.
 
 The i.i.d. solver maximizes a single p.  Its constraint polynomials are
 not monotone in p (mass can flow back out of S_m as p grows), so the
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range
-from .setgen import PlacementSets, SetRows
+from .setgen import PlacementSets
 
 CONSTRAINT_FORMAT = "vdb-constraint-v1"
 TABLE_FORMAT = "vdb-table-v1"
@@ -320,31 +322,28 @@ def constraint_lhs(placements: Iterable[int], p_vec: Sequence[float], L: int | N
     return float(np.sum(terms))
 
 
-def _check_compatible(sets: PlacementSets, c: TailConstraint) -> None:
+def _constraint_index(sets: PlacementSets, c: TailConstraint) -> tuple[np.ndarray, ...]:
+    """The m of every nonempty S_m (ascending), F(m) at each, and each row's index among them."""
     if (sets.L, sets.k) != (c.L, c.k):
         raise ParameterError(
             f"placement sets are (L={sets.L}, k={sets.k}) but constraint is (L={c.L}, k={c.k})"
         )
+    keys, m_idx = np.unique(sets.ms, return_inverse=True)
+    return keys, np.array([c.bounds[m] for m in keys.tolist()], dtype=np.float64), m_idx
 
 
-def _bound_vector(sets: PlacementSets, c: TailConstraint) -> np.ndarray:
-    """F(m) for every m of sets.rows.ms, in that order."""
-    _check_compatible(sets, c)
-    return np.array([c.bounds[m] for m in sets.rows.ms.tolist()], dtype=np.float64)
-
-
-def _lhs(rows: SetRows, p_vec: Sequence[float]) -> np.ndarray:
-    """Placement mass of every S_m under independent per-bit errors."""
+def _lhs(sets: PlacementSets, m_idx: np.ndarray, p_vec: Sequence[float]) -> np.ndarray:
+    """Placement mass of every nonempty S_m under independent per-bit errors."""
     probs = _kernels.mask_probabilities(np.asarray(p_vec, dtype=np.float64))
-    return np.bincount(rows.m_idx, weights=probs[rows.masks], minlength=rows.ms.size)
+    return np.bincount(m_idx, weights=probs[sets.masks])
 
 
-def _margins(rows: SetRows, bounds: np.ndarray, p_vec: Sequence[float]) -> dict[int, float]:
-    return dict(zip(rows.ms.tolist(), (bounds - _lhs(rows, p_vec)).tolist()))
+def _margins(keys: np.ndarray, bounds: np.ndarray, lhs: np.ndarray) -> dict[int, float]:
+    return dict(zip(keys.tolist(), (bounds - lhs).tolist()))
 
 
 def _coordinate_limit(
-    rows: SetRows, bounds: np.ndarray, p: np.ndarray, i: int
+    sets: PlacementSets, keys: np.ndarray, bounds: np.ndarray, m_idx: np.ndarray, p: np.ndarray, i: int
 ) -> tuple[float, int | None]:
     """Largest feasible p_i with the other coordinates of p fixed.
 
@@ -356,9 +355,9 @@ def _coordinate_limit(
     """
     trial = p.copy()
     trial[i] = 0.0
-    a = _lhs(rows, trial)
+    a = _lhs(sets, m_idx, trial)
     trial[i] = 1.0
-    slope = _lhs(rows, trial) - a
+    slope = _lhs(sets, m_idx, trial) - a
     rising = np.flatnonzero(slope > 0.0)
     if rising.size == 0:
         return 1.0, None
@@ -366,7 +365,7 @@ def _coordinate_limit(
     j = int(np.argmin(limits))
     if limits[j] >= 1.0:
         return 1.0, None
-    return float(limits[j]), int(rows.ms[rising[j]])
+    return float(limits[j]), int(keys[rising[j]])
 
 
 # Grid points per iid feasibility evaluation: enough to amortize the
@@ -390,19 +389,16 @@ def solve_iid(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | None
     re-verified by direct constraint evaluation.
     """
     opts = opts or SolverOptions()
-    rows, bounds = sets.rows, _bound_vector(sets, c)
-    # profile[j, w] counts the weight-w masks of the j-th nonempty S_m.
-    # Empty sets carry no mass and never bind, so they are left out.
-    nonempty = np.flatnonzero(np.bincount(rows.m_idx, minlength=rows.ms.size))
+    keys, bounds, m_idx = _constraint_index(sets, c)
+    # profile[j, w] counts the weight-w masks of S_{keys[j]}.
     width = sets.L + 1
-    cells = np.searchsorted(nonempty, rows.m_idx) * width + np.bitwise_count(rows.masks)
-    profile = np.bincount(cells, minlength=nonempty.size * width).reshape(-1, width).astype(np.float64)
-    profile_bounds = bounds[nonempty, None]
+    cells = m_idx * width + np.bitwise_count(sets.masks)
+    profile = np.bincount(cells, minlength=keys.size * width).reshape(-1, width).astype(np.float64)
     w = np.arange(width)[:, None]
 
     def infeasible(ps: np.ndarray) -> np.ndarray:
         basis = ps[None, :] ** w * (1.0 - ps[None, :]) ** (sets.L - w)
-        return np.any(profile @ basis > profile_bounds, axis=0)
+        return np.any(profile @ basis > bounds[:, None], axis=0)
 
     if infeasible(np.zeros(1))[0]:
         raise InfeasibleConstraintError("p=0 violates the constraint (negative bound?)")
@@ -429,7 +425,7 @@ def solve_iid(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | None
                 lo = mid
         p_star = lo
         metadata["first_infeasible_p"] = hi
-    margins = _margins(rows, bounds, (p_star,) * sets.L)
+    margins = _margins(keys, bounds, _lhs(sets, m_idx, (p_star,) * sets.L))
     if not _margins_pass(margins):
         raise InfeasibleConstraintError(f"solver output failed re-verification: {margins}")
     metadata["margins"] = margins
@@ -453,7 +449,7 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | N
     """
     opts = opts or SolverOptions()
     start = solve_iid(sets, c, opts)
-    rows, bounds = sets.rows, _bound_vector(sets, c)
+    keys, bounds, m_idx = _constraint_index(sets, c)
 
     p = np.full(sets.L, start.p, dtype=np.float64)
     sweeps = 0
@@ -461,7 +457,7 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | N
         largest_move = 0.0
         for i in range(sets.L - 1, -1, -1):
             # Round-off can put the limit a hair below the current value.
-            limit = max(p[i], _coordinate_limit(rows, bounds, p, i)[0])
+            limit = max(p[i], _coordinate_limit(sets, keys, bounds, m_idx, p, i)[0])
             largest_move = max(largest_move, limit - p[i])
             p[i] = limit
         if largest_move <= opts.tol:
@@ -475,11 +471,11 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | N
             continue
         trial = p.copy()
         trial[i] = min(1.0, p[i] + 4.0 * opts.tol)
-        blocked = trial[i] >= 1.0 or np.any(_lhs(rows, trial) > bounds)
+        blocked = trial[i] >= 1.0 or np.any(_lhs(sets, m_idx, trial) > bounds)
         certificate.append("blocked" if blocked else "open")
-        binding.append(_coordinate_limit(rows, bounds, p, i)[1])
+        binding.append(_coordinate_limit(sets, keys, bounds, m_idx, p, i)[1])
     p_vec = tuple(float(v) for v in p)
-    margins = _margins(rows, bounds, p_vec)
+    margins = _margins(keys, bounds, _lhs(sets, m_idx, p_vec))
     if not _margins_pass(margins):
         raise InfeasibleConstraintError(f"solver output failed re-verification: {margins}")
     metadata = {
@@ -506,7 +502,7 @@ class VerifyReport:
 
     @property
     def worst(self) -> float:
-        return min(self.margins.values())
+        return min(self.margins.values(), default=math.inf)
 
 
 def _margins_pass(margins: dict[int, float]) -> bool:
@@ -515,10 +511,10 @@ def _margins_pass(margins: dict[int, float]) -> bool:
 
 def verify_table(sets: PlacementSets, c: TailConstraint, table: CodeTable) -> VerifyReport:
     """Per-m margins F(m) - lhs(m); passes when none is materially negative."""
-    bounds = _bound_vector(sets, c)
+    keys, bounds, m_idx = _constraint_index(sets, c)
     if (table.L, table.k) != (sets.L, sets.k):
         raise ParameterError(
             f"table is (L={table.L}, k={table.k}) but sets are (L={sets.L}, k={sets.k})"
         )
-    margins = _margins(sets.rows, bounds, table.p_vec)
+    margins = _margins(keys, bounds, _lhs(sets, m_idx, table.p_vec))
     return VerifyReport(margins, _margins_pass(margins))

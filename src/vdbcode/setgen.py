@@ -8,15 +8,13 @@ side: every mask of weight <= k with every sign pattern on its bits
 (top sign +) gives one (m, mask) pair, m = sum_i s_i * 2**i, since a mask
 realizes m precisely when m has a signed-binary expansion living on it.
 Their exact agreement is the correctness anchor for the fast route.
-PlacementSets keeps the mapping m -> S_m and derives from it, once, the
-sorted (m, mask) rows that the solvers evaluate.
+PlacementSets holds the family as sorted (m, mask) arrays, one row per
+pair, which the solvers evaluate directly; an empty S_m has no rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -27,45 +25,46 @@ from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range
 SETS_FORMAT = "vdb-sets-v1"
 
 
-class SetRows(NamedTuple):
-    """Placement sets flattened to one row per (m, mask) pair, sorted by (m, mask).
+class PlacementSets:
+    """The placement sets as (m, mask) pairs: row r puts masks[r] in S_{ms[r]}.
 
-    `ms` holds every distortion key in ascending order, empty sets
-    included; row r pairs `ms[m_idx[r]]` with the mask `masks[r]`.
+    `ms` and `masks` are read-only int64 arrays sorted by (m, mask); an m
+    whose S_m is empty has no rows.  PlacementSets(L, k, {m: masks})
+    builds the family from a mapping.
     """
 
-    ms: np.ndarray
-    m_idx: np.ndarray
-    masks: np.ndarray
+    def __init__(self, L: int, k: int, sets: Mapping[int, Iterable[int]]) -> None:
+        pairs = np.array([(m, e) for m, s in sets.items() for e in s], dtype=np.int64)
+        self._freeze(L, k, *pairs.reshape(-1, 2).T)
 
+    def _freeze(self, L: int, k: int, ms: np.ndarray, masks: np.ndarray) -> PlacementSets:
+        order = np.lexsort((masks, ms))
+        self.L, self.k, self.ms, self.masks = L, k, ms[order], masks[order]
+        self.ms.flags.writeable = self.masks.flags.writeable = False
+        return self
 
-@dataclass(frozen=True)
-class PlacementSets:
-    """Map from distortion m to the set of masks that can realize it."""
-
-    L: int
-    k: int
-    sets: dict[int, frozenset[int]]
+    @property
+    def sets(self) -> dict[int, frozenset[int]]:
+        """S_m for every m with a nonempty S_m."""
+        keys, starts = np.unique(self.ms, return_index=True)
+        groups = np.split(self.masks, starts[1:])
+        return {m: frozenset(g.tolist()) for m, g in zip(keys.tolist(), groups)}
 
     def cardinalities(self) -> dict[int, int]:
-        return {m: len(s) for m, s in sorted(self.sets.items())}
+        """|S_m| for every m with a nonempty S_m, ascending in m."""
+        keys, counts = np.unique(self.ms, return_counts=True)
+        return dict(zip(keys.tolist(), counts.tolist()))
 
-    @cached_property
-    def rows(self) -> SetRows:
-        """The (m, mask) pairs of .sets as read-only arrays, built once."""
-        ms = sorted(self.sets)
-        sizes = [len(self.sets[m]) for m in ms]
-        masks = np.fromiter(
-            (e for m in ms for e in sorted(self.sets[m])), dtype=np.int64, count=sum(sizes)
-        )
-        rows = SetRows(np.array(ms, dtype=np.int64), np.repeat(np.arange(len(ms)), sizes), masks)
-        for array in rows:
-            array.flags.writeable = False
-        return rows
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PlacementSets):
+            return NotImplemented
+        same = (self.L, self.k) == (other.L, other.k) and np.array_equal(self.ms, other.ms)
+        return same and np.array_equal(self.masks, other.masks)
 
 
-def _range_for(L: int, k: int) -> tuple[int, int]:
-    return distortion_range(WordSpec(L, SYMMETRIC), k)
+def _from_pairs(L: int, k: int, ms: np.ndarray, masks: np.ndarray) -> PlacementSets:
+    """The family of the pairs (ms[r], masks[r]), given in any order."""
+    return PlacementSets.__new__(PlacementSets)._freeze(L, k, ms, masks)
 
 
 def sets_bruteforce(L: int, k: int) -> PlacementSets:
@@ -73,18 +72,19 @@ def sets_bruteforce(L: int, k: int) -> PlacementSets:
 
     Every ordered pair at Hamming distance <= k is one (x, x ^ e); the
     differing-bit mask e joins the set of the pair's integer distance.
-    Masks are processed in chunks to bound the reach-matrix memory.
+    Masks are processed in chunks to bound the reach-matrix memory, and
+    each chunk's (mask, m) pairs are the true cells of its reach matrix.
     """
-    _, m_max = _range_for(L, k)
+    distortion_range(WordSpec(L, SYMMETRIC), k)  # validates L and k
     masks = masks_up_to_weight(L, k)
-    collected: dict[int, set[int]] = {m: set() for m in range(1, m_max + 1)}
+    m_parts, mask_parts = [], []
     step = reach_chunk_rows(L)
     for start in range(0, masks.size, step):
         chunk = masks[start : start + step]
-        reach = _kernels.reach_matrix(L, chunk)
-        for m in range(1, m_max + 1):
-            collected[m].update(int(e) for e in chunk[reach[:, m]])
-    return PlacementSets(L, k, {m: frozenset(s) for m, s in collected.items()})
+        rows, ms = np.nonzero(_kernels.reach_matrix(L, chunk))
+        m_parts.append(ms.astype(np.int64, copy=False))
+        mask_parts.append(chunk[rows])
+    return _from_pairs(L, k, np.concatenate(m_parts), np.concatenate(mask_parts))
 
 
 def sets_fast(L: int, k: int) -> PlacementSets:
@@ -102,7 +102,7 @@ def sets_fast(L: int, k: int) -> PlacementSets:
     each (m, e) pair comes out exactly once, sum_{w<=k} C(L, w) * 2**(w-1)
     pairs in all, and no dedup is needed.
     """
-    _, m_max = _range_for(L, k)
+    distortion_range(WordSpec(L, SYMMETRIC), k)  # validates L and k
     m_parts, mask_parts = [], []
     for w in range(1, k + 1):
         # One row per mask of weight w: the powers 2**i of its bits, ascending.
@@ -112,14 +112,7 @@ def sets_fast(L: int, k: int) -> PlacementSets:
         signs = 1 - 2 * ((np.arange(1 << (w - 1))[:, None] >> np.arange(w)) & 1)
         m_parts.append((powers @ signs.T).ravel())
         mask_parts.append(np.repeat(powers.sum(axis=1), signs.shape[0]))
-    ms, masks = np.concatenate(m_parts), np.concatenate(mask_parts)
-    order = np.argsort(ms, kind="stable")
-    ms, masks = ms[order], masks[order]
-    cuts = np.flatnonzero(np.diff(ms)) + 1
-    sets = dict.fromkeys(range(1, m_max + 1), frozenset())
-    for m, group in zip(ms[np.r_[0, cuts]].tolist(), np.split(masks, cuts)):
-        sets[m] = frozenset(group.tolist())
-    return PlacementSets(L, k, sets)
+    return _from_pairs(L, k, np.concatenate(m_parts), np.concatenate(mask_parts))
 
 
 def values_at_distance(s: int, m: int, L: int) -> set[int]:
@@ -134,9 +127,7 @@ def values_at_distance(s: int, m: int, L: int) -> set[int]:
 def serialize_sets(ps: PlacementSets) -> str:
     """Text form: header lines, then one `m,mask` row per member, sorted."""
     lines = [f"format={SETS_FORMAT}", f"L={ps.L}", f"k={ps.k}"]
-    for m in sorted(ps.sets):
-        for mask in sorted(ps.sets[m]):
-            lines.append(f"{m},{mask:0{ps.L}b}")
+    lines += [f"{m},{mask:0{ps.L}b}" for m, mask in zip(ps.ms.tolist(), ps.masks.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -168,8 +159,8 @@ def parse_sets(text: str) -> PlacementSets:
         L, k = int(header["L"]), int(header["k"])
     except ValueError:
         raise ParameterError(f"sets file has non-integer L/k headers: {header}") from None
-    _, m_max = _range_for(L, k)
-    sets: dict[int, set[int]] = {m: set() for m in range(1, m_max + 1)}
+    _, m_max = distortion_range(WordSpec(L, SYMMETRIC), k)
+    first_seen: dict[tuple[int, int], int] = {}
     for lineno, line in lines:
         m_text, _, mask_text = line.partition(",")
         try:
@@ -183,5 +174,7 @@ def parse_sets(text: str) -> PlacementSets:
             raise ParameterError(f"line {lineno}: mask {mask_text} is not an L={L}-bit mask")
         if mask.bit_count() > k:
             raise ParameterError(f"line {lineno}: mask {mask_text} has weight above k={k}")
-        sets[m].add(mask)
-    return PlacementSets(L, k, {m: frozenset(s) for m, s in sets.items()})
+        first = first_seen.setdefault((m, mask), lineno)
+        if first != lineno:
+            raise ParameterError(f"line {lineno}: duplicate row {line!r} (first at line {first})")
+    return _from_pairs(L, k, *np.array(list(first_seen), dtype=np.int64).reshape(-1, 2).T)

@@ -61,13 +61,15 @@ def test_sets_rejects_bad_parameters(tmp_path):
     assert main(["sets", "--L", "0", "--k", "1", "--out", str(tmp_path / "x")]) == 2
 
 
-def test_sets_method_disagreement_exits_3(tmp_path, monkeypatch):
+def test_sets_method_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     import vdbcode.cli as cli
     from vdbcode.setgen import PlacementSets
 
-    broken = PlacementSets(3, 2, {m: frozenset() for m in range(1, 7)})
+    good = cli.setgen.sets_fast(3, 2)
+    broken = PlacementSets(3, 2, {**good.sets, 3: {0b011}, 5: set()})  # drops 101 from S_3 and S_5
     monkeypatch.setattr(cli.setgen, "sets_fast", lambda L, k: broken)
     assert main(["sets", "--L", "3", "--k", "2", "--method", "both", "--out", str(tmp_path / "x")]) == 3
+    assert "mismatch between fast and brute-force sets at m=[3, 5]" in capsys.readouterr().err
 
 
 def test_bounds_csv(tmp_path):

@@ -15,7 +15,7 @@ from vdbcode import (
     verify_table,
 )
 from vdbcode.codegen import (
-    _bound_vector,
+    _constraint_index,
     _coordinate_limit,
     _lhs,
     load_constraint,
@@ -93,23 +93,27 @@ def test_lhs_accuracy_against_fsum_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Array view of the placement sets (PlacementSets.rows, read by the solvers
-# and verify)
+# Array evaluation of the placement sets (the sorted (m, mask) arrays read by
+# the solvers and verify)
 
 
 @pytest.mark.parametrize("L,k", [(3, 1), (3, 2), (5, 3), (6, 6), (8, 3)])
 def test_array_lhs_matches_constraint_lhs(L, k):
     sets = sets_fast(L, k)
-    rows = sets.rows
-    assert rows.ms.tolist() == sorted(sets.sets)
+    c = TailConstraint.reciprocal(L, k)
+    keys, bounds, m_idx = _constraint_index(sets, c)
+    assert keys.tolist() == sorted(sets.sets)
+    assert np.array_equal(keys[m_idx], sets.ms)
+    assert bounds.tolist() == [c.bounds[m] for m in keys.tolist()]
     rng = np.random.default_rng(L * 10 + k)
     for _ in range(4):
         p_vec = rng.random(L)
-        lhs = _lhs(rows, p_vec)
-        for j, m in enumerate(rows.ms.tolist()):
+        lhs = _lhs(sets, m_idx, p_vec)
+        for j, m in enumerate(keys.tolist()):
             assert abs(lhs[j] - constraint_lhs(sets.sets[m], p_vec, L)) <= 1e-12
     if (L, k) == (3, 1):
-        assert lhs[rows.ms.tolist().index(3)] == 0.0  # S_3 is empty
+        # binning the rows by m itself gives S_3, which has no pairs, an lhs of 0
+        assert 3 not in keys and _lhs(sets, sets.ms, p_vec)[3] == 0.0
 
 
 def _bisection_limit(sets, c, p_vec, i, tol):
@@ -135,11 +139,11 @@ def _bisection_limit(sets, c, p_vec, i, tol):
 def test_coordinate_limit_matches_bisection(L, k):
     sets = sets_fast(L, k)
     c = TailConstraint.reciprocal(L, k)
-    bounds = _bound_vector(sets, c)
+    keys, bounds, m_idx = _constraint_index(sets, c)
     tol = SolverOptions().tol
     p_vec = np.full(L, 0.5 * solve_iid(sets, c).p)
     for i in range(L):
-        limit, _ = _coordinate_limit(sets.rows, bounds, p_vec, i)
+        limit, _ = _coordinate_limit(sets, keys, bounds, m_idx, p_vec, i)
         lo = _bisection_limit(sets, c, p_vec, i, tol)
         assert lo <= limit <= lo + tol
 
@@ -221,14 +225,15 @@ def test_solve_iid_rejects_mismatched_dimensions(example_constraint):
 
 def test_solvers_handle_empty_placement_sets():
     # at L=3, k=1 no single flip produces m=3, so S_3 is empty and its
-    # constraint is vacuous
+    # constraint is vacuous: it gets no margin
     sets = sets_fast(3, 1)
-    assert sets.sets[3] == frozenset()
+    assert 3 not in sets.sets
     c = TailConstraint.from_table(3, 1, {1: 0.3, 2: 0.3, 3: 0.0, 4: 0.3}, allow_nonmonotone=True)
     iid = solve_iid(sets, c)
     assert iid.p > 0  # the zero bound at the empty m=3 never binds
     perbit = solve_perbit(sets, c)
-    assert verify_table(sets, c, perbit).passed
+    report = verify_table(sets, c, perbit)
+    assert report.passed and sorted(report.margins) == [1, 2, 4]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 
 from vdbcode import (
@@ -42,10 +43,18 @@ def test_bruteforce_l3k3_includes_full_mask():
     assert 0b111 in ps.sets[1]  # (-, -, +) realizes distortion 1
 
 
-def test_sets_keys_span_range_with_empty_sets():
-    ps = sets_bruteforce(3, 1)
-    assert sorted(ps.sets) == [1, 2, 3, 4]
-    assert ps.sets[3] == frozenset()
+def test_placement_sets_mapping_contract():
+    # callers outside the package (the benchmark harness among them) build
+    # families from a mapping, read .sets and sum cardinalities()
+    ps = PlacementSets(3, 1, {1: {0b001}, 2: {0b010}, 3: frozenset(), 4: {0b100}})
+    assert ps == sets_bruteforce(3, 1) == sets_fast(3, 1)
+    assert ps.sets == {1: {0b001}, 2: {0b010}, 4: {0b100}}  # S_3 is empty: no key
+    for L, k in [(3, 2), (8, 3)]:
+        ps = sets_fast(L, k)
+        assert PlacementSets(L, k, ps.sets) == ps
+        assert all(ps.sets.values())
+        assert ps.cardinalities() == {m: len(s) for m, s in ps.sets.items()}
+        assert sum(ps.cardinalities().values()) == ps.ms.size == ps.masks.size
 
 
 def test_sets_fast_worked_examples():
@@ -115,15 +124,14 @@ def test_sets_fast_row_count():
 
 def test_rows_follow_the_mapping():
     ps = PlacementSets(3, 2, {m: frozenset(s) for m, s in REFERENCE_FAMILY_L3K2.items()})
-    rows = ps.rows
-    assert rows is ps.rows  # built once
-    pairs = list(zip(rows.ms[rows.m_idx].tolist(), rows.masks.tolist()))
+    pairs = list(zip(ps.ms.tolist(), ps.masks.tolist()))
     assert pairs == sorted((m, e) for m, s in REFERENCE_FAMILY_L3K2.items() for e in s)
-    assert rows.ms.tolist() == [1, 2, 3, 4, 5, 6]
-    empty = sets_bruteforce(3, 1).rows  # S_3 is empty but keeps its m
-    assert empty.ms.tolist() == [1, 2, 3, 4] and 2 not in empty.m_idx.tolist()
+    assert ps.ms.dtype == ps.masks.dtype == np.int64
+    assert sets_bruteforce(3, 1).ms.tolist() == [1, 2, 4]  # S_3 is empty: no rows
     with pytest.raises(ValueError):
-        rows.masks[0] = 0
+        ps.masks[0] = 0
+    with pytest.raises(ValueError):
+        ps.ms[0] = 0
 
 
 def test_fast_equals_bruteforce_small():
@@ -133,7 +141,7 @@ def test_fast_equals_bruteforce_small():
 
 
 def test_fast_equals_bruteforce_wide_word():
-    for L, k in [(12, 2), (14, 3)]:
+    for L, k in [(12, 2), (14, 3), (16, 3)]:
         assert sets_fast(L, k) == sets_bruteforce(L, k)
 
 
@@ -205,3 +213,6 @@ def test_parse_sets_rejects_bad_rows():
         parse_sets("format=vdb-sets-v1\nL=3\nk=1\n1,111\n")
     with pytest.raises(ParameterError, match="line 5: .*not an L=3-bit mask"):
         parse_sets("format=vdb-sets-v1\nL=3\nk=1\n1,001\n2,1111111\n")
+    # a repeated pair would count its mass twice
+    with pytest.raises(ParameterError, match=r"line 6: duplicate row '1,01' \(first at line 4\)"):
+        parse_sets("format=vdb-sets-v1\nL=3\nk=2\n1,001\n1,011\n1,01\n")
