@@ -1,14 +1,27 @@
 """Hot enumeration kernels, in plain numpy.
 
-The counting kernels sweep 2**L words against a set of error masks; the
-distortion-law kernel folds the word one bit at a time instead of
-sweeping (word, mask) pairs.  Each kernel pushes its loop through
+A word x moved by error mask e lands at distance
+|x - (x ^ e)| = |2 * (x & e) - e|, so the distance depends on x only
+through the submask s = x & e, and each of the 2**w submasks of a
+weight-w mask is x & e for exactly 2**(L - w) words.  The submask kernel
+folds a mask's bits in one at a time and so counts every (word, mask)
+pair without sweeping the words; only the reach-matrix kernel, which
+serves the brute-force placement sets, sweeps all 2**L words.  The
+distortion-law kernel likewise folds the word one bit at a time instead
+of sweeping (word, mask) pairs.  Each kernel pushes its loop through
 broadcast arrays and is deterministic:
 
-    distance_counts(L, masks)      int64 histogram of |x - (x ^ e)| over all
-                                   2**L words x and every mask e in `masks`
+    submask_distances(L, w)        (masks, dist): the weight-w masks e,
+                                   ascending, and int64 [len(masks), 2**w]
+                                   with dist[j, c] = |2s - e| for the
+                                   submask s of masks[j] holding the mask's
+                                   i-th lowest set bit iff bit i of c is
+                                   set; each entry stands for 2**(L - w)
+                                   words
     reach_matrix(L, masks)         bool [len(masks), 2**L]; [j, m] is set iff
-                                   some word x has |x - (x ^ masks[j])| = m
+                                   some word x has |x - (x ^ masks[j])| = m;
+                                   a word-by-word sweep, kept as the
+                                   brute-force oracle of the placement sets
     mask_probabilities(probs)      float64 [2**L]; the product measure of mask e,
                                    with bit i of e set <-> factor probs[i]
     distortion_pmf_forced(q1, q0, f_V)
@@ -20,17 +33,24 @@ broadcast arrays and is deterministic:
 """
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 
-def distance_counts(L: int, masks: np.ndarray) -> np.ndarray:
-    n = 1 << L
-    counts = np.zeros(n, dtype=np.int64)
-    x = np.arange(n, dtype=np.int64)
-    for e in masks.astype(np.int64):
-        m = np.abs(x - (x ^ e))
-        counts += np.bincount(m, minlength=n)
-    return counts
+# diff[:, c] is 2s - e over the mask bits folded so far.  Folding the
+# mask's i-th lowest set bit b puts the columns that leave b out of s
+# (-b) before those that take it in (+b), so bit i of c marks b.
+def submask_distances(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    powers = np.left_shift(1, np.array(list(combinations(range(L), w)), dtype=np.int64))
+    masks = powers.sum(axis=1)
+    order = np.argsort(masks)
+    masks, powers = masks[order], powers[order]
+    diff = np.zeros((masks.size, 1), dtype=np.int64)
+    for i in range(w):
+        bit = powers[:, i : i + 1]
+        diff = np.concatenate([diff - bit, diff + bit], axis=1)
+    return masks, np.abs(diff)
 
 
 def reach_matrix(L: int, masks: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .codegen import CodeTable, TailConstraint
-from .combinatorics import masks_up_to_weight, reach_chunk_rows
+from .combinatorics import placement_pairs
 from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range
 
 GENERATOR_ID = "pcg64-mask-table"
@@ -303,20 +303,15 @@ def placement_mass(table: CodeTable, k: int | None = None) -> dict[int, float]:
 
     A mask's full probability is credited to every distortion it can
     produce, which is exactly the left-hand side the solvers constrain;
-    this recomputes it from mask reachability alone, independent of the
-    placement-set construction.
+    this recomputes it from the submask pairs of `placement_pairs`,
+    independent of the placement-set construction.  Each m's masses are
+    summed in ascending mask order.
     """
     k = table.k if k is None else k
     _, m_max = distortion_range(WordSpec(table.L, SYMMETRIC), k)
-    masks = masks_up_to_weight(table.L, k)
-    p = np.asarray(table.p_vec, dtype=np.float64)
-    terms = _kernels.mask_probabilities(p)[masks]
-    out = np.zeros(1 << table.L, dtype=np.float64)
-    step = reach_chunk_rows(table.L)
-    for start in range(0, masks.size, step):
-        reach = _kernels.reach_matrix(table.L, masks[start : start + step])
-        for j in range(reach.shape[0]):
-            out[reach[j]] += terms[start + j]
+    ms, masks = placement_pairs(table.L, k)
+    terms = _kernels.mask_probabilities(np.asarray(table.p_vec, dtype=np.float64))[masks]
+    out = np.bincount(ms, weights=terms, minlength=m_max + 1)
     return {m: float(out[m]) for m in range(1, m_max + 1)}
 
 

@@ -1,10 +1,16 @@
 """Exact pair counts, placement counts, and the closed-form bounds.
 
 Z(L, k, m) counts ordered word pairs at Hamming distance exactly k whose
-unsigned values differ by exactly m; it is obtained by exhaustive
-enumeration, which doubles as the oracle for everything built on top.
-Y*(L, k, m) counts the distinct error masks of weight at most k that can
-realize distortion m for some carrier word.  The two closed-form upper
+unsigned values differ by exactly m.  Y*(L, k, m) counts the distinct
+error masks of weight at most k that can realize distortion m for some
+carrier word.  Both are exact counts over every (word, mask) pair, taken
+by submask: the pair (x, x ^ e) lies at distance |2 * (x & e) - e|, and
+each submask s of a weight-w mask e is x & e for exactly 2**(L - w)
+words x.  So Z is the histogram of |2s - e| over the weight-k masks and
+their submasks, times 2**(L - k), and the placement pairs behind Y* are
+the distinct |2s - e| of each mask of weight 1..k.  The counts share no
+code with the signed-digit placement sets, and the word-by-word
+brute-force sets remain the oracle for both.  The two closed-form upper
 bounds on Z are cheap to evaluate and the dataset generator emits the
 exact/tight/loose comparison rows.
 """
@@ -68,10 +74,15 @@ def masks_up_to_weight(L: int, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def z_exact_table(L: int, k: int) -> CountTable:
-    """Exhaustive Z counts for every m in the distortion range."""
+    """Exact Z counts for every m in the distortion range.
+
+    Each |2s - e| over a weight-k mask e and its submasks s stands for
+    the 2**(L - k) words x with x & e = s.
+    """
     m_min, m_max = _check_params(L, k)
-    counts = _kernels.distance_counts(L, masks_of_weight(L, k))
-    entries = {m: int(counts[m]) for m in range(m_min, m_max + 1)}
+    _, dist = _kernels.submask_distances(L, k)
+    counts = np.bincount(dist.ravel(), minlength=m_max + 1) << (L - k)
+    entries = dict(zip(range(m_min, m_max + 1), counts[m_min : m_max + 1].tolist()))
     return CountTable(L, k, entries)
 
 
@@ -97,20 +108,30 @@ def z_bound_tight(L: int, k: int, m: int) -> int:
     return v - (v % (1 << (L - k + 1)))
 
 
-def reach_chunk_rows(L: int) -> int:
-    """Masks per reach-matrix chunk, keeping each chunk around 64 MB."""
-    return max(1, (1 << 26) >> L)
+def placement_pairs(L: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (m, mask) with a mask of weight 1..k that realizes m, by mask.
+
+    Returns int64 arrays (ms, masks), one entry per pair, in ascending
+    mask order and ascending m within a mask.  A mask e realizes
+    m = |2s - e| for each submask s; s and e ^ s give the same m, so each
+    mask's values are sorted and deduplicated.
+    """
+    m_parts, mask_parts = [], []
+    for w in range(1, k + 1):
+        masks, dist = _kernels.submask_distances(L, w)
+        dist = np.sort(dist, axis=1)
+        first = np.ones(dist.shape, dtype=np.bool_)
+        first[:, 1:] = dist[:, 1:] != dist[:, :-1]
+        m_parts.append(dist[first])
+        mask_parts.append(np.broadcast_to(masks[:, None], dist.shape)[first])
+    ms, masks = np.concatenate(m_parts), np.concatenate(mask_parts)
+    order = np.argsort(masks, kind="stable")
+    return ms[order], masks[order]
 
 
 @lru_cache(maxsize=128)
 def _y_star_counts(L: int, k: int) -> np.ndarray:
-    masks = masks_up_to_weight(L, k)
-    counts = np.zeros(1 << L, dtype=np.int64)
-    step = reach_chunk_rows(L)
-    for start in range(0, masks.size, step):
-        reach = _kernels.reach_matrix(L, masks[start : start + step])
-        counts += reach.sum(axis=0)
-    return counts
+    return np.bincount(placement_pairs(L, k)[0], minlength=1 << L)
 
 
 def y_star(L: int, k: int, m: int) -> int:
@@ -170,12 +191,16 @@ class BoundsRow:
 
 
 def bounds_dataset(L: int, k: int) -> list[BoundsRow]:
-    """Exact-vs-bounds comparison rows for every m in the distortion range."""
-    table = z_exact_table(L, k)
-    return [
-        BoundsRow(m, z, z_bound_tight(L, k, m), z_bound_loose(L, m))
-        for m, z in sorted(table.entries.items())
-    ]
+    """Exact-vs-bounds comparison rows for every m in the distortion range.
+
+    The bounds are z_bound_loose and z_bound_tight, taken over all m at once.
+    """
+    table = z_exact_table(L, k)  # validates L and k
+    ms = sorted(table.entries)
+    loose = (1 << (L + 1)) - 2 * np.array(ms, dtype=np.int64)
+    tight = loose - loose % (1 << (L - k + 1))
+    z = [table.entries[m] for m in ms]
+    return list(map(BoundsRow, ms, z, tight.tolist(), loose.tolist()))
 
 
 def write_bounds_csv(rows: Iterable[BoundsRow], path) -> None:

@@ -19,10 +19,15 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from . import _kernels
-from .combinatorics import masks_up_to_weight, reach_chunk_rows
+from .combinatorics import masks_up_to_weight
 from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range
 
 SETS_FORMAT = "vdb-sets-v1"
+
+
+def reach_chunk_rows(L: int) -> int:
+    """Masks per reach-matrix chunk, keeping each chunk around 64 MB."""
+    return max(1, (1 << 26) >> L)
 
 
 class PlacementSets:

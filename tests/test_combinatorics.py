@@ -19,6 +19,7 @@ from vdbcode.combinatorics import (
     write_bounds_csv,
     z_exact_table,
 )
+from vdbcode.setgen import sets_bruteforce
 
 DATA = Path(__file__).parent / "data"
 
@@ -87,6 +88,15 @@ def test_y_star_cardinalities_l3k2():
     assert [y_star(3, 2, m) for m in range(1, 7)] == [2, 2, 2, 1, 1, 1]
 
 
+def test_y_star_matches_bruteforce_sets_wide_word():
+    sizes = sets_bruteforce(16, 3).cardinalities()
+    m_max = 2**13 * 7
+    assert [y_star(16, 3, m) for m in range(1, m_max + 1)] == [
+        sizes.get(m, 0) for m in range(1, m_max + 1)
+    ]
+    assert sum(z_exact_table(12, 3).entries.values()) == math.comb(12, 3) * 2**12
+
+
 @pytest.mark.parametrize("L", range(1, 8))
 def test_y_star_bounded_by_mask_count(L):
     for k in range(1, L + 1):
@@ -133,6 +143,17 @@ def test_bounds_dataset_row_count():
     rows = bounds_dataset(8, 3)
     assert len(rows) == 224
     assert all(r.z_exact <= r.z_tight <= r.z_loose for r in rows)
+
+
+@pytest.mark.parametrize("L,k", [(1, 1), (5, 2), (8, 3), (10, 10)])
+def test_bounds_dataset_matches_scalar_bounds(L, k):
+    rows = bounds_dataset(L, k)
+    assert [r.m for r in rows] == list(range(1, 2 ** (L - k) * (2**k - 1) + 1))
+    for r in rows:
+        assert (r.z_exact, r.z_tight, r.z_loose) == (
+            z_exact(L, k, r.m), z_bound_tight(L, k, r.m), z_bound_loose(L, r.m)
+        )
+        assert all(type(v) is int for v in (r.m, r.z_exact, r.z_tight, r.z_loose))
 
 
 def test_bounds_csv_output(tmp_path):

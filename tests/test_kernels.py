@@ -1,10 +1,12 @@
 """Each numpy kernel against a plain-Python loop transcription of it:
-integer kernels bit for bit, the distortion-law kernel to round-off."""
+integer kernels bit for bit, the distortion-law kernel to round-off.
+The submask kernel is checked against the word-sweep loops, alone and
+through the Z and Y* counts built on it."""
 import numpy as np
 import pytest
 
 from vdbcode import _kernels
-from vdbcode.combinatorics import masks_of_weight, masks_up_to_weight
+from vdbcode.combinatorics import _y_star_counts, masks_of_weight, masks_up_to_weight, z_exact_table
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +81,25 @@ def ref_distortion_pmf_forced(force_to_one, force_to_zero, value_probs):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("L,k", [(3, 2), (6, 3)])
-def test_distance_counts_matches_loop(L, k):
-    masks = masks_of_weight(L, k)
-    assert np.array_equal(_kernels.distance_counts(L, masks), ref_distance_counts(L, masks))
+@pytest.mark.parametrize("L,w", [(1, 1), (3, 2), (6, 3), (8, 4)])
+def test_submask_distances_match_loop(L, w):
+    # Each mask's entries, counted 2**(L - w) times each, are its word sweep.
+    masks, dist = _kernels.submask_distances(L, w)
+    assert np.array_equal(masks, masks_of_weight(L, w))
+    assert dist.shape == (masks.size, 1 << w)
+    for j in range(masks.size):
+        counts = np.bincount(dist[j], minlength=1 << L) << (L - w)
+        assert np.array_equal(counts, ref_distance_counts(L, masks[j : j + 1]))
+
+
+@pytest.mark.parametrize("L,k", [(3, 2), (6, 3), (8, 4)])
+def test_submask_counts_match_loop(L, k):
+    z = ref_distance_counts(L, masks_of_weight(L, k))
+    table = z_exact_table(L, k)
+    assert table.entries == {m: int(z[m]) for m in table.entries}
+    assert sum(table.entries.values()) == z.sum()
+    y = ref_reach_matrix(L, masks_up_to_weight(L, k)).sum(axis=0)
+    assert np.array_equal(_y_star_counts(L, k), y)
 
 
 @pytest.mark.parametrize("L,k", [(3, 2), (6, 3)])
