@@ -19,7 +19,7 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
 
@@ -155,21 +155,23 @@ def tail_of(d: DistortionDistribution) -> dict[int, float]:
 # Monte Carlo simulation
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    m: int
-    mass: float
-    tail: float
-    bound: float
-    slack: float
-    mass_ok: bool
-    tail_ok: bool
+@dataclass(frozen=True, eq=False)
+class CheckColumns:
+    """The constraint check for m = 1..top, one array per quantity, indexed by m - 1."""
+
+    m: np.ndarray
+    mass: np.ndarray
+    tail: np.ndarray
+    bound: np.ndarray
+    slack: np.ndarray
+    mass_ok: np.ndarray
+    tail_ok: np.ndarray
 
 
 @dataclass(frozen=True)
 class SimulationResult:
     distribution: DistortionDistribution
-    rows: tuple[CheckRow, ...]
+    columns: CheckColumns
     passed: bool
     mode: str
 
@@ -188,6 +190,39 @@ def _cdf(law: np.ndarray) -> np.ndarray:
     """Cumulative law scaled to end at exactly 1, so a draw in [0, 1) always lands."""
     cdf = np.cumsum(law)
     return cdf / cdf[-1]
+
+
+def _guide_table(cdf: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """An inverse-CDF draw equal to `np.searchsorted(cdf, u, side="right")`, for u in [0, 1).
+
+    A guide table (Chen & Asau 1974; Devroye 1986, section III.2.4) splits
+    [0, 1) into G buckets, G the smallest power of two >= 4 * len(cdf).
+    For u in bucket b = floor(u * G), that is b/G <= u < (b+1)/G, the
+    search result (the count of entries <= u) lies between
+    lo[b] = #{c <= b/G} and #{c < (b+1)/G}.  The two differ only where
+    some entry lies strictly inside the bucket; elsewhere the answer is
+    lo[b], and only draws in those split buckets fall back to the search.
+    There are at most len(cdf) split buckets, so they cover at most 1/4
+    of [0, 1).  G is a power of two, so c * G and u * G are exact: the
+    bucket of every entry and every draw is computed without rounding,
+    and every index is bit-identical to the search.
+    """
+    G = 1 << (4 * cdf.size - 1).bit_length()
+    scaled = cdf * G
+    # c <= b/G exactly when ceil(c * G) <= b.
+    lo = np.cumsum(np.bincount(np.ceil(scaled).astype(np.intp), minlength=G + 1)[:G])
+    # An entry strictly inside bucket b has floor(c * G) = b and c * G not whole.
+    floor = np.floor(scaled)
+    split = np.bincount(floor[floor != scaled].astype(np.intp), minlength=G).astype(bool)
+
+    def draw(u: np.ndarray) -> np.ndarray:
+        bucket = (u * G).astype(np.intp)
+        out = lo[bucket]
+        slow = np.flatnonzero(split[bucket])
+        out[slow] = np.searchsorted(cdf, u[slow], side="right")
+        return out
+
+    return draw
 
 
 def simulate(
@@ -209,6 +244,14 @@ def simulate(
     mass and every tail Pr(M > m) to stay within the constraint plus
     3-sigma binomial slack.  Trials come from one PCG64 stream seeded
     with `seed`, drawn in fixed-size chunks, so a seed fixes the result.
+
+    Words (under a value PMF) and masks are inverse-CDF draws from one
+    uniform each, looked up in a guide table of the CDF (`_guide_table`):
+    an O(1) bucket index that returns exactly the entry a binary search
+    would, because the bucket edges are multiples of 1/G for G a power of
+    two, so every bucket is found without rounding.  A chunk's masks are
+    then counted and laid out in ascending order, which is the array a
+    search over the sorted uniforms returns.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -226,47 +269,55 @@ def simulate(
         mask_law[np.bitwise_count(np.arange(n)) > cap_weight] = 0.0
         if not mask_law.any():
             raise ParameterError(f"no error mask of weight <= {cap_weight} has positive probability")
-    mask_cdf = _cdf(mask_law)
+    draw_mask = _guide_table(_cdf(mask_law))
     value_probs = _value_probs(value_source, table.L)
-    word_cdf = None if value_probs is None else _cdf(value_probs)
+    draw_word = None if value_probs is None else _guide_table(_cdf(value_probs))
+    all_masks = np.arange(n)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     counts = np.zeros(n, dtype=np.int64)
     for start in range(0, trials, _CHUNK_SIZE):
         size = min(_CHUNK_SIZE, trials - start)
-        # Inverse-CDF draws; side="right" never picks an entry of mass zero.
-        if word_cdf is None:
+        # Inverse-CDF draws through the guide tables; the index searchsorted
+        # would return with side="right", which never picks an entry of mass zero.
+        if draw_word is None:
             words = rng.integers(0, n, size=size, dtype=np.int64)
         else:
-            words = np.searchsorted(word_cdf, rng.random(size), side="right")
-        # Sorted uniforms make the mask search about 3x faster; the words are
-        # iid and independent of the masks, so sorting the masks within a
-        # chunk leaves the law of the distortion histogram unchanged.
-        masks = np.searchsorted(mask_cdf, np.sort(rng.random(size)), side="right")
+            words = draw_word(rng.random(size))
+        # The chunk's masks in ascending order: the words are iid and
+        # independent of the masks, so pairing them with sorted masks leaves
+        # the law of the distortion histogram unchanged, and it is the
+        # order (and so the histogram) of searching sorted uniforms.
+        masks = np.repeat(all_masks, np.bincount(draw_mask(rng.random(size)), minlength=n))
         counts += np.bincount(np.abs(words - (words ^ masks)), minlength=n)
 
-    mass = {int(m): int(c) / trials for m, c in enumerate(counts) if c}
+    seen = np.flatnonzero(counts)
+    mass = dict(zip(seen.tolist(), (counts[seen] / trials).tolist()))
     dist = DistortionDistribution(
         mass, PROVENANCE_MONTE_CARLO, trials=trials, seed=seed, generator=GENERATOR_ID
     )
     mode = MODE_FLIP if cap_weight is None else f"{MODE_CAPPED}<={cap_weight}"
-    rows, passed = check_against_constraint(dist, constraint, trials)
-    return SimulationResult(dist, rows, passed, mode)
+    columns, passed = check_against_constraint(dist, constraint, trials)
+    return SimulationResult(dist, columns, passed, mode)
 
 
 def check_against_constraint(
     dist: DistortionDistribution, constraint: TailConstraint, trials: int
-) -> tuple[tuple[CheckRow, ...], bool]:
-    """Per-m mass and tail checks with 3-sigma binomial slack."""
+) -> tuple[CheckColumns, bool]:
+    """Per-m mass and tail checks with 3-sigma binomial slack, for m = 1..top.
+
+    top is the larger of the support's top and the constraint's m_max;
+    an m beyond m_max is checked against F(m_max).
+    """
     top = max(max(dist.mass, default=0), constraint.m_max)
     mass, tail = _mass_and_tail(dist, top)
-    bound = np.array([constraint.bound(m) for m in range(1, top + 1)], dtype=np.float64)
+    ms = np.arange(1, top + 1)
+    bound = constraint.bounds_at(ms)
     slack = 3.0 * np.sqrt(bound * (1.0 - bound) / trials)
     mass_ok = mass[1:] <= bound + slack
     tail_ok = tail[1:] <= bound + slack
-    columns = (mass[1:], tail[1:], bound, slack, mass_ok, tail_ok)
-    rows = tuple(map(CheckRow, range(1, top + 1), *(c.tolist() for c in columns)))
-    return rows, bool((mass_ok & tail_ok).all())
+    columns = CheckColumns(ms, mass[1:], tail[1:], bound, slack, mass_ok, tail_ok)
+    return columns, bool((mass_ok & tail_ok).all())
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ methods disagree).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -130,12 +131,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     channel_sim.write_distribution_csv(result.distribution, args.out)
     _write_manifest(args, inputs, [args.out])
     print(f"mode={result.mode} trials={args.trials} seed={args.seed}")
-    for row in result.rows:
-        flag = "ok" if row.mass_ok and row.tail_ok else "VIOLATION"
-        print(
-            f"m={row.m} mass={row.mass:.6f} tail={row.tail:.6f} "
-            f"bound={row.bound:.6f} slack={row.slack:.6f} {flag}"
-        )
+    c = result.columns
+    for m, mass, tail, bound, slack, ok in zip(
+        c.m.tolist(), c.mass.tolist(), c.tail.tolist(), c.bound.tolist(), c.slack.tolist(),
+        (c.mass_ok & c.tail_ok).tolist(),
+    ):
+        flag = "ok" if ok else "VIOLATION"
+        print(f"m={m} mass={mass:.6f} tail={tail:.6f} bound={bound:.6f} slack={slack:.6f} {flag}")
     print(f"simulate: {'pass' if result.passed else 'FAIL'}")
     return EXIT_OK if result.passed else EXIT_FAIL
 
@@ -205,7 +207,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return main(argv)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="vdbcode",
         description="Value-deviation-bounded code tables: construction, solving, validation.",

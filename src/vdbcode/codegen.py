@@ -82,6 +82,15 @@ class TailConstraint:
             return self.bounds[self.m_max]
         return self.bounds[m]
 
+    @cached_property
+    def _dense_bounds(self) -> np.ndarray:
+        """F(1), ..., F(m_max) as one float64 array."""
+        return np.array(list(map(self.bounds.__getitem__, range(1, self.m_max + 1))), dtype=np.float64)
+
+    def bounds_at(self, ms: np.ndarray) -> np.ndarray:
+        """F(m) for every m >= 1 of `ms`, each m > m_max taking F(m_max), as in `bound`."""
+        return self._dense_bounds[np.minimum(ms, self.m_max) - 1]
+
     @classmethod
     def from_table(
         cls, L: int, k: int, bounds: Mapping[int, float], *, allow_nonmonotone: bool = False,
@@ -329,7 +338,7 @@ def _constraint_index(sets: PlacementSets, c: TailConstraint) -> tuple[np.ndarra
             f"placement sets are (L={sets.L}, k={sets.k}) but constraint is (L={c.L}, k={c.k})"
         )
     keys, m_idx = np.unique(sets.ms, return_inverse=True)
-    return keys, np.array([c.bounds[m] for m in keys.tolist()], dtype=np.float64), m_idx
+    return keys, c.bounds_at(keys), m_idx
 
 
 def _lhs(sets: PlacementSets, m_idx: np.ndarray, p_vec: Sequence[float]) -> np.ndarray:

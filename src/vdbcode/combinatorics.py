@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -182,8 +182,7 @@ def divisibility_report(L: int, k: int) -> DivisibilityReport:
     return DivisibilityReport(L, k, classes)
 
 
-@dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(NamedTuple):
     m: int
     z_exact: int
     z_tight: int
@@ -207,5 +206,4 @@ def write_bounds_csv(rows: Iterable[BoundsRow], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BOUNDS_CSV_HEADER)
-        for row in rows:
-            writer.writerow([row.m, row.z_exact, row.z_tight, row.z_loose])
+        writer.writerows(rows)

@@ -18,7 +18,6 @@ from vdbcode import (
     tail_of,
 )
 from vdbcode.channel_sim import (
-    CheckRow,
     DistortionDistribution,
     EmpiricalPMF,
     UpsetModel,
@@ -30,7 +29,10 @@ from vdbcode.channel_sim import (
     serialize_upsets,
     check_against_constraint,
     single_error_oracle,
+    _cdf,
+    _guide_table,
 )
+from vdbcode._kernels import mask_probabilities
 from conftest import EXAMPLE_BOUNDS, bin_sigmas, law_bins, sidak_z
 
 
@@ -132,16 +134,18 @@ def test_check_against_constraint_rows_extend_last_bound():
     c = TailConstraint.from_table(3, 2, EXAMPLE_BOUNDS)
     trials = 1000
     d = DistortionDistribution({0: 0.85, 2: 0.05, 9: 0.10}, "monte_carlo", trials=trials)
-    rows, passed = check_against_constraint(d, c, trials)
+    columns, passed = check_against_constraint(d, c, trials)
     tails = tail_of(d)
     want = []
     for m in range(1, 10):
         bound = EXAMPLE_BOUNDS[min(m, 6)]
         slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
         mass, tail = d.at(m), tails[m]
-        want.append(CheckRow(m, mass, tail, bound, slack, mass <= bound + slack, tail <= bound + slack))
-    assert rows == tuple(want)
-    assert not rows[8].mass_ok and not rows[6].tail_ok  # 0.10 > 2/30 + slack
+        want.append((m, mass, tail, bound, slack, mass <= bound + slack, tail <= bound + slack))
+    names = ("m", "mass", "tail", "bound", "slack", "mass_ok", "tail_ok")
+    got = list(zip(*(getattr(columns, name).tolist() for name in names)))
+    assert got == want
+    assert not columns.mass_ok[8] and not columns.tail_ok[6]  # 0.10 > 2/30 + slack
     assert passed is False
 
 
@@ -272,6 +276,101 @@ def test_simulate_parameter_validation(reciprocal_constraint):
     with pytest.raises(ParameterError):
         simulate(CodeTable.iid(4, 2, 0.1), reciprocal_constraint, 10, seed=0)
 
+
+
+# ---------------------------------------------------------------------------
+# guide-table draws against the binary search they replace
+
+
+def guide_cases():
+    """Adversarial CDFs, each ending at exactly 1, as pytest params named by case."""
+    rng = np.random.default_rng(31)
+    cases = []
+    # bit 0 always flips: every even mask has mass zero, including the leading one
+    cases.append(("p0=1 L=4", mask_probabilities(np.array([1.0, 0.3, 0.2, 0.1]))))
+    for L in (1, 16):
+        cases.append((f"mask law L={L}", mask_probabilities(rng.uniform(0.01, 0.4, L))))
+    for j in (0, 5, 7):
+        point = np.zeros(8)
+        point[j] = 1.0
+        cases.append((f"single nonzero at {j}", point))
+    # one heavy entry, then 1000 entries of total mass 1e-6 inside one bucket
+    crowded = np.concatenate([[1.0 - 1e-6], np.full(1000, 1e-9), np.zeros(24)])
+    cases.append(("crowded bucket", crowded))
+    spread = rng.random(1 << 10) ** 6
+    spread[rng.random(spread.size) < 0.4] = 0.0
+    cases.append(("spread with zeros", spread))
+    return [pytest.param(_cdf(law), id=name) for name, law in cases]
+
+
+@pytest.mark.parametrize("cdf", guide_cases())
+def test_guide_table_draw_equals_searchsorted(cdf):
+    G = 1 << (4 * cdf.size - 1).bit_length()
+    edges = np.arange(G) / G
+    below_one = np.nextafter(1.0, 0.0)
+    inside = cdf[cdf < 1.0]
+    u = np.concatenate([
+        edges,                                  # every bucket edge b/G
+        np.nextafter(edges[1:], 0.0),           # the largest double below each edge
+        inside,                                 # ties with cdf entries
+        np.nextafter(inside, 0.0),
+        np.nextafter(inside, 1.0),
+        [0.0, below_one],
+        np.random.default_rng(cdf.size).random(5000),
+    ])
+    assert u.max() == below_one
+    draw = _guide_table(cdf)
+    assert np.array_equal(draw(u), np.searchsorted(cdf, u, side="right"))
+    assert np.array_equal(draw(u[::-1]), np.searchsorted(cdf, u[::-1], side="right"))
+
+
+def reference_histogram(table, trials, seed, value_probs=None, cap_weight=None):
+    """The distortion histogram of the binary-search sampler that `simulate` replaced.
+
+    Per 65,536-trial chunk: words by `searchsorted` over the value CDF (or
+    `integers` for uniform words), then masks by `searchsorted` over the
+    mask CDF at the sorted uniforms.
+    """
+    n = 1 << table.L
+    mask_law = mask_probabilities(np.asarray(table.p_vec, dtype=np.float64))
+    if cap_weight is not None:
+        for mask in range(n):
+            if bin(mask).count("1") > cap_weight:
+                mask_law[mask] = 0.0
+    mask_cdf = np.cumsum(mask_law)
+    mask_cdf = mask_cdf / mask_cdf[-1]
+    word_cdf = None
+    if value_probs is not None:
+        word_cdf = np.cumsum(value_probs)
+        word_cdf = word_cdf / word_cdf[-1]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    counts = np.zeros(n, dtype=np.int64)
+    for start in range(0, trials, 1 << 16):
+        size = min(1 << 16, trials - start)
+        if word_cdf is None:
+            words = rng.integers(0, n, size=size, dtype=np.int64)
+        else:
+            words = np.searchsorted(word_cdf, rng.random(size), side="right")
+        masks = np.searchsorted(mask_cdf, np.sort(rng.random(size)), side="right")
+        counts += np.bincount(np.abs(words - (words ^ masks)), minlength=n)
+    return {m: int(c) / trials for m, c in enumerate(counts) if c}
+
+
+@pytest.mark.parametrize("L", [3, 8, 12])
+@pytest.mark.parametrize("trials", [1, 65_535, 65_537, 200_000])
+def test_simulate_histogram_equals_binary_search_sampler(L, trials):
+    rng = np.random.default_rng(L)
+    table = CodeTable.perbit(L, min(3, L), tuple(float(v) for v in rng.uniform(0.02, 0.4, L)))
+    law = rng.random(1 << L) ** 3
+    law[rng.random(law.size) < 0.3] = 0.0
+    law /= law.sum()
+    pmf = EmpiricalPMF(L, {v: float(q) for v, q in enumerate(law) if q})
+    c = TailConstraint.from_table(L, table.k, {1: 1.0})
+    for source, cap in (("uniform", None), (pmf, None), ("uniform", 2)):
+        result = simulate(table, c, trials, seed=L + trials, value_source=source, cap_weight=cap)
+        value_probs = None if source == "uniform" else source.to_array()
+        want = reference_histogram(table, trials, L + trials, value_probs, cap)
+        assert result.distribution.mass == want
 
 # ---------------------------------------------------------------------------
 # tail_of

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vdbcode
 from vdbcode.cli import main
 from conftest import EXAMPLE_CONSTRAINT_TEXT, RECIPROCAL_CONSTRAINT_TEXT
 
@@ -273,6 +278,30 @@ def test_simulate_manifest_replay_bitwise(tmp_path, reciprocal_file):
     out.unlink()
     assert main(["replay", "--manifest", str(out) + ".manifest.json"]) == 0
     assert out.read_bytes() == original
+
+
+def test_consecutive_main_calls_share_no_state(tmp_path, reciprocal_file, capsys):
+    # the parser is built once per process; options given in one call must
+    # not carry into the next, which has to match a fresh process byte for byte
+    table = tmp_path / "p29.txt"
+    table.write_text(P29_TABLE_TEXT)
+    pmf = tmp_path / "pmf.csv"
+    pmf.write_text("# L=3\nvalue,mass\n0,0.5\n5,0.5\n")
+    out = tmp_path / "dist.csv"
+    common = ["simulate", "--table", str(table), "--constraint", str(reciprocal_file),
+              "--trials", "3000", "--out", str(out)]
+    main(common + ["--seed", "7", "--pmf", str(pmf), "--cap-weight", "2", "--allow-nonmonotone"])
+    capsys.readouterr()
+    assert main(common) == 0
+    in_process = [out.read_bytes(), (tmp_path / "dist.csv.manifest.json").read_bytes()]
+    stdout = capsys.readouterr().out
+    assert "seed=0" in stdout.splitlines()[0]
+    env = {**os.environ, "PYTHONPATH": str(Path(vdbcode.__file__).parents[1])}
+    fresh = subprocess.run([sys.executable, "-m", "vdbcode.cli", *common], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 0
+    assert fresh.stdout == stdout
+    assert [out.read_bytes(), (tmp_path / "dist.csv.manifest.json").read_bytes()] == in_process
 
 
 def test_replay_rejects_other_generator(tmp_path, reciprocal_file, capsys):
