@@ -26,7 +26,7 @@ import numpy as np
 from . import _kernels
 from .codegen import CodeTable, TailConstraint
 from .combinatorics import placement_pairs
-from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range
+from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range, format_lines, reject_repeat
 
 GENERATOR_ID = "pcg64-mask-table"
 UPSETS_FORMAT = "vdb-upsets-v1"
@@ -349,7 +349,7 @@ def exact_distortion(
     return DistortionDistribution(mass, PROVENANCE_EXACT)
 
 
-def placement_mass(table: CodeTable, k: int | None = None) -> dict[int, float]:
+def placement_mass(table: CodeTable) -> dict[int, float]:
     """Per-m probability of drawing an error placement that can realize m.
 
     A mask's full probability is credited to every distortion it can
@@ -358,9 +358,8 @@ def placement_mass(table: CodeTable, k: int | None = None) -> dict[int, float]:
     independent of the placement-set construction.  Each m's masses are
     summed in ascending mask order.
     """
-    k = table.k if k is None else k
-    _, m_max = distortion_range(WordSpec(table.L, SYMMETRIC), k)
-    ms, masks = placement_pairs(table.L, k)
+    _, m_max = distortion_range(WordSpec(table.L, SYMMETRIC), table.k)
+    ms, masks = placement_pairs(table.L, table.k)
     terms = _kernels.mask_probabilities(np.asarray(table.p_vec, dtype=np.float64))[masks]
     out = np.bincount(ms, weights=terms, minlength=m_max + 1)
     return {m: float(out[m]) for m in range(1, m_max + 1)}
@@ -540,30 +539,34 @@ def write_pmf_csv(pmf: EmpiricalPMF, path) -> None:
 
 
 def parse_pmf_csv(text: str) -> EmpiricalPMF:
-    L = None
-    sample_count = None
+    header: dict[str, int] = {}
     mass: dict[int, float] = {}
+    seen: dict[str | int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             key, _, value = line[1:].strip().partition("=")
-            if key == "L":
-                L = int(value)
-            elif key == "sample_count":
-                sample_count = int(value)
+            if key in ("L", "sample_count"):
+                reject_repeat(seen, key, lineno, "'# {}=' header")
+                try:
+                    header[key] = int(value)
+                except ValueError:
+                    raise ParameterError(f"line {lineno}: bad header {line!r}") from None
             continue
         if line == "value,mass":
             continue
         v_text, _, p_text = line.partition(",")
         try:
-            mass[int(v_text)] = float(p_text)
+            v, p = int(v_text), float(p_text)
         except ValueError:
             raise ParameterError(f"line {lineno}: bad row {line!r}") from None
-    if L is None:
+        reject_repeat(seen, v, lineno, "row for value {}")
+        mass[v] = p
+    if "L" not in header:
         raise ParameterError("PMF file missing '# L=' header")
-    return EmpiricalPMF(L, mass, sample_count)
+    return EmpiricalPMF(header["L"], mass, header.get("sample_count"))
 
 
 def load_pmf_csv(path) -> EmpiricalPMF:
@@ -582,18 +585,14 @@ def serialize_upsets(model: UpsetModel) -> str:
 def parse_upsets(text: str) -> UpsetModel:
     L = None
     rows: dict[int, tuple[float, float]] = {}
-    saw_format = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not saw_format:
-            if line != f"format={UPSETS_FORMAT}":
-                raise ParameterError(f"line {lineno}: expected format={UPSETS_FORMAT}")
-            saw_format = True
-            continue
+    seen: dict[str | int, int] = {}
+    for lineno, line in format_lines(text, UPSETS_FORMAT):
         if line.startswith("L="):
-            L = int(line[2:])
+            reject_repeat(seen, "L", lineno, "L= header")
+            try:
+                L = int(line[2:])
+            except ValueError:
+                raise ParameterError(f"line {lineno}: bad header {line!r}") from None
             continue
         parts = line.split(",")
         try:
@@ -601,6 +600,7 @@ def parse_upsets(text: str) -> UpsetModel:
             rows[bit] = (float(parts[1]), float(parts[2]))
         except (ValueError, IndexError):
             raise ParameterError(f"line {lineno}: bad row {line!r}") from None
+        reject_repeat(seen, bit, lineno, "row for bit {}")
     if L is None:
         raise ParameterError("upsets file missing L= header")
     upset = [0.0] * L

@@ -30,13 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range
+from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range, format_lines, reject_repeat
 from .setgen import PlacementSets
 
 CONSTRAINT_FORMAT = "vdb-constraint-v1"
@@ -47,140 +46,122 @@ MODE_PERBIT = "perbit"
 
 VERIFY_MARGIN = -1e-9
 
-SOURCE_RECIPROCAL = "reciprocal"
-
 
 class InfeasibleConstraintError(RuntimeError):
     """No probability satisfies the constraint (requires a negative bound)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TailConstraint:
-    """Per-m probability budget over the full distortion range of (L, k)."""
+    """Per-m probability budget over the full distortion range of (L, k).
+
+    F is held once, as the read-only float64 array `bounds` with
+    bounds[m - 1] = F(m) for m = 1..m_max (the same m - 1 indexing as the
+    Monte Carlo check columns); m_max is its length.
+    """
 
     L: int
     k: int
-    bounds: dict[int, float]
-    source: str = "table"
+    bounds: np.ndarray
 
     def __post_init__(self) -> None:
-        m_min, m_max = distortion_range(WordSpec(self.L, SYMMETRIC), self.k)
-        missing = [m for m in range(m_min, m_max + 1) if m not in self.bounds]
-        if missing:
-            raise ParameterError(f"constraint missing m values {missing}")
-        for m, b in self.bounds.items():
-            if not 0.0 <= b <= 1.0:
-                raise ParameterError(f"bound at m={m} is {b}, outside [0, 1]")
+        _, m_max = distortion_range(WordSpec(self.L, SYMMETRIC), self.k)
+        bounds = np.array(self.bounds, dtype=np.float64)
+        if bounds.shape != (m_max,):
+            raise ParameterError(f"constraint needs F(1)..F({m_max}), got shape {bounds.shape}")
+        outside = np.flatnonzero(~((bounds >= 0.0) & (bounds <= 1.0)))
+        if outside.size:
+            m = int(outside[0]) + 1
+            raise ParameterError(f"bound at m={m} is {bounds[m - 1]}, outside [0, 1]")
+        bounds.flags.writeable = False
+        object.__setattr__(self, "bounds", bounds)
 
-    @cached_property
+    @property
     def m_max(self) -> int:
-        return max(self.bounds)
+        return self.bounds.size
 
-    def bound(self, m: int) -> float:
-        """F(m), extended beyond the range by the last specified value."""
-        if m > self.m_max:
-            return self.bounds[self.m_max]
-        return self.bounds[m]
-
-    @cached_property
-    def _dense_bounds(self) -> np.ndarray:
-        """F(1), ..., F(m_max) as one float64 array."""
-        return np.array(list(map(self.bounds.__getitem__, range(1, self.m_max + 1))), dtype=np.float64)
-
-    def bounds_at(self, ms: np.ndarray) -> np.ndarray:
-        """F(m) for every m >= 1 of `ms`, each m > m_max taking F(m_max), as in `bound`."""
-        return self._dense_bounds[np.minimum(ms, self.m_max) - 1]
+    def bounds_at(self, ms: int | np.ndarray) -> float | np.ndarray:
+        """F(m) for every m >= 1 of `ms` (a scalar or an array), each m > m_max taking F(m_max)."""
+        return self.bounds[np.minimum(ms, self.m_max) - 1]
 
     @classmethod
     def from_table(
-        cls, L: int, k: int, bounds: Mapping[int, float], *, allow_nonmonotone: bool = False,
-        source: str = "table",
+        cls, L: int, k: int, bounds: Mapping[int, float], *, allow_nonmonotone: bool = False
     ) -> "TailConstraint":
-        full = _extend_bounds(L, k, dict(bounds))
-        _check_monotone(full, allow_nonmonotone)
-        return cls(L, k, full, source)
+        """F from rows {m: F(m)}: a gap takes the bound of the nearest row below, 1.0 before the first."""
+        _, m_max = distortion_range(WordSpec(L, SYMMETRIC), k)
+        ms = np.fromiter(bounds.keys(), dtype=np.int64, count=len(bounds))
+        outside = ms[(ms < 1) | (ms > m_max)]
+        if outside.size:
+            raise ParameterError(f"constraint m={outside[0]} outside [1, {m_max}]")
+        order = np.argsort(ms)
+        values = np.fromiter(bounds.values(), dtype=np.float64, count=len(bounds))[order]
+        below = np.searchsorted(ms[order], np.arange(1, m_max + 1), side="right")
+        filled = np.concatenate(([1.0], values))[below]
+        m = None if allow_nonmonotone else _first_rise(filled)
+        if m is not None:
+            raise ParameterError(
+                f"bound increases from m={m} ({filled[m - 1]}) to m={m + 1} ({filled[m]}); "
+                "pass allow_nonmonotone to accept"
+            )
+        return cls(L, k, filled)
 
     @classmethod
     def reciprocal(cls, L: int, k: int) -> "TailConstraint":
         """The 1/(m+1) budget used throughout the Monte Carlo validation."""
         _, m_max = distortion_range(WordSpec(L, SYMMETRIC), k)
-        return cls(L, k, {m: 1.0 / (m + 1) for m in range(1, m_max + 1)}, SOURCE_RECIPROCAL)
+        return cls(L, k, 1.0 / np.arange(2, m_max + 2))
 
 
-def _extend_bounds(L: int, k: int, given: dict[int, float]) -> dict[int, float]:
-    # Gaps inherit the bound of the nearest specified m below; leading
-    # gaps default to the vacuous bound 1.
-    _, m_max = distortion_range(WordSpec(L, SYMMETRIC), k)
-    for m in given:
-        if not 1 <= m <= m_max:
-            raise ParameterError(f"constraint m={m} outside [1, {m_max}]")
-    full = {}
-    current = 1.0
-    for m in range(1, m_max + 1):
-        if m in given:
-            current = float(given[m])
-        full[m] = current
-    return full
-
-
-def _check_monotone(bounds: dict[int, float], allow_nonmonotone: bool) -> None:
-    if allow_nonmonotone:
-        return
-    ms = sorted(bounds)
-    for a, b in zip(ms, ms[1:]):
-        if bounds[b] > bounds[a] + 1e-15:
-            raise ParameterError(
-                f"bound increases from m={a} ({bounds[a]}) to m={b} ({bounds[b]}); "
-                "pass allow_nonmonotone to accept"
-            )
+def _first_rise(bounds: np.ndarray) -> int | None:
+    """The first m with F(m+1) > F(m) + 1e-15, or None when F never rises."""
+    rises = np.flatnonzero(bounds[1:] > bounds[:-1] + 1e-15)
+    return int(rises[0]) + 1 if rises.size else None
 
 
 def parse_constraint(text: str, *, allow_nonmonotone: bool = False) -> TailConstraint:
     """Parse the vdb-constraint-v1 text format, reporting line numbers."""
     header: dict[str, int] = {}
     given: dict[int, float] = {}
-    rows: dict[int, int] = {}
-    saw_format = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not saw_format:
-            if line != f"format={CONSTRAINT_FORMAT}":
-                raise ParameterError(f"line {lineno}: expected format={CONSTRAINT_FORMAT}")
-            saw_format = True
-            continue
-        if "=" in line and line.split("=", 1)[0] in ("L", "k"):
-            key, value = line.split("=", 1)
+    lines: dict[str | int, int] = {}  # the line of each header and of each row's m
+    m_max = None
+    for lineno, line in format_lines(text, CONSTRAINT_FORMAT):
+        key, _, value = line.partition("=")
+        if key in ("L", "k"):
+            reject_repeat(lines, key, lineno, "{}= header")
             try:
                 header[key] = int(value)
             except ValueError:
                 raise ParameterError(f"line {lineno}: bad header {line!r}") from None
             continue
-        if "L" not in header or "k" not in header:
-            raise ParameterError(f"line {lineno}: rows before L=/k= headers")
+        if m_max is None:
+            if len(header) < 2:
+                raise ParameterError(f"line {lineno}: rows before L=/k= headers")
+            _, m_max = distortion_range(WordSpec(header["L"], SYMMETRIC), header["k"])
         m_text, _, bound_text = line.partition(",")
         try:
             m = int(m_text)
             bound = _parse_bound(bound_text)
         except ValueError:
             raise ParameterError(f"line {lineno}: bad row {line!r}") from None
-        if m in given:
-            raise ParameterError(f"line {lineno}: duplicate bound for m={m} (first at line {rows[m]})")
+        reject_repeat(lines, m, lineno, "bound for m={}")
+        if not 1 <= m <= m_max:
+            raise ParameterError(f"line {lineno}: m={m} outside [1, {m_max}]")
         if not 0.0 <= bound <= 1.0:
             raise ParameterError(f"line {lineno}: bound {bound_text} outside [0, 1]")
         given[m] = bound
-        rows[m] = lineno
-    if not saw_format or "L" not in header or "k" not in header:
+    if len(header) < 2:
         raise ParameterError("constraint file missing format/L/k headers")
-    L, k = header["L"], header["k"]
-    try:
-        full = _extend_bounds(L, k, given)
-        _check_monotone(full, allow_nonmonotone)
-    except ParameterError as exc:
-        hint = "".join(f" (m={m} at line {ln})" for m, ln in sorted(rows.items()))
-        raise ParameterError(f"{exc}; rows:{hint}") from None
-    return TailConstraint(L, k, full)
+    c = TailConstraint.from_table(header["L"], header["k"], given, allow_nonmonotone=True)
+    m = None if allow_nonmonotone else _first_rise(c.bounds)
+    if m is not None:
+        # F rises only at a row, and F(m) comes from the nearest row at or below m.
+        below = max(r for r in given if r <= m)
+        raise ParameterError(
+            f"line {lines[m + 1]}: bound at m={m + 1} ({c.bounds[m]}) increases from "
+            f"m={below} ({c.bounds[m - 1]}) at line {lines[below]}; pass allow_nonmonotone to accept"
+        )
+    return c
 
 
 def _parse_bound(text: str) -> float:
@@ -192,7 +173,7 @@ def _parse_bound(text: str) -> float:
 
 def serialize_constraint(c: TailConstraint) -> str:
     lines = [f"format={CONSTRAINT_FORMAT}", f"L={c.L}", f"k={c.k}"]
-    lines += [f"{m},{c.bounds[m]!r}" for m in sorted(c.bounds)]
+    lines += [f"{m},{b!r}" for m, b in enumerate(c.bounds.tolist(), start=1)]
     return "\n".join(lines) + "\n"
 
 
@@ -261,33 +242,27 @@ def serialize_table(table: CodeTable, margins: Mapping[int, float] | None = None
 
 
 def parse_table(text: str) -> CodeTable:
-    header: dict[str, str] = {}
+    header: dict[str, int | str] = {}
     p_lines: dict[int, float] = {}
     p_single: float | None = None
-    saw_format = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not saw_format:
-            if line != f"format={TABLE_FORMAT}":
-                raise ParameterError(f"line {lineno}: expected format={TABLE_FORMAT}")
-            saw_format = True
-            continue
+    seen: dict[str, int] = {}
+    for lineno, line in format_lines(text, TABLE_FORMAT):
         key, _, value = line.partition("=")
         try:
             if key in ("L", "k", "mode"):
-                header[key] = value
+                header[key] = value if key == "mode" else int(value)
             elif key == "p":
                 p_single = float(value)
             elif key.startswith("p_"):
+                key = f"p_{int(key[2:])}"
                 p_lines[int(key[2:])] = float(value)
             else:
                 raise ValueError(key)
         except ValueError:
             raise ParameterError(f"line {lineno}: bad line {line!r}") from None
+        reject_repeat(seen, key, lineno, "{}= line")
     try:
-        L, k, mode = int(header["L"]), int(header["k"]), header["mode"]
+        L, k, mode = header["L"], header["k"], header["mode"]
     except KeyError as exc:
         raise ParameterError(f"table file missing header {exc}") from None
     if mode == MODE_IID:

@@ -5,12 +5,13 @@ Words are unsigned integers read as L-bit vectors, bit i carrying weight
 and the integer distance (how far apart the unsigned values are).  The
 same number of bit errors can produce wildly different integer distances
 depending on which positions are hit, which is the whole point of
-treating the two separately.
+treating the two separately.  The line helpers shared by the text-format
+parsers live here too.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 SYMMETRIC = "symmetric"
 
@@ -21,6 +22,34 @@ MAX_WORD_LENGTH = 24
 
 class ParameterError(ValueError):
     """A parameter is outside its documented domain."""
+
+
+def format_lines(text: str, fmt: str) -> Iterator[tuple[int, str]]:
+    """Numbered, stripped lines of a text file after its leading format=<fmt> line.
+
+    Blank lines and # comments are skipped; the first other line must be format=<fmt>.
+    """
+    saw_format = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if saw_format:
+            yield lineno, line
+        elif line != f"format={fmt}":
+            raise ParameterError(f"line {lineno}: expected format={fmt}")
+        else:
+            saw_format = True
+
+
+def reject_repeat(seen: dict, key, lineno: int, what: str) -> None:
+    """Record that line `lineno` names `key`; a second line naming it is a ParameterError.
+
+    `what` describes the entry, {} standing for the key, and is formatted only for the error.
+    """
+    first = seen.setdefault(key, lineno)
+    if first != lineno:
+        raise ParameterError(f"line {lineno}: duplicate {what.format(key)} (first at line {first})")
 
 
 class PlacementInfeasibleError(ValueError):

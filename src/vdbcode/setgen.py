@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .combinatorics import masks_up_to_weight
-from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range
+from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range, format_lines
 
 SETS_FORMAT = "vdb-sets-v1"
 
@@ -136,11 +136,8 @@ def serialize_sets(ps: PlacementSets) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_header(lines: Iterator[tuple[int, str]], expected_format: str) -> dict[str, str]:
+def _parse_header(lines: Iterator[tuple[int, str]]) -> dict[str, str]:
     header = {}
-    lineno, first = next(lines)
-    if first != f"format={expected_format}":
-        raise ParameterError(f"line {lineno}: expected format={expected_format}")
     for key in ("L", "k"):
         lineno, line = next(lines)
         name, _, value = line.partition("=")
@@ -151,13 +148,9 @@ def _parse_header(lines: Iterator[tuple[int, str]], expected_format: str) -> dic
 
 
 def parse_sets(text: str) -> PlacementSets:
-    lines = (
-        (i, line.strip())
-        for i, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("#")
-    )
+    lines = format_lines(text, SETS_FORMAT)
     try:
-        header = _parse_header(lines, SETS_FORMAT)
+        header = _parse_header(lines)
     except StopIteration:
         raise ParameterError("truncated sets file") from None
     try:

@@ -587,6 +587,27 @@ def test_upsets_roundtrip():
     assert loaded == model
 
 
+def test_pmf_csv_rejects_bad_and_repeated_entries():
+    with pytest.raises(ParameterError, match="line 1: bad header '# L=three'"):
+        parse_pmf_csv("# L=three\nvalue,mass\n0,1.0\n")
+    with pytest.raises(ParameterError, match="line 2: bad header '# sample_count=2.5'"):
+        parse_pmf_csv("# L=3\n# sample_count=2.5\nvalue,mass\n0,1.0\n")
+    # without the check the last row would win and these rows, summing to 1.5, would load
+    with pytest.raises(ParameterError, match="line 5: duplicate row for value 1 \\(first at line 3\\)"):
+        parse_pmf_csv("# L=3\nvalue,mass\n1,0.5\n2,0.5\n1,0.5\n")
+    with pytest.raises(ParameterError, match="line 3: duplicate '# L=' header \\(first at line 1\\)"):
+        parse_pmf_csv("# L=3\nvalue,mass\n# L=2\n0,1.0\n")
+
+
+def test_upsets_rejects_bad_and_repeated_entries():
+    with pytest.raises(ParameterError, match="line 2: bad header 'L=three'"):
+        parse_upsets("format=vdb-upsets-v1\nL=three\n0,0.1,0.5\n")
+    with pytest.raises(ParameterError, match="line 5: duplicate row for bit 0 \\(first at line 3\\)"):
+        parse_upsets("format=vdb-upsets-v1\nL=3\n0,0.1,0.5\n1,0.2,0.5\n0,0.3,0.5\n")
+    with pytest.raises(ParameterError, match="line 4: duplicate L= header \\(first at line 2\\)"):
+        parse_upsets("format=vdb-upsets-v1\nL=3\n0,0.1,0.5\nL=4\n")
+
+
 def test_pmf_validation():
     with pytest.raises(ParameterError):
         EmpiricalPMF(3, {0: 0.5})  # does not sum to 1

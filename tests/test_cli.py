@@ -233,6 +233,27 @@ def test_distort_single_error_uniform_divergence_report(tmp_path):
     assert "# max_abs_divergence=" in out.read_text()
 
 
+def test_verify_non_integer_table_header_is_usage_error(tmp_path, example_constraint_file, capsys):
+    table = tmp_path / "t.txt"
+    table.write_text(REFERENCE_PERBIT_TABLE_TEXT.replace("L=3", "L=three"))
+    code = main(["verify", "--constraint", str(example_constraint_file), "--table", str(table)])
+    assert code == 2
+    assert "line 2: bad line 'L=three'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["pmf", "upsets"])
+def test_distort_non_integer_header_is_usage_error(tmp_path, capsys, kind):
+    pmf = tmp_path / "pmf.csv"
+    pmf.write_text("# L=3\nvalue,mass\n0,1.0\n")
+    upsets = tmp_path / "upsets.txt"
+    upsets.write_text("format=vdb-upsets-v1\nL=3\n0,0.2,1.0\n")
+    bad = {"pmf": pmf, "upsets": upsets}[kind]
+    bad.write_text(bad.read_text().replace("L=3", "L=three"))
+    code = main(["distort", "--pmf", str(pmf), "--upsets", str(upsets), "--out", str(tmp_path / "fm.csv")])
+    assert code == 2
+    assert "bad header" in capsys.readouterr().err
+
+
 def test_ingest(tmp_path):
     trace = tmp_path / "trace.csv"
     trace.write_text("1,9\n1,8\n2,7\n")

@@ -104,7 +104,7 @@ def test_array_lhs_matches_constraint_lhs(L, k):
     keys, bounds, m_idx = _constraint_index(sets, c)
     assert keys.tolist() == sorted(sets.sets)
     assert np.array_equal(keys[m_idx], sets.ms)
-    assert bounds.tolist() == [c.bounds[m] for m in keys.tolist()]
+    assert bounds.tolist() == [c.bounds[m - 1] for m in keys.tolist()]
     rng = np.random.default_rng(L * 10 + k)
     for _ in range(4):
         p_vec = rng.random(L)
@@ -121,7 +121,7 @@ def _bisection_limit(sets, c, p_vec, i, tol):
     def feasible(v):
         trial = list(p_vec)
         trial[i] = v
-        return all(constraint_lhs(s, trial, sets.L) <= c.bounds[m] for m, s in sets.sets.items())
+        return all(constraint_lhs(s, trial, sets.L) <= c.bounds[m - 1] for m, s in sets.sets.items())
 
     if feasible(1.0):
         return 1.0
@@ -367,26 +367,27 @@ def test_constraint_monotonicity_enforced_by_default():
     with pytest.raises(ParameterError):
         TailConstraint.from_table(3, 2, {1: 0.2, 2: 0.5})
     c = TailConstraint.from_table(3, 2, {1: 0.2, 2: 0.5}, allow_nonmonotone=True)
-    assert c.bounds[2] == 0.5
+    assert c.bounds[2 - 1] == 0.5
 
 
 def test_constraint_gap_inheritance():
     c = TailConstraint.from_table(3, 2, {2: 0.5, 5: 0.25})
-    assert c.bounds == {1: 1.0, 2: 0.5, 3: 0.5, 4: 0.5, 5: 0.25, 6: 0.25}
+    assert c.bounds.tolist() == [1.0, 0.5, 0.5, 0.5, 0.25, 0.25]
 
 
 def test_constraint_extension_beyond_range():
     c = TailConstraint.from_table(3, 2, EXAMPLE_BOUNDS)
-    assert c.bound(7) == EXAMPLE_BOUNDS[6]
+    assert c.bounds_at(7) == EXAMPLE_BOUNDS[6]
+    assert c.bounds_at(np.array([1, 6, 7, 100])).tolist() == [EXAMPLE_BOUNDS[1]] + [EXAMPLE_BOUNDS[6]] * 3
 
 
 def test_parse_constraint_fractions_and_decimals():
     c = parse_constraint(
         "format=vdb-constraint-v1\nL=3\nk=2\n1,22/30\n2,0.25\n"
     )
-    assert c.bounds[1] == pytest.approx(22 / 30)
-    assert c.bounds[2] == 0.25
-    assert c.bounds[6] == 0.25
+    assert c.bounds[1 - 1] == pytest.approx(22 / 30)
+    assert c.bounds[2 - 1] == 0.25
+    assert c.bounds[6 - 1] == 0.25
 
 
 def test_parse_constraint_reports_line_numbers():
@@ -402,14 +403,99 @@ def test_parse_constraint_rejects_monotonicity_violation():
     text = "format=vdb-constraint-v1\nL=3\nk=2\n1,0.1\n2,0.9\n"
     with pytest.raises(ParameterError, match="increases"):
         parse_constraint(text)
-    assert parse_constraint(text, allow_nonmonotone=True).bounds[2] == 0.9
+    assert parse_constraint(text, allow_nonmonotone=True).bounds[2 - 1] == 0.9
 
 
 def test_constraint_roundtrip(tmp_path, example_constraint):
     path = tmp_path / "c.txt"
     path.write_text(serialize_constraint(example_constraint))
     loaded = load_constraint(path)
-    assert loaded.bounds == example_constraint.bounds
+    assert np.array_equal(loaded.bounds, example_constraint.bounds)
+
+
+GAPPED_ROWS = {2: 0.5, 5: 0.25, 9: 0.2, 20: 0.125, 28: 0.1}
+GAPPED_TEXT = "format=vdb-constraint-v1\nL=5\nk=3\n2,1/2\n# gap\n5,0.25\n9,0.2\n20,1/8\n28,0.1\n"
+
+
+def test_from_table_and_parse_constraint_give_same_array():
+    c = TailConstraint.from_table(5, 3, GAPPED_ROWS)
+    parsed = parse_constraint(GAPPED_TEXT)
+    assert np.array_equal(parsed.bounds, c.bounds)
+    assert c.bounds.dtype == np.float64 and c.m_max == c.bounds.size == 28
+    assert c.bounds[:4].tolist() == [1.0, 0.5, 0.5, 0.5]
+    assert c.bounds[19:].tolist() == [0.125] * 8 + [0.1]
+    assert c.bounds_at(29) == 0.1
+    assert c.bounds_at(np.array([27, 28, 29, 1000])).tolist() == [0.125, 0.1, 0.1, 0.1]
+
+
+def test_monotonicity_tolerance():
+    assert TailConstraint.from_table(3, 2, {1: 0.5, 2: 0.5 + 1e-16}).bounds[1] == 0.5 + 1e-16
+    with pytest.raises(ParameterError, match="from m=1 .* to m=2"):
+        TailConstraint.from_table(3, 2, {1: 0.5, 2: 0.5 + 1e-12})
+
+
+@pytest.mark.parametrize("L,k", [(3, 2), (5, 3), (6, 6), (12, 3)])
+def test_reciprocal_bounds_are_one_over_m_plus_one(L, k):
+    c = TailConstraint.reciprocal(L, k)
+    assert c.bounds.tolist() == [1.0 / (m + 1) for m in range(1, c.m_max + 1)]
+
+
+def test_constraint_serialize_parse_roundtrip_is_exact():
+    recip = TailConstraint.reciprocal(12, 3)
+    assert np.array_equal(parse_constraint(serialize_constraint(recip)).bounds, recip.bounds)
+    rows = {1: 0.3, 4: 0.7, 7: 0.1, 19: 0.9, 28: 1 / 3}
+    rising = TailConstraint.from_table(5, 3, rows, allow_nonmonotone=True)
+    text = serialize_constraint(rising)
+    with pytest.raises(ParameterError, match="increases"):
+        parse_constraint(text)
+    assert np.array_equal(parse_constraint(text, allow_nonmonotone=True).bounds, rising.bounds)
+
+
+def test_constraint_bounds_are_read_only():
+    c = TailConstraint.from_table(3, 2, EXAMPLE_BOUNDS)
+    with pytest.raises(ValueError):
+        c.bounds[0] = 0.0
+    given = np.full(6, 0.5)
+    c = TailConstraint(3, 2, given)
+    given[0] = 0.0
+    assert given.flags.writeable and c.bounds[0] == 0.5
+
+
+def test_constraint_array_validation():
+    with pytest.raises(ParameterError, match="F\\(1\\)..F\\(6\\)"):
+        TailConstraint(3, 2, np.full(5, 0.5))
+    with pytest.raises(ParameterError, match="m=3"):
+        TailConstraint(3, 2, np.array([1.0, 0.5, np.nan, 0.5, 0.5, 0.5]))
+    with pytest.raises(ParameterError, match="m=9 outside"):
+        TailConstraint.from_table(3, 2, {9: 0.5})
+
+
+def test_monotonicity_error_names_both_lines_briefly():
+    lines = serialize_constraint(TailConstraint.reciprocal(12, 3)).splitlines()
+    assert lines[100] == "98,0.010101010101010102"
+    lines[100] = "98,0.9"
+    with pytest.raises(ParameterError) as info:
+        parse_constraint("\n".join(lines))
+    message = str(info.value)
+    assert message.startswith("line 101:") and "m=97" in message and "line 100" in message
+    assert len(message) < 300
+    gapped = "format=vdb-constraint-v1\nL=3\nk=2\n1,0.2\n# gap\n4,0.5\n"
+    with pytest.raises(ParameterError, match="line 6: .* m=1 .* line 4"):
+        parse_constraint(gapped)
+
+
+def test_parse_constraint_rejects_m_outside_range_on_its_line():
+    with pytest.raises(ParameterError, match="line 5: m=7 outside"):
+        parse_constraint("format=vdb-constraint-v1\nL=3\nk=2\n1,0.5\n7,0.25\n")
+    with pytest.raises(ParameterError, match="line 4: m=0 outside"):
+        parse_constraint("format=vdb-constraint-v1\nL=3\nk=2\n0,0.5\n")
+
+
+def test_parse_constraint_rejects_repeated_header():
+    with pytest.raises(ParameterError, match="line 5: duplicate L= header \\(first at line 2\\)"):
+        parse_constraint("format=vdb-constraint-v1\nL=3\nk=2\n1,0.5\nL=4\n")
+    with pytest.raises(ParameterError, match="line 4: duplicate k= header \\(first at line 3\\)"):
+        parse_constraint("format=vdb-constraint-v1\nL=3\nk=2\nk=2\n1,0.5\n")
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +524,19 @@ def test_parse_table_errors():
         parse_table("format=vdb-table-v1\nL=3\nk=2\nmode=perbit\np_0=0.1\n")
     with pytest.raises(ParameterError):
         parse_table("format=nope\n")
+    with pytest.raises(ParameterError, match="line 2: bad line 'L=three'"):
+        parse_table("format=vdb-table-v1\nL=three\nk=2\nmode=iid\np=0.1\n")
+    with pytest.raises(ParameterError, match="line 3: bad line 'k=2.5'"):
+        parse_table("format=vdb-table-v1\nL=3\nk=2.5\nmode=iid\np=0.1\n")
+
+
+def test_parse_table_rejects_repeated_lines():
+    with pytest.raises(ParameterError, match="line 6: duplicate p= line \\(first at line 5\\)"):
+        parse_table("format=vdb-table-v1\nL=3\nk=2\nmode=iid\np=0.1\np=0.2\n")
+    perbit = "format=vdb-table-v1\nL=3\nk=2\nmode=perbit\np_0=0.1\np_1=0.2\np_2=0.3\n"
+    assert parse_table(perbit).p_vec == (0.1, 0.2, 0.3)
+    with pytest.raises(ParameterError, match="line 8: duplicate p_1= line \\(first at line 6\\)"):
+        parse_table(perbit + "p_01=0.9\n")
 
 
 def test_code_table_validation():
