@@ -9,15 +9,11 @@ exhaustive validation of the resulting code tables.
 __version__ = "0.1.0"
 
 from .core import (
-    ErrorPlacement,
     ParameterError,
     PlacementInfeasibleError,
     SYMMETRIC,
     WordSpec,
-    apply_flip_errors,
     distortion_range,
-    hamming_distance,
-    integer_distance,
 )
 from .combinatorics import (
     bounds_dataset,
@@ -31,7 +27,6 @@ from .setgen import (
     PlacementSets,
     sets_bruteforce,
     sets_fast,
-    values_at_distance,
 )
 from .codegen import (
     CodeTable,
@@ -59,7 +54,6 @@ __all__ = [
     "CodeTable",
     "DistortionDistribution",
     "EmpiricalPMF",
-    "ErrorPlacement",
     "InfeasibleConstraintError",
     "ParameterError",
     "PlacementInfeasibleError",
@@ -70,15 +64,12 @@ __all__ = [
     "UpsetModel",
     "WordSpec",
     "analytic_single_error",
-    "apply_flip_errors",
     "bounds_dataset",
     "constraint_lhs",
     "distortion_range",
     "divisibility_report",
     "exact_distortion",
-    "hamming_distance",
     "ingest_trace",
-    "integer_distance",
     "placement_mass",
     "sets_bruteforce",
     "sets_fast",
@@ -86,7 +77,6 @@ __all__ = [
     "solve_iid",
     "solve_perbit",
     "tail_of",
-    "values_at_distance",
     "verify_table",
     "y_star",
     "z_bound_loose",

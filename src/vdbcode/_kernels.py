@@ -11,6 +11,11 @@ distortion-law kernel likewise folds the word one bit at a time instead
 of sweeping (word, mask) pairs.  Each kernel pushes its loop through
 broadcast arrays and is deterministic:
 
+    mask_powers(L, w)              int64 [C(L, w), w]; row j holds the powers
+                                   2**i of the bits of the j-th weight-w
+                                   L-bit mask, masks ascending, powers
+                                   ascending; the one builder of weight-w
+                                   masks (a row's sum is its mask)
     submask_distances(L, w)        (masks, dist): the weight-w masks e,
                                    ascending, and int64 [len(masks), 2**w]
                                    with dist[j, c] = |2s - e| for the
@@ -38,19 +43,24 @@ from itertools import combinations
 import numpy as np
 
 
+# Lexicographic combinations of the bit positions taken high to low come
+# out in descending mask order (the highest differing bit decides), so
+# reversing both axes gives ascending masks with ascending powers.
+def mask_powers(L: int, w: int) -> np.ndarray:
+    bits = np.array(list(combinations(range(L - 1, -1, -1), w)), dtype=np.int64)
+    return np.left_shift(1, bits[::-1, ::-1])
+
+
 # diff[:, c] is 2s - e over the mask bits folded so far.  Folding the
 # mask's i-th lowest set bit b puts the columns that leave b out of s
 # (-b) before those that take it in (+b), so bit i of c marks b.
 def submask_distances(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    powers = np.left_shift(1, np.array(list(combinations(range(L), w)), dtype=np.int64))
-    masks = powers.sum(axis=1)
-    order = np.argsort(masks)
-    masks, powers = masks[order], powers[order]
-    diff = np.zeros((masks.size, 1), dtype=np.int64)
+    powers = mask_powers(L, w)
+    diff = np.zeros((powers.shape[0], 1), dtype=np.int64)
     for i in range(w):
         bit = powers[:, i : i + 1]
         diff = np.concatenate([diff - bit, diff + bit], axis=1)
-    return masks, np.abs(diff)
+    return powers.sum(axis=1), np.abs(diff)
 
 
 def reach_matrix(L: int, masks: np.ndarray) -> np.ndarray:

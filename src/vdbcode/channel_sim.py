@@ -23,9 +23,8 @@ from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, setgen
 from .codegen import CodeTable, TailConstraint
-from .combinatorics import placement_pairs
 from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range, format_lines, reject_repeat
 
 GENERATOR_ID = "pcg64-mask-table"
@@ -52,9 +51,11 @@ class EmpiricalPMF:
 
     def __post_init__(self) -> None:
         n = 1 << self.L
-        for v in self.mass:
+        for v, p in self.mass.items():
             if not 0 <= v < n:
                 raise ParameterError(f"value {v} outside [0, {n})")
+            if not 0.0 <= p < math.inf:
+                raise ParameterError(f"value {v} has mass {p!r}, not a finite number >= 0")
         total = math.fsum(self.mass.values())
         if abs(total - 1.0) > 1e-9:
             raise ParameterError(f"masses sum to {total}, not 1")
@@ -353,15 +354,15 @@ def placement_mass(table: CodeTable) -> dict[int, float]:
     """Per-m probability of drawing an error placement that can realize m.
 
     A mask's full probability is credited to every distortion it can
-    produce, which is exactly the left-hand side the solvers constrain;
-    this recomputes it from the submask pairs of `placement_pairs`,
-    independent of the placement-set construction.  Each m's masses are
-    summed in ascending mask order.
+    produce, which is exactly the left-hand side the solvers constrain,
+    summed with the same bincount over the rows of `sets_fast`.  The rows
+    are sorted by (m, mask), so each m's masses are summed in ascending
+    mask order.
     """
     _, m_max = distortion_range(WordSpec(table.L, SYMMETRIC), table.k)
-    ms, masks = placement_pairs(table.L, table.k)
-    terms = _kernels.mask_probabilities(np.asarray(table.p_vec, dtype=np.float64))[masks]
-    out = np.bincount(ms, weights=terms, minlength=m_max + 1)
+    sets = setgen.sets_fast(table.L, table.k)
+    terms = _kernels.mask_probabilities(np.asarray(table.p_vec, dtype=np.float64))[sets.masks]
+    out = np.bincount(sets.ms, weights=terms, minlength=m_max + 1)
     return {m: float(out[m]) for m in range(1, m_max + 1)}
 
 
@@ -471,6 +472,10 @@ def ingest_trace(
     walked one at a time only when that fails, to name the first bad one.
     """
     WordSpec(L, SYMMETRIC)
+    if column < 0:
+        raise ParameterError(f"column must be >= 0, got {column}")
+    if skip_header < 0:
+        raise ParameterError(f"skip_header must be >= 0, got {skip_header}")
     n = 1 << L
     lines = list(stream)
     try:
@@ -594,11 +599,11 @@ def parse_upsets(text: str) -> UpsetModel:
             except ValueError:
                 raise ParameterError(f"line {lineno}: bad header {line!r}") from None
             continue
-        parts = line.split(",")
         try:
-            bit = int(parts[0])
-            rows[bit] = (float(parts[1]), float(parts[2]))
-        except (ValueError, IndexError):
+            bit_text, upset_text, forced_one_text = line.split(",")
+            bit = int(bit_text)
+            rows[bit] = (float(upset_text), float(forced_one_text))
+        except ValueError:
             raise ParameterError(f"line {lineno}: bad row {line!r}") from None
         reject_repeat(seen, bit, lineno, "row for bit {}")
     if L is None:

@@ -1,15 +1,14 @@
 """Exact pair counts, placement counts, and the closed-form bounds.
 
 Z(L, k, m) counts ordered word pairs at Hamming distance exactly k whose
-unsigned values differ by exactly m.  Y*(L, k, m) counts the distinct
-error masks of weight at most k that can realize distortion m for some
-carrier word.  Both are exact counts over every (word, mask) pair, taken
-by submask: the pair (x, x ^ e) lies at distance |2 * (x & e) - e|, and
-each submask s of a weight-w mask e is x & e for exactly 2**(L - w)
-words x.  So Z is the histogram of |2s - e| over the weight-k masks and
-their submasks, times 2**(L - k), and the placement pairs behind Y* are
-the distinct |2s - e| of each mask of weight 1..k.  The counts share no
-code with the signed-digit placement sets, and the word-by-word
+unsigned values differ by exactly m.  It is an exact count over every
+(word, mask) pair, taken by submask: the pair (x, x ^ e) lies at
+distance |2 * (x & e) - e|, and each submask s of a weight-k mask e is
+x & e for exactly 2**(L - k) words x.  So Z is the histogram of |2s - e|
+over the weight-k masks and their submasks, times 2**(L - k), held as one
+read-only array indexed by m.  Y*(L, k, m) counts the distinct error
+masks of weight at most k that can realize distortion m, which is |S_m|:
+one bincount over the m column of the placement sets.  The word-by-word
 brute-force sets remain the oracle for both.  The two closed-form upper
 bounds on Z are cheap to evaluate and the dataset generator emits the
 exact/tight/loose comparison rows.
@@ -20,34 +19,16 @@ import csv
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, setgen
 from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range
 
 logger = logging.getLogger(__name__)
 
-CLASS_ZERO = "zero"
-CLASS_ONE = "one"
-CLASS_MULTIPLE = "multiple"
-CLASS_VIOLATION = "violation"
-
 BOUNDS_CSV_HEADER = ("m", "z_exact", "z_tight", "z_loose")
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Per-m counts over the full distortion range of (L, k)."""
-
-    L: int
-    k: int
-    entries: dict[int, int]
-
-    def __getitem__(self, m: int) -> int:
-        return self.entries[m]
 
 
 def _check_params(L: int, k: int) -> tuple[int, int]:
@@ -55,35 +36,18 @@ def _check_params(L: int, k: int) -> tuple[int, int]:
     return distortion_range(spec, k)
 
 
-def masks_of_weight(L: int, k: int) -> np.ndarray:
-    """All L-bit masks with exactly k set bits, ascending."""
-    masks = []
-    for bits in combinations(range(L), k):
-        e = 0
-        for i in bits:
-            e |= 1 << i
-        masks.append(e)
-    return np.array(sorted(masks), dtype=np.int64)
-
-
-def masks_up_to_weight(L: int, k: int) -> np.ndarray:
-    """All nonzero L-bit masks with at most k set bits, ascending."""
-    parts = [masks_of_weight(L, j) for j in range(1, k + 1)]
-    return np.sort(np.concatenate(parts))
-
-
 @lru_cache(maxsize=128)
-def z_exact_table(L: int, k: int) -> CountTable:
-    """Exact Z counts for every m in the distortion range.
+def z_exact_table(L: int, k: int) -> np.ndarray:
+    """Exact Z counts z[m] for m = 0..m_max, as a read-only int64 array.
 
     Each |2s - e| over a weight-k mask e and its submasks s stands for
-    the 2**(L - k) words x with x & e = s.
+    the 2**(L - k) words x with x & e = s.  No pair is at distance 0.
     """
-    m_min, m_max = _check_params(L, k)
+    _, m_max = _check_params(L, k)
     _, dist = _kernels.submask_distances(L, k)
-    counts = np.bincount(dist.ravel(), minlength=m_max + 1) << (L - k)
-    entries = dict(zip(range(m_min, m_max + 1), counts[m_min : m_max + 1].tolist()))
-    return CountTable(L, k, entries)
+    z = np.bincount(dist.ravel(), minlength=m_max + 1) << (L - k)
+    z.flags.writeable = False
+    return z
 
 
 def z_exact(L: int, k: int, m: int) -> int:
@@ -91,7 +55,7 @@ def z_exact(L: int, k: int, m: int) -> int:
     m_min, m_max = _check_params(L, k)
     if not 1 <= m <= m_max:
         raise ParameterError(f"m must be in [1, {m_max}], got {m}")
-    return z_exact_table(L, k).entries.get(m, 0)
+    return int(z_exact_table(L, k)[m])
 
 
 def z_bound_loose(L: int, m: int) -> int:
@@ -108,30 +72,13 @@ def z_bound_tight(L: int, k: int, m: int) -> int:
     return v - (v % (1 << (L - k + 1)))
 
 
-def placement_pairs(L: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every (m, mask) with a mask of weight 1..k that realizes m, by mask.
-
-    Returns int64 arrays (ms, masks), one entry per pair, in ascending
-    mask order and ascending m within a mask.  A mask e realizes
-    m = |2s - e| for each submask s; s and e ^ s give the same m, so each
-    mask's values are sorted and deduplicated.
-    """
-    m_parts, mask_parts = [], []
-    for w in range(1, k + 1):
-        masks, dist = _kernels.submask_distances(L, w)
-        dist = np.sort(dist, axis=1)
-        first = np.ones(dist.shape, dtype=np.bool_)
-        first[:, 1:] = dist[:, 1:] != dist[:, :-1]
-        m_parts.append(dist[first])
-        mask_parts.append(np.broadcast_to(masks[:, None], dist.shape)[first])
-    ms, masks = np.concatenate(m_parts), np.concatenate(mask_parts)
-    order = np.argsort(masks, kind="stable")
-    return ms[order], masks[order]
-
-
 @lru_cache(maxsize=128)
 def _y_star_counts(L: int, k: int) -> np.ndarray:
-    return np.bincount(placement_pairs(L, k)[0], minlength=1 << L)
+    """|S_m| for m = 0..m_max, as a read-only int64 array."""
+    _, m_max = _check_params(L, k)
+    counts = np.bincount(setgen.sets_fast(L, k).ms, minlength=m_max + 1)
+    counts.flags.writeable = False
+    return counts
 
 
 def y_star(L: int, k: int, m: int) -> int:
@@ -144,15 +91,11 @@ def y_star(L: int, k: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class DivisibilityReport:
-    """Classification of every Z count as zero, one, or a 2**(L-k+1) multiple."""
+    """The m whose Z count is neither 0, 1, nor a multiple of 2**(L-k+1), ascending."""
 
     L: int
     k: int
-    classes: dict[int, str]
-
-    @property
-    def violations(self) -> list[int]:
-        return [m for m, c in sorted(self.classes.items()) if c == CLASS_VIOLATION]
+    violations: tuple[int, ...]
 
     @property
     def clean(self) -> bool:
@@ -166,20 +109,11 @@ def divisibility_report(L: int, k: int) -> DivisibilityReport:
     2**(L-k+1); it is reported (and logged), not raised, since the
     underlying claim is an empirical observation rather than a theorem.
     """
-    table = z_exact_table(L, k)
-    modulus = 1 << (L - k + 1)
-    classes = {}
-    for m, z in table.entries.items():
-        if z == 0:
-            classes[m] = CLASS_ZERO
-        elif z == 1:
-            classes[m] = CLASS_ONE
-        elif z % modulus == 0:
-            classes[m] = CLASS_MULTIPLE
-        else:
-            classes[m] = CLASS_VIOLATION
-            logger.warning("divisibility violation: L=%d k=%d m=%d count=%d", L, k, m, z)
-    return DivisibilityReport(L, k, classes)
+    z = z_exact_table(L, k)
+    violations = np.flatnonzero((z > 1) & (z % (1 << (L - k + 1)) != 0)).tolist()
+    for m in violations:
+        logger.warning("divisibility violation: L=%d k=%d m=%d count=%d", L, k, m, z[m])
+    return DivisibilityReport(L, k, tuple(violations))
 
 
 class BoundsRow(NamedTuple):
@@ -194,12 +128,11 @@ def bounds_dataset(L: int, k: int) -> list[BoundsRow]:
 
     The bounds are z_bound_loose and z_bound_tight, taken over all m at once.
     """
-    table = z_exact_table(L, k)  # validates L and k
-    ms = sorted(table.entries)
-    loose = (1 << (L + 1)) - 2 * np.array(ms, dtype=np.int64)
+    z = z_exact_table(L, k)  # validates L and k
+    ms = np.arange(1, z.size, dtype=np.int64)
+    loose = (1 << (L + 1)) - 2 * ms
     tight = loose - loose % (1 << (L - k + 1))
-    z = [table.entries[m] for m in ms]
-    return list(map(BoundsRow, ms, z, tight.tolist(), loose.tolist()))
+    return list(map(BoundsRow, ms.tolist(), z[1:].tolist(), tight.tolist(), loose.tolist()))
 
 
 def write_bounds_csv(rows: Iterable[BoundsRow], path) -> None:

@@ -98,19 +98,15 @@ class ErrorPlacement:
 
     @property
     def weight(self) -> int:
-        return popcount(self.mask)
+        return self.mask.bit_count()
 
     def positions(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.mask.bit_length()) if (self.mask >> i) & 1)
 
 
-def popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def hamming_distance(x: int, y: int) -> int:
     """Number of bit positions in which x and y differ."""
-    return popcount(x ^ y)
+    return (x ^ y).bit_count()
 
 
 def integer_distance(x: int, y: int) -> int:

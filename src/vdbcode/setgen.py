@@ -13,13 +13,11 @@ pair, which the solvers evaluate directly; an empty S_m has no rows.
 """
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from . import _kernels
-from .combinatorics import masks_up_to_weight
 from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range, format_lines
 
 SETS_FORMAT = "vdb-sets-v1"
@@ -81,7 +79,7 @@ def sets_bruteforce(L: int, k: int) -> PlacementSets:
     each chunk's (mask, m) pairs are the true cells of its reach matrix.
     """
     distortion_range(WordSpec(L, SYMMETRIC), k)  # validates L and k
-    masks = masks_up_to_weight(L, k)
+    masks = np.concatenate([_kernels.mask_powers(L, w).sum(axis=1) for w in range(1, k + 1)])
     m_parts, mask_parts = [], []
     step = reach_chunk_rows(L)
     for start in range(0, masks.size, step):
@@ -111,7 +109,7 @@ def sets_fast(L: int, k: int) -> PlacementSets:
     m_parts, mask_parts = [], []
     for w in range(1, k + 1):
         # One row per mask of weight w: the powers 2**i of its bits, ascending.
-        powers = np.left_shift(1, np.array(list(combinations(range(L), w)), dtype=np.int64))
+        powers = _kernels.mask_powers(L, w)
         # Row j holds the signs of pattern j; bit w-1 of j < 2**(w-1) is 0,
         # so the top (last) position always gets +.
         signs = 1 - 2 * ((np.arange(1 << (w - 1))[:, None] >> np.arange(w)) & 1)

@@ -129,9 +129,9 @@ def test_criterion_4_bound_ordering_sweep():
     start = time.perf_counter()
     violations = []
     for k in (3, 4):
-        table = z_exact_table(8, k)
-        for m, count in table.entries.items():
-            if not count <= z_bound_tight(8, k, m) <= z_bound_loose(8, m):
+        z = z_exact_table(8, k)
+        for m in range(1, z.size):
+            if not z[m] <= z_bound_tight(8, k, m) <= z_bound_loose(8, m):
                 violations.append(("order", k, m))
         report = divisibility_report(8, k)
         violations += [("divisibility", k, m) for m in report.violations]

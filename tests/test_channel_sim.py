@@ -606,6 +606,8 @@ def test_upsets_rejects_bad_and_repeated_entries():
         parse_upsets("format=vdb-upsets-v1\nL=3\n0,0.1,0.5\n1,0.2,0.5\n0,0.3,0.5\n")
     with pytest.raises(ParameterError, match="line 4: duplicate L= header \\(first at line 2\\)"):
         parse_upsets("format=vdb-upsets-v1\nL=3\n0,0.1,0.5\nL=4\n")
+    with pytest.raises(ParameterError, match="line 3: bad row '0,0.1,0.5,0.9'"):
+        parse_upsets("format=vdb-upsets-v1\nL=3\n0,0.1,0.5,0.9\n")
 
 
 def test_pmf_validation():
@@ -613,3 +615,9 @@ def test_pmf_validation():
         EmpiricalPMF(3, {0: 0.5})  # does not sum to 1
     with pytest.raises(ParameterError):
         EmpiricalPMF(3, {9: 1.0})  # out of range
+    with pytest.raises(ParameterError, match="value 0 has mass nan"):
+        EmpiricalPMF(2, {0: math.nan, 1: 0.5})
+    with pytest.raises(ParameterError, match="value 1 has mass -0.5"):
+        EmpiricalPMF(2, {0: 1.5, 1: -0.5})  # sums to 1
+    with pytest.raises(ParameterError, match="value 0 has mass inf"):
+        EmpiricalPMF(2, {0: math.inf, 1: -math.inf})

@@ -271,6 +271,43 @@ def test_ingest_range_error_reports_row(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--column", "-1"], "column must be >= 0, got -1"),
+    (["--column", "0", "--skip-header", "-1"], "skip_header must be >= 0, got -1"),
+])
+def test_ingest_negative_index_is_usage_error(tmp_path, capsys, extra, message):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("1,2\n3,4\n")
+    code = main(["ingest", "--input", str(trace), "--bits", "3", "--out", str(tmp_path / "o"), *extra])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_distort_nan_mass_is_usage_error(tmp_path, capsys):
+    pmf = tmp_path / "pmf.csv"
+    pmf.write_text("# L=2\nvalue,mass\n0,nan\n1,0.5\n")
+    upsets = tmp_path / "upsets.txt"
+    upsets.write_text("format=vdb-upsets-v1\nL=2\n0,0.1,0.5\n")
+    out = tmp_path / "fm.csv"
+    code = main(["distort", "--pmf", str(pmf), "--upsets", str(upsets), "--out", str(out)])
+    assert code == 2
+    assert "value 0 has mass nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_negative_pmf_mass_is_usage_error(tmp_path, reciprocal_file, capsys):
+    table = tmp_path / "p29.txt"
+    table.write_text(P29_TABLE_TEXT)
+    pmf = tmp_path / "pmf.csv"
+    pmf.write_text("# L=3\nvalue,mass\n0,1.5\n1,-0.5\n")
+    out = tmp_path / "dist.csv"
+    code = main(["simulate", "--table", str(table), "--constraint", str(reciprocal_file),
+                 "--trials", "100", "--pmf", str(pmf), "--out", str(out)])
+    assert code == 2
+    assert "value 1 has mass -0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifest_written_and_replay_reproduces(tmp_path, example_constraint_file):
     out = tmp_path / "table.txt"
     assert main(["encode", "--constraint", str(example_constraint_file), "--mode", "iid", "--out", str(out)]) == 0

@@ -2,6 +2,7 @@ import csv
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vdbcode import (
@@ -15,7 +16,6 @@ from vdbcode import (
 )
 from vdbcode.combinatorics import (
     BOUNDS_CSV_HEADER,
-    CLASS_VIOLATION,
     write_bounds_csv,
     z_exact_table,
 )
@@ -44,17 +44,18 @@ def test_z_exact_small_examples():
 def test_z_exact_against_golden_table():
     with open(DATA / "z_exact_L8_k3.csv") as fh:
         golden = {int(row["m"]): int(row["count"]) for row in csv.DictReader(fh)}
-    table = z_exact_table(8, 3)
-    assert table.entries == golden
+    z = z_exact_table(8, 3)
+    assert z.size == max(golden) + 1 and z[0] == 0
+    assert {m: int(z[m]) for m in range(1, z.size)} == golden
 
 
 @pytest.mark.parametrize("L,k", [(4, 1), (4, 2), (5, 3), (6, 2)])
 def test_z_exact_matches_pair_oracle(L, k):
     oracle = pair_oracle(L, k)
-    table = z_exact_table(L, k)
-    for m, count in table.entries.items():
+    z = z_exact_table(L, k)
+    for m, count in enumerate(z.tolist()):
         assert count == oracle.get(m, 0)
-    assert sum(oracle.values()) == sum(table.entries.values())
+    assert sum(oracle.values()) == z.sum()
 
 
 def test_z_exact_parameter_errors():
@@ -94,7 +95,7 @@ def test_y_star_matches_bruteforce_sets_wide_word():
     assert [y_star(16, 3, m) for m in range(1, m_max + 1)] == [
         sizes.get(m, 0) for m in range(1, m_max + 1)
     ]
-    assert sum(z_exact_table(12, 3).entries.values()) == math.comb(12, 3) * 2**12
+    assert z_exact_table(12, 3).sum() == math.comb(12, 3) * 2**12
 
 
 @pytest.mark.parametrize("L", range(1, 8))
@@ -109,11 +110,11 @@ def test_y_star_bounded_by_mask_count(L):
 @pytest.mark.parametrize("L", range(1, 9))
 def test_bound_ordering_and_sum(L):
     for k in range(1, L + 1):
-        table = z_exact_table(L, k)
-        for m, count in table.entries.items():
-            assert count <= z_bound_tight(L, k, m) <= z_bound_loose(L, m)
-            assert count % 2 == 0  # ordered pairs come in mirror twos
-        assert sum(table.entries.values()) == (1 << L) * math.comb(L, k)
+        z = z_exact_table(L, k)
+        for m in range(1, z.size):
+            assert z[m] <= z_bound_tight(L, k, m) <= z_bound_loose(L, m)
+            assert z[m] % 2 == 0  # ordered pairs come in mirror twos
+        assert z.sum() == (1 << L) * math.comb(L, k)
 
 
 @pytest.mark.parametrize("L", range(1, 9))
@@ -123,19 +124,29 @@ def test_divisibility_no_violations_small(L):
         assert report.clean, report.violations
 
 
-def test_divisibility_classes_l3k1():
+def test_divisibility_violations_l3k1():
     report = divisibility_report(3, 1)
-    assert CLASS_VIOLATION not in report.classes.values()
+    assert report.violations == ()
     # every nonzero count is a multiple of 2**(L-k+1) = 8
-    table = z_exact_table(3, 1)
-    for m, count in table.entries.items():
-        if count:
-            assert count % 8 == 0
+    z = z_exact_table(3, 1)
+    for m in range(1, z.size):
+        if z[m]:
+            assert z[m] % 8 == 0
 
 
 def test_divisibility_l1k1():
     assert z_exact(1, 1, 1) == 2
-    assert divisibility_report(1, 1).classes == {1: "multiple"}
+    assert divisibility_report(1, 1).violations == ()
+    # the one count is a multiple of 2**(L-k+1) = 2, not a 0 or 1
+    assert z_exact_table(1, 1).tolist() == [0, 2]
+
+
+def test_z_exact_table_is_read_only():
+    z = z_exact_table(8, 3)
+    with pytest.raises(ValueError):
+        z[1] = 0
+    assert not z.flags.writeable
+    assert z.dtype == np.int64
 
 
 def test_bounds_dataset_row_count():

@@ -1,15 +1,7 @@
 import pytest
 
-from vdbcode import (
-    ErrorPlacement,
-    ParameterError,
-    PlacementInfeasibleError,
-    WordSpec,
-    apply_flip_errors,
-    distortion_range,
-    hamming_distance,
-    integer_distance,
-)
+from vdbcode import ParameterError, PlacementInfeasibleError, WordSpec, distortion_range
+from vdbcode.core import ErrorPlacement, apply_flip_errors, hamming_distance, integer_distance
 
 
 def test_to_integer_examples():

@@ -1,12 +1,13 @@
 """Each numpy kernel against a plain-Python loop transcription of it:
 integer kernels bit for bit, the distortion-law kernel to round-off.
 The submask kernel is checked against the word-sweep loops, alone and
-through the Z and Y* counts built on it."""
+through the Z counts built on it; the Y* counts, read off the
+signed-digit placement sets, are checked against the same sweep."""
 import numpy as np
 import pytest
 
 from vdbcode import _kernels
-from vdbcode.combinatorics import _y_star_counts, masks_of_weight, masks_up_to_weight, z_exact_table
+from vdbcode.combinatorics import _y_star_counts, z_exact_table
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +32,11 @@ def ref_reach_matrix(L, masks):
         for x in range(n):
             reach[j, abs(x - (x ^ e))] = True
     return reach
+
+
+def ref_masks(L, weights):
+    """Every L-bit mask whose weight is in `weights`, ascending."""
+    return np.array([e for e in range(1 << L) if bin(e).count("1") in weights], dtype=np.int64)
 
 
 def ref_mask_probabilities(probs):
@@ -81,11 +87,20 @@ def ref_distortion_pmf_forced(force_to_one, force_to_zero, value_probs):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("L,w", [(1, 1), (3, 2), (6, 3), (8, 4), (8, 8)])
+def test_mask_powers_match_loop(L, w):
+    powers = _kernels.mask_powers(L, w)
+    assert np.array_equal(powers.sum(axis=1), ref_masks(L, (w,)))
+    for row in powers.tolist():
+        mask = sum(row)
+        assert row == [1 << i for i in range(L) if mask >> i & 1]
+
+
 @pytest.mark.parametrize("L,w", [(1, 1), (3, 2), (6, 3), (8, 4)])
 def test_submask_distances_match_loop(L, w):
     # Each mask's entries, counted 2**(L - w) times each, are its word sweep.
     masks, dist = _kernels.submask_distances(L, w)
-    assert np.array_equal(masks, masks_of_weight(L, w))
+    assert np.array_equal(masks, ref_masks(L, (w,)))
     assert dist.shape == (masks.size, 1 << w)
     for j in range(masks.size):
         counts = np.bincount(dist[j], minlength=1 << L) << (L - w)
@@ -94,17 +109,19 @@ def test_submask_distances_match_loop(L, w):
 
 @pytest.mark.parametrize("L,k", [(3, 2), (6, 3), (8, 4)])
 def test_submask_counts_match_loop(L, k):
-    z = ref_distance_counts(L, masks_of_weight(L, k))
+    z = ref_distance_counts(L, ref_masks(L, (k,)))
     table = z_exact_table(L, k)
-    assert table.entries == {m: int(z[m]) for m in table.entries}
-    assert sum(table.entries.values()) == z.sum()
-    y = ref_reach_matrix(L, masks_up_to_weight(L, k)).sum(axis=0)
-    assert np.array_equal(_y_star_counts(L, k), y)
+    assert np.array_equal(table, z[: table.size])
+    assert table.sum() == z.sum()
+    y = ref_reach_matrix(L, ref_masks(L, range(1, k + 1))).sum(axis=0)
+    counts = _y_star_counts(L, k)
+    assert np.array_equal(counts, y[: counts.size])
+    assert counts.sum() == y.sum()
 
 
 @pytest.mark.parametrize("L,k", [(3, 2), (6, 3)])
 def test_reach_matrix_matches_loop(L, k):
-    masks = masks_up_to_weight(L, k)
+    masks = ref_masks(L, range(1, k + 1))
     assert np.array_equal(_kernels.reach_matrix(L, masks), ref_reach_matrix(L, masks))
 
 

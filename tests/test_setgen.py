@@ -8,14 +8,12 @@ from vdbcode import (
     ParameterError,
     PlacementInfeasibleError,
     PlacementSets,
-    apply_flip_errors,
     sets_bruteforce,
     sets_fast,
-    values_at_distance,
     y_star,
 )
-from vdbcode.core import ErrorPlacement
-from vdbcode.setgen import parse_sets, serialize_sets
+from vdbcode.core import ErrorPlacement, apply_flip_errors
+from vdbcode.setgen import parse_sets, serialize_sets, values_at_distance
 
 REFERENCE_FAMILY_L3K2 = {
     1: {0b001, 0b011},
@@ -147,7 +145,7 @@ def test_fast_equals_bruteforce_wide_word():
 
 def test_cardinalities_match_y_star():
     for L, k in [(3, 2), (4, 3), (6, 2), (5, 5)]:
-        ps = sets_fast(L, k)
+        ps = sets_bruteforce(L, k)
         for m, s in ps.sets.items():
             assert len(s) == y_star(L, k, m)
 
