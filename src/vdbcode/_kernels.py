@@ -1,28 +1,27 @@
 """Hot enumeration kernels, in plain numpy.
 
-A word x moved by error mask e lands at distance
-|x - (x ^ e)| = |2 * (x & e) - e|, so the distance depends on x only
-through the submask s = x & e, and each of the 2**w submasks of a
-weight-w mask is x & e for exactly 2**(L - w) words.  The submask kernel
-folds a mask's bits in one at a time and so counts every (word, mask)
-pair without sweeping the words; only the reach-matrix kernel, which
-serves the brute-force placement sets, sweeps all 2**L words.  The
-distortion-law kernel likewise folds the word one bit at a time instead
-of sweeping (word, mask) pairs.  Each kernel pushes its loop through
-broadcast arrays and is deterministic:
+A word x moved by error mask e lands at x ^ e, a change of
+sum_{i in e} s_i * 2**i with s_i = +1 for a 0->1 flip and -1 for a 1->0
+flip, and each sign pattern on a weight-w mask is the bit pattern on e
+of exactly 2**(L - w) words.  The signed-sum kernel lists those changes
+from the mask side and so covers every (word, mask) pair without
+sweeping the words; only the reach-matrix kernel, which serves the
+brute-force placement sets, sweeps all 2**L words.  The distortion-law
+kernel likewise folds the word one bit at a time instead of sweeping
+(word, mask) pairs.  Each kernel pushes its loop through broadcast
+arrays and is deterministic:
 
     mask_powers(L, w)              int64 [C(L, w), w]; row j holds the powers
                                    2**i of the bits of the j-th weight-w
                                    L-bit mask, masks ascending, powers
                                    ascending; the one builder of weight-w
                                    masks (a row's sum is its mask)
-    submask_distances(L, w)        (masks, dist): the weight-w masks e,
-                                   ascending, and int64 [len(masks), 2**w]
-                                   with dist[j, c] = |2s - e| for the
-                                   submask s of masks[j] holding the mask's
-                                   i-th lowest set bit iff bit i of c is
-                                   set; each entry stands for 2**(L - w)
-                                   words
+    signed_sums(L, w)              (ms, masks), two int64 arrays with one
+                                   entry per weight-w mask e (ascending)
+                                   and sign pattern on e with + on its top
+                                   bit: m = sum_i s_i * 2**i > 0 and e;
+                                   the one enumeration of sign patterns,
+                                   read by the placement sets and Z
     reach_matrix(L, masks)         bool [len(masks), 2**L]; [j, m] is set iff
                                    some word x has |x - (x ^ masks[j])| = m;
                                    a word-by-word sweep, kept as the
@@ -51,16 +50,12 @@ def mask_powers(L: int, w: int) -> np.ndarray:
     return np.left_shift(1, bits[::-1, ::-1])
 
 
-# diff[:, c] is 2s - e over the mask bits folded so far.  Folding the
-# mask's i-th lowest set bit b puts the columns that leave b out of s
-# (-b) before those that take it in (+b), so bit i of c marks b.
-def submask_distances(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+# Row j of the patterns holds the signs of pattern j; bit w-1 of
+# j < 2**(w-1) is 0, so the top (last) bit of every mask gets +.
+def signed_sums(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     powers = mask_powers(L, w)
-    diff = np.zeros((powers.shape[0], 1), dtype=np.int64)
-    for i in range(w):
-        bit = powers[:, i : i + 1]
-        diff = np.concatenate([diff - bit, diff + bit], axis=1)
-    return powers.sum(axis=1), np.abs(diff)
+    signs = 1 - 2 * ((np.arange(1 << (w - 1))[:, None] >> np.arange(w)) & 1)
+    return (powers @ signs.T).ravel(), np.repeat(powers.sum(axis=1), signs.shape[0])
 
 
 def reach_matrix(L: int, masks: np.ndarray) -> np.ndarray:

@@ -59,6 +59,9 @@ class EmpiricalPMF:
         total = math.fsum(self.mass.values())
         if abs(total - 1.0) > 1e-9:
             raise ParameterError(f"masses sum to {total}, not 1")
+        count = self.sample_count
+        if count is not None and not (type(count) is int and count >= 1):  # bool is no count
+            raise ParameterError(f"sample_count must be a positive int, got {count!r}")
 
     def to_array(self) -> np.ndarray:
         arr = np.zeros(1 << self.L, dtype=np.float64)
@@ -517,10 +520,8 @@ def format_distribution_csv(d: DistortionDistribution) -> str:
     if d.generator is not None:
         lines.append(f"# generator={d.generator}")
     lines.append("m,mass,tail")
-    tails = tail_of(d)
-    top = max(d.mass, default=0)
-    for m in range(0, top + 1):
-        lines.append(f"{m},{d.at(m)!r},{tails.get(m, 0.0)!r}")
+    mass, tail = _mass_and_tail(d, max(d.mass, default=0))
+    lines += [f"{m},{f!r},{t!r}" for m, (f, t) in enumerate(zip(mass.tolist(), tail.tolist()))]
     return "\n".join(lines) + "\n"
 
 

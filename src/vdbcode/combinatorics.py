@@ -1,17 +1,20 @@
 """Exact pair counts, placement counts, and the closed-form bounds.
 
 Z(L, k, m) counts ordered word pairs at Hamming distance exactly k whose
-unsigned values differ by exactly m.  It is an exact count over every
-(word, mask) pair, taken by submask: the pair (x, x ^ e) lies at
-distance |2 * (x & e) - e|, and each submask s of a weight-k mask e is
-x & e for exactly 2**(L - k) words x.  So Z is the histogram of |2s - e|
-over the weight-k masks and their submasks, times 2**(L - k), held as one
-read-only array indexed by m.  Y*(L, k, m) counts the distinct error
-masks of weight at most k that can realize distortion m, which is |S_m|:
-one bincount over the m column of the placement sets.  The word-by-word
-brute-force sets remain the oracle for both.  The two closed-form upper
-bounds on Z are cheap to evaluate and the dataset generator emits the
-exact/tight/loose comparison rows.
+unsigned values differ by exactly m.  Z and the placement sets S_m are
+one object counted two ways.  The pair (x, x ^ e), e of weight k, moves
+the value by sum_{i in e} s_i * 2**i, the signs set by x's bits on e.  A
+weight-k mask in S_m reaches +m with one sign pattern and -m with its
+mirror (`setgen.sets_fast`), and each pattern is the bit pattern on e of
+2**(L - k) words, so Z(L, k, m) = 2**(L - k + 1) * #{weight-k masks in
+S_m}: a bincount of the weight-k signed sums of `_kernels.signed_sums`,
+shifted left by L - k + 1 and held as one read-only array indexed by m.
+Y*(L, k, m) counts the distinct error masks of weight at most k that
+can realize distortion m, which is |S_m|: one bincount over the m column
+of the placement sets.  The word-by-word brute-force sets remain the
+oracle for both.  The two closed-form upper bounds on Z are cheap to
+evaluate and the dataset generator emits the exact/tight/loose
+comparison rows.
 """
 from __future__ import annotations
 
@@ -40,12 +43,13 @@ def _check_params(L: int, k: int) -> tuple[int, int]:
 def z_exact_table(L: int, k: int) -> np.ndarray:
     """Exact Z counts z[m] for m = 0..m_max, as a read-only int64 array.
 
-    Each |2s - e| over a weight-k mask e and its submasks s stands for
-    the 2**(L - k) words x with x & e = s.  No pair is at distance 0.
+    z[m] = 2**(L - k + 1) * #{weight-k masks in S_m}: each signed sum
+    with + on top stands for its mirror too, and each sign pattern for
+    the 2**(L - k) words that carry it.  No pair is at distance 0.
     """
     _, m_max = _check_params(L, k)
-    _, dist = _kernels.submask_distances(L, k)
-    z = np.bincount(dist.ravel(), minlength=m_max + 1) << (L - k)
+    ms, _ = _kernels.signed_sums(L, k)
+    z = np.bincount(ms, minlength=m_max + 1) << (L - k + 1)
     z.flags.writeable = False
     return z
 
@@ -103,11 +107,12 @@ class DivisibilityReport:
 
 
 def divisibility_report(L: int, k: int) -> DivisibilityReport:
-    """Check the observed structure of Z counts for one (L, k).
+    """Check the divisibility of the Z counts for one (L, k).
 
     A violation marks a count that is neither 0, 1, nor a multiple of
-    2**(L-k+1); it is reported (and logged), not raised, since the
-    underlying claim is an empirical observation rather than a theorem.
+    2**(L-k+1).  Since z_exact_table builds every count as a multiple of
+    2**(L-k+1), divisibility holds by construction and the report
+    is always clean; a violation would be logged, not raised.
     """
     z = z_exact_table(L, k)
     violations = np.flatnonzero((z > 1) & (z % (1 << (L - k + 1)) != 0)).tolist()

@@ -103,19 +103,12 @@ def sets_fast(L: int, k: int) -> PlacementSets:
     give the -m on the same support.  Two patterns on one support never
     share a value (their difference has a lowest nonzero digit of +-2), so
     each (m, e) pair comes out exactly once, sum_{w<=k} C(L, w) * 2**(w-1)
-    pairs in all, and no dedup is needed.
+    pairs in all, and no dedup is needed.  `_kernels.signed_sums` lists
+    the patterns of one weight.
     """
     distortion_range(WordSpec(L, SYMMETRIC), k)  # validates L and k
-    m_parts, mask_parts = [], []
-    for w in range(1, k + 1):
-        # One row per mask of weight w: the powers 2**i of its bits, ascending.
-        powers = _kernels.mask_powers(L, w)
-        # Row j holds the signs of pattern j; bit w-1 of j < 2**(w-1) is 0,
-        # so the top (last) position always gets +.
-        signs = 1 - 2 * ((np.arange(1 << (w - 1))[:, None] >> np.arange(w)) & 1)
-        m_parts.append((powers @ signs.T).ravel())
-        mask_parts.append(np.repeat(powers.sum(axis=1), signs.shape[0]))
-    return _from_pairs(L, k, np.concatenate(m_parts), np.concatenate(mask_parts))
+    ms, masks = zip(*(_kernels.signed_sums(L, w) for w in range(1, k + 1)))
+    return _from_pairs(L, k, np.concatenate(ms), np.concatenate(masks))
 
 
 def values_at_distance(s: int, m: int, L: int) -> set[int]:

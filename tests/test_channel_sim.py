@@ -599,6 +599,12 @@ def test_pmf_csv_rejects_bad_and_repeated_entries():
         parse_pmf_csv("# L=3\nvalue,mass\n# L=2\n0,1.0\n")
 
 
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_pmf_csv_rejects_non_positive_sample_count(count):
+    with pytest.raises(ParameterError, match=f"sample_count must be a positive int, got {count}"):
+        parse_pmf_csv(f"# L=3\n# sample_count={count}\nvalue,mass\n0,1.0\n")
+
+
 def test_upsets_rejects_bad_and_repeated_entries():
     with pytest.raises(ParameterError, match="line 2: bad header 'L=three'"):
         parse_upsets("format=vdb-upsets-v1\nL=three\n0,0.1,0.5\n")

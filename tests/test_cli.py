@@ -295,6 +295,18 @@ def test_distort_nan_mass_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_distort_non_positive_sample_count_is_usage_error(tmp_path, capsys):
+    pmf = tmp_path / "pmf.csv"
+    pmf.write_text("# L=3\n# sample_count=-5\nvalue,mass\n0,0.5\n5,0.5\n")
+    upsets = tmp_path / "upsets.txt"
+    upsets.write_text("format=vdb-upsets-v1\nL=3\n0,0.1,0.5\n")
+    out = tmp_path / "fm.csv"
+    code = main(["distort", "--pmf", str(pmf), "--upsets", str(upsets), "--out", str(out)])
+    assert code == 2
+    assert "sample_count must be a positive int, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_negative_pmf_mass_is_usage_error(tmp_path, reciprocal_file, capsys):
     table = tmp_path / "p29.txt"
     table.write_text(P29_TABLE_TEXT)

@@ -49,7 +49,7 @@ def test_z_exact_against_golden_table():
     assert {m: int(z[m]) for m in range(1, z.size)} == golden
 
 
-@pytest.mark.parametrize("L,k", [(4, 1), (4, 2), (5, 3), (6, 2)])
+@pytest.mark.parametrize("L,k", [(1, 1), (3, 3), (4, 1), (4, 2), (5, 3), (5, 5), (6, 1), (6, 2)])
 def test_z_exact_matches_pair_oracle(L, k):
     oracle = pair_oracle(L, k)
     z = z_exact_table(L, k)

@@ -1,8 +1,8 @@
 """Each numpy kernel against a plain-Python loop transcription of it:
 integer kernels bit for bit, the distortion-law kernel to round-off.
-The submask kernel is checked against the word-sweep loops, alone and
-through the Z counts built on it; the Y* counts, read off the
-signed-digit placement sets, are checked against the same sweep."""
+The signed-sum kernel is checked against the word-sweep loops, alone and
+through the Z counts and the Y* counts read off it (Y* through the
+signed-digit placement sets)."""
 import numpy as np
 import pytest
 
@@ -97,14 +97,16 @@ def test_mask_powers_match_loop(L, w):
 
 
 @pytest.mark.parametrize("L,w", [(1, 1), (3, 2), (6, 3), (8, 4)])
-def test_submask_distances_match_loop(L, w):
-    # Each mask's entries, counted 2**(L - w) times each, are its word sweep.
-    masks, dist = _kernels.submask_distances(L, w)
-    assert np.array_equal(masks, ref_masks(L, (w,)))
-    assert dist.shape == (masks.size, 1 << w)
-    for j in range(masks.size):
-        counts = np.bincount(dist[j], minlength=1 << L) << (L - w)
-        assert np.array_equal(counts, ref_distance_counts(L, masks[j : j + 1]))
+def test_signed_sums_match_loop(L, w):
+    # Each mask's m values, counted 2 * 2**(L - w) times each (the mirror
+    # -m, and the words carrying each sign pattern), are its word sweep.
+    ms, masks = _kernels.signed_sums(L, w)
+    assert ms.shape == masks.shape
+    assert np.all(np.diff(masks) >= 0)
+    assert np.array_equal(np.unique(masks), ref_masks(L, (w,)))
+    for e in ref_masks(L, (w,)):
+        counts = np.bincount(ms[masks == e], minlength=1 << L) << (L - w + 1)
+        assert np.array_equal(counts, ref_distance_counts(L, np.array([e])))
 
 
 @pytest.mark.parametrize("L,k", [(3, 2), (6, 3), (8, 4)])
