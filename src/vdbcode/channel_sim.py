@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
@@ -50,6 +50,7 @@ class EmpiricalPMF:
     sample_count: int | None = None
 
     def __post_init__(self) -> None:
+        WordSpec(self.L, SYMMETRIC)
         n = 1 << self.L
         for v, p in self.mass.items():
             if not 0 <= v < n:
@@ -95,6 +96,7 @@ class UpsetModel:
     forced_one_prob: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        WordSpec(self.L, SYMMETRIC)
         if len(self.upset_prob) != self.L or len(self.forced_one_prob) != self.L:
             raise ParameterError(f"need {self.L} per-bit entries")
         for name, probs in (("upset_prob", self.upset_prob), ("forced_one_prob", self.forced_one_prob)):
@@ -203,27 +205,40 @@ def _guide_table(cdf: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     [0, 1) into G buckets, G the smallest power of two >= 4 * len(cdf).
     For u in bucket b = floor(u * G), that is b/G <= u < (b+1)/G, the
     search result (the count of entries <= u) lies between
-    lo[b] = #{c <= b/G} and #{c < (b+1)/G}.  The two differ only where
-    some entry lies strictly inside the bucket; elsewhere the answer is
-    lo[b], and only draws in those split buckets fall back to the search.
-    There are at most len(cdf) split buckets, so they cover at most 1/4
-    of [0, 1).  G is a power of two, so c * G and u * G are exact: the
-    bucket of every entry and every draw is computed without rounding,
-    and every index is bit-identical to the search.
+    lo[b] = #{c <= b/G} and hi[b] = #{c < (b+1)/G}.  The two differ only
+    where some entry lies strictly inside the bucket; elsewhere the answer
+    is lo[b].  A draw in such a split bucket bisects only the entries
+    lo[b]..hi[b] - 1, all draws at once, in the fixed number of halvings
+    the widest bucket needs; it never searches the whole CDF.  There are
+    at most len(cdf) split buckets, so they cover at most 1/4 of [0, 1).
+    G is a power of two, so c * G and u * G are exact: the bucket of every
+    entry and every draw is computed without rounding, and every index is
+    bit-identical to the search.
     """
     G = 1 << (4 * cdf.size - 1).bit_length()
     scaled = cdf * G
     # c <= b/G exactly when ceil(c * G) <= b.
     lo = np.cumsum(np.bincount(np.ceil(scaled).astype(np.intp), minlength=G + 1)[:G])
-    # An entry strictly inside bucket b has floor(c * G) = b and c * G not whole.
+    # hi[b] - lo[b] counts the entries strictly inside bucket b: floor(c * G) = b and c * G
+    # not whole.  It is nonzero exactly in the split buckets; keep it in the narrowest dtype.
     floor = np.floor(scaled)
-    split = np.bincount(floor[floor != scaled].astype(np.intp), minlength=G).astype(bool)
+    width = np.bincount(floor[floor != scaled].astype(np.intp), minlength=G)
+    width = width.astype(np.min_scalar_type(width.max()))
+    # Halvings 2**(s-1), ..., 1 add up to 2**s - 1, at least the widest bucket's hi - lo.
+    steps = [1 << j for j in reversed(range(int(width.max()).bit_length()))]
 
     def draw(u: np.ndarray) -> np.ndarray:
         bucket = (u * G).astype(np.intp)
         out = lo[bucket]
-        slow = np.flatnonzero(split[bucket])
-        out[slow] = np.searchsorted(cdf, u[slow], side="right")
+        w = width[bucket]
+        slow = np.flatnonzero(w)
+        u_slow, pos = u[slow], out[slow]
+        top = pos + w[slow]
+        # pos rises to up when every entry below up is <= u; top >= 1 in a split bucket.
+        for step in steps:
+            up = np.minimum(pos + step, top)
+            pos = np.where(cdf[up - 1] <= u_slow, up, pos)
+        out[slow] = pos
         return out
 
     return draw
@@ -426,6 +441,9 @@ def analytic_single_error(
     if pmf.L != upsets.L:
         raise ParameterError("PMF and upset model have different word lengths")
     L = pmf.L
+    if L > _MAX_EXACT_L:
+        # The correlation below takes time quadratic in 2**L.
+        raise ParameterError(f"the single-error form supports L <= {_MAX_EXACT_L}, got {L}")
     n = 1 << L
     fv = pmf.to_array()
 
@@ -471,8 +489,14 @@ def ingest_trace(
 ) -> EmpiricalPMF:
     """Histogram a CSV column of integers into an L-bit value PMF.
 
-    The column is converted and range-checked as one array; the rows are
-    walked one at a time only when that fails, to name the first bad one.
+    The column is read as one int64 array by `np.loadtxt` (comma
+    delimiter, `"` quotes, no comment character) and range-checked as an
+    array.  Whenever that fails, the rows are walked one at a time with
+    `csv.reader` and `int()`, the reference semantics: that walk names the
+    first bad row, and it accepts what `loadtxt` refuses, such as `1_0`,
+    non-ASCII digits and integers beyond int64.  `loadtxt` skips lines
+    where `csv.reader` skips rows, so a skipped header holding a quote,
+    which may open a row spanning lines, is read by the walk too.
     """
     WordSpec(L, SYMMETRIC)
     if column < 0:
@@ -481,20 +505,41 @@ def ingest_trace(
         raise ParameterError(f"skip_header must be >= 0, got {skip_header}")
     n = 1 << L
     lines = list(stream)
-    try:
-        rows = islice(csv.reader(lines), skip_header, None)
-        values = np.array([int(row[column]) + signed_offset for row in rows if row])
-    except (IndexError, ValueError):
-        values = None
+    values = None
+    if not any('"' in line for line in lines[:skip_header]):
+        values = _column_array(lines, column, skip_header, signed_offset)
     if values is None or not clamp and values.size and (values.min() < 0 or values.max() >= n):
-        _raise_bad_row(lines, column, n, signed_offset, clamp, skip_header)
+        values = _column_rows(lines, column, n, signed_offset, clamp, skip_header)
     # np.unique keeps memory at the sample count; a bincount would span all 2**L values.
     seen, counts = np.unique(np.clip(values, 0, n - 1), return_counts=True)
     return EmpiricalPMF.from_counts(L, dict(zip(seen.tolist(), counts.tolist())))
 
 
-def _raise_bad_row(lines: list[str], column: int, n: int, offset: int, clamp: bool, skip: int) -> None:
-    """Raise the ParameterError of the first row that ingest_trace cannot take."""
+_INT64 = np.iinfo(np.int64)
+
+
+def _column_array(lines: list[str], column: int, skip: int, offset: int) -> np.ndarray | None:
+    """The column plus `offset` as int64, parsed by `np.loadtxt`; None where it fails or would overflow."""
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2.3 parses "5.0" or "1e3" as an int with a DeprecationWarning; int() refuses them.
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("ignore", UserWarning)  # no data: an empty column, "no samples" below
+            values = np.loadtxt(
+                lines, dtype=np.int64, delimiter=",", usecols=column, skiprows=skip,
+                comments=None, quotechar='"', ndmin=1,
+            )
+    except (ValueError, DeprecationWarning):
+        return None
+    low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    if not all(_INT64.min <= x <= _INT64.max for x in (offset, low + offset, high + offset)):
+        return None  # int64 would wrap where int() grows
+    return values + offset
+
+
+def _column_rows(lines: list[str], column: int, n: int, offset: int, clamp: bool, skip: int) -> np.ndarray:
+    """The column plus `offset`, one `csv.reader` row and one `int()` at a time; the first bad row raises."""
+    values = []
     for rownum, row in enumerate(csv.reader(lines), start=1):
         if rownum <= skip or not row:
             continue
@@ -509,6 +554,8 @@ def _raise_bad_row(lines: list[str], column: int, n: int, offset: int, clamp: bo
             ) from None
         if not clamp and not 0 <= value < n:
             raise ParameterError(f"row {rownum}: value {value} outside [0, {n}) after offset {offset}")
+        values.append(value)
+    return np.array(values)
 
 
 def format_distribution_csv(d: DistortionDistribution) -> str:

@@ -28,6 +28,7 @@ oracle for the array evaluation.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -94,10 +95,8 @@ class TailConstraint:
         outside = ms[(ms < 1) | (ms > m_max)]
         if outside.size:
             raise ParameterError(f"constraint m={outside[0]} outside [1, {m_max}]")
-        order = np.argsort(ms)
-        values = np.fromiter(bounds.values(), dtype=np.float64, count=len(bounds))[order]
-        below = np.searchsorted(ms[order], np.arange(1, m_max + 1), side="right")
-        filled = np.concatenate(([1.0], values))[below]
+        values = np.fromiter(bounds.values(), dtype=np.float64, count=len(bounds))
+        filled = _step_fill(m_max, ms, values)
         m = None if allow_nonmonotone else _first_rise(filled)
         if m is not None:
             raise ParameterError(
@@ -113,6 +112,16 @@ class TailConstraint:
         return cls(L, k, 1.0 / np.arange(2, m_max + 2))
 
 
+def _step_fill(m_max: int, ms: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """F(1)..F(m_max) from rows F(ms) = values, the ms distinct and in [1, m_max].
+
+    A gap takes the value of the nearest row below it, 1.0 before the first row.
+    """
+    order = np.argsort(ms)
+    below = np.searchsorted(ms[order], np.arange(1, m_max + 1), side="right")
+    return np.concatenate(([1.0], values[order]))[below]
+
+
 def _first_rise(bounds: np.ndarray) -> int | None:
     """The first m with F(m+1) > F(m) + 1e-15, or None when F never rises."""
     rises = np.flatnonzero(bounds[1:] > bounds[:-1] + 1e-15)
@@ -120,7 +129,71 @@ def _first_rise(bounds: np.ndarray) -> int | None:
 
 
 def parse_constraint(text: str, *, allow_nonmonotone: bool = False) -> TailConstraint:
-    """Parse the vdb-constraint-v1 text format, reporting line numbers."""
+    """Parse the vdb-constraint-v1 text format, reporting line numbers.
+
+    After the few header lines, the block of `m,F(m)` rows is read with
+    one `np.loadtxt` into int64 m and float64 F(m), and the range, repeat,
+    [0, 1] and monotonicity checks run on those arrays; every file that
+    `serialize_constraint` writes is read this way.  A block holding `/`,
+    `#`, `=` or `"` (fractions, comments, or headers among the rows), and
+    any block that `loadtxt` refuses or that fails a check, is parsed line
+    by line instead (`_parse_constraint_lines`).  That path is the
+    reference: it names the offending line, and it accepts what `loadtxt`
+    refuses, such as `1_0`, non-ASCII digits, m beyond int64 and fractions.
+    """
+    c = _parse_constraint_arrays(text, allow_nonmonotone)
+    return c if c is not None else _parse_constraint_lines(text, allow_nonmonotone)
+
+
+def _parse_constraint_arrays(text: str, allow_nonmonotone: bool) -> TailConstraint | None:
+    """The constraint from one `np.loadtxt` of its row block; None where the line-by-line parse must run."""
+    header: dict[str, int] = {}
+    for lineno, line in format_lines(text, CONSTRAINT_FORMAT):
+        key, _, value = line.partition("=")
+        if key not in ("L", "k"):
+            break
+        if key in header:
+            return None
+        try:
+            header[key] = int(value)
+        except ValueError:
+            return None
+    else:
+        return None  # no rows
+    if len(header) < 2:
+        return None
+    _, m_max = distortion_range(WordSpec(header["L"], SYMMETRIC), header["k"])
+    block = text.splitlines()[lineno - 1 :]
+    joined = "\n".join(block)
+    if any(mark in joined for mark in '/#="'):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2.3 parses "5.0" as an int with a DeprecationWarning; int() refuses it.
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(
+                block, dtype=[("m", np.int64), ("bound", np.float64)], delimiter=",",
+                comments=None, ndmin=1,
+            )
+    except (ValueError, DeprecationWarning):
+        return None
+    ms, bounds = rows["m"], rows["bound"]
+    ascending = np.sort(ms)
+    if (
+        ascending[0] < 1
+        or ascending[-1] > m_max
+        or (ascending[1:] == ascending[:-1]).any()
+        or not ((bounds >= 0.0) & (bounds <= 1.0)).all()
+    ):
+        return None
+    filled = _step_fill(m_max, ms, bounds)
+    if not allow_nonmonotone and _first_rise(filled) is not None:
+        return None
+    return TailConstraint(header["L"], header["k"], filled)
+
+
+def _parse_constraint_lines(text: str, allow_nonmonotone: bool) -> TailConstraint:
+    """The constraint parsed one line at a time, each error naming its line."""
     header: dict[str, int] = {}
     given: dict[int, float] = {}
     lines: dict[str | int, int] = {}  # the line of each header and of each row's m
@@ -142,7 +215,7 @@ def parse_constraint(text: str, *, allow_nonmonotone: bool = False) -> TailConst
         try:
             m = int(m_text)
             bound = _parse_bound(bound_text)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ParameterError(f"line {lineno}: bad row {line!r}") from None
         reject_repeat(lines, m, lineno, "bound for m={}")
         if not 1 <= m <= m_max:
@@ -206,6 +279,7 @@ class CodeTable:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_IID, MODE_PERBIT):
             raise ParameterError(f"unknown table mode {self.mode!r}")
+        distortion_range(WordSpec(self.L, SYMMETRIC), self.k)
         if len(self.p_vec) != self.L:
             raise ParameterError(f"expected {self.L} probabilities, got {len(self.p_vec)}")
         for i, p in enumerate(self.p_vec):

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -30,6 +31,7 @@ from vdbcode.channel_sim import (
     check_against_constraint,
     single_error_oracle,
     _cdf,
+    _column_array,
     _guide_table,
 )
 from vdbcode._kernels import mask_probabilities
@@ -300,6 +302,13 @@ def guide_cases():
     spread = rng.random(1 << 10) ** 6
     spread[rng.random(spread.size) < 0.4] = 0.0
     cases.append(("spread with zeros", spread))
+    # an ingested sensor trace at L = 12: a peak with sparse tails, then a plateau
+    # of 500 single-sample values near the top; the ~1,500 empty values between
+    # them are equal CDF entries, all inside one bucket
+    samples = np.clip(np.round(rng.normal(1500, 120, 100_000)), 0, 3000).astype(np.int64)
+    counts = np.bincount(samples, minlength=1 << 12)
+    counts[3500:4000] = 1
+    cases.append(("trace L=12", counts / counts.sum()))
     return [pytest.param(_cdf(law), id=name) for name, law in cases]
 
 
@@ -320,6 +329,9 @@ def test_guide_table_draw_equals_searchsorted(cdf):
     ])
     assert u.max() == below_one
     draw = _guide_table(cdf)
+    if cdf.size == 1 << 12:  # the trace case keeps its shape: many split buckets, one wide one
+        widths = np.bincount(np.floor(cdf * G).astype(np.intp)[cdf * G % 1 > 0], minlength=G)
+        assert (widths > 0).sum() > 300 and widths.max() > 1000
     assert np.array_equal(draw(u), np.searchsorted(cdf, u, side="right"))
     assert np.array_equal(draw(u[::-1]), np.searchsorted(cdf, u[::-1], side="right"))
 
@@ -430,6 +442,14 @@ def test_analytic_single_error_no_upsets():
     dist, report = analytic_single_error(pmf, upsets)
     assert dist.mass == {0: 1.0}
     assert report.agreed
+
+
+def test_analytic_single_error_rejects_words_beyond_the_exact_cap():
+    # 2**17 values: the cap is checked before the quadratic correlation and any allocation
+    pmf = EmpiricalPMF.point_mass(17, 5)
+    upsets = UpsetModel(17, (0.01,) * 17, (0.5,) * 17)
+    with pytest.raises(ParameterError, match="single-error form supports L <= 16, got 17"):
+        analytic_single_error(pmf, upsets)
 
 
 def test_analytic_single_error_uniform_reports_divergence():
@@ -549,6 +569,101 @@ def test_ingest_trace_large_synthetic_trace_matches_histogram():
     assert max(pmf.mass, key=pmf.mass.get) == mode
 
 
+def reference_ingest(lines, column, L, signed_offset=0, *, clamp=False, skip_header=0):
+    """The row walk that `ingest_trace`'s array read must agree with: `csv.reader`, `int()`, a dict."""
+    n = 1 << L
+    counts = {}
+    for rownum, row in enumerate(csv.reader(lines), start=1):
+        if rownum <= skip_header or not row:
+            continue
+        if column >= len(row):
+            raise ParameterError(f"row {rownum}: no column {column} (row has {len(row)})")
+        text = row[column].strip()
+        try:
+            value = int(text) + signed_offset
+        except ValueError:
+            raise ParameterError(f"row {rownum}, column {column}: cannot parse {text!r} as integer") from None
+        if not clamp and not 0 <= value < n:
+            raise ParameterError(f"row {rownum}: value {value} outside [0, {n}) after offset {signed_offset}")
+        value = min(max(value, 0), n - 1)
+        counts[value] = counts.get(value, 0) + 1
+    return EmpiricalPMF.from_counts(L, counts)
+
+
+BIG = str(1 << 70)
+INGEST_EDGE_CASES = [
+    # (input: text, or a list of lines as a file opened with newline="" yields them; column; keywords)
+    ("1,9\n1,8\n2,7\n", 0, {}),
+    (" 5 ,1\n\t6\t,2\n\xa07,3\n5\x0b,4\n", 0, {}),
+    ("+5\n-0\n+0\n007\n", 0, {}),
+    ("-3\n-8\n7\n", 0, {"signed_offset": 8}),
+    ("1\r\n2\r\n3\r\n", 0, {}),
+    (["1\r", "2\r", "3\r"], 0, {}),
+    ("1\r2\r", 0, {}),
+    ("1\n\n2\n\n\n3\n", 0, {}),
+    ("1\n   \n2\n", 0, {}),
+    ("1\n\t\n", 0, {}),
+    ('"5"\n"6",x\n"5" \n', 0, {}),
+    ('"1,2",3\n4,5\n', 1, {}),
+    ('"a\nb",3\n4,5\n', 1, {}),
+    ('"1\n2",3\n', 0, {}),
+    ('1\n"5\n2\n', 0, {}),
+    (' "5"\n', 0, {}),
+    ('5"\n', 0, {}),
+    ('"a\nb",c\n1,2\n', 0, {"skip_header": 1}),
+    ('"a\n1\n2\n', 0, {"skip_header": 1}),
+    ("t,v\n1,2\n3,4\n", 1, {"skip_header": 1}),
+    ("t,v\nx,y\n3,4\n", 1, {"skip_header": 2}),
+    ("1\n2\n", 0, {"skip_header": 5}),
+    ("", 0, {}),
+    ("\n\n", 0, {}),
+    ("nan\n", 0, {}),
+    ("inf\n", 0, {}),
+    ("1e3\n", 0, {"clamp": True}),
+    ("5.0\n", 0, {}),
+    ("0x10\n", 0, {}),
+    ("#5\n", 0, {}),
+    ("\ufeff5\n", 0, {}),
+    ("1,\n", 1, {}),
+    (",5\n", 0, {}),
+    ("1\n", 1, {}),
+    ("1,2\n3\n", 1, {}),
+    ("1,2,3\n4,5\n6,7,8,9\n", 1, {}),
+    ("1_0\n", 0, {"clamp": True}),
+    ("\u0663\n", 0, {}),
+    (f"{BIG}\n1\n", 0, {}),
+    (f"{BIG}\n-{BIG}\n1\n", 0, {"clamp": True}),
+    ("9223372036854775807\n1\n", 0, {"clamp": True, "signed_offset": 1}),
+    ("-9223372036854775808\n", 0, {"clamp": True, "signed_offset": -1}),
+    ("-1\n-2\n", 0, {"clamp": True, "signed_offset": 1 << 63}),
+    ("9\n-2\n1\n1\n", 0, {"clamp": True}),
+    ("9\n", 0, {}),
+]
+
+
+def ingest_outcome(fn, source, column, kwargs):
+    lines = source if isinstance(source, list) else io.StringIO(source).readlines()
+    try:
+        pmf = fn(iter(lines), column, 3, **kwargs)
+    except Exception as exc:  # the same exception type and message is the requirement
+        return type(exc).__name__, str(exc)
+    return pmf.mass, pmf.sample_count
+
+
+@pytest.mark.parametrize("source,column,kwargs", INGEST_EDGE_CASES)
+def test_ingest_trace_matches_row_walk(source, column, kwargs):
+    assert ingest_outcome(ingest_trace, source, column, kwargs) == ingest_outcome(
+        reference_ingest, source, column, kwargs
+    )
+
+
+def test_ingest_trace_reads_a_plain_trace_as_one_array():
+    rng = np.random.default_rng(7)
+    lines = ["t,v\n"] + [f"{i},{v}\r\n" for i, v in enumerate(rng.integers(-40, 300, 5000))]
+    assert _column_array(lines, 1, 1, 40) is not None
+    assert ingest_trace(lines, 1, 9, 40, skip_header=1) == reference_ingest(lines, 1, 9, 40, skip_header=1)
+
+
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -597,6 +712,8 @@ def test_pmf_csv_rejects_bad_and_repeated_entries():
         parse_pmf_csv("# L=3\nvalue,mass\n1,0.5\n2,0.5\n1,0.5\n")
     with pytest.raises(ParameterError, match="line 3: duplicate '# L=' header \\(first at line 1\\)"):
         parse_pmf_csv("# L=3\nvalue,mass\n# L=2\n0,1.0\n")
+    with pytest.raises(ParameterError, match="word_length must be in \\[1, 24\\], got 40"):
+        parse_pmf_csv("# L=40\nvalue,mass\n0,1.0\n")
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])
@@ -614,6 +731,8 @@ def test_upsets_rejects_bad_and_repeated_entries():
         parse_upsets("format=vdb-upsets-v1\nL=3\n0,0.1,0.5\nL=4\n")
     with pytest.raises(ParameterError, match="line 3: bad row '0,0.1,0.5,0.9'"):
         parse_upsets("format=vdb-upsets-v1\nL=3\n0,0.1,0.5,0.9\n")
+    with pytest.raises(ParameterError, match="word_length must be in \\[1, 24\\], got 30"):
+        parse_upsets("format=vdb-upsets-v1\nL=30\n0,0.1,0.5\n")
 
 
 def test_pmf_validation():

@@ -118,6 +118,13 @@ def test_encode_rejects_bad_constraint_file(tmp_path, capsys):
     assert "increases" in capsys.readouterr().err
 
 
+def test_encode_zero_denominator_bound_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("format=vdb-constraint-v1\nL=3\nk=2\n1,1/0\n")
+    assert main(["encode", "--constraint", str(path), "--mode", "iid", "--out", str(tmp_path / "t")]) == 2
+    assert "line 4: bad row '1,1/0'" in capsys.readouterr().err
+
+
 def test_verify_reference_perbit_point(tmp_path, example_constraint_file):
     table = tmp_path / "reference.txt"
     table.write_text(REFERENCE_PERBIT_TABLE_TEXT)

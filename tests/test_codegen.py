@@ -16,6 +16,8 @@ from vdbcode import (
 )
 from vdbcode.codegen import (
     _constraint_index,
+    _parse_constraint_arrays,
+    _parse_constraint_lines,
     _coordinate_limit,
     _lhs,
     load_constraint,
@@ -397,6 +399,8 @@ def test_parse_constraint_reports_line_numbers():
         parse_constraint("format=vdb-constraint-v1\nL=3\nk=2\n1,0.5\n1,0.25\n")
     with pytest.raises(ParameterError, match="line 4"):
         parse_constraint("format=vdb-constraint-v1\nL=3\nk=2\n1,1.5\n")
+    with pytest.raises(ParameterError, match="line 4: bad row '1,1/0'"):
+        parse_constraint("format=vdb-constraint-v1\nL=3\nk=2\n1,1/0\n")
 
 
 def test_parse_constraint_rejects_monotonicity_violation():
@@ -449,6 +453,38 @@ def test_constraint_serialize_parse_roundtrip_is_exact():
     with pytest.raises(ParameterError, match="increases"):
         parse_constraint(text)
     assert np.array_equal(parse_constraint(text, allow_nonmonotone=True).bounds, rising.bounds)
+
+
+def test_parse_constraint_row_block_read_as_arrays_or_by_line_gives_same_bounds():
+    plain = serialize_constraint(TailConstraint.reciprocal(12, 3))
+    lines = plain.splitlines()
+    commented = "\n".join(lines[:50] + ["# a comment among the rows"] + lines[50:]) + "\n"
+    assert _parse_constraint_arrays(plain, False) is not None
+    assert _parse_constraint_arrays(commented, False) is None
+    crlf = plain.replace("\n", "\r\n")
+    for text in (commented, crlf, plain.replace("2,0.3333333333333333", "2,1/3")):
+        assert np.array_equal(parse_constraint(text).bounds, parse_constraint(plain).bounds)
+
+
+def constraint_outcome(parse, text):
+    try:
+        return parse(text, allow_nonmonotone=False).bounds.tolist()
+    except ParameterError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("rows", [
+    " 1 , 0.5 \n2,0.25", "+1,0.5\n02,.25", "1,5e-1\n6,-0.0", "1,0.5\n\n\n3,0.5", "1,0.5\n   \n3,0.5",
+    "1.0,0.5", "1e0,0.5", "1,nan", "1,inf", "1,-1e-300", "1,0.5,", "1,0.5,0.2", "1", "1,", ",0.5",
+    "1_0,0.5", "1,0_5", "\u0661,0.5", "99999999999999999999,0.5", "1,0x1", "1,0.5\r\n2,0.25\r\n",
+    "1,0.5\x0c2,0.25", "6,0.5\n1,0.75", "1,0.5\n1,0.5", "1,0.25\n2,0.5", "1,0.5\nL=3",
+])
+def test_parse_constraint_matches_line_by_line_parse(rows):
+    text = f"format=vdb-constraint-v1\nL=3\nk=2\n{rows}\n"
+    reference = constraint_outcome(_parse_constraint_lines, text)
+    assert constraint_outcome(parse_constraint, text) == reference
+    fast = _parse_constraint_arrays(text, False)
+    assert fast is None or fast.bounds.tolist() == reference
 
 
 def test_constraint_bounds_are_read_only():
@@ -544,3 +580,7 @@ def test_code_table_validation():
         CodeTable.iid(3, 2, 1.5)
     with pytest.raises(ParameterError):
         CodeTable.perbit(3, 2, (0.1, 0.2))  # wrong arity
+    with pytest.raises(ParameterError, match="k must be in \\[1, 2\\], got 5"):
+        parse_table("format=vdb-table-v1\nL=2\nk=5\nmode=perbit\np_0=0.1\np_1=0.2\n")
+    with pytest.raises(ParameterError, match="word_length must be in \\[1, 24\\], got 30"):
+        CodeTable.iid(30, 3, 0.1)
