@@ -5,13 +5,14 @@ observed distortion masses and tails against the constraint with
 binomial 3-sigma slack.  Masks are drawn from the code table's product
 law `_kernels.mask_probabilities(p_vec)`, restricted to masks of weight
 <= cap and renormalised when a weight cap is given, so the capped and
-uncapped channels are one sampling path.  The exact counterpart folds
-the value law through the word one bit at a time, each bit adding an
-independent signed step, and is the ground truth the simulator converges
-to.  The forced-value channel (errors overwrite a bit with a target
-value, so matching targets are masked) is covered by the same exact fold
-plus the single-error analytic form, which is checked against a
-restricted enumeration rather than trusted.
+uncapped channels are one sampling path; each chunk's mask counts (and
+word counts, under a value PMF) are one multinomial draw.  The exact
+counterpart folds the value law through the word one bit at a time, each
+bit adding an independent signed step, and is the ground truth the
+simulator converges to.  The forced-value channel (errors overwrite a
+bit with a target value, so matching targets are masked) is covered by
+the same exact fold plus the single-error analytic form, which is
+checked against a restricted enumeration rather than trusted.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from . import _kernels, setgen
 from .codegen import CodeTable, TailConstraint
 from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range, format_lines, reject_repeat
 
-GENERATOR_ID = "pcg64-mask-table"
+GENERATOR_ID = "pcg64-multinomial"
 UPSETS_FORMAT = "vdb-upsets-v1"
 
 PROVENANCE_MONTE_CARLO = "monte_carlo"
@@ -192,56 +193,14 @@ def _value_probs(value_source: Union[str, EmpiricalPMF], L: int) -> np.ndarray |
     raise ParameterError(f"unknown value source {value_source!r}")
 
 
-def _cdf(law: np.ndarray) -> np.ndarray:
-    """Cumulative law scaled to end at exactly 1, so a draw in [0, 1) always lands."""
-    cdf = np.cumsum(law)
-    return cdf / cdf[-1]
+def _law(weights: np.ndarray) -> np.ndarray:
+    """`weights` up to its last positive entry, scaled to sum to 1.
 
-
-def _guide_table(cdf: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """An inverse-CDF draw equal to `np.searchsorted(cdf, u, side="right")`, for u in [0, 1).
-
-    A guide table (Chen & Asau 1974; Devroye 1986, section III.2.4) splits
-    [0, 1) into G buckets, G the smallest power of two >= 4 * len(cdf).
-    For u in bucket b = floor(u * G), that is b/G <= u < (b+1)/G, the
-    search result (the count of entries <= u) lies between
-    lo[b] = #{c <= b/G} and hi[b] = #{c < (b+1)/G}.  The two differ only
-    where some entry lies strictly inside the bucket; elsewhere the answer
-    is lo[b].  A draw in such a split bucket bisects only the entries
-    lo[b]..hi[b] - 1, all draws at once, in the fixed number of halvings
-    the widest bucket needs; it never searches the whole CDF.  There are
-    at most len(cdf) split buckets, so they cover at most 1/4 of [0, 1).
-    G is a power of two, so c * G and u * G are exact: the bucket of every
-    entry and every draw is computed without rounding, and every index is
-    bit-identical to the search.
+    `Generator.multinomial` gives its last category whatever its binomial
+    steps leave, so a law that ended in zero-mass entries could draw one.
     """
-    G = 1 << (4 * cdf.size - 1).bit_length()
-    scaled = cdf * G
-    # c <= b/G exactly when ceil(c * G) <= b.
-    lo = np.cumsum(np.bincount(np.ceil(scaled).astype(np.intp), minlength=G + 1)[:G])
-    # hi[b] - lo[b] counts the entries strictly inside bucket b: floor(c * G) = b and c * G
-    # not whole.  It is nonzero exactly in the split buckets; keep it in the narrowest dtype.
-    floor = np.floor(scaled)
-    width = np.bincount(floor[floor != scaled].astype(np.intp), minlength=G)
-    width = width.astype(np.min_scalar_type(width.max()))
-    # Halvings 2**(s-1), ..., 1 add up to 2**s - 1, at least the widest bucket's hi - lo.
-    steps = [1 << j for j in reversed(range(int(width.max()).bit_length()))]
-
-    def draw(u: np.ndarray) -> np.ndarray:
-        bucket = (u * G).astype(np.intp)
-        out = lo[bucket]
-        w = width[bucket]
-        slow = np.flatnonzero(w)
-        u_slow, pos = u[slow], out[slow]
-        top = pos + w[slow]
-        # pos rises to up when every entry below up is <= u; top >= 1 in a split bucket.
-        for step in steps:
-            up = np.minimum(pos + step, top)
-            pos = np.where(cdf[up - 1] <= u_slow, up, pos)
-        out[slow] = pos
-        return out
-
-    return draw
+    law = weights[: weights.size - int(np.argmax(weights[::-1] > 0))]
+    return law / law.sum()
 
 
 def simulate(
@@ -262,15 +221,17 @@ def simulate(
     conditioned on <= cap_weight upsets.  The check requires every per-m
     mass and every tail Pr(M > m) to stay within the constraint plus
     3-sigma binomial slack.  Trials come from one PCG64 stream seeded
-    with `seed`, drawn in fixed-size chunks, so a seed fixes the result.
+    with `seed`, drawn in chunks of max(2**16, 2**L) trials, so a seed
+    fixes the result.
 
-    Words (under a value PMF) and masks are inverse-CDF draws from one
-    uniform each, looked up in a guide table of the CDF (`_guide_table`):
-    an O(1) bucket index that returns exactly the entry a binary search
-    would, because the bucket edges are multiples of 1/G for G a power of
-    two, so every bucket is found without rounding.  A chunk's masks are
-    then counted and laid out in ascending order, which is the array a
-    search over the sorted uniforms returns.
+    A chunk's mask counts are one `Generator.multinomial` draw from the
+    mask law, which is how the counts of that many iid draws are
+    distributed; the masks are laid out in ascending order.  Words are
+    `Generator.integers` (uniform) or, under a value PMF, one multinomial
+    draw of counts laid out in a random permutation: given its counts, an
+    iid sequence is a uniformly random arrangement of them.  The words are
+    iid and independent of the masks, so pairing them with sorted masks
+    leaves the law of the distortion histogram that of iid pairs.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -288,26 +249,21 @@ def simulate(
         mask_law[np.bitwise_count(np.arange(n)) > cap_weight] = 0.0
         if not mask_law.any():
             raise ParameterError(f"no error mask of weight <= {cap_weight} has positive probability")
-    draw_mask = _guide_table(_cdf(mask_law))
+    mask_law = _law(mask_law)
     value_probs = _value_probs(value_source, table.L)
-    draw_word = None if value_probs is None else _guide_table(_cdf(value_probs))
-    all_masks = np.arange(n)
+    value_law = None if value_probs is None else _law(value_probs)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     counts = np.zeros(n, dtype=np.int64)
-    for start in range(0, trials, _CHUNK_SIZE):
-        size = min(_CHUNK_SIZE, trials - start)
-        # Inverse-CDF draws through the guide tables; the index searchsorted
-        # would return with side="right", which never picks an entry of mass zero.
-        if draw_word is None:
+    # A multinomial draw costs O(2**L), so a chunk holds at least 2**L trials.
+    chunk = max(_CHUNK_SIZE, n)
+    for start in range(0, trials, chunk):
+        size = min(chunk, trials - start)
+        if value_law is None:
             words = rng.integers(0, n, size=size, dtype=np.int64)
         else:
-            words = draw_word(rng.random(size))
-        # The chunk's masks in ascending order: the words are iid and
-        # independent of the masks, so pairing them with sorted masks leaves
-        # the law of the distortion histogram unchanged, and it is the
-        # order (and so the histogram) of searching sorted uniforms.
-        masks = np.repeat(all_masks, np.bincount(draw_mask(rng.random(size)), minlength=n))
+            words = rng.permutation(np.repeat(np.arange(value_law.size), rng.multinomial(size, value_law)))
+        masks = np.repeat(np.arange(mask_law.size), rng.multinomial(size, mask_law))
         counts += np.bincount(np.abs(words - (words ^ masks)), minlength=n)
 
     seen = np.flatnonzero(counts)
@@ -540,21 +496,25 @@ def _column_array(lines: list[str], column: int, skip: int, offset: int) -> np.n
 def _column_rows(lines: list[str], column: int, n: int, offset: int, clamp: bool, skip: int) -> np.ndarray:
     """The column plus `offset`, one `csv.reader` row and one `int()` at a time; the first bad row raises."""
     values = []
-    for rownum, row in enumerate(csv.reader(lines), start=1):
-        if rownum <= skip or not row:
-            continue
-        if column >= len(row):
-            raise ParameterError(f"row {rownum}: no column {column} (row has {len(row)})")
-        text = row[column].strip()
-        try:
-            value = int(text) + offset
-        except ValueError:
-            raise ParameterError(
-                f"row {rownum}, column {column}: cannot parse {text!r} as integer"
-            ) from None
-        if not clamp and not 0 <= value < n:
-            raise ParameterError(f"row {rownum}: value {value} outside [0, {n}) after offset {offset}")
-        values.append(value)
+    rownum = 0
+    try:
+        for rownum, row in enumerate(csv.reader(lines), start=1):
+            if rownum <= skip or not row:
+                continue
+            if column >= len(row):
+                raise ParameterError(f"row {rownum}: no column {column} (row has {len(row)})")
+            text = row[column].strip()
+            try:
+                value = int(text) + offset
+            except ValueError:
+                raise ParameterError(
+                    f"row {rownum}, column {column}: cannot parse {text!r} as integer"
+                ) from None
+            if not clamp and not 0 <= value < n:
+                raise ParameterError(f"row {rownum}: value {value} outside [0, {n}) after offset {offset}")
+            values.append(value)
+    except csv.Error as exc:  # e.g. a bare "\r" inside a line of a stream not read in universal-newline mode
+        raise ParameterError(f"row {rownum + 1}: {exc}") from None
     return np.array(values)
 
 
@@ -639,7 +599,7 @@ def parse_upsets(text: str) -> UpsetModel:
     L = None
     rows: dict[int, tuple[float, float]] = {}
     seen: dict[str | int, int] = {}
-    for lineno, line in format_lines(text, UPSETS_FORMAT):
+    for lineno, line in format_lines(text.splitlines(), UPSETS_FORMAT):
         if line.startswith("L="):
             reject_repeat(seen, "L", lineno, "L= header")
             try:

@@ -141,14 +141,15 @@ def parse_constraint(text: str, *, allow_nonmonotone: bool = False) -> TailConst
     reference: it names the offending line, and it accepts what `loadtxt`
     refuses, such as `1_0`, non-ASCII digits, m beyond int64 and fractions.
     """
-    c = _parse_constraint_arrays(text, allow_nonmonotone)
-    return c if c is not None else _parse_constraint_lines(text, allow_nonmonotone)
+    lines = text.splitlines()
+    c = _parse_constraint_arrays(lines, allow_nonmonotone)
+    return c if c is not None else _parse_constraint_lines(lines, allow_nonmonotone)
 
 
-def _parse_constraint_arrays(text: str, allow_nonmonotone: bool) -> TailConstraint | None:
+def _parse_constraint_arrays(lines: list[str], allow_nonmonotone: bool) -> TailConstraint | None:
     """The constraint from one `np.loadtxt` of its row block; None where the line-by-line parse must run."""
     header: dict[str, int] = {}
-    for lineno, line in format_lines(text, CONSTRAINT_FORMAT):
+    for lineno, line in format_lines(lines, CONSTRAINT_FORMAT):
         key, _, value = line.partition("=")
         if key not in ("L", "k"):
             break
@@ -163,7 +164,7 @@ def _parse_constraint_arrays(text: str, allow_nonmonotone: bool) -> TailConstrai
     if len(header) < 2:
         return None
     _, m_max = distortion_range(WordSpec(header["L"], SYMMETRIC), header["k"])
-    block = text.splitlines()[lineno - 1 :]
+    block = lines[lineno - 1 :]
     joined = "\n".join(block)
     if any(mark in joined for mark in '/#="'):
         return None
@@ -192,13 +193,13 @@ def _parse_constraint_arrays(text: str, allow_nonmonotone: bool) -> TailConstrai
     return TailConstraint(header["L"], header["k"], filled)
 
 
-def _parse_constraint_lines(text: str, allow_nonmonotone: bool) -> TailConstraint:
+def _parse_constraint_lines(text_lines: list[str], allow_nonmonotone: bool) -> TailConstraint:
     """The constraint parsed one line at a time, each error naming its line."""
     header: dict[str, int] = {}
     given: dict[int, float] = {}
     lines: dict[str | int, int] = {}  # the line of each header and of each row's m
     m_max = None
-    for lineno, line in format_lines(text, CONSTRAINT_FORMAT):
+    for lineno, line in format_lines(text_lines, CONSTRAINT_FORMAT):
         key, _, value = line.partition("=")
         if key in ("L", "k"):
             reject_repeat(lines, key, lineno, "{}= header")
@@ -320,7 +321,7 @@ def parse_table(text: str) -> CodeTable:
     p_lines: dict[int, float] = {}
     p_single: float | None = None
     seen: dict[str, int] = {}
-    for lineno, line in format_lines(text, TABLE_FORMAT):
+    for lineno, line in format_lines(text.splitlines(), TABLE_FORMAT):
         key, _, value = line.partition("=")
         try:
             if key in ("L", "k", "mode"):

@@ -11,7 +11,7 @@ parsers live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 SYMMETRIC = "symmetric"
 
@@ -24,13 +24,13 @@ class ParameterError(ValueError):
     """A parameter is outside its documented domain."""
 
 
-def format_lines(text: str, fmt: str) -> Iterator[tuple[int, str]]:
-    """Numbered, stripped lines of a text file after its leading format=<fmt> line.
+def format_lines(lines: Sequence[str], fmt: str) -> Iterator[tuple[int, str]]:
+    """Numbered, stripped lines of a text file's `splitlines()` after its leading format=<fmt> line.
 
     Blank lines and # comments are skipped; the first other line must be format=<fmt>.
     """
     saw_format = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -139,7 +139,7 @@ def _parse_header(lines: Iterator[tuple[int, str]]) -> dict[str, str]:
 
 
 def parse_sets(text: str) -> PlacementSets:
-    lines = format_lines(text, SETS_FORMAT)
+    lines = format_lines(text.splitlines(), SETS_FORMAT)
     try:
         header = _parse_header(lines)
     except StopIteration:

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -30,11 +31,8 @@ from vdbcode.channel_sim import (
     serialize_upsets,
     check_against_constraint,
     single_error_oracle,
-    _cdf,
     _column_array,
-    _guide_table,
 )
-from vdbcode._kernels import mask_probabilities
 from conftest import EXAMPLE_BOUNDS, bin_sigmas, law_bins, sidak_z
 
 
@@ -281,96 +279,19 @@ def test_simulate_parameter_validation(reciprocal_constraint):
 
 
 # ---------------------------------------------------------------------------
-# guide-table draws against the binary search they replace
+# simulate histograms across chunk boundaries
 
 
-def guide_cases():
-    """Adversarial CDFs, each ending at exactly 1, as pytest params named by case."""
-    rng = np.random.default_rng(31)
-    cases = []
-    # bit 0 always flips: every even mask has mass zero, including the leading one
-    cases.append(("p0=1 L=4", mask_probabilities(np.array([1.0, 0.3, 0.2, 0.1]))))
-    for L in (1, 16):
-        cases.append((f"mask law L={L}", mask_probabilities(rng.uniform(0.01, 0.4, L))))
-    for j in (0, 5, 7):
-        point = np.zeros(8)
-        point[j] = 1.0
-        cases.append((f"single nonzero at {j}", point))
-    # one heavy entry, then 1000 entries of total mass 1e-6 inside one bucket
-    crowded = np.concatenate([[1.0 - 1e-6], np.full(1000, 1e-9), np.zeros(24)])
-    cases.append(("crowded bucket", crowded))
-    spread = rng.random(1 << 10) ** 6
-    spread[rng.random(spread.size) < 0.4] = 0.0
-    cases.append(("spread with zeros", spread))
-    # an ingested sensor trace at L = 12: a peak with sparse tails, then a plateau
-    # of 500 single-sample values near the top; the ~1,500 empty values between
-    # them are equal CDF entries, all inside one bucket
-    samples = np.clip(np.round(rng.normal(1500, 120, 100_000)), 0, 3000).astype(np.int64)
-    counts = np.bincount(samples, minlength=1 << 12)
-    counts[3500:4000] = 1
-    cases.append(("trace L=12", counts / counts.sum()))
-    return [pytest.param(_cdf(law), id=name) for name, law in cases]
-
-
-@pytest.mark.parametrize("cdf", guide_cases())
-def test_guide_table_draw_equals_searchsorted(cdf):
-    G = 1 << (4 * cdf.size - 1).bit_length()
-    edges = np.arange(G) / G
-    below_one = np.nextafter(1.0, 0.0)
-    inside = cdf[cdf < 1.0]
-    u = np.concatenate([
-        edges,                                  # every bucket edge b/G
-        np.nextafter(edges[1:], 0.0),           # the largest double below each edge
-        inside,                                 # ties with cdf entries
-        np.nextafter(inside, 0.0),
-        np.nextafter(inside, 1.0),
-        [0.0, below_one],
-        np.random.default_rng(cdf.size).random(5000),
-    ])
-    assert u.max() == below_one
-    draw = _guide_table(cdf)
-    if cdf.size == 1 << 12:  # the trace case keeps its shape: many split buckets, one wide one
-        widths = np.bincount(np.floor(cdf * G).astype(np.intp)[cdf * G % 1 > 0], minlength=G)
-        assert (widths > 0).sum() > 300 and widths.max() > 1000
-    assert np.array_equal(draw(u), np.searchsorted(cdf, u, side="right"))
-    assert np.array_equal(draw(u[::-1]), np.searchsorted(cdf, u[::-1], side="right"))
-
-
-def reference_histogram(table, trials, seed, value_probs=None, cap_weight=None):
-    """The distortion histogram of the binary-search sampler that `simulate` replaced.
-
-    Per 65,536-trial chunk: words by `searchsorted` over the value CDF (or
-    `integers` for uniform words), then masks by `searchsorted` over the
-    mask CDF at the sorted uniforms.
-    """
-    n = 1 << table.L
-    mask_law = mask_probabilities(np.asarray(table.p_vec, dtype=np.float64))
-    if cap_weight is not None:
-        for mask in range(n):
-            if bin(mask).count("1") > cap_weight:
-                mask_law[mask] = 0.0
-    mask_cdf = np.cumsum(mask_law)
-    mask_cdf = mask_cdf / mask_cdf[-1]
-    word_cdf = None
-    if value_probs is not None:
-        word_cdf = np.cumsum(value_probs)
-        word_cdf = word_cdf / word_cdf[-1]
-    rng = np.random.Generator(np.random.PCG64(seed))
-    counts = np.zeros(n, dtype=np.int64)
-    for start in range(0, trials, 1 << 16):
-        size = min(1 << 16, trials - start)
-        if word_cdf is None:
-            words = rng.integers(0, n, size=size, dtype=np.int64)
-        else:
-            words = np.searchsorted(word_cdf, rng.random(size), side="right")
-        masks = np.searchsorted(mask_cdf, np.sort(rng.random(size)), side="right")
-        counts += np.bincount(np.abs(words - (words ^ masks)), minlength=n)
-    return {m: int(c) / trials for m, c in enumerate(counts) if c}
+def capped_support(L, cap):
+    """Every distortion |x - (x ^ e)| over all words x and masks e of weight <= cap."""
+    masks = np.array([e for e in range(1 << L) if bin(e).count("1") <= cap])
+    words = np.arange(1 << L)[:, None]
+    return set(np.unique(np.abs(words - (words ^ masks))).tolist())
 
 
 @pytest.mark.parametrize("L", [3, 8, 12])
 @pytest.mark.parametrize("trials", [1, 65_535, 65_537, 200_000])
-def test_simulate_histogram_equals_binary_search_sampler(L, trials):
+def test_simulate_histogram_counts_sum_to_trials_on_the_exact_support(L, trials):
     rng = np.random.default_rng(L)
     table = CodeTable.perbit(L, min(3, L), tuple(float(v) for v in rng.uniform(0.02, 0.4, L)))
     law = rng.random(1 << L) ** 3
@@ -380,9 +301,38 @@ def test_simulate_histogram_equals_binary_search_sampler(L, trials):
     c = TailConstraint.from_table(L, table.k, {1: 1.0})
     for source, cap in (("uniform", None), (pmf, None), ("uniform", 2)):
         result = simulate(table, c, trials, seed=L + trials, value_source=source, cap_weight=cap)
-        value_probs = None if source == "uniform" else source.to_array()
-        want = reference_histogram(table, trials, L + trials, value_probs, cap)
-        assert result.distribution.mass == want
+        mass = result.distribution.mass
+        counts = np.array(list(mass.values())) * trials
+        assert np.allclose(counts, np.rint(counts), rtol=0, atol=1e-6)
+        assert int(np.rint(counts).sum()) == trials
+        if cap is None:
+            exact = exact_distortion(table, source)
+            assert all(exact.at(m) > 0 for m in mass)
+        else:
+            assert set(mass) <= capped_support(L, cap)
+        again = simulate(table, c, trials, seed=L + trials, value_source=source, cap_weight=cap)
+        assert again.distribution.mass == mass
+
+
+# The counts `simulate` drew here when the multinomial sampler went in.  A change
+# to the sampler or to numpy's multinomial stream moves them; so must GENERATOR_ID.
+PINNED_COUNTS = {
+    0: 33986, 1: 15760, 2: 8902, 3: 3421, 4: 3831, 5: 362,
+    6: 927, 7: 290, 8: 1839, 9: 450, 10: 119, 12: 113,
+}
+
+
+def test_simulate_counts_are_pinned_for_a_seed():
+    # Two chunks (65,536 + 4,464 trials); the value law's last value and, under the
+    # cap, every mask above 0b0111 have mass zero, so both laws are trimmed.
+    table = CodeTable.perbit(4, 4, (0.3, 0.2, 0.1, 0.05))
+    pmf = EmpiricalPMF(4, {0: 0.25, 3: 0.125, 6: 0.25, 9: 0.125, 12: 0.25})
+    c = TailConstraint.from_table(4, 4, {1: 1.0})
+    trials = 70_000
+    result = simulate(table, c, trials, seed=2024, value_source=pmf, cap_weight=2)
+    counts = {m: round(f * trials) for m, f in result.distribution.mass.items()}
+    assert counts == PINNED_COUNTS
+
 
 # ---------------------------------------------------------------------------
 # tail_of
@@ -573,7 +523,14 @@ def reference_ingest(lines, column, L, signed_offset=0, *, clamp=False, skip_hea
     """The row walk that `ingest_trace`'s array read must agree with: `csv.reader`, `int()`, a dict."""
     n = 1 << L
     counts = {}
-    for rownum, row in enumerate(csv.reader(lines), start=1):
+    rows = csv.reader(lines)
+    for rownum in itertools.count(1):
+        try:
+            row = next(rows)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise ParameterError(f"row {rownum}: {exc}") from None
         if rownum <= skip_header or not row:
             continue
         if column >= len(row):
@@ -655,6 +612,13 @@ def test_ingest_trace_matches_row_walk(source, column, kwargs):
     assert ingest_outcome(ingest_trace, source, column, kwargs) == ingest_outcome(
         reference_ingest, source, column, kwargs
     )
+
+
+@pytest.mark.parametrize("text,row", [("1\r2\r", 1), ("5\n1\r2\r\n3\n", 2), ("t\n5\n1\r2\n", 3)])
+def test_ingest_trace_names_the_row_csv_cannot_split(text, row):
+    # io.StringIO keeps a bare "\r" inside its line, which csv.reader refuses
+    with pytest.raises(ParameterError, match=f"^row {row}: new-line character seen in unquoted field"):
+        ingest_trace(io.StringIO(text), 0, 3, skip_header=1 if text.startswith("t") else 0)
 
 
 def test_ingest_trace_reads_a_plain_trace_as_one_array():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import vdbcode
+from vdbcode.channel_sim import GENERATOR_ID
 from vdbcode.cli import main
 from conftest import EXAMPLE_CONSTRAINT_TEXT, RECIPROCAL_CONSTRAINT_TEXT
 
@@ -155,7 +156,7 @@ def test_simulate_p29_passes(tmp_path, reciprocal_file):
     text = out.read_text()
     assert "# provenance=monte_carlo" in text
     assert "# trials=10000" in text
-    assert "# generator=pcg64-mask-table" in text.splitlines()
+    assert f"# generator={GENERATOR_ID}" in text.splitlines()
 
 
 def test_simulate_zero_trials_usage_error(tmp_path, reciprocal_file):
@@ -391,8 +392,8 @@ def test_replay_rejects_other_generator(tmp_path, reciprocal_file, capsys):
     ]) == 0
     manifest_path = tmp_path / "dist.csv.manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["formats"]["generator"] == "pcg64-mask-table"
-    manifest["formats"]["generator"] = "pcg64"
+    assert manifest["formats"]["generator"] == GENERATOR_ID
+    manifest["formats"]["generator"] = "pcg64-mask-table"  # the guide-table sampler's id
     manifest_path.write_text(json.dumps(manifest))
     original = out.read_bytes()
     assert main(["replay", "--manifest", str(manifest_path)]) == 2
@@ -414,7 +415,7 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     assert "vdbcode" in text and "vdb-sets-v1" in text
-    assert "generator=pcg64-mask-table" in text
+    assert f"generator={GENERATOR_ID}" in text
 
 
 def test_missing_file_is_usage_error(tmp_path, capsys):

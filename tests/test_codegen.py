@@ -459,16 +459,16 @@ def test_parse_constraint_row_block_read_as_arrays_or_by_line_gives_same_bounds(
     plain = serialize_constraint(TailConstraint.reciprocal(12, 3))
     lines = plain.splitlines()
     commented = "\n".join(lines[:50] + ["# a comment among the rows"] + lines[50:]) + "\n"
-    assert _parse_constraint_arrays(plain, False) is not None
-    assert _parse_constraint_arrays(commented, False) is None
+    assert _parse_constraint_arrays(plain.splitlines(), False) is not None
+    assert _parse_constraint_arrays(commented.splitlines(), False) is None
     crlf = plain.replace("\n", "\r\n")
     for text in (commented, crlf, plain.replace("2,0.3333333333333333", "2,1/3")):
         assert np.array_equal(parse_constraint(text).bounds, parse_constraint(plain).bounds)
 
 
-def constraint_outcome(parse, text):
+def constraint_outcome(parse, source):
     try:
-        return parse(text, allow_nonmonotone=False).bounds.tolist()
+        return parse(source, allow_nonmonotone=False).bounds.tolist()
     except ParameterError as exc:
         return str(exc)
 
@@ -481,9 +481,9 @@ def constraint_outcome(parse, text):
 ])
 def test_parse_constraint_matches_line_by_line_parse(rows):
     text = f"format=vdb-constraint-v1\nL=3\nk=2\n{rows}\n"
-    reference = constraint_outcome(_parse_constraint_lines, text)
+    reference = constraint_outcome(_parse_constraint_lines, text.splitlines())
     assert constraint_outcome(parse_constraint, text) == reference
-    fast = _parse_constraint_arrays(text, False)
+    fast = _parse_constraint_arrays(text.splitlines(), False)
     assert fast is None or fast.bounds.tolist() == reference
 
 
