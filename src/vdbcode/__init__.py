@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .core import (
     ParameterError,
-    PlacementInfeasibleError,
     SYMMETRIC,
     WordSpec,
     distortion_range,
@@ -56,7 +55,6 @@ __all__ = [
     "EmpiricalPMF",
     "InfeasibleConstraintError",
     "ParameterError",
-    "PlacementInfeasibleError",
     "PlacementSets",
     "SYMMETRIC",
     "SolverOptions",

@@ -89,8 +89,11 @@ class TailConstraint:
     def from_table(
         cls, L: int, k: int, bounds: Mapping[int, float], *, allow_nonmonotone: bool = False
     ) -> "TailConstraint":
-        """F from rows {m: F(m)}: a gap takes the bound of the nearest row below, 1.0 before the first."""
+        """F from rows {m: F(m)}, m an int: a gap takes the bound of the nearest row below, 1.0 before the first."""
         _, m_max = distortion_range(WordSpec(L, SYMMETRIC), k)
+        stray = next((m for m in bounds if isinstance(m, bool) or not isinstance(m, int)), None)
+        if stray is not None:
+            raise ParameterError(f"constraint m={stray!r} is not an int")
         ms = np.fromiter(bounds.keys(), dtype=np.int64, count=len(bounds))
         outside = ms[(ms < 1) | (ms > m_max)]
         if outside.size:
@@ -260,11 +263,22 @@ def load_constraint(path, *, allow_nonmonotone: bool = False) -> TailConstraint:
 # Code tables
 
 
+# Coordinate-ascent sweeps solve_perbit makes at most.
+MAX_SWEEPS = 200
+
+
 @dataclass(frozen=True)
 class SolverOptions:
+    """Bisection tolerance of the solvers and step of the iid grid scan."""
+
     tol: float = 1e-4
     grid_step: float = 1e-3
-    max_sweeps: int = 200
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.tol < math.inf:
+            raise ParameterError(f"tol must be finite and > 0, got {self.tol}")
+        if not 0.0 < self.grid_step <= 1.0:
+            raise ParameterError(f"grid_step must be in (0, 1], got {self.grid_step}")
 
 
 @dataclass(frozen=True)
@@ -340,15 +354,19 @@ def parse_table(text: str) -> CodeTable:
         L, k, mode = header["L"], header["k"], header["mode"]
     except KeyError as exc:
         raise ParameterError(f"table file missing header {exc}") from None
+    if mode not in (MODE_IID, MODE_PERBIT):
+        raise ParameterError(f"unknown mode {mode!r}")
+    for key, lineno in seen.items():
+        # an iid table holds only p=, a perbit table only p_i= lines
+        if key.startswith("p") and (key == "p") != (mode == MODE_IID):
+            raise ParameterError(f"line {lineno}: {key}= line in a mode={mode} table")
     if mode == MODE_IID:
         if p_single is None:
             raise ParameterError("iid table missing p= line")
         return CodeTable.iid(L, k, p_single)
-    if mode == MODE_PERBIT:
-        if sorted(p_lines) != list(range(L)):
-            raise ParameterError(f"perbit table needs p_0..p_{L - 1} lines")
-        return CodeTable.perbit(L, k, [p_lines[i] for i in range(L)])
-    raise ParameterError(f"unknown mode {mode!r}")
+    if sorted(p_lines) != list(range(L)):
+        raise ParameterError(f"perbit table needs p_0..p_{L - 1} lines")
+    return CodeTable.perbit(L, k, [p_lines[i] for i in range(L)])
 
 
 def load_table(path) -> CodeTable:
@@ -512,7 +530,7 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | N
 
     p = np.full(sets.L, start.p, dtype=np.float64)
     sweeps = 0
-    for sweeps in range(1, opts.max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         largest_move = 0.0
         for i in range(sets.L - 1, -1, -1):
             # Round-off can put the limit a hair below the current value.

@@ -10,15 +10,16 @@ realizes m precisely when m has a signed-binary expansion living on it.
 Their exact agreement is the correctness anchor for the fast route.
 PlacementSets holds the family as sorted (m, mask) arrays, one row per
 pair, which the solvers evaluate directly; an empty S_m has no rows.
+serialize_sets writes the output-only vdb-sets-v1 text.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import _kernels
-from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range, format_lines
+from .core import SYMMETRIC, WordSpec, distortion_range
 
 SETS_FORMAT = "vdb-sets-v1"
 
@@ -111,59 +112,8 @@ def sets_fast(L: int, k: int) -> PlacementSets:
     return _from_pairs(L, k, np.concatenate(ms), np.concatenate(masks))
 
 
-def values_at_distance(s: int, m: int, L: int) -> set[int]:
-    """The L-bit values at integer distance exactly m from s."""
-    spec = WordSpec(L, SYMMETRIC)
-    spec.validate_word(s)
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
-    return {v for v in (s - m, s + m) if 0 <= v < (1 << L)}
-
-
 def serialize_sets(ps: PlacementSets) -> str:
     """Text form: header lines, then one `m,mask` row per member, sorted."""
     lines = [f"format={SETS_FORMAT}", f"L={ps.L}", f"k={ps.k}"]
     lines += [f"{m},{mask:0{ps.L}b}" for m, mask in zip(ps.ms.tolist(), ps.masks.tolist())]
     return "\n".join(lines) + "\n"
-
-
-def _parse_header(lines: Iterator[tuple[int, str]]) -> dict[str, str]:
-    header = {}
-    for key in ("L", "k"):
-        lineno, line = next(lines)
-        name, _, value = line.partition("=")
-        if name != key:
-            raise ParameterError(f"line {lineno}: expected {key}=<int>")
-        header[key] = value
-    return header
-
-
-def parse_sets(text: str) -> PlacementSets:
-    lines = format_lines(text.splitlines(), SETS_FORMAT)
-    try:
-        header = _parse_header(lines)
-    except StopIteration:
-        raise ParameterError("truncated sets file") from None
-    try:
-        L, k = int(header["L"]), int(header["k"])
-    except ValueError:
-        raise ParameterError(f"sets file has non-integer L/k headers: {header}") from None
-    _, m_max = distortion_range(WordSpec(L, SYMMETRIC), k)
-    first_seen: dict[tuple[int, int], int] = {}
-    for lineno, line in lines:
-        m_text, _, mask_text = line.partition(",")
-        try:
-            m = int(m_text)
-            mask = int(mask_text, 2)
-        except ValueError:
-            raise ParameterError(f"line {lineno}: bad row {line!r}") from None
-        if not 1 <= m <= m_max:
-            raise ParameterError(f"line {lineno}: m={m} outside [1, {m_max}]")
-        if not 0 <= mask < 1 << L:
-            raise ParameterError(f"line {lineno}: mask {mask_text} is not an L={L}-bit mask")
-        if mask.bit_count() > k:
-            raise ParameterError(f"line {lineno}: mask {mask_text} has weight above k={k}")
-        first = first_seen.setdefault((m, mask), lineno)
-        if first != lineno:
-            raise ParameterError(f"line {lineno}: duplicate row {line!r} (first at line {first})")
-    return _from_pairs(L, k, *np.array(list(first_seen), dtype=np.int64).reshape(-1, 2).T)

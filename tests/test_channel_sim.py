@@ -109,6 +109,11 @@ def test_exact_distortion_rejects_large_words():
         exact_distortion(CodeTable.iid(17, 2, 0.1))
 
 
+def test_exact_distortion_rejects_a_pmf_of_another_word_length():
+    with pytest.raises(ParameterError, match="PMF is 2-bit but table is 3-bit"):
+        exact_distortion(CodeTable.iid(3, 2, 0.1), EmpiricalPMF.point_mass(2, 1))
+
+
 # ---------------------------------------------------------------------------
 # placement_mass vs constraint_lhs (dual routes to the same quantity)
 
@@ -275,6 +280,8 @@ def test_simulate_parameter_validation(reciprocal_constraint):
         simulate(table, reciprocal_constraint, 10, seed=-1)
     with pytest.raises(ParameterError):
         simulate(CodeTable.iid(4, 2, 0.1), reciprocal_constraint, 10, seed=0)
+    with pytest.raises(ParameterError, match="PMF is 4-bit but table is 3-bit"):
+        simulate(table, reciprocal_constraint, 10, seed=0, value_source=EmpiricalPMF.uniform(4))
 
 
 
@@ -459,6 +466,14 @@ def test_analytic_single_error_matches_loop_form(L):
     assert set(dist.mass) == set(ref)
     for m, v in ref.items():
         assert dist.at(m) == pytest.approx(v, rel=0, abs=1e-15)
+
+
+def test_single_error_forms_reject_mismatched_word_lengths():
+    pmf = EmpiricalPMF.point_mass(3, 5)
+    upsets = UpsetModel(2, (0.1, 0.1), (0.5, 0.5))
+    for form in (single_error_oracle, analytic_single_error):
+        with pytest.raises(ParameterError, match="different word lengths"):
+            form(pmf, upsets)
 
 
 def test_single_error_oracle_masking():
@@ -678,6 +693,10 @@ def test_pmf_csv_rejects_bad_and_repeated_entries():
         parse_pmf_csv("# L=3\nvalue,mass\n# L=2\n0,1.0\n")
     with pytest.raises(ParameterError, match="word_length must be in \\[1, 24\\], got 40"):
         parse_pmf_csv("# L=40\nvalue,mass\n0,1.0\n")
+    with pytest.raises(ParameterError, match="line 3: bad row '0;1.0'"):
+        parse_pmf_csv("# L=3\nvalue,mass\n0;1.0\n")
+    with pytest.raises(ParameterError, match="PMF file missing '# L=' header"):
+        parse_pmf_csv("value,mass\n0,1.0\n")
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])
@@ -697,6 +716,10 @@ def test_upsets_rejects_bad_and_repeated_entries():
         parse_upsets("format=vdb-upsets-v1\nL=3\n0,0.1,0.5,0.9\n")
     with pytest.raises(ParameterError, match="word_length must be in \\[1, 24\\], got 30"):
         parse_upsets("format=vdb-upsets-v1\nL=30\n0,0.1,0.5\n")
+    with pytest.raises(ParameterError, match="upsets file missing L= header"):
+        parse_upsets("format=vdb-upsets-v1\n0,0.1,0.5\n")
+    with pytest.raises(ParameterError, match="bit 3 outside \\[0, 3\\)"):
+        parse_upsets("format=vdb-upsets-v1\nL=3\n3,0.1,0.5\n")
 
 
 def test_pmf_validation():
@@ -710,3 +733,16 @@ def test_pmf_validation():
         EmpiricalPMF(2, {0: 1.5, 1: -0.5})  # sums to 1
     with pytest.raises(ParameterError, match="value 0 has mass inf"):
         EmpiricalPMF(2, {0: math.inf, 1: -math.inf})
+
+
+def test_upset_model_and_distortion_law_validation():
+    with pytest.raises(ParameterError, match="need 3 per-bit entries"):
+        UpsetModel(3, (0.1, 0.1), (0.5, 0.5, 0.5))
+    with pytest.raises(ParameterError, match="need 3 per-bit entries"):
+        UpsetModel(3, (0.1,) * 3, (0.5,) * 4)
+    with pytest.raises(ParameterError, match="upset_prob\\[1\\]=1.5 outside \\[0, 1\\]"):
+        UpsetModel(3, (0.1, 1.5, 0.1), (0.5,) * 3)
+    with pytest.raises(ParameterError, match="forced_one_prob\\[2\\]=-0.1 outside \\[0, 1\\]"):
+        UpsetModel(3, (0.1,) * 3, (0.5, 0.5, -0.1))
+    with pytest.raises(ParameterError, match="masses sum to 0.75, not 1"):
+        DistortionDistribution({0: 0.5, 3: 0.25}, "exact")

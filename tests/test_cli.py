@@ -126,6 +126,15 @@ def test_encode_zero_denominator_bound_is_usage_error(tmp_path, capsys):
     assert "line 4: bad row '1,1/0'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0", "-0.1", "nan"])
+def test_encode_grid_outside_unit_interval_is_usage_error(tmp_path, example_constraint_file, capsys, grid):
+    # --grid 0 divided by zero and --grid -0.1 scanned an empty grid to p=1.0
+    argv = ["encode", "--constraint", str(example_constraint_file), "--mode", "iid"]
+    assert main(argv + ["--grid", grid, "--out", str(tmp_path / "t")]) == 2
+    assert "grid_step must be in (0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
 def test_verify_reference_perbit_point(tmp_path, example_constraint_file):
     table = tmp_path / "reference.txt"
     table.write_text(REFERENCE_PERBIT_TABLE_TEXT)

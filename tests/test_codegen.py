@@ -214,6 +214,17 @@ def test_solve_iid_maximality_randomized():
             assert not verify_table(ps, c, CodeTable.iid(4, 2, hi)).passed
 
 
+@pytest.mark.parametrize("field,value", [
+    ("tol", 0.0), ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")),
+    ("grid_step", 0.0), ("grid_step", -0.1), ("grid_step", float("nan")), ("grid_step", 1.5),
+])
+def test_solver_options_reject_values_the_solvers_cannot_use(field, value):
+    # tol <= 0 never ended the bisection; grid_step 0 divided by zero and
+    # a negative step scanned an empty grid
+    with pytest.raises(ParameterError, match=field):
+        SolverOptions(**{field: value})
+
+
 def test_solve_iid_deterministic(example_sets, example_constraint):
     a = solve_iid(example_sets, example_constraint)
     b = solve_iid(example_sets, example_constraint)
@@ -401,6 +412,14 @@ def test_parse_constraint_reports_line_numbers():
         parse_constraint("format=vdb-constraint-v1\nL=3\nk=2\n1,1.5\n")
     with pytest.raises(ParameterError, match="line 4: bad row '1,1/0'"):
         parse_constraint("format=vdb-constraint-v1\nL=3\nk=2\n1,1/0\n")
+    with pytest.raises(ParameterError, match="line 2: rows before L=/k= headers"):
+        parse_constraint("format=vdb-constraint-v1\n1,0.5\nL=3\nk=2\n")
+    with pytest.raises(ParameterError, match="line 3: rows before L=/k= headers"):
+        parse_constraint("format=vdb-constraint-v1\nL=3\n1,0.5\nk=2\n")
+    with pytest.raises(ParameterError, match="line 2: bad header 'L=three'"):
+        parse_constraint("format=vdb-constraint-v1\nL=three\nk=2\n1,0.5\n")
+    with pytest.raises(ParameterError, match="missing format/L/k headers"):
+        parse_constraint("format=vdb-constraint-v1\n")
 
 
 def test_parse_constraint_rejects_monotonicity_violation():
@@ -506,6 +525,13 @@ def test_constraint_array_validation():
         TailConstraint.from_table(3, 2, {9: 0.5})
 
 
+@pytest.mark.parametrize("key", [1.5, "1", True, 2.0])
+def test_from_table_rejects_keys_that_are_not_ints(key):
+    # the int64 conversion read 1.5 as m=1 and "1" as m=1
+    with pytest.raises(ParameterError, match=f"constraint m={key!r} is not an int"):
+        TailConstraint.from_table(3, 2, {key: 0.5, 3: 0.25})
+
+
 def test_monotonicity_error_names_both_lines_briefly():
     lines = serialize_constraint(TailConstraint.reciprocal(12, 3)).splitlines()
     assert lines[100] == "98,0.010101010101010102"
@@ -564,6 +590,21 @@ def test_parse_table_errors():
         parse_table("format=vdb-table-v1\nL=three\nk=2\nmode=iid\np=0.1\n")
     with pytest.raises(ParameterError, match="line 3: bad line 'k=2.5'"):
         parse_table("format=vdb-table-v1\nL=3\nk=2.5\nmode=iid\np=0.1\n")
+    with pytest.raises(ParameterError, match="unknown mode 'both'"):
+        parse_table("format=vdb-table-v1\nL=3\nk=2\nmode=both\np=0.1\n")
+    with pytest.raises(ParameterError, match="missing header 'mode'"):
+        parse_table("format=vdb-table-v1\nL=3\nk=2\np=0.1\n")
+
+
+@pytest.mark.parametrize("mode,lines,stray", [
+    ("iid", ["p=0.1", "p_0=0.9", "p_1=0.9", "p_2=0.9"], "line 6: p_0= line"),
+    ("perbit", ["p_0=0.1", "p_1=0.2", "p_2=0.3", "p=0.9"], "line 8: p= line"),
+], ids=["iid", "perbit"])
+def test_parse_table_rejects_the_other_modes_lines(mode, lines, stray):
+    # such a line was dropped, whichever mode the table named
+    text = "\n".join(["format=vdb-table-v1", "L=3", "k=2", f"mode={mode}"] + lines) + "\n"
+    with pytest.raises(ParameterError, match=f"{stray} in a mode={mode} table"):
+        parse_table(text)
 
 
 def test_parse_table_rejects_repeated_lines():
@@ -584,3 +625,7 @@ def test_code_table_validation():
         parse_table("format=vdb-table-v1\nL=2\nk=5\nmode=perbit\np_0=0.1\np_1=0.2\n")
     with pytest.raises(ParameterError, match="word_length must be in \\[1, 24\\], got 30"):
         CodeTable.iid(30, 3, 0.1)
+    with pytest.raises(ParameterError, match="unknown table mode 'both'"):
+        CodeTable("both", 3, 2, (0.1,) * 3)
+    with pytest.raises(ParameterError, match="p is only defined for iid tables"):
+        CodeTable.perbit(3, 2, REFERENCE_PERBIT).p
