@@ -30,7 +30,6 @@ from .setgen import (
 from .codegen import (
     CodeTable,
     InfeasibleConstraintError,
-    SolverOptions,
     TailConstraint,
     constraint_lhs,
     solve_iid,
@@ -57,7 +56,6 @@ __all__ = [
     "ParameterError",
     "PlacementSets",
     "SYMMETRIC",
-    "SolverOptions",
     "TailConstraint",
     "UpsetModel",
     "WordSpec",

@@ -92,11 +92,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     constraint = codegen.load_constraint(args.constraint, allow_nonmonotone=args.allow_nonmonotone)
     sets = setgen.sets_fast(constraint.L, constraint.k)
-    opts = codegen.SolverOptions(tol=args.tol, grid_step=args.grid)
     if args.mode == codegen.MODE_IID:
-        table = codegen.solve_iid(sets, constraint, opts)
+        table = codegen.solve_iid(sets, constraint)
     else:
-        table = codegen.solve_perbit(sets, constraint, opts)
+        table = codegen.solve_perbit(sets, constraint, tol=args.tol)
     # Both solvers re-verify their table and keep the margins they checked.
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(codegen.serialize_table(table, table.metadata["margins"]))
@@ -204,7 +203,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 argv.append(option)
         else:
             argv += [option, str(value)]
-    return main(argv)
+    replayed, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        raise ParameterError(
+            f"manifest argument {unknown[0]} is not accepted by this build; it cannot be replayed"
+        )
+    return replayed.func(replayed)
 
 
 @functools.cache
@@ -236,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="solve for a maximal code table")
     p.add_argument("--constraint", required=True)
     p.add_argument("--mode", choices=(codegen.MODE_IID, codegen.MODE_PERBIT), required=True)
-    p.add_argument("--tol", type=float, default=codegen.SolverOptions.tol)
-    p.add_argument("--grid", type=float, default=codegen.SolverOptions.grid_step)
+    p.add_argument("--tol", type=float, default=codegen.PERBIT_TOL, help="per-bit solver's stopping move")
     p.add_argument("--allow-nonmonotone", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode)

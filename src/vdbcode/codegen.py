@@ -16,12 +16,14 @@ The i.i.d. solver maximizes a single p.  Its constraint polynomials are
 not monotone in p (mass can flow back out of S_m as p grows), so the
 feasible set along p is generally a union of intervals; it returns the
 supremum of the interval attached to p=0, the operating point reached
-from the error-free side, by a grid scan and bisection.  The per-bit
-solver maximizes p_0..p_{L-1} by coordinate ascent from that point.  With
-the other coordinates fixed each constraint is affine in p_i, so each
-coordinate step is a closed-form minimum over the rising constraints, and
-the m that attains it is the one blocking p_i.  Coordinate ascent finds a
-local maximum, and which one depends on the path taken.  constraint_lhs
+from the error-free side.  It certifies every constraint on [0, p] from
+Bernstein coefficients and brackets the end of that interval to 1e-6
+relative (see solve_iid).  The per-bit solver maximizes p_0..p_{L-1} by
+coordinate ascent from that point.  With the other coordinates fixed each
+constraint is affine in p_i, so each coordinate step is a closed-form
+minimum over the rising constraints, and the m that attains it is the one
+blocking p_i.  Coordinate ascent finds a local maximum, and which one
+depends on the path taken.  constraint_lhs
 evaluates one placement set on its own and serves as the independent
 oracle for the array evaluation.
 """
@@ -263,22 +265,9 @@ def load_constraint(path, *, allow_nonmonotone: bool = False) -> TailConstraint:
 # Code tables
 
 
-# Coordinate-ascent sweeps solve_perbit makes at most.
+# Coordinate-ascent sweeps solve_perbit makes at most, and its default stopping move.
 MAX_SWEEPS = 200
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Bisection tolerance of the solvers and step of the iid grid scan."""
-
-    tol: float = 1e-4
-    grid_step: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tol < math.inf:
-            raise ParameterError(f"tol must be finite and > 0, got {self.tol}")
-        if not 0.0 < self.grid_step <= 1.0:
-            raise ParameterError(f"grid_step must be in (0, 1], got {self.grid_step}")
+PERBIT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -322,7 +311,7 @@ def serialize_table(table: CodeTable, margins: Mapping[int, float] | None = None
         lines.append(f"p={table.p!r}")
     else:
         lines += [f"p_{i}={p!r}" for i, p in enumerate(table.p_vec)]
-    for key in ("grid_step", "tol", "sweeps", "first_infeasible_p"):
+    for key in ("tol", "sweeps", "first_infeasible_p"):
         if key in table.metadata:
             lines.append(f"# {key}={table.metadata[key]}")
     if margins:
@@ -405,8 +394,11 @@ def _constraint_index(sets: PlacementSets, c: TailConstraint) -> tuple[np.ndarra
         raise ParameterError(
             f"placement sets are (L={sets.L}, k={sets.k}) but constraint is (L={c.L}, k={c.k})"
         )
-    keys, m_idx = np.unique(sets.ms, return_inverse=True)
-    return keys, c.bounds_at(keys), m_idx
+    # sets.ms is sorted, so each S_m is one run of rows.
+    first = np.ones(sets.ms.size, dtype=bool)
+    np.not_equal(sets.ms[1:], sets.ms[:-1], out=first[1:])
+    keys = sets.ms[first]
+    return keys, c.bounds_at(keys), np.cumsum(first) - 1
 
 
 def _lhs(sets: PlacementSets, m_idx: np.ndarray, p_vec: Sequence[float]) -> np.ndarray:
@@ -445,76 +437,78 @@ def _coordinate_limit(
     return float(limits[j]), int(keys[rising[j]])
 
 
-# Grid points per iid feasibility evaluation: enough to amortize the
-# matrix product, small enough that the usual early stop wastes little.
-_IID_BLOCK = 32
-
-
 # ---------------------------------------------------------------------------
 # Solvers
 
 
-def solve_iid(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | None = None) -> CodeTable:
+# The iid walk stops on an interval narrower than this fraction of its
+# right end, so p and first_infeasible_p agree to about six digits.
+_IID_REL_WIDTH = 1e-6
+
+
+def solve_iid(sets: PlacementSets, c: TailConstraint) -> CodeTable:
     """Largest single error probability on the feasible interval at p=0.
 
-    With all p_i equal, S_m's mass is sum_w n_mw p**w (1-p)**(L-w), where
-    n_mw counts the weight-w masks of S_m.  The grid upward from 0 is
-    evaluated against these profiles a block at a time, stopping at the
-    block holding the first infeasible point; the bracketing step is then
-    bisected down to opts.tol and the feasible end returned.  If the whole
-    grid is feasible the answer is exactly 1.  The returned table is
+    With all p_i equal, S_m's mass minus F(m) is a polynomial of degree L
+    in p whose Bernstein coefficients on [0, 1] are n_mw / C(L, w) - F(m),
+    n_mw counting the weight-w masks of S_m.  A row whose coefficients on
+    an interval are all <= 0 stays within F(m) there (the convex-hull
+    property), and de Casteljau halving gives the coefficients on each
+    half (Lane & Riesenfeld, "Bounds on a polynomial", BIT 21, 1981).  The
+    solver walks [0, 1] from the left, halving each interval on which some
+    row is not certified, until it reaches an interval [a, b] where either
+    some row's first nonzero coefficient is positive, so that the row
+    exceeds F(m) just right of a and a is the answer exactly, or
+    b - a <= 1e-6 * b.  It returns p = a, every row certified on [0, p],
+    with b as metadata["first_infeasible_p"]: within 1e-6 of p,
+    relatively, unless p is exact.  If the walk certifies all of [0, 1],
+    p is exactly 1 and first_infeasible_p is None.  The returned table is
     re-verified by direct constraint evaluation.
     """
-    opts = opts or SolverOptions()
     keys, bounds, m_idx = _constraint_index(sets, c)
-    # profile[j, w] counts the weight-w masks of S_{keys[j]}.
     width = sets.L + 1
     cells = m_idx * width + np.bitwise_count(sets.masks)
-    profile = np.bincount(cells, minlength=keys.size * width).reshape(-1, width).astype(np.float64)
-    w = np.arange(width)[:, None]
+    profile = np.bincount(cells, minlength=keys.size * width).reshape(-1, width)
+    # Coefficients c on [a, b] are c @ left on [a, mid] and c @ right on
+    # [mid, b]: left-half coefficient i is sum_j C(i, j) c_j / 2**i, and
+    # the right half mirrors it.
+    pascal = np.array([[math.comb(i, j) for j in range(width)] for i in range(width)], dtype=np.float64)
+    left = (pascal / 2.0 ** np.arange(width)[:, None]).T
+    right = left[::-1, ::-1]
 
-    def infeasible(ps: np.ndarray) -> np.ndarray:
-        basis = ps[None, :] ** w * (1.0 - ps[None, :]) ** (sets.L - w)
-        return np.any(profile @ basis > bounds[:, None], axis=0)
-
-    if infeasible(np.zeros(1))[0]:
-        raise InfeasibleConstraintError("p=0 violates the constraint (negative bound?)")
-
-    steps = int(math.ceil(1.0 / opts.grid_step))
-    grid = np.minimum(np.arange(1, steps + 1) * opts.grid_step, 1.0)
-    first = None
-    for start in range(0, steps, _IID_BLOCK):
-        bad = np.flatnonzero(infeasible(grid[start : start + _IID_BLOCK]))
-        if bad.size:
-            first = start + int(bad[0])
+    # Each stack entry is an interval with its parent's coefficients and
+    # the halving matrix that maps them onto it; the top is leftmost.
+    coeffs = profile / pascal[-1] - bounds[:, None]
+    stack = [(0.5, 1.0, coeffs, right), (0.0, 0.5, coeffs, left)]
+    p_star, first_infeasible = 1.0, None
+    while stack:
+        a, b, parent, half = stack.pop()
+        coeffs = parent @ half
+        coeffs = coeffs[(coeffs > 0.0).any(axis=1)]
+        if not len(coeffs):
+            continue
+        # Only a row with c_0 = (its value at a) >= 0 can have a positive first nonzero coefficient.
+        if b - a <= _IID_REL_WIDTH * b or (
+            coeffs[:, 0].max() >= 0.0
+            and (coeffs[np.arange(len(coeffs)), (coeffs != 0.0).argmax(axis=1)] > 0.0).any()
+        ):
+            p_star, first_infeasible = a, b
             break
-    metadata = {"grid_step": opts.grid_step, "tol": opts.tol, "solver": "grid+bisect"}
-    if first is None:
-        p_star = 1.0
-        metadata["first_infeasible_p"] = None
-    else:
-        lo, hi = (float(grid[first - 1]) if first else 0.0), float(grid[first])
-        while hi - lo > opts.tol:
-            mid = (lo + hi) / 2.0
-            if infeasible(np.array([mid]))[0]:
-                hi = mid
-            else:
-                lo = mid
-        p_star = lo
-        metadata["first_infeasible_p"] = hi
+        mid = (a + b) / 2.0
+        stack += [(mid, b, coeffs, right), (a, mid, coeffs, left)]
     margins = _margins(keys, bounds, _lhs(sets, m_idx, (p_star,) * sets.L))
     if not _margins_pass(margins):
         raise InfeasibleConstraintError(f"solver output failed re-verification: {margins}")
-    metadata["margins"] = margins
+    metadata = {"solver": "bernstein-walk", "first_infeasible_p": first_infeasible, "margins": margins}
     return CodeTable.iid(sets.L, sets.k, p_star, metadata)
 
 
-def solve_perbit(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | None = None) -> CodeTable:
+def solve_perbit(sets: PlacementSets, c: TailConstraint, *, tol: float = PERBIT_TOL) -> CodeTable:
     """Coordinate-ascent maximization of the per-bit probabilities.
 
     Starts from the iid solution and repeatedly maximizes one p_i with
     the rest held fixed, sweeping i from the most significant bit down,
-    until a full sweep moves no coordinate by more than opts.tol.  With
+    until a full sweep moves no coordinate by more than tol.  With
     all other coordinates fixed every constraint is affine in p_i, so each
     step is exact: two evaluations give every m's intercept and slope, and
     p_i rises to the smallest (F_m - a_m) / slope_m over the m with a
@@ -524,8 +518,9 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | N
     ("binding", None at the domain boundary).  Which local maximum is
     reached depends on the sweep order and the steps taken on the way.
     """
-    opts = opts or SolverOptions()
-    start = solve_iid(sets, c, opts)
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be finite and > 0, got {tol}")
+    start = solve_iid(sets, c)
     keys, bounds, m_idx = _constraint_index(sets, c)
 
     p = np.full(sets.L, start.p, dtype=np.float64)
@@ -537,7 +532,7 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | N
             limit = max(p[i], _coordinate_limit(sets, keys, bounds, m_idx, p, i)[0])
             largest_move = max(largest_move, limit - p[i])
             p[i] = limit
-        if largest_move <= opts.tol:
+        if largest_move <= tol:
             break
 
     certificate, binding = [], []
@@ -546,18 +541,17 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint, opts: SolverOptions | N
             certificate.append("at-domain-boundary")
             binding.append(None)
             continue
-        trial = p.copy()
-        trial[i] = min(1.0, p[i] + 4.0 * opts.tol)
-        blocked = trial[i] >= 1.0 or np.any(_lhs(sets, m_idx, trial) > bounds)
-        certificate.append("blocked" if blocked else "open")
-        binding.append(_coordinate_limit(sets, keys, bounds, m_idx, p, i)[1])
+        # Every row is affine in p_i, so p_i + 4*tol breaks a row exactly when it passes the limit.
+        limit, m = _coordinate_limit(sets, keys, bounds, m_idx, p, i)
+        bump = min(1.0, p[i] + 4.0 * tol)
+        certificate.append("blocked" if bump >= 1.0 or limit < bump else "open")
+        binding.append(m)
     p_vec = tuple(float(v) for v in p)
     margins = _margins(keys, bounds, _lhs(sets, m_idx, p_vec))
     if not _margins_pass(margins):
         raise InfeasibleConstraintError(f"solver output failed re-verification: {margins}")
     metadata = {
-        "grid_step": opts.grid_step,
-        "tol": opts.tol,
+        "tol": tol,
         "sweeps": sweeps,
         "solver": "coordinate-ascent",
         "start_p": start.p,

@@ -126,12 +126,11 @@ def test_encode_zero_denominator_bound_is_usage_error(tmp_path, capsys):
     assert "line 4: bad row '1,1/0'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", ["0", "-0.1", "nan"])
-def test_encode_grid_outside_unit_interval_is_usage_error(tmp_path, example_constraint_file, capsys, grid):
-    # --grid 0 divided by zero and --grid -0.1 scanned an empty grid to p=1.0
-    argv = ["encode", "--constraint", str(example_constraint_file), "--mode", "iid"]
-    assert main(argv + ["--grid", grid, "--out", str(tmp_path / "t")]) == 2
-    assert "grid_step must be in (0, 1]" in capsys.readouterr().err
+@pytest.mark.parametrize("tol", ["0", "-0.1", "nan", "inf"])
+def test_encode_tol_outside_positive_reals_is_usage_error(tmp_path, example_constraint_file, capsys, tol):
+    argv = ["encode", "--constraint", str(example_constraint_file), "--mode", "perbit"]
+    assert main(argv + ["--tol", tol, "--out", str(tmp_path / "t")]) == 2
+    assert "tol must be finite and > 0" in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
 
 
@@ -416,6 +415,20 @@ def test_replay_rejects_drifted_inputs(tmp_path, example_constraint_file, capsys
     example_constraint_file.write_text(EXAMPLE_CONSTRAINT_TEXT + "# drift\n")
     assert main(["replay", "--manifest", str(out) + ".manifest.json"]) == 2
     assert "digest" in capsys.readouterr().err
+
+
+def test_replay_rejects_arguments_this_build_does_not_accept(tmp_path, example_constraint_file, capsys):
+    # a manifest from a build that still had `encode --grid`
+    out = tmp_path / "table.txt"
+    assert main(["encode", "--constraint", str(example_constraint_file), "--mode", "iid", "--out", str(out)]) == 0
+    manifest_path = tmp_path / "table.txt.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["arguments"]["grid"] = 0.001
+    manifest_path.write_text(json.dumps(manifest))
+    original = out.read_bytes()
+    assert main(["replay", "--manifest", str(manifest_path)]) == 2
+    assert "error: manifest argument --grid is not accepted" in capsys.readouterr().err
+    assert out.read_bytes() == original
 
 
 def test_version_flag(capsys):

@@ -6,7 +6,6 @@ import pytest
 from vdbcode import (
     CodeTable,
     ParameterError,
-    SolverOptions,
     TailConstraint,
     constraint_lhs,
     sets_fast,
@@ -15,6 +14,7 @@ from vdbcode import (
     verify_table,
 )
 from vdbcode.codegen import (
+    PERBIT_TOL,
     _constraint_index,
     _parse_constraint_arrays,
     _parse_constraint_lines,
@@ -142,30 +142,61 @@ def test_coordinate_limit_matches_bisection(L, k):
     sets = sets_fast(L, k)
     c = TailConstraint.reciprocal(L, k)
     keys, bounds, m_idx = _constraint_index(sets, c)
-    tol = SolverOptions().tol
     p_vec = np.full(L, 0.5 * solve_iid(sets, c).p)
     for i in range(L):
         limit, _ = _coordinate_limit(sets, keys, bounds, m_idx, p_vec, i)
-        lo = _bisection_limit(sets, c, p_vec, i, tol)
-        assert lo <= limit <= lo + tol
-
-
-@pytest.mark.parametrize("target", [0.0315, 0.0325, 0.3205])
-def test_solve_iid_grid_block_edges(example_sets, target):
-    # only S_1 (mass p(1-p), rising below 1/2) binds, at exactly `target`;
-    # the first infeasible grid point is the last point of the first scan
-    # block, the first point of the second, and the first of the eleventh
-    sets = example_sets
-    p1 = constraint_lhs(sets.sets[1], [target] * 3)
-    c = TailConstraint.from_table(3, 2, {1: p1, 2: 1.0}, allow_nonmonotone=True)
-    opts = SolverOptions()
-    table = solve_iid(sets, c, opts)
-    hi = table.metadata["first_infeasible_p"]
-    assert table.p <= target <= hi and hi - table.p <= opts.tol
+        lo = _bisection_limit(sets, c, p_vec, i, PERBIT_TOL)
+        assert lo <= limit <= lo + PERBIT_TOL
 
 
 # ---------------------------------------------------------------------------
 # solve_iid
+
+
+def _assert_iid_bracket(sets, c):
+    """solve_iid's p is feasible on [0, p] and, unless it is 1, within 1e-6 (relative) of an infeasible point."""
+    table = solve_iid(sets, c)
+    for p in np.linspace(0.0, table.p, 51):
+        assert verify_table(sets, c, CodeTable.iid(sets.L, sets.k, float(p))).passed
+    hi = table.metadata["first_infeasible_p"]
+    if table.p == 1.0:
+        assert hi is None
+        return table
+    assert table.p < hi and hi - table.p <= 1e-6 * hi
+    # some row exceeds F at hi; near a small p that excess can be under
+    # the 1e-9 round-off verify forgives, so the margin is read directly
+    assert verify_table(sets, c, CodeTable.iid(sets.L, sets.k, hi)).worst < 0
+    return table
+
+
+@pytest.mark.parametrize("target", [0.0315, 0.0325, 0.3205])
+def test_solve_iid_brackets_single_root(example_sets, target):
+    # only S_1 (mass p(1-p), rising below 1/2) binds, at exactly `target`
+    p1 = constraint_lhs(example_sets.sets[1], [target] * 3)
+    c = TailConstraint.from_table(3, 2, {1: p1, 2: 1.0}, allow_nonmonotone=True)
+    table = _assert_iid_bracket(example_sets, c)
+    assert table.p <= target <= table.metadata["first_infeasible_p"]
+
+
+@pytest.mark.parametrize("L", range(3, 13))
+def test_solve_iid_bracket_reciprocal(L):
+    _assert_iid_bracket(sets_fast(L, 3), TailConstraint.reciprocal(L, 3))
+
+
+@pytest.mark.parametrize("L,k,bounds,want", [
+    # each S_m is one weight-1 mask of mass p(1-p)^2, which exceeds F only
+    # on (0.333114, 0.333552), a window narrower than 1e-3
+    (3, 1, {m: 0.1481481 for m in range(1, 5)}, 0.333114),
+    (12, 3, None, 0.000490685),
+    (16, 3, None, 3.05306e-05),
+    (16, 6, None, 3.05306e-05),
+])
+def test_solve_iid_certified_answers(L, k, bounds, want):
+    sets = sets_fast(L, k)
+    c = TailConstraint.reciprocal(L, k) if bounds is None else TailConstraint.from_table(L, k, bounds)
+    table = solve_iid(sets, c)
+    assert table.p == pytest.approx(want, rel=2e-6)
+    assert verify_table(sets, c, table).passed
 
 
 def test_solve_iid_worked_example(example_sets, example_constraint):
@@ -185,19 +216,24 @@ def test_solve_iid_zero_bound(example_sets):
     assert solve_iid(example_sets, zero).p == 0.0
 
 
+def test_solve_iid_zero_bound_on_weight_two_masks(example_sets):
+    # S_3 holds only weight-2 masks, so F(3) - mass(S_3) and its first
+    # derivative vanish at p = 0; the answer is still exactly 0, not a
+    # subnormal number reached by halving towards 0
+    assert set(map(int.bit_count, example_sets.sets[3])) == {2}
+    zero = TailConstraint.from_table(3, 2, {1: 1.0, 3: 0.0}, allow_nonmonotone=True)
+    assert solve_iid(example_sets, zero).p == 0.0
+
+
 def test_solve_iid_maximality_certificate(example_sets, example_constraint):
-    opts = SolverOptions()
-    table = solve_iid(example_sets, example_constraint, opts)
+    table = _assert_iid_bracket(example_sets, example_constraint)
     hi = table.metadata["first_infeasible_p"]
-    assert hi is not None and hi - table.p <= 4 * opts.tol
-    bumped = CodeTable.iid(3, 2, hi)
-    assert not verify_table(example_sets, example_constraint, bumped).passed
+    assert not verify_table(example_sets, example_constraint, CodeTable.iid(3, 2, hi)).passed
 
 
 def test_solve_iid_maximality_randomized():
     rng = np.random.default_rng(11)
     ps = sets_fast(4, 2)
-    opts = SolverOptions()
     for _ in range(10):
         bounds = {m: float(rng.uniform(0.05, 1.0)) for m in range(1, 13)}
         # enforce a nonincreasing staircase
@@ -205,24 +241,16 @@ def test_solve_iid_maximality_randomized():
         for m in sorted(bounds):
             running = min(running, bounds[m])
             bounds[m] = running
-        c = TailConstraint.from_table(4, 2, bounds)
-        table = solve_iid(ps, c, opts)
-        assert verify_table(ps, c, table).passed
-        hi = table.metadata["first_infeasible_p"]
-        if table.p < 1.0:
-            assert hi is not None and hi - table.p <= 4 * opts.tol
-            assert not verify_table(ps, c, CodeTable.iid(4, 2, hi)).passed
+        _assert_iid_bracket(ps, TailConstraint.from_table(4, 2, bounds))
 
 
 @pytest.mark.parametrize("field,value", [
     ("tol", 0.0), ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")),
-    ("grid_step", 0.0), ("grid_step", -0.1), ("grid_step", float("nan")), ("grid_step", 1.5),
 ])
-def test_solver_options_reject_values_the_solvers_cannot_use(field, value):
-    # tol <= 0 never ended the bisection; grid_step 0 divided by zero and
-    # a negative step scanned an empty grid
+def test_solver_options_reject_values_the_solvers_cannot_use(example_sets, example_constraint, field, value):
+    # tol <= 0 never ends the coordinate ascent
     with pytest.raises(ParameterError, match=field):
-        SolverOptions(**{field: value})
+        solve_perbit(example_sets, example_constraint, **{field: value})
 
 
 def test_solve_iid_deterministic(example_sets, example_constraint):
@@ -267,20 +295,18 @@ def test_solve_perbit_feasible_and_certified(example_sets, example_constraint):
 
 
 def test_solve_perbit_dominates_iid(example_sets, example_constraint):
-    opts = SolverOptions()
-    iid = solve_iid(example_sets, example_constraint, opts)
-    perbit = solve_perbit(example_sets, example_constraint, opts)
-    assert all(p >= iid.p - opts.tol for p in perbit.p_vec)
+    iid = solve_iid(example_sets, example_constraint)
+    perbit = solve_perbit(example_sets, example_constraint)
+    assert all(p >= iid.p - PERBIT_TOL for p in perbit.p_vec)
 
 
 def test_solve_perbit_local_maximality(example_sets, example_constraint):
-    opts = SolverOptions()
-    table = solve_perbit(example_sets, example_constraint, opts)
+    table = solve_perbit(example_sets, example_constraint)
     for i, p in enumerate(table.p_vec):
         if p >= 1.0:
             continue
         bumped = list(table.p_vec)
-        bumped[i] = min(1.0, p + 4 * opts.tol)
+        bumped[i] = min(1.0, p + 4 * PERBIT_TOL)
         assert not verify_table(example_sets, example_constraint, CodeTable.perbit(3, 2, bumped)).passed
 
 
@@ -297,22 +323,48 @@ def _assert_binding_blocks(sets, c, table, tol):
 
 
 def test_solve_perbit_binding_example(example_sets, example_constraint):
-    opts = SolverOptions()
-    table = solve_perbit(example_sets, example_constraint, opts)
-    _assert_binding_blocks(example_sets, example_constraint, table, opts.tol)
+    table = solve_perbit(example_sets, example_constraint)
+    _assert_binding_blocks(example_sets, example_constraint, table, PERBIT_TOL)
 
 
-def test_solve_perbit_binding_seeded_budget():
+def _seeded_l5_budget():
     rng = np.random.default_rng(2024)
     L = 5
     sets = sets_fast(L, L)
     m = np.arange(1, max(sets.sets) + 1)
     f = np.minimum.accumulate(0.8 / (m + 1.0) * rng.uniform(0.9, 1.1, m.size))
-    c = TailConstraint.from_table(L, L, {int(i): float(v) for i, v in zip(m, f)})
-    opts = SolverOptions()
-    table = solve_perbit(sets, c, opts)
+    return sets, TailConstraint.from_table(L, L, {int(i): float(v) for i, v in zip(m, f)})
+
+
+def test_solve_perbit_binding_seeded_budget():
+    sets, c = _seeded_l5_budget()
+    table = solve_perbit(sets, c)
     assert all(b is not None for b in table.metadata["binding"])
-    _assert_binding_blocks(sets, c, table, opts.tol)
+    _assert_binding_blocks(sets, c, table, PERBIT_TOL)
+
+
+@pytest.mark.parametrize("case", ["example", "seeded-5", "reciprocal-6-6"])
+def test_solve_perbit_certificate_matches_bump_check(example_sets, example_constraint, case):
+    # the certificate comes from the coordinate limit; evaluating every row
+    # with p_i raised by 4*tol must give the same verdict
+    if case == "example":
+        sets, c = example_sets, example_constraint
+    elif case == "seeded-5":
+        sets, c = _seeded_l5_budget()
+    else:
+        sets, c = sets_fast(6, 6), TailConstraint.reciprocal(6, 6)
+    table = solve_perbit(sets, c)
+    _, bounds, m_idx = _constraint_index(sets, c)
+    want = []
+    for i, p in enumerate(table.p_vec):
+        if p >= 1.0:
+            want.append("at-domain-boundary")
+            continue
+        trial = np.array(table.p_vec)
+        trial[i] = min(1.0, p + 4.0 * PERBIT_TOL)
+        blocked = trial[i] >= 1.0 or np.any(_lhs(sets, m_idx, trial) > bounds)
+        want.append("blocked" if blocked else "open")
+    assert table.metadata["certificate"] == tuple(want)
 
 
 def test_solve_perbit_binding_none_at_domain_boundary(example_sets):
