@@ -5,11 +5,10 @@ sum_{i in e} s_i * 2**i with s_i = +1 for a 0->1 flip and -1 for a 1->0
 flip, and each sign pattern on a weight-w mask is the bit pattern on e
 of exactly 2**(L - w) words.  The signed-sum kernel lists those changes
 from the mask side and so covers every (word, mask) pair without
-sweeping the words; only the reach-matrix kernel, which serves the
-brute-force placement sets, sweeps all 2**L words.  The distortion-law
-kernel likewise folds the word one bit at a time instead of sweeping
-(word, mask) pairs.  Each kernel pushes its loop through broadcast
-arrays and is deterministic:
+sweeping the words; only the reach-pairs kernel, which serves the
+brute-force placement sets, sweeps all 2**L words, one mask at a time.
+The distortion-law kernel likewise folds the word one bit at a time
+instead of sweeping (word, mask) pairs.  Each kernel is deterministic:
 
     mask_powers(L, w)              int64 [C(L, w), w]; row j holds the powers
                                    2**i of the bits of the j-th weight-w
@@ -22,9 +21,10 @@ arrays and is deterministic:
                                    bit: m = sum_i s_i * 2**i > 0 and e;
                                    the one enumeration of sign patterns,
                                    read by the placement sets and Z
-    reach_matrix(L, masks)         bool [len(masks), 2**L]; [j, m] is set iff
-                                   some word x has |x - (x ^ masks[j])| = m;
-                                   a word-by-word sweep, kept as the
+    reach_pairs(L, w)              (ms, masks), int64, one entry per weight-w
+                                   mask e (ascending) and m (ascending) with
+                                   |x - (x ^ e)| = m for some word x; a word
+                                   sweep in O(2**L) memory, kept as the
                                    brute-force oracle of the placement sets
     mask_probabilities(probs)      float64 [2**L]; the product measure of mask e,
                                    with bit i of e set <-> factor probs[i]
@@ -58,14 +58,21 @@ def signed_sums(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return (powers @ signs.T).ravel(), np.repeat(powers.sum(axis=1), signs.shape[0])
 
 
-def reach_matrix(L: int, masks: np.ndarray) -> np.ndarray:
-    n = 1 << L
-    x = np.arange(n, dtype=np.int64)
-    reach = np.zeros((masks.shape[0], n), dtype=np.bool_)
-    for j, e in enumerate(masks.astype(np.int64)):
-        m = np.abs(x - (x ^ e))
-        reach[j, m] = True
-    return reach
+# `moved` and `seen` are reused for every mask; `seen` is cleared at just
+# the entries one mask set.
+def reach_pairs(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    x = np.arange(1 << L, dtype=np.int64)
+    moved, seen = np.empty_like(x), np.zeros(x.size, dtype=np.bool_)
+    masks = mask_powers(L, w).sum(axis=1)
+    ms = []
+    for e in masks.tolist():
+        np.bitwise_xor(x, e, out=moved)
+        np.subtract(x, moved, out=moved)
+        np.abs(moved, out=moved)
+        seen[moved] = True
+        ms.append(np.flatnonzero(seen))
+        seen[ms[-1]] = False
+    return np.concatenate(ms), np.repeat(masks, [m.size for m in ms])
 
 
 def mask_probabilities(probs: np.ndarray) -> np.ndarray:

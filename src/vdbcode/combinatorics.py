@@ -22,6 +22,7 @@ import csv
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -137,7 +138,8 @@ def bounds_dataset(L: int, k: int) -> list[BoundsRow]:
     ms = np.arange(1, z.size, dtype=np.int64)
     loose = (1 << (L + 1)) - 2 * ms
     tight = loose - loose % (1 << (L - k + 1))
-    return list(map(BoundsRow, ms.tolist(), z[1:].tolist(), tight.tolist(), loose.tolist()))
+    fields = zip(ms.tolist(), z[1:].tolist(), tight.tolist(), loose.tolist())
+    return list(map(tuple.__new__, repeat(BoundsRow), fields))  # skips BoundsRow.__new__
 
 
 def write_bounds_csv(rows: Iterable[BoundsRow], path) -> None:

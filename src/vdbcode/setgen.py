@@ -24,11 +24,6 @@ from .core import SYMMETRIC, WordSpec, distortion_range
 SETS_FORMAT = "vdb-sets-v1"
 
 
-def reach_chunk_rows(L: int) -> int:
-    """Masks per reach-matrix chunk, keeping each chunk around 64 MB."""
-    return max(1, (1 << 26) >> L)
-
-
 class PlacementSets:
     """The placement sets as (m, mask) pairs: row r puts masks[r] in S_{ms[r]}.
 
@@ -76,19 +71,12 @@ def sets_bruteforce(L: int, k: int) -> PlacementSets:
 
     Every ordered pair at Hamming distance <= k is one (x, x ^ e); the
     differing-bit mask e joins the set of the pair's integer distance.
-    Masks are processed in chunks to bound the reach-matrix memory, and
-    each chunk's (mask, m) pairs are the true cells of its reach matrix.
+    `_kernels.reach_pairs` sweeps all 2**L words for one mask at a time,
+    so memory stays O(2**L) plus the pairs found.
     """
     distortion_range(WordSpec(L, SYMMETRIC), k)  # validates L and k
-    masks = np.concatenate([_kernels.mask_powers(L, w).sum(axis=1) for w in range(1, k + 1)])
-    m_parts, mask_parts = [], []
-    step = reach_chunk_rows(L)
-    for start in range(0, masks.size, step):
-        chunk = masks[start : start + step]
-        rows, ms = np.nonzero(_kernels.reach_matrix(L, chunk))
-        m_parts.append(ms.astype(np.int64, copy=False))
-        mask_parts.append(chunk[rows])
-    return _from_pairs(L, k, np.concatenate(m_parts), np.concatenate(mask_parts))
+    ms, masks = zip(*(_kernels.reach_pairs(L, w) for w in range(1, k + 1)))
+    return _from_pairs(L, k, np.concatenate(ms), np.concatenate(masks))
 
 
 def sets_fast(L: int, k: int) -> PlacementSets:

@@ -16,6 +16,7 @@ from vdbcode import (
 )
 from vdbcode.combinatorics import (
     BOUNDS_CSV_HEADER,
+    BoundsRow,
     write_bounds_csv,
     z_exact_table,
 )
@@ -161,6 +162,7 @@ def test_bounds_dataset_matches_scalar_bounds(L, k):
     rows = bounds_dataset(L, k)
     assert [r.m for r in rows] == list(range(1, 2 ** (L - k) * (2**k - 1) + 1))
     for r in rows:
+        assert type(r) is BoundsRow
         assert (r.z_exact, r.z_tight, r.z_loose) == (
             z_exact(L, k, r.m), z_bound_tight(L, k, r.m), z_bound_loose(L, r.m)
         )

@@ -121,10 +121,16 @@ def test_submask_counts_match_loop(L, k):
     assert counts.sum() == y.sum()
 
 
-@pytest.mark.parametrize("L,k", [(3, 2), (6, 3)])
-def test_reach_matrix_matches_loop(L, k):
-    masks = ref_masks(L, range(1, k + 1))
-    assert np.array_equal(_kernels.reach_matrix(L, masks), ref_reach_matrix(L, masks))
+@pytest.mark.parametrize("L,w", [(3, 2), (6, 3), (8, 4)])
+def test_reach_pairs_match_loop(L, w):
+    # The true cells of the loop's reach matrix, row-major: masks ascending,
+    # each mask's m ascending.
+    masks = ref_masks(L, (w,))
+    rows, ms = np.nonzero(ref_reach_matrix(L, masks))
+    got_ms, got_masks = _kernels.reach_pairs(L, w)
+    assert got_ms.dtype == got_masks.dtype == np.int64
+    assert np.array_equal(got_ms, ms)
+    assert np.array_equal(got_masks, masks[rows])
 
 
 def test_mask_probabilities_matches_loop_bitwise():

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 from math import comb
 
@@ -32,6 +33,23 @@ def test_bruteforce_matches_reference_family():
 def test_bruteforce_single_bit():
     ps = sets_bruteforce(1, 1)
     assert ps.sets == {1: frozenset({0b1})}
+
+
+@pytest.mark.parametrize("L,k", [(1, 1), (3, 1), (16, 3)])
+def test_bruteforce_memory_is_one_word_sweep(L, k):
+    # One mask's 2**L sweep at a time; a (masks x 2**L) bool reach matrix
+    # at (16, 3) would hold 696 * 65536 entries, about 45 MB.  (3, 1) has
+    # an empty S_3, which must still give no rows.
+    tracemalloc.start()
+    try:
+        ps = sets_bruteforce(L, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert ps == sets_fast(L, k)
+    if L < 4:
+        assert ps.ms.tolist() == [1 << i for i in range(L)]
 
 
 def test_bruteforce_l3k3_includes_full_mask():
