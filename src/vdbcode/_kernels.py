@@ -6,7 +6,7 @@ flip, and each sign pattern on a weight-w mask is the bit pattern on e
 of exactly 2**(L - w) words.  The signed-sum kernel lists those changes
 from the mask side and so covers every (word, mask) pair without
 sweeping the words; only the reach-pairs kernel, which serves the
-brute-force placement sets, sweeps all 2**L words, one mask at a time.
+brute-force placement sets, sweeps the words, one mask at a time.
 The distortion-law kernel likewise folds the word one bit at a time
 instead of sweeping (word, mask) pairs.  Each kernel is deterministic:
 
@@ -24,7 +24,10 @@ instead of sweeping (word, mask) pairs.  Each kernel is deterministic:
     reach_pairs(L, w)              (ms, masks), int64, one entry per weight-w
                                    mask e (ascending) and m (ascending) with
                                    |x - (x ^ e)| = m for some word x; a word
-                                   sweep in O(2**L) memory, kept as the
+                                   sweep that visits each unordered pair
+                                   {x, x ^ e} once, from the word with e's
+                                   top bit clear (2**(L - 1) words per
+                                   mask), in O(2**L) memory, kept as the
                                    brute-force oracle of the placement sets
     mask_probabilities(probs)      float64 [2**L]; the product measure of mask e,
                                    with bit i of e set <-> factor probs[i]
@@ -58,17 +61,26 @@ def signed_sums(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return (powers @ signs.T).ravel(), np.repeat(powers.sum(axis=1), signs.shape[0])
 
 
-# `moved` and `seen` are reused for every mask; `seen` is cleared at just
-# the entries one mask set.
+# Each unordered pair {x, x ^ e} is visited once, from the word x with
+# the mask's top bit t clear: x ^ e agrees with x above t and has bit t
+# set, so (x ^ e) - x > 0.  Masks ascend, so t never falls and `low`,
+# the 2**(L - 1) words with bit t clear (each j < 2**(L - 1) with its bits
+# from t up shifted left by one), is rebuilt only when t rises.  `moved` and `seen` are reused for every
+# mask; `seen` is cleared at just the entries one mask set.
 def reach_pairs(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.arange(1 << L, dtype=np.int64)
-    moved, seen = np.empty_like(x), np.zeros(x.size, dtype=np.bool_)
+    j = np.arange(1 << (L - 1), dtype=np.int64)
+    low, moved = np.empty_like(j), np.empty_like(j)
+    seen = np.zeros(1 << L, dtype=np.bool_)
     masks = mask_powers(L, w).sum(axis=1)
-    ms = []
+    ms, t = [], -1
     for e in masks.tolist():
-        np.bitwise_xor(x, e, out=moved)
-        np.subtract(x, moved, out=moved)
-        np.abs(moved, out=moved)
+        if e.bit_length() - 1 > t:
+            t = e.bit_length() - 1
+            np.right_shift(j, t, out=low)
+            np.left_shift(low, t, out=low)
+            np.add(low, j, out=low)
+        np.bitwise_xor(low, e, out=moved)
+        np.subtract(moved, low, out=moved)
         seen[moved] = True
         ms.append(np.flatnonzero(seen))
         seen[ms[-1]] = False

@@ -40,7 +40,16 @@ def _check_params(L: int, k: int) -> tuple[int, int]:
     return distortion_range(spec, k)
 
 
-@lru_cache(maxsize=128)
+# The cached tables validate L and k when they are built, and span
+# m = 0..m_max, so a lookup needs only the range check on m.  The caches
+# are typed, so a float or bool L never hits an int entry.
+def _at_m(table: np.ndarray, m: int) -> int:
+    if not 1 <= m < table.size:
+        raise ParameterError(f"m must be in [1, {table.size - 1}], got {m}")
+    return int(table[m])
+
+
+@lru_cache(maxsize=128, typed=True)
 def z_exact_table(L: int, k: int) -> np.ndarray:
     """Exact Z counts z[m] for m = 0..m_max, as a read-only int64 array.
 
@@ -57,10 +66,7 @@ def z_exact_table(L: int, k: int) -> np.ndarray:
 
 def z_exact(L: int, k: int, m: int) -> int:
     """Ordered pairs at Hamming distance exactly k and integer distance m."""
-    m_min, m_max = _check_params(L, k)
-    if not 1 <= m <= m_max:
-        raise ParameterError(f"m must be in [1, {m_max}], got {m}")
-    return int(z_exact_table(L, k)[m])
+    return _at_m(z_exact_table(L, k), m)
 
 
 def z_bound_loose(L: int, m: int) -> int:
@@ -77,7 +83,7 @@ def z_bound_tight(L: int, k: int, m: int) -> int:
     return v - (v % (1 << (L - k + 1)))
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def _y_star_counts(L: int, k: int) -> np.ndarray:
     """|S_m| for m = 0..m_max, as a read-only int64 array."""
     _, m_max = _check_params(L, k)
@@ -88,10 +94,7 @@ def _y_star_counts(L: int, k: int) -> np.ndarray:
 
 def y_star(L: int, k: int, m: int) -> int:
     """Distinct placements of <= k errors that can realize distortion m."""
-    m_min, m_max = _check_params(L, k)
-    if not 1 <= m <= m_max:
-        raise ParameterError(f"m must be in [1, {m_max}], got {m}")
-    return int(_y_star_counts(L, k)[m])
+    return _at_m(_y_star_counts(L, k), m)
 
 
 @dataclass(frozen=True)

@@ -69,10 +69,11 @@ def _from_pairs(L: int, k: int, ms: np.ndarray, masks: np.ndarray) -> PlacementS
 def sets_bruteforce(L: int, k: int) -> PlacementSets:
     """Placement sets by exhaustive enumeration of all (word, mask) pairs.
 
-    Every ordered pair at Hamming distance <= k is one (x, x ^ e); the
+    Every pair at Hamming distance <= k is one {x, x ^ e}; the
     differing-bit mask e joins the set of the pair's integer distance.
-    `_kernels.reach_pairs` sweeps all 2**L words for one mask at a time,
-    so memory stays O(2**L) plus the pairs found.
+    `_kernels.reach_pairs` sweeps one mask at a time and visits each
+    unordered pair once, from the word with e's top bit clear: 2**(L - 1)
+    words per mask, so memory stays O(2**L) plus the pairs found.
     """
     distortion_range(WordSpec(L, SYMMETRIC), k)  # validates L and k
     ms, masks = zip(*(_kernels.reach_pairs(L, w) for w in range(1, k + 1)))

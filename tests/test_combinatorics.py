@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from vdbcode import (
 from vdbcode.combinatorics import (
     BOUNDS_CSV_HEADER,
     BoundsRow,
+    _y_star_counts,
     write_bounds_csv,
     z_exact_table,
 )
@@ -66,6 +68,42 @@ def test_z_exact_parameter_errors():
         z_exact(3, 2, 7)  # m_max is 6
     with pytest.raises(ParameterError):
         z_exact(3, 2, 0)
+
+
+# (L, k, m), then y_star's and z_exact's results, or the error both raise.
+LOOKUPS = [
+    ((16, 3, 5), (4, 49152)),
+    ((16, 3, 57344), (1, 16384)),
+    ((True, 1, 1), (1, 2)),
+    ((16.0, 3, 5), TypeError("unsupported operand type(s) for <<: 'int' and 'float'")),
+    ((16, 3, 0), ParameterError("m must be in [1, 57344], got 0")),
+    ((16, 3, 57345), ParameterError("m must be in [1, 57344], got 57345")),
+    ((0, 1, 1), ParameterError("word_length must be in [1, 24], got 0")),
+    ((25, 1, 1), ParameterError("word_length must be in [1, 24], got 25")),
+    ((5, 6, 1), ParameterError("k must be in [1, 5], got 6")),
+    ((16, 3, 2.0), IndexError("only integers")),
+    (("16", 3, 5), TypeError("'<=' not supported between instances of 'int' and 'str'")),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("args,want", LOOKUPS)
+def test_lookup_results_and_errors(args, want, warm):
+    # The lookups read the cached tables first; a warm cache holding the
+    # int tables must give the same answers, so a float or bool L may
+    # never hit an int entry.
+    z_exact_table.cache_clear()
+    _y_star_counts.cache_clear()
+    if warm:
+        for L, k in ((16, 3), (1, 1)):
+            y_star(L, k, 1)
+            z_exact(L, k, 1)
+    if isinstance(want, Exception):
+        for lookup in (y_star, z_exact):
+            with pytest.raises(type(want), match=re.escape(str(want))):
+                lookup(*args)
+    else:
+        assert (y_star(*args), z_exact(*args)) == want
 
 
 def test_z_bound_loose_examples():

@@ -121,10 +121,12 @@ def test_submask_counts_match_loop(L, k):
     assert counts.sum() == y.sum()
 
 
-@pytest.mark.parametrize("L,w", [(3, 2), (6, 3), (8, 4)])
+@pytest.mark.parametrize("L,w", [(1, 1), (3, 2), (5, 5), (6, 3), (8, 4), (9, 2), (10, 3)])
 def test_reach_pairs_match_loop(L, w):
     # The true cells of the loop's reach matrix, row-major: masks ascending,
-    # each mask's m ascending.
+    # each mask's m ascending.  The kernel sweeps half the words, those with
+    # the mask's top bit clear; (1, 1) is a one-word sweep, (5, 5) has w = L
+    # and (9, 2), (10, 3) see the top bit rise many times.
     masks = ref_masks(L, (w,))
     rows, ms = np.nonzero(ref_reach_matrix(L, masks))
     got_ms, got_masks = _kernels.reach_pairs(L, w)
