@@ -320,7 +320,8 @@ def exact_distortion(
     else:
         force_to_one, force_to_zero = model.force_to_one(), model.force_to_zero()
     pmf = _kernels.distortion_pmf_forced(force_to_one, force_to_zero, value_probs)
-    mass = {int(m): float(p) for m, p in enumerate(pmf) if p}
+    seen = np.flatnonzero(pmf)
+    mass = dict(zip(seen.tolist(), pmf[seen].tolist()))
     return DistortionDistribution(mass, PROVENANCE_EXACT)
 
 
@@ -337,7 +338,7 @@ def placement_mass(table: CodeTable) -> dict[int, float]:
     sets = setgen.sets_fast(table.L, table.k)
     terms = _kernels.mask_probabilities(np.asarray(table.p_vec, dtype=np.float64))[sets.masks]
     out = np.bincount(sets.ms, weights=terms, minlength=m_max + 1)
-    return {m: float(out[m]) for m in range(1, m_max + 1)}
+    return dict(enumerate(out[1:].tolist(), start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +361,18 @@ def single_error_oracle(pmf: EmpiricalPMF, upsets: UpsetModel) -> DistortionDist
     if pmf.L != upsets.L:
         raise ParameterError("PMF and upset model have different word lengths")
     L = pmf.L
-    no_upset = [1.0 - upsets.upset_prob[i] for i in range(L)]
+    no_upset = [1.0 - u for u in upsets.upset_prob]
+    # others[i]: the odds that no bit but i is upset, multiplied in ascending j.
+    others = [math.prod(no_upset[:i] + no_upset[i + 1 :]) for i in range(L)]
+    # Bit i of a value a is forced to the other value: to 1 when a_i = 0, to 0 when a_i = 1.
+    forced = (upsets.force_to_one().tolist(), upsets.force_to_zero().tolist())
     mass: dict[int, float] = {}
     for a, pa in pmf.mass.items():
         for i in range(L):
-            others = 1.0
-            for j in range(L):
-                if j != i:
-                    others *= no_upset[j]
-            a_i = (a >> i) & 1
-            flip_prob = upsets.force_probability(i, 1 - a_i)
+            flip_prob = forced[(a >> i) & 1][i]
             if flip_prob:
                 m = 1 << i
-                mass[m] = mass.get(m, 0.0) + pa * flip_prob * others
+                mass[m] = mass.get(m, 0.0) + pa * flip_prob * others[i]
     mass[0] = 1.0 - math.fsum(v for m, v in mass.items() if m != 0)
     return DistortionDistribution(mass, PROVENANCE_EXACT)
 
@@ -416,10 +416,8 @@ def analytic_single_error(
     # corr[n - 1 + d] = sum_a B(a) f_V(a - d), for d = -(n - 1)..(n - 1).
     corr = np.correlate(bracket, fv, "full")
     totals = corr[n:] + corr[n - 2 :: -1]
-    mass: dict[int, float] = {}
-    for m, total in enumerate(totals, start=1):
-        if total:
-            mass[m] = float(total)
+    seen = np.flatnonzero(totals)
+    mass = dict(zip((seen + 1).tolist(), totals[seen].tolist()))
     mass[0] = 1.0 - math.fsum(v for m, v in mass.items() if m != 0)
     analytic = DistortionDistribution(mass, PROVENANCE_SINGLE_ERROR)
 

@@ -95,10 +95,10 @@ def cmd_encode(args: argparse.Namespace) -> int:
     if args.mode == codegen.MODE_IID:
         table = codegen.solve_iid(sets, constraint)
     else:
-        table = codegen.solve_perbit(sets, constraint, tol=args.tol)
+        table = codegen.solve_perbit(sets, constraint)
     # Both solvers re-verify their table and keep the margins they checked.
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(codegen.serialize_table(table, table.metadata["margins"]))
+        fh.write(codegen.serialize_table(table))
     _write_manifest(args, [args.constraint], [args.out])
     return EXIT_OK
 
@@ -240,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="solve for a maximal code table")
     p.add_argument("--constraint", required=True)
     p.add_argument("--mode", choices=(codegen.MODE_IID, codegen.MODE_PERBIT), required=True)
-    p.add_argument("--tol", type=float, default=codegen.PERBIT_TOL, help="per-bit solver's stopping move")
     p.add_argument("--allow-nonmonotone", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode)

@@ -51,7 +51,7 @@ VERIFY_MARGIN = -1e-9
 
 
 class InfeasibleConstraintError(RuntimeError):
-    """No probability satisfies the constraint (requires a negative bound)."""
+    """A solver's own table failed re-verification against the constraint."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +265,8 @@ def load_constraint(path, *, allow_nonmonotone: bool = False) -> TailConstraint:
 # Code tables
 
 
-# Coordinate-ascent sweeps solve_perbit makes at most, and its default stopping move.
+# Coordinate-ascent sweeps solve_perbit makes at most, and its stopping move
+# (also the step of its local-maximality certificate, 4 * PERBIT_TOL).
 MAX_SWEEPS = 200
 PERBIT_TOL = 1e-4
 
@@ -305,17 +306,18 @@ class CodeTable:
         return cls(MODE_PERBIT, L, k, tuple(p_vec), metadata or {})
 
 
-def serialize_table(table: CodeTable, margins: Mapping[int, float] | None = None) -> str:
+def serialize_table(table: CodeTable) -> str:
+    """The table file, with `# sweeps=`, `# first_infeasible_p=` and `# margin` lines from its metadata."""
     lines = [f"format={TABLE_FORMAT}", f"L={table.L}", f"k={table.k}", f"mode={table.mode}"]
     if table.mode == MODE_IID:
         lines.append(f"p={table.p!r}")
     else:
         lines += [f"p_{i}={p!r}" for i, p in enumerate(table.p_vec)]
-    for key in ("tol", "sweeps", "first_infeasible_p"):
+    for key in ("sweeps", "first_infeasible_p"):
         if key in table.metadata:
             lines.append(f"# {key}={table.metadata[key]}")
-    if margins:
-        lines += [f"# margin m={m}: {margins[m]!r}" for m in sorted(margins)]
+    margins = table.metadata.get("margins", {})
+    lines += [f"# margin m={m}: {margins[m]!r}" for m in sorted(margins)]
     return "\n".join(lines) + "\n"
 
 
@@ -499,32 +501,29 @@ def solve_iid(sets: PlacementSets, c: TailConstraint) -> CodeTable:
     margins = _margins(keys, bounds, _lhs(sets, m_idx, (p_star,) * sets.L))
     if not _margins_pass(margins):
         raise InfeasibleConstraintError(f"solver output failed re-verification: {margins}")
-    metadata = {"solver": "bernstein-walk", "first_infeasible_p": first_infeasible, "margins": margins}
+    metadata = {"first_infeasible_p": first_infeasible, "margins": margins}
     return CodeTable.iid(sets.L, sets.k, p_star, metadata)
 
 
-def solve_perbit(sets: PlacementSets, c: TailConstraint, *, tol: float = PERBIT_TOL) -> CodeTable:
+def solve_perbit(sets: PlacementSets, c: TailConstraint) -> CodeTable:
     """Coordinate-ascent maximization of the per-bit probabilities.
 
     Starts from the iid solution and repeatedly maximizes one p_i with
     the rest held fixed, sweeping i from the most significant bit down,
-    until a full sweep moves no coordinate by more than tol.  With
-    all other coordinates fixed every constraint is affine in p_i, so each
+    until a full sweep moves no coordinate by more than PERBIT_TOL (1e-4)
+    or MAX_SWEEPS (200) sweeps have run; it takes no options.  With all
+    other coordinates fixed every constraint is affine in p_i, so each
     step is exact: two evaluations give every m's intercept and slope, and
     p_i rises to the smallest (F_m - a_m) / slope_m over the m with a
-    positive slope, or to 1 when none binds sooner.  The result carries a
-    local-maximality certificate (each p_i is 1 or becomes infeasible
-    within 4*tol) and, per bit, the m that blocks it at the returned point
-    ("binding", None at the domain boundary).  Which local maximum is
-    reached depends on the sweep order and the steps taken on the way.
+    positive slope, or to 1 when none binds sooner.  The metadata holds
+    "sweeps", the margins it re-verified, a local-maximality
+    "certificate" (each p_i is 1 or becomes infeasible within
+    4 * PERBIT_TOL) and, per bit, the m that blocks it at the returned
+    point ("binding", None at the domain boundary).  Which local maximum
+    is reached depends on the sweep order and the steps taken on the way.
     """
-    if not 0.0 < tol < math.inf:
-        raise ParameterError(f"tol must be finite and > 0, got {tol}")
-    start = solve_iid(sets, c)
     keys, bounds, m_idx = _constraint_index(sets, c)
-
-    p = np.full(sets.L, start.p, dtype=np.float64)
-    sweeps = 0
+    p = np.full(sets.L, solve_iid(sets, c).p, dtype=np.float64)
     for sweeps in range(1, MAX_SWEEPS + 1):
         largest_move = 0.0
         for i in range(sets.L - 1, -1, -1):
@@ -532,7 +531,7 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint, *, tol: float = PERBIT_
             limit = max(p[i], _coordinate_limit(sets, keys, bounds, m_idx, p, i)[0])
             largest_move = max(largest_move, limit - p[i])
             p[i] = limit
-        if largest_move <= tol:
+        if largest_move <= PERBIT_TOL:
             break
 
     certificate, binding = [], []
@@ -541,9 +540,9 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint, *, tol: float = PERBIT_
             certificate.append("at-domain-boundary")
             binding.append(None)
             continue
-        # Every row is affine in p_i, so p_i + 4*tol breaks a row exactly when it passes the limit.
+        # Every row is affine in p_i, so p_i + 4*PERBIT_TOL breaks a row exactly when it passes the limit.
         limit, m = _coordinate_limit(sets, keys, bounds, m_idx, p, i)
-        bump = min(1.0, p[i] + 4.0 * tol)
+        bump = min(1.0, p[i] + 4.0 * PERBIT_TOL)
         certificate.append("blocked" if bump >= 1.0 or limit < bump else "open")
         binding.append(m)
     p_vec = tuple(float(v) for v in p)
@@ -551,10 +550,7 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint, *, tol: float = PERBIT_
     if not _margins_pass(margins):
         raise InfeasibleConstraintError(f"solver output failed re-verification: {margins}")
     metadata = {
-        "tol": tol,
         "sweeps": sweeps,
-        "solver": "coordinate-ascent",
-        "start_p": start.p,
         "certificate": tuple(certificate),
         "binding": tuple(binding),
         "margins": margins,

@@ -484,6 +484,44 @@ def test_single_error_oracle_masking():
     assert d.mass == {0: 1.0}
 
 
+def triple_loop_single_error_oracle(pmf, upsets):
+    """The oracle's masses as a triple loop over (value, bit, other bit), in the oracle's order."""
+    L = pmf.L
+    no_upset = [1.0 - upsets.upset_prob[i] for i in range(L)]
+    mass = {}
+    for a, pa in pmf.mass.items():
+        for i in range(L):
+            others = 1.0
+            for j in range(L):
+                if j != i:
+                    others *= no_upset[j]
+            a_i = (a >> i) & 1
+            flip_prob = upsets.force_probability(i, 1 - a_i)
+            if flip_prob:
+                m = 1 << i
+                mass[m] = mass.get(m, 0.0) + pa * flip_prob * others
+    mass[0] = 1.0 - math.fsum(v for m, v in mass.items() if m != 0)
+    return mass
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_single_error_oracle_bit_exact_against_triple_loop(seed):
+    rng = np.random.default_rng([7, seed])
+    L = int(rng.integers(1, 9))
+    # values in random order, some upset and forced-one odds exactly 0 or 1
+    values = rng.permutation(1 << L)[: int(rng.integers(1, (1 << L) + 1))]
+    weights = rng.random(values.size) + 0.01
+    pmf = EmpiricalPMF(L, dict(zip(values.tolist(), (weights / weights.sum()).tolist())))
+    upset = np.where(rng.random(L) < 0.2, 0.0, rng.uniform(0.0, 0.3, L))
+    forced_one = np.where(rng.random(L) < 0.3, rng.integers(0, 2, L), rng.random(L))
+    upsets = UpsetModel(L, tuple(upset.tolist()), tuple(forced_one.astype(float).tolist()))
+    got = single_error_oracle(pmf, upsets).mass
+    want = triple_loop_single_error_oracle(pmf, upsets)
+    assert got == want
+    assert list(got) == list(want)
+    assert all(type(m) is int and type(v) is float for m, v in got.items())
+
+
 # ---------------------------------------------------------------------------
 # trace ingestion
 

@@ -112,6 +112,16 @@ def test_encode_perbit_then_verify(tmp_path, example_constraint_file):
     assert main(["verify", "--constraint", str(example_constraint_file), "--table", str(out)]) == 0
 
 
+@pytest.mark.parametrize("option,value", [("--tol", "1e-4"), ("--grid", "0.001")])
+def test_encode_takes_no_solver_options(tmp_path, example_constraint_file, capsys, option, value):
+    argv = ["encode", "--constraint", str(example_constraint_file), "--mode", "perbit"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, value, "--out", str(tmp_path / "t")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
 def test_encode_rejects_bad_constraint_file(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("format=vdb-constraint-v1\nL=3\nk=2\n1,0.1\n2,0.9\n")
@@ -124,14 +134,6 @@ def test_encode_zero_denominator_bound_is_usage_error(tmp_path, capsys):
     path.write_text("format=vdb-constraint-v1\nL=3\nk=2\n1,1/0\n")
     assert main(["encode", "--constraint", str(path), "--mode", "iid", "--out", str(tmp_path / "t")]) == 2
     assert "line 4: bad row '1,1/0'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("tol", ["0", "-0.1", "nan", "inf"])
-def test_encode_tol_outside_positive_reals_is_usage_error(tmp_path, example_constraint_file, capsys, tol):
-    argv = ["encode", "--constraint", str(example_constraint_file), "--mode", "perbit"]
-    assert main(argv + ["--tol", tol, "--out", str(tmp_path / "t")]) == 2
-    assert "tol must be finite and > 0" in capsys.readouterr().err
-    assert not (tmp_path / "t").exists()
 
 
 def test_verify_reference_perbit_point(tmp_path, example_constraint_file):
@@ -417,17 +419,20 @@ def test_replay_rejects_drifted_inputs(tmp_path, example_constraint_file, capsys
     assert "digest" in capsys.readouterr().err
 
 
-def test_replay_rejects_arguments_this_build_does_not_accept(tmp_path, example_constraint_file, capsys):
-    # a manifest from a build that still had `encode --grid`
+@pytest.mark.parametrize("option,value", [("grid", 0.001), ("tol", 0.0001)])
+def test_replay_rejects_arguments_this_build_does_not_accept(
+    tmp_path, example_constraint_file, capsys, option, value
+):
+    # a manifest from a build that still had `encode --grid` or `encode --tol`
     out = tmp_path / "table.txt"
-    assert main(["encode", "--constraint", str(example_constraint_file), "--mode", "iid", "--out", str(out)]) == 0
+    assert main(["encode", "--constraint", str(example_constraint_file), "--mode", "perbit", "--out", str(out)]) == 0
     manifest_path = tmp_path / "table.txt.manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["arguments"]["grid"] = 0.001
+    manifest["arguments"][option] = value
     manifest_path.write_text(json.dumps(manifest))
     original = out.read_bytes()
     assert main(["replay", "--manifest", str(manifest_path)]) == 2
-    assert "error: manifest argument --grid is not accepted" in capsys.readouterr().err
+    assert f"error: manifest argument --{option} is not accepted" in capsys.readouterr().err
     assert out.read_bytes() == original
 
 
