@@ -26,9 +26,12 @@ instead of sweeping (word, mask) pairs.  Each kernel is deterministic:
                                    |x - (x ^ e)| = m for some word x; a word
                                    sweep that visits each unordered pair
                                    {x, x ^ e} once, from the word with e's
-                                   top bit clear (2**(L - 1) words per
-                                   mask), in O(2**L) memory, kept as the
-                                   brute-force oracle of the placement sets
+                                   top bit t clear, and only the 2**t words
+                                   below 2**t (at most 2**(L - 1)): the
+                                   bits above t are equal in x and x ^ e
+                                   and cancel in the distance; O(2**L)
+                                   memory, kept as the brute-force oracle
+                                   of the placement sets
     mask_probabilities(probs)      float64 [2**L]; the product measure of mask e,
                                    with bit i of e set <-> factor probs[i]
     distortion_pmf_forced(q1, q0, f_V)
@@ -63,26 +66,24 @@ def signed_sums(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
 
 # Each unordered pair {x, x ^ e} is visited once, from the word x with
 # the mask's top bit t clear: x ^ e agrees with x above t and has bit t
-# set, so (x ^ e) - x > 0.  Masks ascend, so t never falls and `low`,
-# the 2**(L - 1) words with bit t clear (each j < 2**(L - 1) with its bits
-# from t up shifted left by one), is rebuilt only when t rises.  `moved` and `seen` are reused for every
-# mask; `seen` is cleared at just the entries one mask set.
+# set, so (x ^ e) - x > 0.  The bits above t are the same in x and x ^ e
+# and cancel in the difference, so the 2**t words x < 2**t reach every
+# distance the mask reaches, and each distance is below 2**(t + 1).
+# `moved` and `seen` are reused for every mask; `seen` is cleared at just
+# the entries one mask set.
 def reach_pairs(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    j = np.arange(1 << (L - 1), dtype=np.int64)
-    low, moved = np.empty_like(j), np.empty_like(j)
+    words = np.arange(1 << (L - 1), dtype=np.int64)
+    moved = np.empty_like(words)
     seen = np.zeros(1 << L, dtype=np.bool_)
     masks = mask_powers(L, w).sum(axis=1)
-    ms, t = [], -1
+    ms = []
     for e in masks.tolist():
-        if e.bit_length() - 1 > t:
-            t = e.bit_length() - 1
-            np.right_shift(j, t, out=low)
-            np.left_shift(low, t, out=low)
-            np.add(low, j, out=low)
-        np.bitwise_xor(low, e, out=moved)
-        np.subtract(moved, low, out=moved)
-        seen[moved] = True
-        ms.append(np.flatnonzero(seen))
+        top = 1 << (e.bit_length() - 1)
+        x, d = words[:top], moved[:top]
+        np.bitwise_xor(x, e, out=d)
+        np.subtract(d, x, out=d)
+        seen[d] = True
+        ms.append(np.flatnonzero(seen[: 2 * top]))
         seen[ms[-1]] = False
     return np.concatenate(ms), np.repeat(masks, [m.size for m in ms])
 

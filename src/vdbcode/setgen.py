@@ -72,8 +72,10 @@ def sets_bruteforce(L: int, k: int) -> PlacementSets:
     Every pair at Hamming distance <= k is one {x, x ^ e}; the
     differing-bit mask e joins the set of the pair's integer distance.
     `_kernels.reach_pairs` sweeps one mask at a time and visits each
-    unordered pair once, from the word with e's top bit clear: 2**(L - 1)
-    words per mask, so memory stays O(2**L) plus the pairs found.
+    unordered pair once, from the word with e's top bit t clear.  The
+    bits above t are equal in x and x ^ e and cancel in the distance, so
+    only the 2**t words below 2**t are swept (at most 2**(L - 1)), and
+    memory stays O(2**L) plus the pairs found.
     """
     distortion_range(WordSpec(L, SYMMETRIC), k)  # validates L and k
     ms, masks = zip(*(_kernels.reach_pairs(L, w) for w in range(1, k + 1)))

@@ -121,12 +121,15 @@ def test_submask_counts_match_loop(L, k):
     assert counts.sum() == y.sum()
 
 
-@pytest.mark.parametrize("L,w", [(1, 1), (3, 2), (5, 5), (6, 3), (8, 4), (9, 2), (10, 3)])
+@pytest.mark.parametrize(
+    "L,w", [(1, 1), (3, 2), (5, 5), (6, 3), (8, 4), (9, 2), (10, 3), (11, 2), (12, 1)]
+)
 def test_reach_pairs_match_loop(L, w):
     # The true cells of the loop's reach matrix, row-major: masks ascending,
-    # each mask's m ascending.  The kernel sweeps half the words, those with
-    # the mask's top bit clear; (1, 1) is a one-word sweep, (5, 5) has w = L
-    # and (9, 2), (10, 3) see the top bit rise many times.
+    # each mask's m ascending.  A mask with top bit t is swept only over the
+    # 2**t words below 2**t; (1, 1) is a one-word sweep, (5, 5) has w = L,
+    # and in (9, 2), (10, 3), (11, 2) and (12, 1) the masks' top bits run
+    # through many or all t, (12, 1) from t = 0 to L - 1.
     masks = ref_masks(L, (w,))
     rows, ms = np.nonzero(ref_reach_matrix(L, masks))
     got_ms, got_masks = _kernels.reach_pairs(L, w)
