@@ -232,6 +232,10 @@ def simulate(
     iid sequence is a uniformly random arrangement of them.  The words are
     iid and independent of the masks, so pairing them with sorted masks
     leaves the law of the distortion histogram that of iid pairs.
+
+    The distortion is computed in place in the word buffer as
+    |2(w & e) - e|, which equals |w - (w ^ e)| since w ^ e = w + e - 2(w & e):
+    the same integers, so the same histogram from the same stream.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -264,7 +268,12 @@ def simulate(
         else:
             words = rng.permutation(np.repeat(np.arange(value_law.size), rng.multinomial(size, value_law)))
         masks = np.repeat(np.arange(mask_law.size), rng.multinomial(size, mask_law))
-        counts += np.bincount(np.abs(words - (words ^ masks)), minlength=n)
+        # |w - (w ^ e)| = |2(w & e) - e|, computed in the word buffer.
+        np.bitwise_and(words, masks, out=words)
+        np.left_shift(words, 1, out=words)
+        np.subtract(words, masks, out=words)
+        np.abs(words, out=words)
+        counts += np.bincount(words, minlength=n)
 
     seen = np.flatnonzero(counts)
     mass = dict(zip(seen.tolist(), (counts[seen] / trials).tolist()))

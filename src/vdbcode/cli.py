@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import sys
 
@@ -61,8 +62,7 @@ def _write_manifest(args: argparse.Namespace, inputs: list[str], outputs: list[s
         "outputs": outputs,
     }
     with open(outputs[0] + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_sets(args: argparse.Namespace) -> int:
@@ -108,9 +108,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     table = codegen.load_table(args.table)
     sets = setgen.sets_fast(constraint.L, constraint.k)
     report = codegen.verify_table(sets, constraint, table)
-    for m, margin in sorted(report.margins.items()):
-        print(f"m={m} margin={margin:.9g}")
-    print(f"verify: {'pass' if report.passed else 'FAIL'} (worst margin {report.worst:.9g})")
+    rows = sorted(report.margins.items())
+    sys.stdout.write(
+        "m=%d margin=%.9g\n" * len(rows) % tuple(itertools.chain.from_iterable(rows))
+        + f"verify: {'pass' if report.passed else 'FAIL'} (worst margin {report.worst:.9g})\n"
+    )
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -129,15 +131,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     channel_sim.write_distribution_csv(result.distribution, args.out)
     _write_manifest(args, inputs, [args.out])
-    print(f"mode={result.mode} trials={args.trials} seed={args.seed}")
     c = result.columns
-    for m, mass, tail, bound, slack, ok in zip(
-        c.m.tolist(), c.mass.tolist(), c.tail.tolist(), c.bound.tolist(), c.slack.tolist(),
-        (c.mass_ok & c.tail_ok).tolist(),
-    ):
-        flag = "ok" if ok else "VIOLATION"
-        print(f"m={m} mass={mass:.6f} tail={tail:.6f} bound={bound:.6f} slack={slack:.6f} {flag}")
-    print(f"simulate: {'pass' if result.passed else 'FAIL'}")
+    flags = ["ok" if ok else "VIOLATION" for ok in (c.mass_ok & c.tail_ok).tolist()]
+    rows = zip(c.m.tolist(), c.mass.tolist(), c.tail.tolist(), c.bound.tolist(), c.slack.tolist(), flags)
+    sys.stdout.write(
+        f"mode={result.mode} trials={args.trials} seed={args.seed}\n"
+        + "m=%d mass=%.6f tail=%.6f bound=%.6f slack=%.6f %s\n" * len(flags)
+        % tuple(itertools.chain.from_iterable(rows))
+        + f"simulate: {'pass' if result.passed else 'FAIL'}\n"
+    )
     return EXIT_OK if result.passed else EXIT_FAIL
 
 
@@ -182,17 +184,34 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_manifest(path: str) -> dict:
+    """The manifest at `path`, checked to hold the fields that replay reads."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
+            raise ParameterError(f"manifest {path} is not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ParameterError(f"manifest {path} is not a JSON object")
+    for key, kind in (("formats", dict), ("subcommand", str), ("arguments", dict), ("inputs", dict)):
+        if not isinstance(manifest.get(key), kind):
+            name = "string" if kind is str else "object"
+            raise ParameterError(f"manifest {path} has no {key!r} {name}; it cannot be replayed")
+    if manifest["subcommand"] == "replay":  # replay writes no manifest, and one naming it would recurse
+        raise ParameterError(f"manifest {path} records a replay; it cannot be replayed")
+    return manifest
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    recorded = manifest.get("formats", {})
+    manifest = _read_manifest(args.manifest)
+    recorded = manifest["formats"]
     for key in sorted(set(recorded) | set(FORMAT_VERSIONS)):
         if recorded.get(key) != FORMAT_VERSIONS.get(key):
             raise ParameterError(
                 f"manifest {key}={recorded.get(key)} differs from this build's "
                 f"{key}={FORMAT_VERSIONS.get(key)}; it cannot be replayed"
             )
-    for path, digest in manifest.get("inputs", {}).items():
+    for path, digest in manifest["inputs"].items():
         if _digest(path) != digest:
             raise ParameterError(f"input {path} no longer matches its recorded digest")
     argv = [manifest["subcommand"]]

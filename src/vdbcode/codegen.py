@@ -413,22 +413,43 @@ def _margins(keys: np.ndarray, bounds: np.ndarray, lhs: np.ndarray) -> dict[int,
     return dict(zip(keys.tolist(), (bounds - lhs).tolist()))
 
 
+def _affine_parts(
+    sets: PlacementSets, keys: np.ndarray, m_idx: np.ndarray, p: np.ndarray, i: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every nonempty S_m's lhs as a + p_i * slope, with the other coordinates of p fixed.
+
+    a = lhs(p_i=0) and slope = lhs(p_i=1) - a.  Both come from one table,
+    mask_probabilities(p with p_i = 1): its entry at e | 2**i is, bit for
+    bit, the product of e's factors other than bit i's, since the factor
+    there is exactly 1.0, as (1 - p_i) is at p_i = 0.  One gather at
+    masks | 2**i and one bincount over (m, bit i of the mask) sum those
+    products into a (the masks with bit i clear) and a + slope (the masks
+    with bit i set).
+    """
+    trial = p.copy()
+    trial[i] = 1.0
+    probs = _kernels.mask_probabilities(trial)
+    bit = 1 << i
+    sums = np.bincount(
+        2 * m_idx + ((sets.masks & bit) >> i), weights=probs[sets.masks | bit], minlength=2 * keys.size
+    ).reshape(-1, 2)
+    return sums[:, 0], sums[:, 1] - sums[:, 0]
+
+
 def _coordinate_limit(
     sets: PlacementSets, keys: np.ndarray, bounds: np.ndarray, m_idx: np.ndarray, p: np.ndarray, i: int
 ) -> tuple[float, int | None]:
     """Largest feasible p_i with the other coordinates of p fixed.
 
-    Each left-hand side is affine in p_i: lhs(p_i) = a + p_i * slope,
-    with a = lhs(p_i=0) and slope = lhs(p_i=1) - a.  Only the m with a
+    Each left-hand side is affine in p_i, lhs(p_i) = a + p_i * slope.
+    _affine_parts reads a and a + slope from one table, the mask
+    probabilities at p_i = 1, whose entry at e | 2**i is bit for bit the
+    product of e's factors other than bit i's.  Only the m with a
     positive slope bound p_i from above, at (F_m - a_m) / slope_m.
-    Returns the limit and the m that sets it, or (1.0, None) when no
-    m binds before the domain boundary.
+    Returns the limit and the m that sets it, or (1.0, None) when no m
+    binds before the domain boundary.
     """
-    trial = p.copy()
-    trial[i] = 0.0
-    a = _lhs(sets, m_idx, trial)
-    trial[i] = 1.0
-    slope = _lhs(sets, m_idx, trial) - a
+    a, slope = _affine_parts(sets, keys, m_idx, p, i)
     rising = np.flatnonzero(slope > 0.0)
     if rising.size == 0:
         return 1.0, None
@@ -513,14 +534,15 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint) -> CodeTable:
     until a full sweep moves no coordinate by more than PERBIT_TOL (1e-4)
     or MAX_SWEEPS (200) sweeps have run; it takes no options.  With all
     other coordinates fixed every constraint is affine in p_i, so each
-    step is exact: two evaluations give every m's intercept and slope, and
-    p_i rises to the smallest (F_m - a_m) / slope_m over the m with a
-    positive slope, or to 1 when none binds sooner.  The metadata holds
-    "sweeps", the margins it re-verified, a local-maximality
-    "certificate" (each p_i is 1 or becomes infeasible within
-    4 * PERBIT_TOL) and, per bit, the m that blocks it at the returned
-    point ("binding", None at the domain boundary).  Which local maximum
-    is reached depends on the sweep order and the steps taken on the way.
+    step is exact: one mask table and one bincount give every m's
+    intercept and slope (see _affine_parts), and p_i rises to the
+    smallest (F_m - a_m) / slope_m over the m with a positive slope, or
+    to 1 when none binds sooner.  The metadata holds "sweeps", the
+    margins it re-verified, a local-maximality "certificate" (each p_i is
+    1 or becomes infeasible within 4 * PERBIT_TOL) and, per bit, the m
+    that blocks it at the returned point ("binding", None at the domain
+    boundary).  Which local maximum is reached depends on the sweep order
+    and the steps taken on the way.
     """
     keys, bounds, m_idx = _constraint_index(sets, c)
     p = np.full(sets.L, solve_iid(sets, c).p, dtype=np.float64)

@@ -32,7 +32,9 @@ from vdbcode.channel_sim import (
     check_against_constraint,
     single_error_oracle,
     _column_array,
+    _law,
 )
+from vdbcode._kernels import mask_probabilities
 from conftest import EXAMPLE_BOUNDS, bin_sigmas, law_bins, sidak_z
 
 
@@ -339,6 +341,47 @@ def test_simulate_counts_are_pinned_for_a_seed():
     result = simulate(table, c, trials, seed=2024, value_source=pmf, cap_weight=2)
     counts = {m: round(f * trials) for m, f in result.distribution.mass.items()}
     assert counts == PINNED_COUNTS
+
+
+def reference_chunk_counts(table, trials, seed, value_probs=None, cap_weight=None):
+    """`simulate`'s draws with the chunk loop that formed |w - (w ^ e)| in new arrays."""
+    n = 1 << table.L
+    mask_law = mask_probabilities(np.asarray(table.p_vec, dtype=np.float64))
+    if cap_weight is not None:
+        mask_law[np.bitwise_count(np.arange(n)) > cap_weight] = 0.0
+    mask_law = _law(mask_law)
+    value_law = None if value_probs is None else _law(value_probs)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    counts = np.zeros(n, dtype=np.int64)
+    chunk = max(1 << 16, n)
+    for start in range(0, trials, chunk):
+        size = min(chunk, trials - start)
+        if value_law is None:
+            words = rng.integers(0, n, size=size, dtype=np.int64)
+        else:
+            words = rng.permutation(np.repeat(np.arange(value_law.size), rng.multinomial(size, value_law)))
+        masks = np.repeat(np.arange(mask_law.size), rng.multinomial(size, mask_law))
+        counts += np.bincount(np.abs(words - (words ^ masks)), minlength=n)
+    return counts
+
+
+@pytest.mark.parametrize("L", [3, 8, 12, 16])
+@pytest.mark.parametrize("trials", [1, 65_537, 150_001])
+def test_simulate_counts_equal_the_reference_chunk_loop(L, trials):
+    # |2(w & e) - e| in the word buffer gives the integers |w - (w ^ e)| did.
+    rng = np.random.default_rng(100 + L)
+    table = CodeTable.perbit(L, L, tuple(float(v) for v in rng.uniform(0.01, 0.5, L)))
+    law = rng.random(1 << L)
+    law[rng.random(law.size) < 0.5] = 0.0
+    law /= law.sum()
+    pmf = EmpiricalPMF(L, {v: float(q) for v, q in enumerate(law) if q})
+    c = TailConstraint.from_table(L, L, {1: 1.0})
+    for source, probs, cap in (("uniform", None, None), (pmf, pmf.to_array(), None), ("uniform", None, 2)):
+        counts = reference_chunk_counts(table, trials, 7 * L + trials, probs, cap)
+        seen = np.flatnonzero(counts)
+        want = dict(zip(seen.tolist(), (counts[seen] / trials).tolist()))
+        got = simulate(table, c, trials, 7 * L + trials, source, cap_weight=cap).distribution.mass
+        assert got == want
 
 
 # ---------------------------------------------------------------------------

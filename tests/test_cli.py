@@ -1,12 +1,16 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vdbcode
+from vdbcode import channel_sim, codegen, sets_fast
 from vdbcode.channel_sim import GENERATOR_ID
 from vdbcode.cli import main
 from conftest import EXAMPLE_CONSTRAINT_TEXT, RECIPROCAL_CONSTRAINT_TEXT
@@ -434,6 +438,101 @@ def test_replay_rejects_arguments_this_build_does_not_accept(
     assert main(["replay", "--manifest", str(manifest_path)]) == 2
     assert f"error: manifest argument --{option} is not accepted" in capsys.readouterr().err
     assert out.read_bytes() == original
+
+
+@pytest.mark.parametrize("rewrite,message", [
+    (lambda manifest, path: "format=vdb-table-v1\n", "is not JSON"),
+    (lambda manifest, path: "[1, 2]\n", "is not a JSON object"),
+    (lambda manifest, path: json.dumps({k: v for k, v in manifest.items() if k != "subcommand"}),
+     "has no 'subcommand' string"),
+    (lambda manifest, path: json.dumps({**manifest, "subcommand": "replay", "arguments": {"manifest": path}}),
+     "records a replay"),
+], ids=["not-json", "json-list", "no-subcommand", "replays-itself"])
+def test_replay_of_a_malformed_manifest_is_usage_error(
+    tmp_path, example_constraint_file, capsys, rewrite, message
+):
+    out = tmp_path / "table.txt"
+    assert main(["encode", "--constraint", str(example_constraint_file), "--mode", "iid", "--out", str(out)]) == 0
+    manifest_path = tmp_path / "table.txt.manifest.json"
+    manifest_path.write_text(rewrite(json.loads(manifest_path.read_text()), str(manifest_path)))
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(manifest_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: manifest {manifest_path} {message}")
+
+
+# ---------------------------------------------------------------------------
+# Output text against the per-line formatting it replaced
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+                  -1e-310, 0.5, 2.5, 1e16, 123456789.123456789, -4.5e-11]
+
+
+def test_percent_formats_match_the_f_string_specs():
+    rng = np.random.default_rng(3)
+    values = SPECIAL_FLOATS + (rng.standard_normal(2000) * 10.0 ** rng.integers(-30, 30, 2000)).tolist()
+    for x in values:
+        assert "%.6f" % x == f"{x:.6f}"
+        assert "%.9g" % x == f"{x:.9g}"
+
+
+def reference_verify_stdout(constraint_path, table_path):
+    c = codegen.load_constraint(constraint_path)
+    report = codegen.verify_table(sets_fast(c.L, c.k), c, codegen.load_table(table_path))
+    lines = [f"m={m} margin={margin:.9g}" for m, margin in sorted(report.margins.items())]
+    lines.append(f"verify: {'pass' if report.passed else 'FAIL'} (worst margin {report.worst:.9g})")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "table_text", [REFERENCE_PERBIT_TABLE_TEXT, "format=vdb-table-v1\nL=3\nk=2\nmode=iid\np=0.5\n"]
+)
+def test_verify_stdout_matches_per_line_reference(tmp_path, example_constraint_file, capsys, table_text):
+    table = tmp_path / "table.txt"
+    table.write_text(table_text)
+    capsys.readouterr()
+    main(["verify", "--constraint", str(example_constraint_file), "--table", str(table)])
+    stdout = capsys.readouterr().out
+    assert stdout == reference_verify_stdout(example_constraint_file, table)
+    assert ("margin=-" in stdout) == ("p=0.5" in table_text)
+
+
+def reference_simulate_stdout(table_path, constraint_path, trials, seed, pmf_path=None, cap=None):
+    source = "uniform" if pmf_path is None else channel_sim.load_pmf_csv(pmf_path)
+    result = channel_sim.simulate(codegen.load_table(table_path), codegen.load_constraint(constraint_path),
+                                  trials, seed, source, cap_weight=cap)
+    lines = [f"mode={result.mode} trials={trials} seed={seed}"]
+    c = result.columns
+    for m, mass, tail, bound, slack, ok in zip(
+        c.m.tolist(), c.mass.tolist(), c.tail.tolist(), c.bound.tolist(), c.slack.tolist(),
+        (c.mass_ok & c.tail_ok).tolist(),
+    ):
+        flag = "ok" if ok else "VIOLATION"
+        lines.append(f"m={m} mass={mass:.6f} tail={tail:.6f} bound={bound:.6f} slack={slack:.6f} {flag}")
+    lines.append(f"simulate: {'pass' if result.passed else 'FAIL'}")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("p", ["0.29", "0.5"])
+def test_simulate_stdout_and_manifest_match_per_line_reference(tmp_path, reciprocal_file, capsys, p):
+    table = tmp_path / "table.txt"
+    table.write_text(P29_TABLE_TEXT.replace("0.29", p))
+    pmf = tmp_path / "pmf.csv"
+    pmf.write_text("# L=3\nvalue,mass\n0,0.5\n5,0.25\n6,0.25\n")
+    out = tmp_path / "dist.csv"
+    variants = (([], None, None), (["--pmf", str(pmf)], pmf, None), (["--cap-weight", "2"], None, 2))
+    for extra, pmf_path, cap in variants:
+        capsys.readouterr()
+        code = main(["simulate", "--table", str(table), "--constraint", str(reciprocal_file),
+                     "--trials", "70001", "--seed", "4", "--out", str(out), *extra])
+        stdout = capsys.readouterr().out
+        assert stdout == reference_simulate_stdout(table, reciprocal_file, 70001, 4, pmf_path, cap)
+        assert (code == 1) == ("VIOLATION" in stdout) == (p == "0.5")
+        text = (tmp_path / "dist.csv.manifest.json").read_text()
+        dumped = io.StringIO()
+        json.dump(json.loads(text), dumped, indent=2, sort_keys=True)
+        dumped.write("\n")
+        assert text == dumped.getvalue()
 
 
 def test_version_flag(capsys):

@@ -13,8 +13,10 @@ from vdbcode import (
     solve_perbit,
     verify_table,
 )
+from vdbcode import codegen
 from vdbcode.codegen import (
     PERBIT_TOL,
+    _affine_parts,
     _constraint_index,
     _parse_constraint_arrays,
     _parse_constraint_lines,
@@ -147,6 +149,77 @@ def test_coordinate_limit_matches_bisection(L, k):
         limit, _ = _coordinate_limit(sets, keys, bounds, m_idx, p_vec, i)
         lo = _bisection_limit(sets, c, p_vec, i, PERBIT_TOL)
         assert lo <= limit <= lo + PERBIT_TOL
+
+
+def reference_coordinate_limit(sets, keys, bounds, m_idx, p, i):
+    """The coordinate step from two lhs evaluations, at p_i = 0 and p_i = 1: (a, slope, limit, m)."""
+    trial = p.copy()
+    trial[i] = 0.0
+    a = _lhs(sets, m_idx, trial)
+    trial[i] = 1.0
+    slope = _lhs(sets, m_idx, trial) - a
+    rising = np.flatnonzero(slope > 0.0)
+    if rising.size == 0:
+        return a, slope, 1.0, None
+    limits = (bounds[rising] - a[rising]) / slope[rising]
+    j = int(np.argmin(limits))
+    if limits[j] >= 1.0:
+        return a, slope, 1.0, None
+    return a, slope, float(limits[j]), int(keys[rising[j]])
+
+
+def _random_monotone_budget(rng, L, k):
+    m_max = len(TailConstraint.reciprocal(L, k).bounds)
+    f = np.minimum.accumulate(rng.uniform(0.0, 1.0) * rng.uniform(0.3, 1.0, m_max))
+    return TailConstraint.from_table(L, k, {m + 1: float(v) for m, v in enumerate(f)})
+
+
+def _design_budgets():
+    """The benchmark's design budgets: the worked example, reciprocal ones and seeded c / (m+1)**a."""
+    budgets = [TailConstraint.from_table(3, 2, EXAMPLE_BOUNDS)]
+    budgets += [TailConstraint.reciprocal(L, k) for L, k in [(3, 3), (5, 3), (6, 6), (7, 7), (8, 3)]]
+    rng = np.random.default_rng([1, 1])
+    for L in (5, 6):
+        m = np.arange(1, len(TailConstraint.reciprocal(L, L).bounds) + 1)
+        a, c = rng.uniform(0.8, 1.2), rng.uniform(0.7, 1.0)
+        f = np.minimum.accumulate(np.clip(c / (m + 1.0) ** a * rng.uniform(0.9, 1.1, m.size), 0.0, 1.0))
+        budgets.append(TailConstraint.from_table(L, L, {int(i): float(v) for i, v in zip(m, f)}))
+    return budgets
+
+
+def test_coordinate_limit_equals_the_two_table_reference():
+    # One table at p_i = 1, read at masks | 2**i, must give the same floats as the two tables did.
+    rng = np.random.default_rng(21)
+    budgets = _design_budgets()
+    for _ in range(60):
+        L = int(rng.integers(2, 10))
+        budgets.append(_random_monotone_budget(rng, L, int(rng.integers(1, L + 1))))
+    for c in budgets:
+        sets = sets_fast(c.L, c.k)
+        keys, bounds, m_idx = _constraint_index(sets, c)
+        points = [np.full(c.L, solve_iid(sets, c).p), np.asarray(solve_perbit(sets, c).p_vec)]
+        for _ in range(4):
+            p = rng.uniform(0.0, 1.0, c.L)
+            p[rng.random(c.L) < 0.25] = 0.0
+            p[rng.random(c.L) < 0.25] = 1.0
+            points.append(p)
+        for p in points:
+            for i in range(c.L):
+                a, slope, limit, m = reference_coordinate_limit(sets, keys, bounds, m_idx, p, i)
+                got_a, got_slope = _affine_parts(sets, keys, m_idx, p, i)
+                assert np.array_equal(got_a, a) and np.array_equal(got_slope, slope)
+                assert _coordinate_limit(sets, keys, bounds, m_idx, p, i) == (limit, m)
+
+
+def test_solve_perbit_equals_the_two_table_reference(monkeypatch):
+    budgets = _design_budgets()
+    tables = [solve_perbit(sets_fast(c.L, c.k), c) for c in budgets]
+    monkeypatch.setattr(
+        codegen, "_coordinate_limit", lambda *args: reference_coordinate_limit(*args)[2:]
+    )
+    for c, table in zip(budgets, tables):
+        want = solve_perbit(sets_fast(c.L, c.k), c)
+        assert table.p_vec == want.p_vec and table.metadata == want.metadata
 
 
 # ---------------------------------------------------------------------------
