@@ -10,7 +10,7 @@ would not reproduce its outputs.
 
 Exit codes: 0 success/pass, 1 verification or simulation failure,
 2 usage/validation error, 3 internal consistency failure (construction
-methods disagree).
+methods disagree, or a solver's table fails its own re-verification).
 """
 from __future__ import annotations
 
@@ -90,7 +90,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    constraint = codegen.load_constraint(args.constraint, allow_nonmonotone=args.allow_nonmonotone)
+    constraint = codegen.load_constraint(args.constraint)
     sets = setgen.sets_fast(constraint.L, constraint.k)
     if args.mode == codegen.MODE_IID:
         table = codegen.solve_iid(sets, constraint)
@@ -104,7 +104,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    constraint = codegen.load_constraint(args.constraint, allow_nonmonotone=args.allow_nonmonotone)
+    constraint = codegen.load_constraint(args.constraint)
     table = codegen.load_table(args.table)
     sets = setgen.sets_fast(constraint.L, constraint.k)
     report = codegen.verify_table(sets, constraint, table)
@@ -119,7 +119,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ParameterError(f"--trials must be >= 1, got {args.trials}")
-    constraint = codegen.load_constraint(args.constraint, allow_nonmonotone=args.allow_nonmonotone)
+    constraint = codegen.load_constraint(args.constraint)
     table = codegen.load_table(args.table)
     inputs = [args.table, args.constraint]
     value_source: str | channel_sim.EmpiricalPMF = "uniform"
@@ -259,14 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="solve for a maximal code table")
     p.add_argument("--constraint", required=True)
     p.add_argument("--mode", choices=(codegen.MODE_IID, codegen.MODE_PERBIT), required=True)
-    p.add_argument("--allow-nonmonotone", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("verify", help="check a code table against a constraint")
     p.add_argument("--constraint", required=True)
     p.add_argument("--table", required=True)
-    p.add_argument("--allow-nonmonotone", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte Carlo channel run against a constraint")
@@ -278,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cap-weight", type=int, default=None, help="condition the channel on at most this many upsets"
     )
-    p.add_argument("--allow-nonmonotone", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -317,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except codegen.InfeasibleConstraintError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -6,11 +6,11 @@ error placements that can realize m stays within F(m):
 
     sum over masks e in S_m of  prod_i p_i**e_i (1-p_i)**(1-e_i)  <=  F(m)
 
-The solvers and verify_table evaluate every left-hand side at once: they
-read the placement sets' sorted (m, mask) arrays and sum the product
-measure over all masks per m with one bincount.  An empty S_m carries no
-mass and can never bind, so only the nonempty S_m are constrained, given
-margins and reported.
+The solvers and verify_table evaluate every left-hand side at once
+through one row object, _Rows: one bincount over the placement sets'
+sorted (m, mask) arrays sums the product measure over all masks per m.
+An empty S_m carries no mass and can never bind, so only the nonempty
+S_m are rows, given margins and reported.
 
 The i.i.d. solver maximizes a single p.  Its constraint polynomials are
 not monotone in p (mass can flow back out of S_m as p grows), so the
@@ -46,9 +46,6 @@ TABLE_FORMAT = "vdb-table-v1"
 
 MODE_IID = "iid"
 MODE_PERBIT = "perbit"
-
-VERIFY_MARGIN = -1e-9
-
 
 class InfeasibleConstraintError(RuntimeError):
     """A solver's own table failed re-verification against the constraint."""
@@ -88,27 +85,15 @@ class TailConstraint:
         return self.bounds[np.minimum(ms, self.m_max) - 1]
 
     @classmethod
-    def from_table(
-        cls, L: int, k: int, bounds: Mapping[int, float], *, allow_nonmonotone: bool = False
-    ) -> "TailConstraint":
+    def from_table(cls, L: int, k: int, bounds: Mapping[int, float]) -> "TailConstraint":
         """F from rows {m: F(m)}, m an int: a gap takes the bound of the nearest row below, 1.0 before the first."""
         _, m_max = distortion_range(WordSpec(L, SYMMETRIC), k)
         stray = next((m for m in bounds if isinstance(m, bool) or not isinstance(m, int)), None)
         if stray is not None:
             raise ParameterError(f"constraint m={stray!r} is not an int")
         ms = np.fromiter(bounds.keys(), dtype=np.int64, count=len(bounds))
-        outside = ms[(ms < 1) | (ms > m_max)]
-        if outside.size:
-            raise ParameterError(f"constraint m={outside[0]} outside [1, {m_max}]")
         values = np.fromiter(bounds.values(), dtype=np.float64, count=len(bounds))
-        filled = _step_fill(m_max, ms, values)
-        m = None if allow_nonmonotone else _first_rise(filled)
-        if m is not None:
-            raise ParameterError(
-                f"bound increases from m={m} ({filled[m - 1]}) to m={m + 1} ({filled[m]}); "
-                "pass allow_nonmonotone to accept"
-            )
-        return cls(L, k, filled)
+        return cls(L, k, _step_fill(m_max, ms, values))
 
     @classmethod
     def reciprocal(cls, L: int, k: int) -> "TailConstraint":
@@ -118,22 +103,25 @@ class TailConstraint:
 
 
 def _step_fill(m_max: int, ms: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """F(1)..F(m_max) from rows F(ms) = values, the ms distinct and in [1, m_max].
+    """F(1)..F(m_max) from rows F(ms) = values, the ms distinct; an m outside [1, m_max] is an error.
 
-    A gap takes the value of the nearest row below it, 1.0 before the first row.
+    A gap takes the value of the nearest row below it, 1.0 before the first
+    row, and a rise of more than 1e-15 from one m to the next is an error.
     """
+    outside = ms[(ms < 1) | (ms > m_max)]
+    if outside.size:
+        raise ParameterError(f"constraint m={outside[0]} outside [1, {m_max}]")
     order = np.argsort(ms)
     below = np.searchsorted(ms[order], np.arange(1, m_max + 1), side="right")
-    return np.concatenate(([1.0], values[order]))[below]
+    filled = np.concatenate(([1.0], values[order]))[below]
+    rises = np.flatnonzero(filled[1:] > filled[:-1] + 1e-15)
+    if rises.size:
+        m = int(rises[0]) + 1
+        raise ParameterError(f"bound increases from m={m} ({filled[m - 1]}) to m={m + 1} ({filled[m]})")
+    return filled
 
 
-def _first_rise(bounds: np.ndarray) -> int | None:
-    """The first m with F(m+1) > F(m) + 1e-15, or None when F never rises."""
-    rises = np.flatnonzero(bounds[1:] > bounds[:-1] + 1e-15)
-    return int(rises[0]) + 1 if rises.size else None
-
-
-def parse_constraint(text: str, *, allow_nonmonotone: bool = False) -> TailConstraint:
+def parse_constraint(text: str) -> TailConstraint:
     """Parse the vdb-constraint-v1 text format, reporting line numbers.
 
     After the few header lines, the block of `m,F(m)` rows is read with
@@ -147,11 +135,11 @@ def parse_constraint(text: str, *, allow_nonmonotone: bool = False) -> TailConst
     refuses, such as `1_0`, non-ASCII digits, m beyond int64 and fractions.
     """
     lines = text.splitlines()
-    c = _parse_constraint_arrays(lines, allow_nonmonotone)
-    return c if c is not None else _parse_constraint_lines(lines, allow_nonmonotone)
+    c = _parse_constraint_arrays(lines)
+    return c if c is not None else _parse_constraint_lines(lines)
 
 
-def _parse_constraint_arrays(lines: list[str], allow_nonmonotone: bool) -> TailConstraint | None:
+def _parse_constraint_arrays(lines: list[str]) -> TailConstraint | None:
     """The constraint from one `np.loadtxt` of its row block; None where the line-by-line parse must run."""
     header: dict[str, int] = {}
     for lineno, line in format_lines(lines, CONSTRAINT_FORMAT):
@@ -183,22 +171,17 @@ def _parse_constraint_arrays(lines: list[str], allow_nonmonotone: bool) -> TailC
             )
     except (ValueError, DeprecationWarning):
         return None
-    ms, bounds = rows["m"], rows["bound"]
+    ms = rows["m"]
     ascending = np.sort(ms)
-    if (
-        ascending[0] < 1
-        or ascending[-1] > m_max
-        or (ascending[1:] == ascending[:-1]).any()
-        or not ((bounds >= 0.0) & (bounds <= 1.0)).all()
-    ):
+    if (ascending[1:] == ascending[:-1]).any():
         return None
-    filled = _step_fill(m_max, ms, bounds)
-    if not allow_nonmonotone and _first_rise(filled) is not None:
+    try:
+        return TailConstraint(header["L"], header["k"], _step_fill(m_max, ms, rows["bound"]))
+    except ParameterError:
         return None
-    return TailConstraint(header["L"], header["k"], filled)
 
 
-def _parse_constraint_lines(text_lines: list[str], allow_nonmonotone: bool) -> TailConstraint:
+def _parse_constraint_lines(text_lines: list[str]) -> TailConstraint:
     """The constraint parsed one line at a time, each error naming its line."""
     header: dict[str, int] = {}
     given: dict[int, float] = {}
@@ -231,16 +214,15 @@ def _parse_constraint_lines(text_lines: list[str], allow_nonmonotone: bool) -> T
         given[m] = bound
     if len(header) < 2:
         raise ParameterError("constraint file missing format/L/k headers")
-    c = TailConstraint.from_table(header["L"], header["k"], given, allow_nonmonotone=True)
-    m = None if allow_nonmonotone else _first_rise(c.bounds)
-    if m is not None:
-        # F rises only at a row, and F(m) comes from the nearest row at or below m.
-        below = max(r for r in given if r <= m)
-        raise ParameterError(
-            f"line {lines[m + 1]}: bound at m={m + 1} ({c.bounds[m]}) increases from "
-            f"m={below} ({c.bounds[m - 1]}) at line {lines[below]}; pass allow_nonmonotone to accept"
-        )
-    return c
+    # F rises only at a row, and F(m) comes from the nearest row at or below m.
+    rows = sorted(given.items())
+    for (below, low), (m, high) in zip(rows, rows[1:]):
+        if high > low + 1e-15:
+            raise ParameterError(
+                f"line {lines[m]}: bound at m={m} ({high}) increases from "
+                f"m={below} ({low}) at line {lines[below]}"
+            )
+    return TailConstraint.from_table(header["L"], header["k"], given)
 
 
 def _parse_bound(text: str) -> float:
@@ -256,9 +238,9 @@ def serialize_constraint(c: TailConstraint) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_constraint(path, *, allow_nonmonotone: bool = False) -> TailConstraint:
+def load_constraint(path) -> TailConstraint:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_constraint(fh.read(), allow_nonmonotone=allow_nonmonotone)
+        return parse_constraint(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -390,74 +372,98 @@ def constraint_lhs(placements: Iterable[int], p_vec: Sequence[float], L: int | N
     return float(np.sum(terms))
 
 
-def _constraint_index(sets: PlacementSets, c: TailConstraint) -> tuple[np.ndarray, ...]:
-    """The m of every nonempty S_m (ascending), F(m) at each, and each row's index among them."""
-    if (sets.L, sets.k) != (c.L, c.k):
-        raise ParameterError(
-            f"placement sets are (L={sets.L}, k={sets.k}) but constraint is (L={c.L}, k={c.k})"
-        )
-    # sets.ms is sorted, so each S_m is one run of rows.
-    first = np.ones(sets.ms.size, dtype=bool)
-    np.not_equal(sets.ms[1:], sets.ms[:-1], out=first[1:])
-    keys = sets.ms[first]
-    return keys, c.bounds_at(keys), np.cumsum(first) - 1
+# Unit round-off of float64.
+_U = 2.0**-53
 
 
-def _lhs(sets: PlacementSets, m_idx: np.ndarray, p_vec: Sequence[float]) -> np.ndarray:
-    """Placement mass of every nonempty S_m under independent per-bit errors."""
-    probs = _kernels.mask_probabilities(np.asarray(p_vec, dtype=np.float64))
-    return np.bincount(m_idx, weights=probs[sets.masks])
+class _Rows:
+    """The nonempty S_m as rows: m ascending, F(m), and the row index of every (m, mask) pair.
 
-
-def _margins(keys: np.ndarray, bounds: np.ndarray, lhs: np.ndarray) -> dict[int, float]:
-    return dict(zip(keys.tolist(), (bounds - lhs).tolist()))
-
-
-def _affine_parts(
-    sets: PlacementSets, keys: np.ndarray, m_idx: np.ndarray, p: np.ndarray, i: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every nonempty S_m's lhs as a + p_i * slope, with the other coordinates of p fixed.
-
-    a = lhs(p_i=0) and slope = lhs(p_i=1) - a.  Both come from one table,
-    mask_probabilities(p with p_i = 1): its entry at e | 2**i is, bit for
-    bit, the product of e's factors other than bit i's, since the factor
-    there is exactly 1.0, as (1 - p_i) is at p_i = 0.  One gather at
-    masks | 2**i and one bincount over (m, bit i of the mask) sum those
-    products into a (the masks with bit i clear) and a + slope (the masks
-    with bit i set).
+    sets.ms is sorted, so each S_m is one run of pairs.
     """
-    trial = p.copy()
-    trial[i] = 1.0
-    probs = _kernels.mask_probabilities(trial)
-    bit = 1 << i
-    sums = np.bincount(
-        2 * m_idx + ((sets.masks & bit) >> i), weights=probs[sets.masks | bit], minlength=2 * keys.size
-    ).reshape(-1, 2)
-    return sums[:, 0], sums[:, 1] - sums[:, 0]
 
+    def __init__(self, sets: PlacementSets, c: TailConstraint) -> None:
+        if (sets.L, sets.k) != (c.L, c.k):
+            raise ParameterError(
+                f"placement sets are (L={sets.L}, k={sets.k}) but constraint is (L={c.L}, k={c.k})"
+            )
+        first = np.ones(sets.ms.size, dtype=bool)
+        np.not_equal(sets.ms[1:], sets.ms[:-1], out=first[1:])
+        self.masks = sets.masks
+        self.keys = sets.ms[first]
+        self.bounds = c.bounds_at(self.keys)
+        self.index = np.cumsum(first) - 1
+        # A row's lhs sums n_m products of L factors: at most L roundings of
+        # 1 - p_i, L - 1 of products and n_m - 1 of sums, so it lies within
+        # gamma_n * lhs of the exact value for n = 2L + n_m, gamma_n =
+        # n*u / (1 - n*u), u = 2**-53 (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 2nd ed., 3.1 and 4.2); F - lhs adds u * F.
+        n = 2 * sets.L + np.bincount(self.index)
+        self._gamma = n * _U / (1.0 - n * _U)
 
-def _coordinate_limit(
-    sets: PlacementSets, keys: np.ndarray, bounds: np.ndarray, m_idx: np.ndarray, p: np.ndarray, i: int
-) -> tuple[float, int | None]:
-    """Largest feasible p_i with the other coordinates of p fixed.
+    def lhs(self, p_vec: Sequence[float]) -> np.ndarray:
+        """Placement mass of every row under independent per-bit errors."""
+        probs = _kernels.mask_probabilities(np.asarray(p_vec, dtype=np.float64))
+        return np.bincount(self.index, weights=probs[self.masks])
 
-    Each left-hand side is affine in p_i, lhs(p_i) = a + p_i * slope.
-    _affine_parts reads a and a + slope from one table, the mask
-    probabilities at p_i = 1, whose entry at e | 2**i is bit for bit the
-    product of e's factors other than bit i's.  Only the m with a
-    positive slope bound p_i from above, at (F_m - a_m) / slope_m.
-    Returns the limit and the m that sets it, or (1.0, None) when no m
-    binds before the domain boundary.
-    """
-    a, slope = _affine_parts(sets, keys, m_idx, p, i)
-    rising = np.flatnonzero(slope > 0.0)
-    if rising.size == 0:
-        return 1.0, None
-    limits = (bounds[rising] - a[rising]) / slope[rising]
-    j = int(np.argmin(limits))
-    if limits[j] >= 1.0:
-        return 1.0, None
-    return float(limits[j]), int(keys[rising[j]])
+    def allowance(self, lhs: np.ndarray) -> np.ndarray:
+        """The most that round-off can take from each row's computed margin F(m) - lhs(m)."""
+        return self._gamma * lhs + _U * self.bounds
+
+    def margins(self, p_vec: Sequence[float]) -> tuple[dict[int, float], bool]:
+        """Every row's margin F(m) - lhs(m), and whether none is below minus its allowance."""
+        lhs = self.lhs(p_vec)
+        margins = self.bounds - lhs
+        passed = bool((margins >= -self.allowance(lhs)).all())
+        return dict(zip(self.keys.tolist(), margins.tolist())), passed
+
+    def checked_margins(self, p_vec: Sequence[float]) -> dict[int, float]:
+        """The margins of a solver's own table, which must pass as verify_table passes them."""
+        margins, passed = self.margins(p_vec)
+        if not passed:
+            m = min(margins, key=margins.get)
+            raise InfeasibleConstraintError(
+                f"solver output failed re-verification: worst margin m={m}: {margins[m]!r}"
+            )
+        return margins
+
+    def affine(self, p: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's lhs as a + p_i * slope, with the other coordinates of p fixed.
+
+        a = lhs(p_i=0) and slope = lhs(p_i=1) - a.  Both come from one table,
+        mask_probabilities(p with p_i = 1): its entry at e | 2**i is, bit for
+        bit, the product of e's factors other than bit i's, since the factor
+        there is exactly 1.0, as (1 - p_i) is at p_i = 0.  One gather at
+        masks | 2**i and one bincount over (row, bit i of the mask) sum those
+        products into a (the masks with bit i clear) and a + slope (the masks
+        with bit i set).
+        """
+        trial = p.copy()
+        trial[i] = 1.0
+        probs = _kernels.mask_probabilities(trial)
+        bit = 1 << i
+        sums = np.bincount(
+            2 * self.index + ((self.masks & bit) >> i), weights=probs[self.masks | bit],
+            minlength=2 * self.keys.size,
+        ).reshape(-1, 2)
+        return sums[:, 0], sums[:, 1] - sums[:, 0]
+
+    def limit(self, p: np.ndarray, i: int) -> tuple[float, int | None]:
+        """Largest feasible p_i with the other coordinates of p fixed, and the m that sets it.
+
+        Only the rows with a positive slope bound p_i from above, at
+        (F_m - a_m) / slope_m.  Returns (1.0, None) when no m binds before
+        the domain boundary.
+        """
+        a, slope = self.affine(p, i)
+        rising = np.flatnonzero(slope > 0.0)
+        if rising.size == 0:
+            return 1.0, None
+        limits = (self.bounds[rising] - a[rising]) / slope[rising]
+        j = int(np.argmin(limits))
+        if limits[j] >= 1.0:
+            return 1.0, None
+        return float(limits[j]), int(self.keys[rising[j]])
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +494,10 @@ def solve_iid(sets: PlacementSets, c: TailConstraint) -> CodeTable:
     p is exactly 1 and first_infeasible_p is None.  The returned table is
     re-verified by direct constraint evaluation.
     """
-    keys, bounds, m_idx = _constraint_index(sets, c)
+    rows = _Rows(sets, c)
     width = sets.L + 1
-    cells = m_idx * width + np.bitwise_count(sets.masks)
-    profile = np.bincount(cells, minlength=keys.size * width).reshape(-1, width)
+    cells = rows.index * width + np.bitwise_count(sets.masks)
+    profile = np.bincount(cells, minlength=rows.keys.size * width).reshape(-1, width)
     # Coefficients c on [a, b] are c @ left on [a, mid] and c @ right on
     # [mid, b]: left-half coefficient i is sum_j C(i, j) c_j / 2**i, and
     # the right half mirrors it.
@@ -501,7 +507,7 @@ def solve_iid(sets: PlacementSets, c: TailConstraint) -> CodeTable:
 
     # Each stack entry is an interval with its parent's coefficients and
     # the halving matrix that maps them onto it; the top is leftmost.
-    coeffs = profile / pascal[-1] - bounds[:, None]
+    coeffs = profile / pascal[-1] - rows.bounds[:, None]
     stack = [(0.5, 1.0, coeffs, right), (0.0, 0.5, coeffs, left)]
     p_star, first_infeasible = 1.0, None
     while stack:
@@ -519,10 +525,7 @@ def solve_iid(sets: PlacementSets, c: TailConstraint) -> CodeTable:
             break
         mid = (a + b) / 2.0
         stack += [(mid, b, coeffs, right), (a, mid, coeffs, left)]
-    margins = _margins(keys, bounds, _lhs(sets, m_idx, (p_star,) * sets.L))
-    if not _margins_pass(margins):
-        raise InfeasibleConstraintError(f"solver output failed re-verification: {margins}")
-    metadata = {"first_infeasible_p": first_infeasible, "margins": margins}
+    metadata = {"first_infeasible_p": first_infeasible, "margins": rows.checked_margins((p_star,) * sets.L)}
     return CodeTable.iid(sets.L, sets.k, p_star, metadata)
 
 
@@ -535,7 +538,7 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint) -> CodeTable:
     or MAX_SWEEPS (200) sweeps have run; it takes no options.  With all
     other coordinates fixed every constraint is affine in p_i, so each
     step is exact: one mask table and one bincount give every m's
-    intercept and slope (see _affine_parts), and p_i rises to the
+    intercept and slope (see _Rows.affine), and p_i rises to the
     smallest (F_m - a_m) / slope_m over the m with a positive slope, or
     to 1 when none binds sooner.  The metadata holds "sweeps", the
     margins it re-verified, a local-maximality "certificate" (each p_i is
@@ -544,13 +547,13 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint) -> CodeTable:
     boundary).  Which local maximum is reached depends on the sweep order
     and the steps taken on the way.
     """
-    keys, bounds, m_idx = _constraint_index(sets, c)
+    rows = _Rows(sets, c)
     p = np.full(sets.L, solve_iid(sets, c).p, dtype=np.float64)
     for sweeps in range(1, MAX_SWEEPS + 1):
         largest_move = 0.0
         for i in range(sets.L - 1, -1, -1):
             # Round-off can put the limit a hair below the current value.
-            limit = max(p[i], _coordinate_limit(sets, keys, bounds, m_idx, p, i)[0])
+            limit = max(p[i], rows.limit(p, i)[0])
             largest_move = max(largest_move, limit - p[i])
             p[i] = limit
         if largest_move <= PERBIT_TOL:
@@ -563,19 +566,16 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint) -> CodeTable:
             binding.append(None)
             continue
         # Every row is affine in p_i, so p_i + 4*PERBIT_TOL breaks a row exactly when it passes the limit.
-        limit, m = _coordinate_limit(sets, keys, bounds, m_idx, p, i)
+        limit, m = rows.limit(p, i)
         bump = min(1.0, p[i] + 4.0 * PERBIT_TOL)
         certificate.append("blocked" if bump >= 1.0 or limit < bump else "open")
         binding.append(m)
     p_vec = tuple(float(v) for v in p)
-    margins = _margins(keys, bounds, _lhs(sets, m_idx, p_vec))
-    if not _margins_pass(margins):
-        raise InfeasibleConstraintError(f"solver output failed re-verification: {margins}")
     metadata = {
         "sweeps": sweeps,
         "certificate": tuple(certificate),
         "binding": tuple(binding),
-        "margins": margins,
+        "margins": rows.checked_margins(p_vec),
     }
     return CodeTable.perbit(sets.L, sets.k, p_vec, metadata)
 
@@ -594,16 +594,11 @@ class VerifyReport:
         return min(self.margins.values(), default=math.inf)
 
 
-def _margins_pass(margins: dict[int, float]) -> bool:
-    return all(v >= VERIFY_MARGIN for v in margins.values())
-
-
 def verify_table(sets: PlacementSets, c: TailConstraint, table: CodeTable) -> VerifyReport:
-    """Per-m margins F(m) - lhs(m); passes when none is materially negative."""
-    keys, bounds, m_idx = _constraint_index(sets, c)
+    """Per-m margins F(m) - lhs(m); passes when no margin is below minus its round-off allowance."""
+    rows = _Rows(sets, c)
     if (table.L, table.k) != (sets.L, sets.k):
         raise ParameterError(
             f"table is (L={table.L}, k={table.k}) but sets are (L={sets.L}, k={sets.k})"
         )
-    margins = _margins(keys, bounds, _lhs(sets, m_idx, table.p_vec))
-    return VerifyReport(margins, _margins_pass(margins))
+    return VerifyReport(*rows.margins(table.p_vec))

@@ -133,6 +133,39 @@ def test_encode_rejects_bad_constraint_file(tmp_path, capsys):
     assert "increases" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["encode", "verify", "simulate"])
+def test_rising_budget_is_always_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "rising.txt"
+    path.write_text("format=vdb-constraint-v1\nL=3\nk=2\n1,0.1\n2,0.9\n")
+    table = tmp_path / "table.txt"
+    table.write_text("format=vdb-table-v1\nL=3\nk=2\nmode=iid\np=0.1\n")
+    argv = {
+        "encode": ["encode", "--constraint", str(path), "--mode", "iid"],
+        "verify": ["verify", "--constraint", str(path), "--table", str(table)],
+        "simulate": ["simulate", "--constraint", str(path), "--table", str(table), "--trials", "10"],
+    }[command]
+    out = [] if command == "verify" else ["--out", str(tmp_path / "out")]
+    assert main(argv + out) == 2
+    assert capsys.readouterr().err == (
+        "error: line 5: bound at m=2 (0.9) increases from m=1 (0.1) at line 4\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(argv + out + ["--allow-nonmonotone"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow-nonmonotone" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_encode_failed_self_check_is_exit_3(tmp_path, example_constraint_file, capsys, monkeypatch):
+    monkeypatch.setattr(codegen._Rows, "allowance", lambda rows, lhs: np.full(lhs.shape, -2.0))
+    out = tmp_path / "table.txt"
+    assert main(["encode", "--constraint", str(example_constraint_file), "--mode", "iid", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver output failed re-verification: worst margin m=")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_encode_zero_denominator_bound_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("format=vdb-constraint-v1\nL=3\nk=2\n1,1/0\n")
@@ -382,7 +415,7 @@ def test_consecutive_main_calls_share_no_state(tmp_path, reciprocal_file, capsys
     out = tmp_path / "dist.csv"
     common = ["simulate", "--table", str(table), "--constraint", str(reciprocal_file),
               "--trials", "3000", "--out", str(out)]
-    main(common + ["--seed", "7", "--pmf", str(pmf), "--cap-weight", "2", "--allow-nonmonotone"])
+    main(common + ["--seed", "7", "--pmf", str(pmf), "--cap-weight", "2"])
     capsys.readouterr()
     assert main(common) == 0
     in_process = [out.read_bytes(), (tmp_path / "dist.csv.manifest.json").read_bytes()]
@@ -423,11 +456,11 @@ def test_replay_rejects_drifted_inputs(tmp_path, example_constraint_file, capsys
     assert "digest" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option,value", [("grid", 0.001), ("tol", 0.0001)])
+@pytest.mark.parametrize("option,value", [("grid", 0.001), ("tol", 0.0001), ("allow_nonmonotone", True)])
 def test_replay_rejects_arguments_this_build_does_not_accept(
     tmp_path, example_constraint_file, capsys, option, value
 ):
-    # a manifest from a build that still had `encode --grid` or `encode --tol`
+    # a manifest from a build that still had `encode --grid`, `--tol` or `--allow-nonmonotone`
     out = tmp_path / "table.txt"
     assert main(["encode", "--constraint", str(example_constraint_file), "--mode", "perbit", "--out", str(out)]) == 0
     manifest_path = tmp_path / "table.txt.manifest.json"
@@ -436,7 +469,29 @@ def test_replay_rejects_arguments_this_build_does_not_accept(
     manifest_path.write_text(json.dumps(manifest))
     original = out.read_bytes()
     assert main(["replay", "--manifest", str(manifest_path)]) == 2
-    assert f"error: manifest argument --{option} is not accepted" in capsys.readouterr().err
+    assert f"error: manifest argument --{option.replace('_', '-')} is not accepted" in capsys.readouterr().err
+    assert out.read_bytes() == original
+
+
+@pytest.mark.parametrize("command", ["encode", "simulate"])
+def test_replay_of_a_manifest_recording_allow_nonmonotone_false(tmp_path, reciprocal_file, command):
+    # manifests written while the option existed record it as false, which adds no argument
+    table = tmp_path / "p29.txt"
+    table.write_text(P29_TABLE_TEXT)
+    out = tmp_path / "out.txt"
+    argv = {
+        "encode": ["encode", "--constraint", str(reciprocal_file), "--mode", "perbit"],
+        "simulate": ["simulate", "--table", str(table), "--constraint", str(reciprocal_file), "--trials", "2000"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 0
+    original = out.read_bytes()
+    manifest_path = tmp_path / "out.txt.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert "allow_nonmonotone" not in manifest["arguments"]
+    manifest["arguments"]["allow_nonmonotone"] = False
+    manifest_path.write_text(json.dumps(manifest))
+    out.unlink()
+    assert main(["replay", "--manifest", str(manifest_path)]) == 0
     assert out.read_bytes() == original
 
 

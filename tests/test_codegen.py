@@ -16,12 +16,10 @@ from vdbcode import (
 from vdbcode import codegen
 from vdbcode.codegen import (
     PERBIT_TOL,
-    _affine_parts,
-    _constraint_index,
+    InfeasibleConstraintError,
     _parse_constraint_arrays,
     _parse_constraint_lines,
-    _coordinate_limit,
-    _lhs,
+    _Rows,
     load_constraint,
     load_table,
     parse_constraint,
@@ -105,19 +103,20 @@ def test_lhs_accuracy_against_fsum_oracle():
 def test_array_lhs_matches_constraint_lhs(L, k):
     sets = sets_fast(L, k)
     c = TailConstraint.reciprocal(L, k)
-    keys, bounds, m_idx = _constraint_index(sets, c)
-    assert keys.tolist() == sorted(sets.sets)
-    assert np.array_equal(keys[m_idx], sets.ms)
-    assert bounds.tolist() == [c.bounds[m - 1] for m in keys.tolist()]
+    rows = _Rows(sets, c)
+    assert rows.keys.tolist() == sorted(sets.sets)
+    assert np.array_equal(rows.keys[rows.index], sets.ms)
+    assert rows.bounds.tolist() == [c.bounds[m - 1] for m in rows.keys.tolist()]
     rng = np.random.default_rng(L * 10 + k)
     for _ in range(4):
         p_vec = rng.random(L)
-        lhs = _lhs(sets, m_idx, p_vec)
-        for j, m in enumerate(keys.tolist()):
+        lhs = rows.lhs(p_vec)
+        for j, m in enumerate(rows.keys.tolist()):
             assert abs(lhs[j] - constraint_lhs(sets.sets[m], p_vec, L)) <= 1e-12
     if (L, k) == (3, 1):
-        # binning the rows by m itself gives S_3, which has no pairs, an lhs of 0
-        assert 3 not in keys and _lhs(sets, sets.ms, p_vec)[3] == 0.0
+        # binning the pairs by m itself gives S_3, which has no pairs, an lhs of 0
+        rows.index = sets.ms
+        assert 3 not in rows.keys and rows.lhs(p_vec)[3] == 0.0
 
 
 def _bisection_limit(sets, c, p_vec, i, tol):
@@ -143,29 +142,29 @@ def _bisection_limit(sets, c, p_vec, i, tol):
 def test_coordinate_limit_matches_bisection(L, k):
     sets = sets_fast(L, k)
     c = TailConstraint.reciprocal(L, k)
-    keys, bounds, m_idx = _constraint_index(sets, c)
+    rows = _Rows(sets, c)
     p_vec = np.full(L, 0.5 * solve_iid(sets, c).p)
     for i in range(L):
-        limit, _ = _coordinate_limit(sets, keys, bounds, m_idx, p_vec, i)
+        limit, _ = rows.limit(p_vec, i)
         lo = _bisection_limit(sets, c, p_vec, i, PERBIT_TOL)
         assert lo <= limit <= lo + PERBIT_TOL
 
 
-def reference_coordinate_limit(sets, keys, bounds, m_idx, p, i):
+def reference_coordinate_limit(rows, p, i):
     """The coordinate step from two lhs evaluations, at p_i = 0 and p_i = 1: (a, slope, limit, m)."""
     trial = p.copy()
     trial[i] = 0.0
-    a = _lhs(sets, m_idx, trial)
+    a = rows.lhs(trial)
     trial[i] = 1.0
-    slope = _lhs(sets, m_idx, trial) - a
+    slope = rows.lhs(trial) - a
     rising = np.flatnonzero(slope > 0.0)
     if rising.size == 0:
         return a, slope, 1.0, None
-    limits = (bounds[rising] - a[rising]) / slope[rising]
+    limits = (rows.bounds[rising] - a[rising]) / slope[rising]
     j = int(np.argmin(limits))
     if limits[j] >= 1.0:
         return a, slope, 1.0, None
-    return a, slope, float(limits[j]), int(keys[rising[j]])
+    return a, slope, float(limits[j]), int(rows.keys[rising[j]])
 
 
 def _random_monotone_budget(rng, L, k):
@@ -196,7 +195,7 @@ def test_coordinate_limit_equals_the_two_table_reference():
         budgets.append(_random_monotone_budget(rng, L, int(rng.integers(1, L + 1))))
     for c in budgets:
         sets = sets_fast(c.L, c.k)
-        keys, bounds, m_idx = _constraint_index(sets, c)
+        rows = _Rows(sets, c)
         points = [np.full(c.L, solve_iid(sets, c).p), np.asarray(solve_perbit(sets, c).p_vec)]
         for _ in range(4):
             p = rng.uniform(0.0, 1.0, c.L)
@@ -205,18 +204,16 @@ def test_coordinate_limit_equals_the_two_table_reference():
             points.append(p)
         for p in points:
             for i in range(c.L):
-                a, slope, limit, m = reference_coordinate_limit(sets, keys, bounds, m_idx, p, i)
-                got_a, got_slope = _affine_parts(sets, keys, m_idx, p, i)
+                a, slope, limit, m = reference_coordinate_limit(rows, p, i)
+                got_a, got_slope = rows.affine(p, i)
                 assert np.array_equal(got_a, a) and np.array_equal(got_slope, slope)
-                assert _coordinate_limit(sets, keys, bounds, m_idx, p, i) == (limit, m)
+                assert rows.limit(p, i) == (limit, m)
 
 
 def test_solve_perbit_equals_the_two_table_reference(monkeypatch):
     budgets = _design_budgets()
     tables = [solve_perbit(sets_fast(c.L, c.k), c) for c in budgets]
-    monkeypatch.setattr(
-        codegen, "_coordinate_limit", lambda *args: reference_coordinate_limit(*args)[2:]
-    )
+    monkeypatch.setattr(_Rows, "limit", lambda rows, p, i: reference_coordinate_limit(rows, p, i)[2:])
     for c, table in zip(budgets, tables):
         want = solve_perbit(sets_fast(c.L, c.k), c)
         assert table.p_vec == want.p_vec and table.metadata == want.metadata
@@ -236,9 +233,9 @@ def _assert_iid_bracket(sets, c):
         assert hi is None
         return table
     assert table.p < hi and hi - table.p <= 1e-6 * hi
-    # some row exceeds F at hi; near a small p that excess can be under
-    # the 1e-9 round-off verify forgives, so the margin is read directly
-    assert verify_table(sets, c, CodeTable.iid(sets.L, sets.k, hi)).worst < 0
+    # some row exceeds F at hi, by more than round-off can explain
+    report = verify_table(sets, c, CodeTable.iid(sets.L, sets.k, hi))
+    assert report.worst < 0 and not report.passed
     return table
 
 
@@ -246,7 +243,7 @@ def _assert_iid_bracket(sets, c):
 def test_solve_iid_brackets_single_root(example_sets, target):
     # only S_1 (mass p(1-p), rising below 1/2) binds, at exactly `target`
     p1 = constraint_lhs(example_sets.sets[1], [target] * 3)
-    c = TailConstraint.from_table(3, 2, {1: p1, 2: 1.0}, allow_nonmonotone=True)
+    c = TailConstraint(3, 2, np.array([p1, 1.0, 1.0, 1.0, 1.0, 1.0]))
     table = _assert_iid_bracket(example_sets, c)
     assert table.p <= target <= table.metadata["first_infeasible_p"]
 
@@ -254,6 +251,35 @@ def test_solve_iid_brackets_single_root(example_sets, target):
 @pytest.mark.parametrize("L", range(3, 13))
 def test_solve_iid_bracket_reciprocal(L):
     _assert_iid_bracket(sets_fast(L, 3), TailConstraint.reciprocal(L, 3))
+
+
+@pytest.mark.parametrize("L,k", [(11, 3), (12, 3), (12, 12)])
+def test_verify_fails_excess_under_1e9_at_first_infeasible_p(L, k):
+    # the excess at first_infeasible_p is below 1e-9 here; only an allowance
+    # scaled to each row's round-off tells it from a feasible margin
+    sets, c = sets_fast(L, k), TailConstraint.reciprocal(L, k)
+    table = solve_iid(sets, c)
+    report = verify_table(sets, c, CodeTable.iid(L, k, table.metadata["first_infeasible_p"]))
+    assert -1e-9 <= report.worst < 0 and not report.passed
+    assert verify_table(sets, c, table).passed
+
+
+@pytest.mark.parametrize("solve", [solve_iid, solve_perbit])
+def test_failed_self_check_names_the_worst_row_in_one_line(
+    monkeypatch, example_sets, example_constraint, solve
+):
+    margins = solve(example_sets, example_constraint).metadata["margins"]
+    worst = min(margins, key=margins.get)
+    # the per-bit solver starts from the iid table, whose own check must not raise first
+    iid = solve_iid(example_sets, example_constraint)
+    monkeypatch.setattr(codegen, "solve_iid", lambda sets, c: iid)
+    # a negative allowance fails every row, as a real excess would
+    monkeypatch.setattr(_Rows, "allowance", lambda rows, lhs: np.full(lhs.shape, -2.0))
+    with pytest.raises(InfeasibleConstraintError) as info:
+        solve(example_sets, example_constraint)
+    assert str(info.value) == (
+        f"solver output failed re-verification: worst margin m={worst}: {margins[worst]!r}"
+    )
 
 
 @pytest.mark.parametrize("L,k,bounds,want", [
@@ -294,7 +320,7 @@ def test_solve_iid_zero_bound_on_weight_two_masks(example_sets):
     # derivative vanish at p = 0; the answer is still exactly 0, not a
     # subnormal number reached by halving towards 0
     assert set(map(int.bit_count, example_sets.sets[3])) == {2}
-    zero = TailConstraint.from_table(3, 2, {1: 1.0, 3: 0.0}, allow_nonmonotone=True)
+    zero = TailConstraint(3, 2, np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
     assert solve_iid(example_sets, zero).p == 0.0
 
 
@@ -333,7 +359,7 @@ def test_solvers_handle_empty_placement_sets():
     # constraint is vacuous: it gets no margin
     sets = sets_fast(3, 1)
     assert 3 not in sets.sets
-    c = TailConstraint.from_table(3, 1, {1: 0.3, 2: 0.3, 3: 0.0, 4: 0.3}, allow_nonmonotone=True)
+    c = TailConstraint(3, 1, np.array([0.3, 0.3, 0.0, 0.3]))
     iid = solve_iid(sets, c)
     assert iid.p > 0  # the zero bound at the empty m=3 never binds
     perbit = solve_perbit(sets, c)
@@ -418,7 +444,7 @@ def test_solve_perbit_certificate_matches_bump_check(example_sets, example_const
     else:
         sets, c = sets_fast(6, 6), TailConstraint.reciprocal(6, 6)
     table = solve_perbit(sets, c)
-    _, bounds, m_idx = _constraint_index(sets, c)
+    rows = _Rows(sets, c)
     want = []
     for i, p in enumerate(table.p_vec):
         if p >= 1.0:
@@ -426,7 +452,7 @@ def test_solve_perbit_certificate_matches_bump_check(example_sets, example_const
             continue
         trial = np.array(table.p_vec)
         trial[i] = min(1.0, p + 4.0 * PERBIT_TOL)
-        blocked = trial[i] >= 1.0 or np.any(_lhs(sets, m_idx, trial) > bounds)
+        blocked = trial[i] >= 1.0 or np.any(rows.lhs(trial) > rows.bounds)
         want.append("blocked" if blocked else "open")
     assert table.metadata["certificate"] == tuple(want)
 
@@ -495,7 +521,8 @@ def test_constraint_requires_unit_interval():
 def test_constraint_monotonicity_enforced_by_default():
     with pytest.raises(ParameterError):
         TailConstraint.from_table(3, 2, {1: 0.2, 2: 0.5})
-    c = TailConstraint.from_table(3, 2, {1: 0.2, 2: 0.5}, allow_nonmonotone=True)
+    # a budget built from its array may rise
+    c = TailConstraint(3, 2, np.array([0.2, 0.5, 0.5, 0.5, 0.5, 0.5]))
     assert c.bounds[2 - 1] == 0.5
 
 
@@ -542,7 +569,6 @@ def test_parse_constraint_rejects_monotonicity_violation():
     text = "format=vdb-constraint-v1\nL=3\nk=2\n1,0.1\n2,0.9\n"
     with pytest.raises(ParameterError, match="increases"):
         parse_constraint(text)
-    assert parse_constraint(text, allow_nonmonotone=True).bounds[2 - 1] == 0.9
 
 
 def test_constraint_roundtrip(tmp_path, example_constraint):
@@ -583,19 +609,18 @@ def test_constraint_serialize_parse_roundtrip_is_exact():
     recip = TailConstraint.reciprocal(12, 3)
     assert np.array_equal(parse_constraint(serialize_constraint(recip)).bounds, recip.bounds)
     rows = {1: 0.3, 4: 0.7, 7: 0.1, 19: 0.9, 28: 1 / 3}
-    rising = TailConstraint.from_table(5, 3, rows, allow_nonmonotone=True)
+    rising = TailConstraint(5, 3, np.array([rows[max(r for r in rows if r <= m)] for m in range(1, 29)]))
     text = serialize_constraint(rising)
     with pytest.raises(ParameterError, match="increases"):
         parse_constraint(text)
-    assert np.array_equal(parse_constraint(text, allow_nonmonotone=True).bounds, rising.bounds)
 
 
 def test_parse_constraint_row_block_read_as_arrays_or_by_line_gives_same_bounds():
     plain = serialize_constraint(TailConstraint.reciprocal(12, 3))
     lines = plain.splitlines()
     commented = "\n".join(lines[:50] + ["# a comment among the rows"] + lines[50:]) + "\n"
-    assert _parse_constraint_arrays(plain.splitlines(), False) is not None
-    assert _parse_constraint_arrays(commented.splitlines(), False) is None
+    assert _parse_constraint_arrays(plain.splitlines()) is not None
+    assert _parse_constraint_arrays(commented.splitlines()) is None
     crlf = plain.replace("\n", "\r\n")
     for text in (commented, crlf, plain.replace("2,0.3333333333333333", "2,1/3")):
         assert np.array_equal(parse_constraint(text).bounds, parse_constraint(plain).bounds)
@@ -603,7 +628,7 @@ def test_parse_constraint_row_block_read_as_arrays_or_by_line_gives_same_bounds(
 
 def constraint_outcome(parse, source):
     try:
-        return parse(source, allow_nonmonotone=False).bounds.tolist()
+        return parse(source).bounds.tolist()
     except ParameterError as exc:
         return str(exc)
 
@@ -618,7 +643,7 @@ def test_parse_constraint_matches_line_by_line_parse(rows):
     text = f"format=vdb-constraint-v1\nL=3\nk=2\n{rows}\n"
     reference = constraint_outcome(_parse_constraint_lines, text.splitlines())
     assert constraint_outcome(parse_constraint, text) == reference
-    fast = _parse_constraint_arrays(text.splitlines(), False)
+    fast = _parse_constraint_arrays(text.splitlines())
     assert fast is None or fast.bounds.tolist() == reference
 
 
