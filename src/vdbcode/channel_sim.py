@@ -5,14 +5,16 @@ observed distortion masses and tails against the constraint with
 binomial 3-sigma slack.  Masks are drawn from the code table's product
 law `_kernels.mask_probabilities(p_vec)`, restricted to masks of weight
 <= cap and renormalised when a weight cap is given, so the capped and
-uncapped channels are one sampling path; each chunk's mask counts (and
-word counts, under a value PMF) are one multinomial draw.  The exact
-counterpart folds the value law through the word one bit at a time, each
-bit adding an independent signed step, and is the ground truth the
-simulator converges to.  The forced-value channel (errors overwrite a
-bit with a target value, so matching targets are masked) is covered by
-the same exact fold plus the single-error analytic form, which is
-checked against a restricted enumeration rather than trusted.
+uncapped channels are one sampling path.  A run's mask counts are one
+multinomial draw, laid out in ascending mask order and read one chunk at
+a time; uniform words are raw generator bits, and words under a value
+PMF are one multinomial draw of value counts per chunk, permuted.  The
+exact counterpart folds the value law through the word one bit at a
+time, each bit adding an independent signed step, and is the ground
+truth the simulator converges to.  The forced-value channel (errors
+overwrite a bit with a target value, so matching targets are masked) is
+covered by the same exact fold plus the single-error analytic form,
+which is checked against a restricted enumeration rather than trusted.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from . import _kernels, setgen
 from .codegen import CodeTable, TailConstraint
 from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range, format_lines, reject_repeat
 
-GENERATOR_ID = "pcg64-multinomial"
+GENERATOR_ID = "pcg64-run-multinomial"
 UPSETS_FORMAT = "vdb-upsets-v1"
 
 PROVENANCE_MONTE_CARLO = "monte_carlo"
@@ -40,6 +42,7 @@ MODE_CAPPED = "cap-weight"
 
 _CHUNK_SIZE = 1 << 16
 _MAX_EXACT_L = 16
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,7 @@ class EmpiricalPMF:
 
     def to_array(self) -> np.ndarray:
         arr = np.zeros(1 << self.L, dtype=np.float64)
-        for v, p in self.mass.items():
-            arr[v] = p
+        arr[list(self.mass)] = list(self.mass.values())
         return arr
 
     @classmethod
@@ -203,6 +205,61 @@ def _law(weights: np.ndarray) -> np.ndarray:
     return law / law.sum()
 
 
+def _chunk_masks(ids: np.ndarray, ends: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Slice [start, stop) of `np.repeat(ids, counts)`, where `ends = np.cumsum(counts)`.
+
+    Mask ids[j] fills trials ends[j-1]..ends[j]-1.  Only the runs that meet
+    the slice are read: run lo is the first to end after `start`, run hi
+    the first to reach `stop`, and both are clipped at the slice's ends.
+    """
+    lo = int(np.searchsorted(ends, start, side="right"))
+    hi = int(np.searchsorted(ends, stop, side="left"))
+    run_ends = ends[lo : hi + 1]
+    reps = np.empty_like(run_ends)
+    reps[0] = run_ends[0] - start
+    np.subtract(run_ends[1:], run_ends[:-1], out=reps[1:])
+    reps[-1] -= run_ends[-1] - stop
+    return np.repeat(ids[lo : hi + 1], reps)
+
+
+def _distortion_counts(
+    rng: np.random.Generator, trials: int, mask_law: np.ndarray, value_law: np.ndarray | None, L: int
+) -> np.ndarray:
+    """Counts of |w - (w ^ e)| over `trials` (word, mask) pairs, indexed by distortion.
+
+    The sampler of `simulate`: one multinomial draw of the run's mask
+    counts, whose ascending layout each chunk reads its slice of, and
+    words per chunk.  Besides the 2**L histogram, memory holds one chunk
+    and the masks drawn.
+    """
+    drawn = rng.multinomial(trials, mask_law)
+    ids = np.flatnonzero(drawn)
+    ends = np.cumsum(drawn[ids])
+    del drawn  # 2**L counts; the loop needs only the masks drawn
+    word_type = np.dtype(f"<u{1 if L <= 8 else 2 if L <= 16 else 4}")  # the narrowest that holds L bits
+    counts = np.zeros(1 << L, dtype=np.int64)
+    # A chunk's histogram (and value multinomial) costs O(2**L), so it holds at least 2**L trials.
+    chunk = max(_CHUNK_SIZE, 1 << L)
+    for start in range(0, trials, chunk):
+        stop = min(start + chunk, trials)
+        size = stop - start
+        if value_law is None:
+            # astype is a no-op on a little-endian host and keeps the words host-independent.
+            raw = rng.bit_generator.random_raw(-(-size * word_type.itemsize // 8))
+            words = raw.astype("<u8", copy=False).view(word_type)[:size]
+        else:
+            words = rng.permutation(np.repeat(np.arange(value_law.size), rng.multinomial(size, value_law)))
+        masks = _chunk_masks(ids, ends, start, stop)
+        # |w - (w ^ e)| = |2(w & e) - e|; bits of w at or above L drop out of w & e.
+        d = np.bitwise_and(words, masks)
+        np.left_shift(d, 1, out=d)
+        np.subtract(d, masks, out=d)
+        np.abs(d, out=d)
+        hist = np.bincount(d)
+        counts[: hist.size] += hist
+    return counts
+
+
 def simulate(
     table: CodeTable,
     constraint: TailConstraint,
@@ -221,24 +278,32 @@ def simulate(
     conditioned on <= cap_weight upsets.  The check requires every per-m
     mass and every tail Pr(M > m) to stay within the constraint plus
     3-sigma binomial slack.  Trials come from one PCG64 stream seeded
-    with `seed`, drawn in chunks of max(2**16, 2**L) trials, so a seed
-    fixes the result.
+    with `seed`, so a seed fixes the result.  `trials` must be below
+    2**63, numpy's int64 limit for a multinomial draw.
 
-    A chunk's mask counts are one `Generator.multinomial` draw from the
-    mask law, which is how the counts of that many iid draws are
-    distributed; the masks are laid out in ascending order.  Words are
-    `Generator.integers` (uniform) or, under a value PMF, one multinomial
-    draw of counts laid out in a random permutation: given its counts, an
-    iid sequence is a uniformly random arrangement of them.  The words are
-    iid and independent of the masks, so pairing them with sorted masks
-    leaves the law of the distortion histogram that of iid pairs.
+    The run's mask counts are one `Generator.multinomial` draw from the
+    mask law: the counts of n iid draws from a law are multinomial (numpy
+    draws them as conditional binomials, Devroye 1986, ch. XI), and a sum
+    of independent multinomials with one law is one multinomial, so one
+    draw per run has the law the per-chunk draws had.  The masks are laid
+    out in ascending order and read in chunks of max(2**16, 2**L) trials.
+    Uniform words are raw PCG64 output, which NEP 19 keeps stable across
+    numpy versions, cut little-endian into unsigned ints of 1, 2 or 4
+    bytes, the narrowest that hold L bits; each bit is a fair coin, and
+    the bits at or above L drop out of w & e.  Under a value PMF each
+    chunk's words are one multinomial draw of value counts laid out in a
+    random permutation: given its counts, an iid sequence is a uniformly
+    random arrangement of them.  The words are iid and independent of the
+    masks, so pairing them with sorted masks leaves the law of the
+    distortion histogram that of iid pairs.
 
-    The distortion is computed in place in the word buffer as
-    |2(w & e) - e|, which equals |w - (w ^ e)| since w ^ e = w + e - 2(w & e):
-    the same integers, so the same histogram from the same stream.
+    The distortion is computed as |2(w & e) - e|, which equals
+    |w - (w ^ e)| since w ^ e = w + e - 2(w & e).
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    if trials > _INT64.max:
+        raise ParameterError(f"trials must be below 2**63, the int64 limit of a multinomial, got {trials}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     if cap_weight is not None and cap_weight < 0:
@@ -258,22 +323,7 @@ def simulate(
     value_law = None if value_probs is None else _law(value_probs)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    counts = np.zeros(n, dtype=np.int64)
-    # A multinomial draw costs O(2**L), so a chunk holds at least 2**L trials.
-    chunk = max(_CHUNK_SIZE, n)
-    for start in range(0, trials, chunk):
-        size = min(chunk, trials - start)
-        if value_law is None:
-            words = rng.integers(0, n, size=size, dtype=np.int64)
-        else:
-            words = rng.permutation(np.repeat(np.arange(value_law.size), rng.multinomial(size, value_law)))
-        masks = np.repeat(np.arange(mask_law.size), rng.multinomial(size, mask_law))
-        # |w - (w ^ e)| = |2(w & e) - e|, computed in the word buffer.
-        np.bitwise_and(words, masks, out=words)
-        np.left_shift(words, 1, out=words)
-        np.subtract(words, masks, out=words)
-        np.abs(words, out=words)
-        counts += np.bincount(words, minlength=n)
+    counts = _distortion_counts(rng, trials, mask_law, value_law, table.L)
 
     seen = np.flatnonzero(counts)
     mass = dict(zip(seen.tolist(), (counts[seen] / trials).tolist()))
@@ -476,9 +526,6 @@ def ingest_trace(
     # np.unique keeps memory at the sample count; a bincount would span all 2**L values.
     seen, counts = np.unique(np.clip(values, 0, n - 1), return_counts=True)
     return EmpiricalPMF.from_counts(L, dict(zip(seen.tolist(), counts.tolist())))
-
-
-_INT64 = np.iinfo(np.int64)
 
 
 def _column_array(lines: list[str], column: int, skip: int, offset: int) -> np.ndarray | None:

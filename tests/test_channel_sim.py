@@ -31,6 +31,7 @@ from vdbcode.channel_sim import (
     serialize_upsets,
     check_against_constraint,
     single_error_oracle,
+    _chunk_masks,
     _column_array,
     _law,
 )
@@ -211,21 +212,22 @@ def test_simulate_cap_weight_at_word_length_is_uncapped():
 
 
 def capped_flip_oracle(p_vec, cap, value_probs):
-    """Flip-channel f_M conditioned on <= cap flips, by a plain product per mask."""
+    """Flip-channel f_M conditioned on <= cap flips: a plain product per mask, all words at once."""
     L = len(p_vec)
-    joint = {}
-    for e in range(1 << L):
-        if bin(e).count("1") > cap:
-            continue
+    masks = [e for e in range(1 << L) if bin(e).count("1") <= cap]
+    probs = []
+    for e in masks:
         prob = 1.0
         for i in range(L):
             prob *= p_vec[i] if (e >> i) & 1 else 1 - p_vec[i]
-        for x in range(1 << L):
-            if value_probs[x]:
-                m = abs(x - (x ^ e))
-                joint[m] = joint.get(m, 0.0) + value_probs[x] * prob
-    total = math.fsum(joint.values())
-    return {m: v / total for m, v in joint.items() if v}
+        probs.append(prob)
+    x = np.flatnonzero(value_probs)[:, None]
+    joint = np.bincount(
+        np.abs(x - (x ^ np.array(masks))).ravel(),
+        weights=(np.asarray(value_probs)[x] * np.array(probs)).ravel(),
+    )
+    total = math.fsum(joint.tolist())
+    return {m: v / total for m, v in enumerate(joint.tolist()) if v}
 
 
 def test_simulate_cap_weight_matches_conditional_law():
@@ -248,6 +250,32 @@ def test_simulate_cap_weight_matches_conditional_law():
         result = simulate(table, c, trials, seed=21, value_source=source, cap_weight=cap)
         values = (pmf or EmpiricalPMF.uniform(table.L)).to_array()
         exact = capped_flip_oracle(table.p_vec, cap, values)
+        bins += law_bins(result.distribution.mass, exact, trials)
+    assert max(bin_sigmas(bins, trials)) <= sidak_z(len(bins))
+
+
+@pytest.mark.parametrize("L", [12, 14])
+def test_simulate_law_over_several_chunks(L):
+    # 300,000 trials are five chunks of at most 2**16, so each chunk reads its own slice
+    # of the run's mask layout; uniform words, a value PMF and a weight cap each match
+    # their exact law within one Sidak band.
+    trials = 300_000
+    rng = np.random.default_rng(40 + L)
+    table = CodeTable.perbit(L, 3, tuple(float(v) for v in rng.uniform(0.02, 0.3, L)))
+    law = np.exp(-0.5 * ((np.arange(1 << L) - (1 << (L - 1))) / (1 << (L - 3))) ** 2)
+    law[rng.random(law.size) < 0.2] = 0.0
+    law /= law.sum()
+    pmf = EmpiricalPMF(L, {v: float(q) for v, q in enumerate(law) if q})
+    c = TailConstraint.from_table(L, 3, {1: 1.0})
+    cap = 3 if L == 12 else 2
+    cases = [
+        ("uniform", None, exact_distortion(table).mass),
+        (pmf, None, exact_distortion(table, pmf).mass),
+        (pmf, cap, capped_flip_oracle(table.p_vec, cap, pmf.to_array())),
+    ]
+    bins = []
+    for seed, (source, cap_weight, exact) in enumerate(cases):
+        result = simulate(table, c, trials, seed, source, cap_weight=cap_weight)
         bins += law_bins(result.distribution.mass, exact, trials)
     assert max(bin_sigmas(bins, trials)) <= sidak_z(len(bins))
 
@@ -284,6 +312,9 @@ def test_simulate_parameter_validation(reciprocal_constraint):
         simulate(CodeTable.iid(4, 2, 0.1), reciprocal_constraint, 10, seed=0)
     with pytest.raises(ParameterError, match="PMF is 4-bit but table is 3-bit"):
         simulate(table, reciprocal_constraint, 10, seed=0, value_source=EmpiricalPMF.uniform(4))
+    for trials in (2**63, 2**64 + 5):  # the run's mask counts are one int64 multinomial draw
+        with pytest.raises(ParameterError, match=r"below 2\*\*63, the int64 limit"):
+            simulate(table, reciprocal_constraint, trials, seed=0)
 
 
 
@@ -323,11 +354,12 @@ def test_simulate_histogram_counts_sum_to_trials_on_the_exact_support(L, trials)
         assert again.distribution.mass == mass
 
 
-# The counts `simulate` drew here when the multinomial sampler went in.  A change
-# to the sampler or to numpy's multinomial stream moves them; so must GENERATOR_ID.
+# The counts `simulate` drew here when the one-draw-per-run sampler went in.  A change
+# to the sampler or to numpy's multinomial or permutation stream moves them; so must
+# GENERATOR_ID.
 PINNED_COUNTS = {
-    0: 33986, 1: 15760, 2: 8902, 3: 3421, 4: 3831, 5: 362,
-    6: 927, 7: 290, 8: 1839, 9: 450, 10: 119, 12: 113,
+    0: 34071, 1: 15718, 2: 8801, 3: 3486, 4: 3847, 5: 388,
+    6: 920, 7: 298, 8: 1735, 9: 486, 10: 122, 12: 128,
 }
 
 
@@ -344,31 +376,62 @@ def test_simulate_counts_are_pinned_for_a_seed():
 
 
 def reference_chunk_counts(table, trials, seed, value_probs=None, cap_weight=None):
-    """`simulate`'s draws with the chunk loop that formed |w - (w ^ e)| in new arrays."""
-    n = 1 << table.L
+    """`simulate`'s draws as a plain loop that forms |w - (w ^ e)| in new arrays.
+
+    The whole run's masks are laid out at once and sliced per chunk.  A uniform
+    chunk's words are the low 8, 16 or 32 bits (by L) of each raw 64-bit output
+    first, then the next ones up, kept to their low L bits.
+    """
+    L = table.L
+    n = 1 << L
     mask_law = mask_probabilities(np.asarray(table.p_vec, dtype=np.float64))
     if cap_weight is not None:
         mask_law[np.bitwise_count(np.arange(n)) > cap_weight] = 0.0
     mask_law = _law(mask_law)
     value_law = None if value_probs is None else _law(value_probs)
     rng = np.random.Generator(np.random.PCG64(seed))
+    run_masks = np.repeat(np.arange(mask_law.size), rng.multinomial(trials, mask_law))
+    bits = 8 if L <= 8 else 16 if L <= 16 else 32
     counts = np.zeros(n, dtype=np.int64)
     chunk = max(1 << 16, n)
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
         if value_law is None:
-            words = rng.integers(0, n, size=size, dtype=np.int64)
+            raw = rng.bit_generator.random_raw(-(-size * bits // 64))
+            shifts = np.arange(0, 64, bits, dtype=np.uint64)
+            pieces = (raw[:, None] >> shifts) & np.uint64((1 << bits) - 1)
+            words = pieces.ravel()[:size].astype(np.int64) & (n - 1)
         else:
             words = rng.permutation(np.repeat(np.arange(value_law.size), rng.multinomial(size, value_law)))
-        masks = np.repeat(np.arange(mask_law.size), rng.multinomial(size, mask_law))
+        masks = run_masks[start : start + size]
         counts += np.bincount(np.abs(words - (words ^ masks)), minlength=n)
     return counts
 
 
-@pytest.mark.parametrize("L", [3, 8, 12, 16])
+def test_chunk_masks_join_to_the_run_layout():
+    # Runs cross chunk edges, mask 5's run spans several chunks, and zero counts sit
+    # at both ends and on chunk edges; ids with every zero count in, and only the
+    # drawn ids, give the same slices.
+    rng = np.random.default_rng(9)
+    cases = [np.array([0, 0, 5, 0, 1, 17, 0, 2, 0, 0, 9, 0, 0])]
+    cases += [rng.integers(1, 5, 40) * (rng.random(40) < 0.4) for _ in range(30)]
+    for counts in cases:
+        total = int(counts.sum())
+        want = np.repeat(np.arange(counts.size), counts)
+        drawn = np.flatnonzero(counts)
+        for ids, sizes in ((np.arange(counts.size), counts), (drawn, counts[drawn])):
+            ends = np.cumsum(sizes)
+            for chunk in (1, 2, 3, 5, 7, total):
+                starts = range(0, total, chunk)
+                parts = [_chunk_masks(ids, ends, start, min(start + chunk, total)) for start in starts]
+                assert [part.size for part in parts] == [min(chunk, total - start) for start in starts]
+                assert np.array_equal(np.concatenate(parts), want)
+
+
+@pytest.mark.parametrize("L", [3, 8, 12, 16, 17])
 @pytest.mark.parametrize("trials", [1, 65_537, 150_001])
 def test_simulate_counts_equal_the_reference_chunk_loop(L, trials):
-    # |2(w & e) - e| in the word buffer gives the integers |w - (w ^ e)| did.
+    # The chunked layout, the raw-bit words and |2(w & e) - e| give the reference's counts.
     rng = np.random.default_rng(100 + L)
     table = CodeTable.perbit(L, L, tuple(float(v) for v in rng.uniform(0.01, 0.5, L)))
     law = rng.random(1 << L)
@@ -801,6 +864,17 @@ def test_upsets_rejects_bad_and_repeated_entries():
         parse_upsets("format=vdb-upsets-v1\n0,0.1,0.5\n")
     with pytest.raises(ParameterError, match="bit 3 outside \\[0, 3\\)"):
         parse_upsets("format=vdb-upsets-v1\nL=3\n3,0.1,0.5\n")
+
+
+def test_pmf_to_array_is_the_value_loop():
+    rng = np.random.default_rng(17)
+    values = rng.choice(1 << 10, size=300, replace=False)
+    weights = rng.random(300)
+    pmf = EmpiricalPMF(10, dict(zip(values.tolist(), (weights / weights.sum()).tolist())))
+    want = np.zeros(1 << 10)
+    for v, p in pmf.mass.items():
+        want[v] = p
+    assert pmf.to_array().tobytes() == want.tobytes()
 
 
 def test_pmf_validation():

@@ -216,6 +216,19 @@ def test_simulate_zero_trials_usage_error(tmp_path, reciprocal_file):
     assert code == 2
 
 
+def test_simulate_trials_beyond_int64_usage_error(tmp_path, reciprocal_file, capsys):
+    table = tmp_path / "p29.txt"
+    table.write_text(P29_TABLE_TEXT)
+    out = tmp_path / "d.csv"
+    code = main([
+        "simulate", "--table", str(table), "--constraint", str(reciprocal_file),
+        "--trials", str(2**63), "--out", str(out),
+    ])
+    assert code == 2
+    assert "int64 limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_reported_perbit_point_passes(tmp_path, reciprocal_file):
     # the reported per-bit point, in the bit-order assignment that keeps
     # the simulated tail inside the budget
@@ -429,7 +442,9 @@ def test_consecutive_main_calls_share_no_state(tmp_path, reciprocal_file, capsys
     assert [out.read_bytes(), (tmp_path / "dist.csv.manifest.json").read_bytes()] == in_process
 
 
-def test_replay_rejects_other_generator(tmp_path, reciprocal_file, capsys):
+# the guide-table sampler's id, and the per-chunk multinomial sampler's
+@pytest.mark.parametrize("generator", ["pcg64-mask-table", "pcg64-multinomial"])
+def test_replay_rejects_other_generator(tmp_path, reciprocal_file, capsys, generator):
     table = tmp_path / "p29.txt"
     table.write_text(P29_TABLE_TEXT)
     out = tmp_path / "dist.csv"
@@ -440,7 +455,7 @@ def test_replay_rejects_other_generator(tmp_path, reciprocal_file, capsys):
     manifest_path = tmp_path / "dist.csv.manifest.json"
     manifest = json.loads(manifest_path.read_text())
     assert manifest["formats"]["generator"] == GENERATOR_ID
-    manifest["formats"]["generator"] = "pcg64-mask-table"  # the guide-table sampler's id
+    manifest["formats"]["generator"] = generator
     manifest_path.write_text(json.dumps(manifest))
     original = out.read_bytes()
     assert main(["replay", "--manifest", str(manifest_path)]) == 2
