@@ -7,8 +7,9 @@ law `_kernels.mask_probabilities(p_vec)`, restricted to masks of weight
 <= cap and renormalised when a weight cap is given, so the capped and
 uncapped channels are one sampling path.  A run's mask counts are one
 multinomial draw, laid out in ascending mask order and read one chunk at
-a time; uniform words are raw generator bits, and words under a value
-PMF are one multinomial draw of value counts per chunk, permuted.  The
+a time.  Words are raw generator bits: uniform words as they come, and
+words under a value PMF through a Walker alias table, one more raw
+output per word choosing between its column and the alias.  The
 exact counterpart folds the value law through the word one bit at a
 time, each bit adding an independent signed step, and is the ground
 truth the simulator converges to.  The forced-value channel (errors
@@ -22,7 +23,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from . import _kernels, setgen
 from .codegen import CodeTable, TailConstraint
 from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range, format_lines, reject_repeat
 
-GENERATOR_ID = "pcg64-run-multinomial"
+GENERATOR_ID = "pcg64-run-alias"
 UPSETS_FORMAT = "vdb-upsets-v1"
 
 PROVENANCE_MONTE_CARLO = "monte_carlo"
@@ -196,10 +197,12 @@ def _value_probs(value_source: Union[str, EmpiricalPMF], L: int) -> np.ndarray |
 
 
 def _law(weights: np.ndarray) -> np.ndarray:
-    """`weights` up to its last positive entry, scaled to sum to 1.
+    """The mask law: `weights` up to its last positive entry, scaled to sum to 1.
 
     `Generator.multinomial` gives its last category whatever its binomial
     steps leave, so a law that ended in zero-mass entries could draw one.
+    A value law needs no trim: its alias table gives zero-mass values
+    t = 0 and never names them as an alias.
     """
     law = weights[: weights.size - int(np.argmax(weights[::-1] > 0))]
     return law / law.sum()
@@ -222,6 +225,75 @@ def _chunk_masks(ids: np.ndarray, ends: np.ndarray, start: int, stop: int) -> np
     return np.repeat(ids[lo : hi + 1], reps)
 
 
+def _alias_table(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table of `law`, a normalised array over 2**L values.
+
+    Column v keeps v with probability t[v] and gives a[v] otherwise, so
+    value v has mass (t[v] + sum of 1 - t[u] over u with a[u] = v) / 2**L.
+    With q = 2**L * law, the smalls (q < 1) lay their deficits 1 - q end
+    to end and the larges (q >= 1) their surpluses q - 1; each small is
+    topped up by the large whose surplus covers the start of its deficit,
+    and a large whose surplus runs out inside a small's deficit is topped
+    up, by the rest of that deficit, from the next large.  This is Vose's
+    two-pointer walk (IEEE TSE 17(9), 1991) as two `searchsorted` calls.
+    A zero-mass value gets t = 0 and is never an alias.
+    """
+    n = law.size
+    q = law * n
+    small = q < 1.0
+    if small.all():  # rounding left no large
+        small[np.argmax(q)] = False
+    smalls = np.flatnonzero(small)
+    larges = np.flatnonzero(~small)
+    deficits = np.concatenate(([0.0], np.cumsum(1.0 - q[smalls])))  # small i spans deficits[i:i + 2]
+    surplus = np.cumsum(q[larges] - 1.0)  # large j's surplus ends at surplus[j]
+    t = np.ones(n)
+    a = np.arange(n)
+    t[smalls] = q[smalls]
+    a[smalls] = larges[np.minimum(np.searchsorted(surplus, deficits[:-1], side="right"), larges.size - 1)]
+    # The last small to start below a large's surplus end may end past it; the last large never spills.
+    spill = deficits[np.searchsorted(deficits[:-1], surplus[:-1], side="left")] - surplus[:-1]
+    j = np.flatnonzero(spill > 0)
+    t[larges[j]] = np.maximum(1.0 - spill[j], 0.0)  # spill <= 1 up to rounding
+    a[larges[j]] = larges[j + 1]
+    return t, a
+
+
+def _word_draw(rng: np.random.Generator, value_law: np.ndarray | None, L: int) -> Callable[[int], np.ndarray]:
+    """`draw(size)`: the next `size` iid L-bit words from `rng`, uniform or from `value_law`.
+
+    Uniform words are raw generator output cut little-endian into the
+    narrowest unsigned ints that hold L bits; their bits at or above L
+    stay set, for w & e drops them.  Under a value law the same words,
+    kept to their low L bits, pick alias-table columns, and one more raw
+    64-bit output per word keeps the column or gives its alias.
+    """
+    word_type = np.dtype(f"<u{1 if L <= 8 else 2 if L <= 16 else 4}")
+
+    def raw_words(size: int) -> np.ndarray:
+        # astype is a no-op on a little-endian host and keeps the words host-independent.
+        raw = rng.bit_generator.random_raw(-(-size * word_type.itemsize // 8))
+        return raw.astype("<u8", copy=False).view(word_type)[:size]
+
+    if value_law is None:
+        return raw_words
+    t, alias = _alias_table(value_law)
+    # (u >> 11) < ceil(t * 2**53) is `Generator.random() < t` on the raw output u.
+    cut = np.ceil(t * 2.0**53).astype(np.uint64)
+    pick = np.concatenate((alias, np.arange(1 << L))).astype(word_type)  # pick[v] = a[v], pick[v + 2**L] = v
+    del t, alias
+
+    def alias_words(size: int) -> np.ndarray:
+        col = raw_words(size).astype(np.intp)
+        col &= (1 << L) - 1
+        u = rng.bit_generator.random_raw(size)
+        u >>= 11
+        col += (u < cut[col]).astype(np.intp) << L
+        return pick[col]
+
+    return alias_words
+
+
 def _distortion_counts(
     rng: np.random.Generator, trials: int, mask_law: np.ndarray, value_law: np.ndarray | None, L: int
 ) -> np.ndarray:
@@ -229,26 +301,20 @@ def _distortion_counts(
 
     The sampler of `simulate`: one multinomial draw of the run's mask
     counts, whose ascending layout each chunk reads its slice of, and
-    words per chunk.  Besides the 2**L histogram, memory holds one chunk
-    and the masks drawn.
+    `_word_draw` words per chunk.  Besides the 2**L histogram and a value
+    law's alias table, memory holds one chunk and the masks drawn.
     """
     drawn = rng.multinomial(trials, mask_law)
     ids = np.flatnonzero(drawn)
     ends = np.cumsum(drawn[ids])
     del drawn  # 2**L counts; the loop needs only the masks drawn
-    word_type = np.dtype(f"<u{1 if L <= 8 else 2 if L <= 16 else 4}")  # the narrowest that holds L bits
+    draw_words = _word_draw(rng, value_law, L)
     counts = np.zeros(1 << L, dtype=np.int64)
-    # A chunk's histogram (and value multinomial) costs O(2**L), so it holds at least 2**L trials.
+    # A chunk's histogram costs O(2**L), so it holds at least 2**L trials.
     chunk = max(_CHUNK_SIZE, 1 << L)
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        size = stop - start
-        if value_law is None:
-            # astype is a no-op on a little-endian host and keeps the words host-independent.
-            raw = rng.bit_generator.random_raw(-(-size * word_type.itemsize // 8))
-            words = raw.astype("<u8", copy=False).view(word_type)[:size]
-        else:
-            words = rng.permutation(np.repeat(np.arange(value_law.size), rng.multinomial(size, value_law)))
+        words = draw_words(stop - start)
         masks = _chunk_masks(ids, ends, start, stop)
         # |w - (w ^ e)| = |2(w & e) - e|; bits of w at or above L drop out of w & e.
         d = np.bitwise_and(words, masks)
@@ -290,12 +356,15 @@ def simulate(
     Uniform words are raw PCG64 output, which NEP 19 keeps stable across
     numpy versions, cut little-endian into unsigned ints of 1, 2 or 4
     bytes, the narrowest that hold L bits; each bit is a fair coin, and
-    the bits at or above L drop out of w & e.  Under a value PMF each
-    chunk's words are one multinomial draw of value counts laid out in a
-    random permutation: given its counts, an iid sequence is a uniformly
-    random arrangement of them.  The words are iid and independent of the
-    masks, so pairing them with sorted masks leaves the law of the
-    distortion histogram that of iid pairs.
+    the bits at or above L drop out of w & e.  Under a value PMF the words
+    come from a Walker alias table built once per run (Walker, ACM TOMS
+    3(3), 1977; Vose, IEEE TSE 17(9), 1991): the same raw-bit word, kept
+    to its low L bits, picks a column v uniformly, and one more raw 64-bit
+    output u keeps v when (u >> 11) < ceil(t[v] * 2**53), which is
+    `Generator.random() < t[v]`, and gives the alias a[v] otherwise.  The
+    words are iid and independent of the masks, so pairing them with
+    sorted masks leaves the law of the distortion histogram that of iid
+    pairs.
 
     The distortion is computed as |2(w & e) - e|, which equals
     |w - (w ^ e)| since w ^ e = w + e - 2(w & e).
@@ -320,7 +389,7 @@ def simulate(
             raise ParameterError(f"no error mask of weight <= {cap_weight} has positive probability")
     mask_law = _law(mask_law)
     value_probs = _value_probs(value_source, table.L)
-    value_law = None if value_probs is None else _law(value_probs)
+    value_law = None if value_probs is None else value_probs / value_probs.sum()
 
     rng = np.random.Generator(np.random.PCG64(seed))
     counts = _distortion_counts(rng, trials, mask_law, value_law, table.L)

@@ -31,9 +31,11 @@ from vdbcode.channel_sim import (
     serialize_upsets,
     check_against_constraint,
     single_error_oracle,
+    _alias_table,
     _chunk_masks,
     _column_array,
     _law,
+    _word_draw,
 )
 from vdbcode._kernels import mask_probabilities
 from conftest import EXAMPLE_BOUNDS, bin_sigmas, law_bins, sidak_z
@@ -354,33 +356,49 @@ def test_simulate_histogram_counts_sum_to_trials_on_the_exact_support(L, trials)
         assert again.distribution.mass == mass
 
 
-# The counts `simulate` drew here when the one-draw-per-run sampler went in.  A change
-# to the sampler or to numpy's multinomial or permutation stream moves them; so must
-# GENERATOR_ID.
+# The counts `simulate` drew here when the alias-table word draw went in.  A change
+# to the sampler or to numpy's multinomial stream moves them; so must GENERATOR_ID.
 PINNED_COUNTS = {
-    0: 34071, 1: 15718, 2: 8801, 3: 3486, 4: 3847, 5: 388,
-    6: 920, 7: 298, 8: 1735, 9: 486, 10: 122, 12: 128,
+    0: 34071, 1: 15693, 2: 8787, 3: 3519, 4: 3843, 5: 380,
+    6: 948, 7: 312, 8: 1735, 9: 472, 10: 108, 12: 132,
+}
+# Uniform words with no cap, as drawn since the one-draw-per-run sampler went in
+# (pcg64-run-multinomial): the alias table left the uniform stream where it was.
+PINNED_UNIFORM_COUNTS = {
+    0: 33712, 1: 16136, 2: 8807, 3: 2736, 4: 3837, 5: 956, 6: 686, 7: 531,
+    8: 1725, 9: 428, 10: 239, 11: 76, 12: 88, 13: 26, 14: 14, 15: 3,
 }
 
 
-def test_simulate_counts_are_pinned_for_a_seed():
-    # Two chunks (65,536 + 4,464 trials); the value law's last value and, under the
-    # cap, every mask above 0b0111 have mass zero, so both laws are trimmed.
+def pinned_run_counts(source, cap):
+    # Two chunks (65,536 + 4,464 trials) of one table and seed.
     table = CodeTable.perbit(4, 4, (0.3, 0.2, 0.1, 0.05))
-    pmf = EmpiricalPMF(4, {0: 0.25, 3: 0.125, 6: 0.25, 9: 0.125, 12: 0.25})
     c = TailConstraint.from_table(4, 4, {1: 1.0})
     trials = 70_000
-    result = simulate(table, c, trials, seed=2024, value_source=pmf, cap_weight=2)
-    counts = {m: round(f * trials) for m, f in result.distribution.mass.items()}
-    assert counts == PINNED_COUNTS
+    result = simulate(table, c, trials, seed=2024, value_source=source, cap_weight=cap)
+    return {m: round(f * trials) for m, f in result.distribution.mass.items()}
+
+
+def test_simulate_counts_are_pinned_for_a_seed():
+    # Values 1, 2, 4, 5, 7, 8, 10, 11, 13, 14 and 15 have mass zero, and under the
+    # cap every mask above 0b0111 too, so the value law ends in zero mass and the
+    # mask law is trimmed.
+    pmf = EmpiricalPMF(4, {0: 0.25, 3: 0.125, 6: 0.25, 9: 0.125, 12: 0.25})
+    assert pinned_run_counts(pmf, 2) == PINNED_COUNTS
+
+
+def test_simulate_uniform_counts_are_pinned_for_a_seed():
+    assert pinned_run_counts("uniform", None) == PINNED_UNIFORM_COUNTS
 
 
 def reference_chunk_counts(table, trials, seed, value_probs=None, cap_weight=None):
     """`simulate`'s draws as a plain loop that forms |w - (w ^ e)| in new arrays.
 
-    The whole run's masks are laid out at once and sliced per chunk.  A uniform
-    chunk's words are the low 8, 16 or 32 bits (by L) of each raw 64-bit output
-    first, then the next ones up, kept to their low L bits.
+    The whole run's masks are laid out at once and sliced per chunk.  A chunk's
+    words are the low 8, 16 or 32 bits (by L) of each raw 64-bit output first,
+    then the next ones up, kept to their low L bits.  Under a value law each such
+    word v is an alias-table column: a next raw output per word, as the double
+    `Generator.random` makes of it, keeps v when below t[v] and gives a[v] otherwise.
     """
     L = table.L
     n = 1 << L
@@ -388,21 +406,22 @@ def reference_chunk_counts(table, trials, seed, value_probs=None, cap_weight=Non
     if cap_weight is not None:
         mask_law[np.bitwise_count(np.arange(n)) > cap_weight] = 0.0
     mask_law = _law(mask_law)
-    value_law = None if value_probs is None else _law(value_probs)
     rng = np.random.Generator(np.random.PCG64(seed))
     run_masks = np.repeat(np.arange(mask_law.size), rng.multinomial(trials, mask_law))
+    if value_probs is not None:
+        t, a = _alias_table(value_probs / value_probs.sum())
     bits = 8 if L <= 8 else 16 if L <= 16 else 32
     counts = np.zeros(n, dtype=np.int64)
     chunk = max(1 << 16, n)
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
-        if value_law is None:
-            raw = rng.bit_generator.random_raw(-(-size * bits // 64))
-            shifts = np.arange(0, 64, bits, dtype=np.uint64)
-            pieces = (raw[:, None] >> shifts) & np.uint64((1 << bits) - 1)
-            words = pieces.ravel()[:size].astype(np.int64) & (n - 1)
-        else:
-            words = rng.permutation(np.repeat(np.arange(value_law.size), rng.multinomial(size, value_law)))
+        raw = rng.bit_generator.random_raw(-(-size * bits // 64))
+        shifts = np.arange(0, 64, bits, dtype=np.uint64)
+        pieces = (raw[:, None] >> shifts) & np.uint64((1 << bits) - 1)
+        words = pieces.ravel()[:size].astype(np.int64) & (n - 1)
+        if value_probs is not None:
+            u = (rng.bit_generator.random_raw(size) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            words = np.where(u < t[words], words, a[words])
         masks = run_masks[start : start + size]
         counts += np.bincount(np.abs(words - (words ^ masks)), minlength=n)
     return counts
@@ -426,6 +445,70 @@ def test_chunk_masks_join_to_the_run_layout():
                 parts = [_chunk_masks(ids, ends, start, min(start + chunk, total)) for start in starts]
                 assert [part.size for part in parts] == [min(chunk, total - start) for start in starts]
                 assert np.array_equal(np.concatenate(parts), want)
+
+
+def alias_test_laws(L, rng):
+    """Normalised laws over 2**L values that stress the alias table's rounding and zeros."""
+    n = 1 << L
+    laws = [rng.random(n), rng.random(n) ** 12]
+    for points in (1, 2, 3):
+        law = np.zeros(n)
+        law[rng.choice(n, min(points, n), replace=False)] = rng.random(min(points, n)) + 0.1
+        laws.append(law)
+    laws.append(np.ones(n))  # exactly uniform: every q is 1, so there is no small
+    laws.append(1.0 + rng.choice([-1.0, 0.0, 1.0], n) * 1e-15)  # q within 1e-15 of 1
+    ends = rng.random(n)
+    ends[: max(1, n // 8)] = 0.0
+    ends[-max(1, n // 8) :] = 0.0
+    if ends.any():
+        laws.append(ends)  # zeros at both ends
+    laws = [law / law.sum() for law in laws]
+    laws.append(np.full(n, (1.0 - 1e-15) / n))  # every q below 1: rounding left no large
+    return laws
+
+
+@pytest.mark.parametrize("L", range(1, 17))
+def test_alias_table_rebuilds_the_law(L):
+    n = 1 << L
+    for law in alias_test_laws(L, np.random.default_rng(L)):
+        t, a = _alias_table(law)
+        assert t.shape == a.shape == (n,)
+        assert ((t >= 0.0) & (t <= 1.0)).all()
+        rebuilt = t / n + np.bincount(a, weights=(1.0 - t) / n, minlength=n)
+        assert np.abs(rebuilt - law).max() <= 1e-12
+        zero = law == 0.0
+        assert (t[zero] == 0.0).all()
+        assert not zero[a].any()  # a zero-mass value is never an alias target
+
+
+def test_raw_threshold_is_generator_random():
+    # (u >> 11) < ceil(t * 2**53) on a raw output u is `Generator.random() < t`,
+    # thresholds at 0, 1 and exactly on the drawn doubles included.
+    draws = 200_000
+    u = np.random.Generator(np.random.PCG64(31)).random(draws)
+    raw = np.random.PCG64(31).random_raw(draws)
+    t = np.random.default_rng(32).random(draws)
+    t[:1000], t[1000:2000], t[2000:3000] = 0.0, 1.0, u[2000:3000]
+    cut = np.ceil(t * 2.0**53).astype(np.uint64)
+    assert np.array_equal((raw >> np.uint64(11)) < cut, u < t)
+
+
+def test_alias_word_draw_matches_the_value_law():
+    # 31 chunks of 2**16 words at L = 12 from a skewed law with zero-mass values:
+    # every word has positive mass and the counts sit in one Sidak band.
+    L = 12
+    rng = np.random.default_rng(12)
+    law = rng.random(1 << L) ** 6
+    law[rng.random(law.size) < 0.3] = 0.0
+    law /= law.sum()
+    draw = _word_draw(np.random.Generator(np.random.PCG64(2025)), law, L)
+    counts = sum(np.bincount(draw(1 << 16), minlength=1 << L) for _ in range(31))
+    trials = 31 << 16
+    seen = np.flatnonzero(counts)
+    drawn = dict(zip(seen.tolist(), (counts[seen] / trials).tolist()))
+    exact = {v: float(law[v]) for v in np.flatnonzero(law)}
+    bins = law_bins(drawn, exact, trials)
+    assert max(bin_sigmas(bins, trials)) <= sidak_z(len(bins))
 
 
 @pytest.mark.parametrize("L", [3, 8, 12, 16, 17])
