@@ -6,9 +6,11 @@ binomial 3-sigma slack.  Masks are drawn from the code table's product
 law `_kernels.mask_probabilities(p_vec)`, restricted to masks of weight
 <= cap and renormalised when a weight cap is given, so the capped and
 uncapped channels are one sampling path.  A run's mask counts are one
-multinomial draw, laid out in ascending mask order and read one chunk at
-a time.  Words are raw generator bits: uniform words as they come, and
-words under a value PMF through a Walker alias table, one more raw
+multinomial draw.  A mask with at most one set bit moves every word by
+itself, so its trials take their distortion from that draw and draw no
+word; the other masks are laid out in ascending order and read one chunk
+at a time.  Words are raw generator bits: uniform words as they come,
+and words under a value PMF through a Walker alias table, one more raw
 output per word choosing between its column and the alias.  The
 exact counterpart folds the value law through the word one bit at a
 time, each bit adding an independent signed step, and is the ground
@@ -31,7 +33,7 @@ from . import _kernels, setgen
 from .codegen import CodeTable, TailConstraint
 from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range, format_lines, reject_repeat
 
-GENERATOR_ID = "pcg64-run-alias"
+GENERATOR_ID = "pcg64-run-alias-multibit"
 UPSETS_FORMAT = "vdb-upsets-v1"
 
 PROVENANCE_MONTE_CARLO = "monte_carlo"
@@ -300,20 +302,31 @@ def _distortion_counts(
     """Counts of |w - (w ^ e)| over `trials` (word, mask) pairs, indexed by distortion.
 
     The sampler of `simulate`: one multinomial draw of the run's mask
-    counts, whose ascending layout each chunk reads its slice of, and
-    `_word_draw` words per chunk.  Besides the 2**L histogram and a value
-    law's alias table, memory holds one chunk and the masks drawn.
+    counts.  A mask e with at most one set bit moves every word by e,
+    since |w - w| = 0 and |w - (w ^ 2**i)| = 2**i, so its draws are
+    counted at distortion e with no word.  The other masks keep their
+    ascending layout, which each chunk reads its slice of, paired with
+    `_word_draw` words; the draw (and a value law's alias table) is made
+    only if some mask needs a word.  Besides the 2**L histogram and that
+    table, memory holds one chunk and the masks drawn.
     """
     drawn = rng.multinomial(trials, mask_law)
+    single = np.concatenate(([0], 1 << np.arange(L)))
+    single = single[single < drawn.size]
+    counts = np.zeros(1 << L, dtype=np.int64)
+    counts[single] = drawn[single]
+    drawn[single] = 0
     ids = np.flatnonzero(drawn)
     ends = np.cumsum(drawn[ids])
     del drawn  # 2**L counts; the loop needs only the masks drawn
+    if not ids.size:  # every mask drawn has at most one set bit
+        return counts
+    rest = int(ends[-1])
     draw_words = _word_draw(rng, value_law, L)
-    counts = np.zeros(1 << L, dtype=np.int64)
     # A chunk's histogram costs O(2**L), so it holds at least 2**L trials.
     chunk = max(_CHUNK_SIZE, 1 << L)
-    for start in range(0, trials, chunk):
-        stop = min(start + chunk, trials)
+    for start in range(0, rest, chunk):
+        stop = min(start + chunk, rest)
         words = draw_words(stop - start)
         masks = _chunk_masks(ids, ends, start, stop)
         # |w - (w ^ e)| = |2(w & e) - e|; bits of w at or above L drop out of w & e.
@@ -336,7 +349,7 @@ def simulate(
 ) -> SimulationResult:
     """Monte Carlo channel run followed by the constraint check.
 
-    Each trial draws a word and an error mask and records the integer
+    Each trial pairs a word with an error mask and records the integer
     distortion |w - (w ^ mask)|.  Masks follow the product law of
     `_kernels.mask_probabilities(p_vec)` (bit i flips independently with
     probability p_i); with `cap_weight` the law is restricted to masks of
@@ -351,20 +364,25 @@ def simulate(
     mask law: the counts of n iid draws from a law are multinomial (numpy
     draws them as conditional binomials, Devroye 1986, ch. XI), and a sum
     of independent multinomials with one law is one multinomial, so one
-    draw per run has the law the per-chunk draws had.  The masks are laid
-    out in ascending order and read in chunks of max(2**16, 2**L) trials.
-    Uniform words are raw PCG64 output, which NEP 19 keeps stable across
-    numpy versions, cut little-endian into unsigned ints of 1, 2 or 4
-    bytes, the narrowest that hold L bits; each bit is a fair coin, and
-    the bits at or above L drop out of w & e.  Under a value PMF the words
-    come from a Walker alias table built once per run (Walker, ACM TOMS
-    3(3), 1977; Vose, IEEE TSE 17(9), 1991): the same raw-bit word, kept
-    to its low L bits, picks a column v uniformly, and one more raw 64-bit
-    output u keeps v when (u >> 11) < ceil(t[v] * 2**53), which is
-    `Generator.random() < t[v]`, and gives the alias a[v] otherwise.  The
-    words are iid and independent of the masks, so pairing them with
-    sorted masks leaves the law of the distortion histogram that of iid
-    pairs.
+    draw per run has the law the per-chunk draws had.  A mask e with at
+    most one set bit needs no word: |w - (w ^ e)| = e for every w, so its
+    trials are counted at distortion e straight from the draw.  The other
+    masks are laid out in ascending order and read in chunks of
+    max(2**16, 2**L) trials, and words are drawn for them only, so a run
+    whose masks all have at most one set bit draws none.  Uniform words
+    are raw PCG64 output, which NEP 19 keeps stable across numpy
+    versions, cut little-endian into unsigned ints of 1, 2 or 4 bytes,
+    the narrowest that hold L bits; each bit is a fair coin, and the bits
+    at or above L drop out of w & e.  Under a value PMF the words come
+    from a Walker alias table (Walker, ACM TOMS 3(3), 1977; Vose, IEEE
+    TSE 17(9), 1991), built at most once per run and only if some trial
+    needs a word: the same raw-bit word, kept to its low L bits, picks a
+    column v uniformly, and one more raw 64-bit output u keeps v when
+    (u >> 11) < ceil(t[v] * 2**53), which is `Generator.random() < t[v]`,
+    and gives the alias a[v] otherwise.  The words are iid and
+    independent of the masks, so pairing them with sorted masks leaves
+    the law of the distortion histogram that of iid pairs; a trial that
+    skips the word draw gets the distortion any word would give it.
 
     The distortion is computed as |2(w & e) - e|, which equals
     |w - (w ^ e)| since w ^ e = w + e - 2(w & e).

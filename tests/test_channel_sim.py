@@ -19,6 +19,7 @@ from vdbcode import (
     simulate,
     tail_of,
 )
+from vdbcode import channel_sim
 from vdbcode.channel_sim import (
     DistortionDistribution,
     EmpiricalPMF,
@@ -356,17 +357,17 @@ def test_simulate_histogram_counts_sum_to_trials_on_the_exact_support(L, trials)
         assert again.distribution.mass == mass
 
 
-# The counts `simulate` drew here when the alias-table word draw went in.  A change
-# to the sampler or to numpy's multinomial stream moves them; so must GENERATOR_ID.
+# The counts `simulate` drew here when masks of at most one set bit stopped drawing
+# words.  A change to the sampler or to numpy's multinomial stream moves them; so
+# must GENERATOR_ID.
 PINNED_COUNTS = {
-    0: 34071, 1: 15693, 2: 8787, 3: 3519, 4: 3843, 5: 380,
-    6: 948, 7: 312, 8: 1735, 9: 472, 10: 108, 12: 132,
+    0: 34071, 1: 15712, 2: 8791, 3: 3458, 4: 3827, 5: 422,
+    6: 920, 7: 292, 8: 1735, 9: 492, 10: 132, 12: 148,
 }
-# Uniform words with no cap, as drawn since the one-draw-per-run sampler went in
-# (pcg64-run-multinomial): the alias table left the uniform stream where it was.
+# Uniform words with no cap, drawn at the same time.
 PINNED_UNIFORM_COUNTS = {
-    0: 33712, 1: 16136, 2: 8807, 3: 2736, 4: 3837, 5: 956, 6: 686, 7: 531,
-    8: 1725, 9: 428, 10: 239, 11: 76, 12: 88, 13: 26, 14: 14, 15: 3,
+    0: 33712, 1: 16092, 2: 8825, 3: 2775, 4: 3812, 5: 946, 6: 647, 7: 563,
+    8: 1725, 9: 424, 10: 253, 11: 78, 12: 113, 13: 14, 14: 21,
 }
 
 
@@ -394,11 +395,13 @@ def test_simulate_uniform_counts_are_pinned_for_a_seed():
 def reference_chunk_counts(table, trials, seed, value_probs=None, cap_weight=None):
     """`simulate`'s draws as a plain loop that forms |w - (w ^ e)| in new arrays.
 
-    The whole run's masks are laid out at once and sliced per chunk.  A chunk's
-    words are the low 8, 16 or 32 bits (by L) of each raw 64-bit output first,
-    then the next ones up, kept to their low L bits.  Under a value law each such
-    word v is an alias-table column: a next raw output per word, as the double
-    `Generator.random` makes of it, keeps v when below t[v] and gives a[v] otherwise.
+    The run's mask counts are one multinomial draw.  Each mask of at most one set
+    bit adds its count at its own value; the other masks are laid out at once and
+    sliced per chunk.  A chunk's words are the low 8, 16 or 32 bits (by L) of each
+    raw 64-bit output first, then the next ones up, kept to their low L bits.
+    Under a value law each such word v is an alias-table column: a next raw output
+    per word, as the double `Generator.random` makes of it, keeps v when below t[v]
+    and gives a[v] otherwise.  No word is drawn when no mask needs one.
     """
     L = table.L
     n = 1 << L
@@ -407,14 +410,23 @@ def reference_chunk_counts(table, trials, seed, value_probs=None, cap_weight=Non
         mask_law[np.bitwise_count(np.arange(n)) > cap_weight] = 0.0
     mask_law = _law(mask_law)
     rng = np.random.Generator(np.random.PCG64(seed))
-    run_masks = np.repeat(np.arange(mask_law.size), rng.multinomial(trials, mask_law))
+    drawn = rng.multinomial(trials, mask_law)
+    counts = np.zeros(n, dtype=np.int64)
+    multibit = []
+    for e, n_e in enumerate(drawn.tolist()):
+        if bin(e).count("1") <= 1:
+            counts[e] += n_e
+        else:
+            multibit.append(e)
+    run_masks = np.repeat(np.array(multibit, dtype=np.int64), drawn[multibit])
+    if not run_masks.size:
+        return counts
     if value_probs is not None:
         t, a = _alias_table(value_probs / value_probs.sum())
     bits = 8 if L <= 8 else 16 if L <= 16 else 32
-    counts = np.zeros(n, dtype=np.int64)
     chunk = max(1 << 16, n)
-    for start in range(0, trials, chunk):
-        size = min(chunk, trials - start)
+    for start in range(0, run_masks.size, chunk):
+        size = min(chunk, run_masks.size - start)
         raw = rng.bit_generator.random_raw(-(-size * bits // 64))
         shifts = np.arange(0, 64, bits, dtype=np.uint64)
         pieces = (raw[:, None] >> shifts) & np.uint64((1 << bits) - 1)
@@ -528,6 +540,58 @@ def test_simulate_counts_equal_the_reference_chunk_loop(L, trials):
         want = dict(zip(seen.tolist(), (counts[seen] / trials).tolist()))
         got = simulate(table, c, trials, 7 * L + trials, source, cap_weight=cap).distribution.mass
         assert got == want
+
+
+SINGLE_BIT_PMF = EmpiricalPMF(4, {0: 0.5, 5: 0.25, 15: 0.25})
+
+
+@pytest.mark.parametrize(
+    "table",
+    [CodeTable.iid(4, 4, 0.0), CodeTable.perbit(4, 4, (0.3, 0, 0, 0)), CodeTable.perbit(4, 4, (0, 0, 1, 0))],
+)
+@pytest.mark.parametrize("source", ["uniform", SINGLE_BIT_PMF])
+def test_single_bit_masks_draw_no_words(monkeypatch, table, source):
+    # Every mask these tables can draw is 0 or 2**i, which moves any word by itself,
+    # so the counts are the mask multinomial's and no word is drawn.
+    def no_words(*args):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(channel_sim, "_word_draw", no_words)
+    trials, seed = 150_001, 17
+    c = TailConstraint.from_table(4, 4, {1: 1.0})
+    got = simulate(table, c, trials, seed, source).distribution.mass
+    law = _law(mask_probabilities(np.asarray(table.p_vec, dtype=np.float64)))
+    drawn = np.random.Generator(np.random.PCG64(seed)).multinomial(trials, law)
+    assert {m: round(f * trials) for m, f in got.items()} == {e: n for e, n in enumerate(drawn.tolist()) if n}
+
+
+@pytest.mark.parametrize("source", ["uniform", SINGLE_BIT_PMF])
+def test_only_multibit_masks_draw_words(monkeypatch, source):
+    # Masks 0, 1 and 2 draw no word; each draw of mask 3 takes one, and 2**16 of
+    # them fill the first chunk.  Distortions 0 and 2 come only from masks 0 and 2.
+    real = channel_sim._word_draw
+    asked = []
+
+    def spy(rng, value_law, L):
+        draw = real(rng, value_law, L)
+
+        def counted(size):
+            asked.append(size)
+            return draw(size)
+
+        return counted
+
+    monkeypatch.setattr(channel_sim, "_word_draw", spy)
+    table = CodeTable.perbit(4, 4, (0.5, 0.5, 0, 0))
+    trials, seed = 300_001, 23
+    c = TailConstraint.from_table(4, 4, {1: 1.0})
+    got = simulate(table, c, trials, seed, source).distribution.mass
+    counts = {m: round(f * trials) for m, f in got.items()}
+    law = _law(mask_probabilities(np.asarray(table.p_vec, dtype=np.float64)))
+    drawn = np.random.Generator(np.random.PCG64(seed)).multinomial(trials, law).tolist()
+    assert asked == [1 << 16, trials - sum(drawn[:3]) - (1 << 16)]
+    assert (counts[0], counts[2]) == (drawn[0], drawn[2])
+    assert counts[1] + counts[3] == drawn[1] + drawn[3]
 
 
 # ---------------------------------------------------------------------------

@@ -442,9 +442,11 @@ def test_consecutive_main_calls_share_no_state(tmp_path, reciprocal_file, capsys
     assert [out.read_bytes(), (tmp_path / "dist.csv.manifest.json").read_bytes()] == in_process
 
 
-# the guide-table sampler's id, the per-chunk multinomial sampler's, and the per-chunk
-# value multinomial sampler's
-@pytest.mark.parametrize("generator", ["pcg64-mask-table", "pcg64-multinomial", "pcg64-run-multinomial"])
+# the guide-table sampler's id, the per-chunk multinomial sampler's, the per-chunk
+# value multinomial sampler's, and the alias sampler's that drew a word for every trial
+@pytest.mark.parametrize(
+    "generator", ["pcg64-mask-table", "pcg64-multinomial", "pcg64-run-multinomial", "pcg64-run-alias"]
+)
 def test_replay_rejects_other_generator(tmp_path, reciprocal_file, capsys, generator):
     table = tmp_path / "p29.txt"
     table.write_text(P29_TABLE_TEXT)
