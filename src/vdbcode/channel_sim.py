@@ -16,8 +16,10 @@ exact counterpart folds the value law through the word one bit at a
 time, each bit adding an independent signed step, and is the ground
 truth the simulator converges to.  The forced-value channel (errors
 overwrite a bit with a target value, so matching targets are masked) is
-covered by the same exact fold plus the single-error analytic form,
-which is checked against a restricted enumeration rather than trusted.
+covered by the same exact fold plus the single-error analytic form: one
+upset moves the value by exactly 2**i, so that form is one matrix
+product over the value PMF's bit planes, and it is checked against a
+restricted enumeration rather than trusted.
 """
 from __future__ import annotations
 
@@ -117,10 +119,10 @@ class UpsetModel:
         return self.upset_prob[i] * (1.0 - self.forced_one_prob[i])
 
     def force_to_one(self) -> np.ndarray:
-        return np.array([self.force_probability(i, 1) for i in range(self.L)])
+        return np.asarray(self.upset_prob) * np.asarray(self.forced_one_prob)
 
     def force_to_zero(self) -> np.ndarray:
-        return np.array([self.force_probability(i, 0) for i in range(self.L)])
+        return np.asarray(self.upset_prob) * (1.0 - np.asarray(self.forced_one_prob))
 
 
 @dataclass(frozen=True)
@@ -528,43 +530,29 @@ def analytic_single_error(
 ) -> tuple[DistortionDistribution, DivergenceReport]:
     """Single-upset analytic distortion law, with its oracle comparison.
 
-    Evaluates, for each m >= 1,
+    One upset moves the value by exactly 2**i, so for each bit i
 
-        f_M(m) = sum_a B(a) * (f_V(a - m) + f_V(a + m))
-        B(a) = sum_i f_V(a + 2**i) q_i(0) + sum_i f_V(a - 2**i) q_i(1)
-               + f_V(a) * sum_i q_i(a_i)
+        f_M(2**i) = prod_(j != i) (1 - u_j) * sum_a f_V(a) q_i(1 - a_i)
 
-    where q_i(b) is the probability position i is upset and forced to b;
-    the remaining mass is assigned to m=0.  The transcription is
-    known-suspect for spread-out value distributions (the masked-upset
-    term leaks into m >= 1), so the result always ships with a
-    per-m comparison against the single-upset enumeration oracle.
+    where u_j is the upset probability of position j and q_i(b) the
+    probability that position i is upset and forced to b; the remaining
+    mass is assigned to m=0.  The sum runs over the PMF's bit planes in
+    one matrix product, O(|V| L), so no word-length cap applies.  The
+    result ships with a per-m comparison against the enumeration oracle.
     """
     if pmf.L != upsets.L:
         raise ParameterError("PMF and upset model have different word lengths")
     L = pmf.L
-    if L > _MAX_EXACT_L:
-        # The correlation below takes time quadratic in 2**L.
-        raise ParameterError(f"the single-error form supports L <= {_MAX_EXACT_L}, got {L}")
-    n = 1 << L
-    fv = pmf.to_array()
-
-    q0 = upsets.force_to_zero()
-    q1 = upsets.force_to_one()
-    a = np.arange(n)
-    bracket = np.zeros(n, dtype=np.float64)
-    for i in range(L):
-        s = 1 << i
-        bracket[:-s] += fv[s:] * q0[i]
-        bracket[s:] += fv[:-s] * q1[i]
-        bracket += fv * np.where((a >> i) & 1, q1[i], q0[i])
-
-    # corr[n - 1 + d] = sum_a B(a) f_V(a - d), for d = -(n - 1)..(n - 1).
-    corr = np.correlate(bracket, fv, "full")
-    totals = corr[n:] + corr[n - 2 :: -1]
-    seen = np.flatnonzero(totals)
-    mass = dict(zip((seen + 1).tolist(), totals[seen].tolist()))
-    mass[0] = 1.0 - math.fsum(v for m, v in mass.items() if m != 0)
+    values = np.fromiter(pmf.mass, dtype=np.int64, count=len(pmf.mass))
+    probs = np.fromiter(pmf.mass.values(), dtype=np.float64, count=len(pmf.mass))
+    planes = (values[:, None] >> np.arange(L)) & 1
+    # Bit i is forced to the other value: to 0 when a_i = 1, to 1 when a_i = 0.
+    flips = probs @ np.where(planes, upsets.force_to_zero(), upsets.force_to_one())
+    others = np.where(np.eye(L, dtype=bool), 1.0, 1.0 - np.asarray(upsets.upset_prob)).prod(axis=1)
+    terms = flips * others
+    seen = np.flatnonzero(terms)
+    mass = dict(zip((1 << seen).tolist(), terms[seen].tolist()))
+    mass[0] = 1.0 - math.fsum(mass.values())
     analytic = DistortionDistribution(mass, PROVENANCE_SINGLE_ERROR)
 
     oracle = single_error_oracle(pmf, upsets)

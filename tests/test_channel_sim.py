@@ -654,70 +654,54 @@ def test_analytic_single_error_no_upsets():
     assert report.agreed
 
 
-def test_analytic_single_error_rejects_words_beyond_the_exact_cap():
-    # 2**17 values: the cap is checked before the quadratic correlation and any allocation
-    pmf = EmpiricalPMF.point_mass(17, 5)
-    upsets = UpsetModel(17, (0.01,) * 17, (0.5,) * 17)
-    with pytest.raises(ParameterError, match="single-error form supports L <= 16, got 17"):
-        analytic_single_error(pmf, upsets)
-
-
 def test_analytic_single_error_uniform_reports_divergence():
-    # the transcribed formula leaks masked mass into m >= 1 for
-    # spread-out value laws; the comparison must expose it
+    # a spread-out value law: each upset of bit 0 that is not masked moves
+    # the value by exactly 1, so the form and the oracle agree on 0.15
     pmf = EmpiricalPMF.uniform(3)
     upsets = UpsetModel(3, (0.3, 0.0, 0.0), (0.5, 0.0, 0.0))
     dist, report = analytic_single_error(pmf, upsets)
-    assert report.rows  # comparison always produced
-    oracle = single_error_oracle(pmf, upsets)
-    assert oracle.at(1) == pytest.approx(0.15)
-    if not report.agreed:
-        assert report.max_abs > 1e-9
+    assert report.agreed
+    assert set(report.rows) == {0, 1}
+    assert dist.at(1) == 0.15
+    assert single_error_oracle(pmf, upsets).at(1) == pytest.approx(0.15)
 
 
-def loop_single_error(pmf, upsets):
-    """Loop transcription of the single-upset formula, one (a, i) at a time."""
-    L = pmf.L
-    n = 1 << L
-    fv = pmf.to_array()
-    bracket = np.zeros(n, dtype=np.float64)
-    for a in range(n):
-        acc = 0.0
+def random_pmf_and_upsets(rng, L):
+    """A PMF on a random subset of the L-bit values and an upset model, some odds exactly 0 or 1."""
+    values = rng.permutation(1 << L)[: int(rng.integers(1, (1 << L) + 1))]
+    weights = rng.random(values.size) + 0.01
+    pmf = EmpiricalPMF(L, dict(zip(values.tolist(), (weights / weights.sum()).tolist())))
+    upset = np.where(rng.random(L) < 0.2, 0.0, rng.uniform(0.0, 0.3, L))
+    forced_one = np.where(rng.random(L) < 0.3, rng.integers(0, 2, L), rng.random(L))
+    return pmf, UpsetModel(L, tuple(upset.tolist()), tuple(forced_one.astype(float).tolist()))
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_analytic_single_error_matches_per_bit_fold(L):
+    # Bit i's term is the exact fold's mass at 2**i with only bit i upset,
+    # times the odds that no other bit is upset.
+    for seed in range(5):
+        pmf, upsets = random_pmf_and_upsets(np.random.default_rng([30, L, seed]), L)
+        dist, report = analytic_single_error(pmf, upsets)
+        assert report.agreed and report.max_abs <= 1e-15
+        assert all(m == 0 or m & (m - 1) == 0 for m in dist.mass)
         for i in range(L):
-            hi = a + (1 << i)
-            lo = a - (1 << i)
-            if hi < n:
-                acc += fv[hi] * upsets.force_probability(i, 0)
-            if lo >= 0:
-                acc += fv[lo] * upsets.force_probability(i, 1)
-            acc += fv[a] * upsets.force_probability(i, (a >> i) & 1)
-        bracket[a] = acc
-    mass = {}
-    for m in range(1, n):
-        total = 0.0
-        for a in range(n):
-            if a - m >= 0:
-                total += bracket[a] * fv[a - m]
-            if a + m < n:
-                total += bracket[a] * fv[a + m]
-        if total:
-            mass[m] = float(total)
-    mass[0] = 1.0 - math.fsum(v for m, v in mass.items() if m != 0)
-    return mass
+            alone = tuple(u if j == i else 0.0 for j, u in enumerate(upsets.upset_prob))
+            fold = exact_distortion(UpsetModel(L, alone, upsets.forced_one_prob), pmf).at(1 << i)
+            others = math.prod(1.0 - u for j, u in enumerate(upsets.upset_prob) if j != i)
+            assert dist.at(1 << i) == pytest.approx(fold * others, rel=0, abs=1e-15)
 
 
-@pytest.mark.parametrize("L", [2, 4, 6])
-def test_analytic_single_error_matches_loop_form(L):
-    rng = np.random.default_rng(20 + L)
-    values = rng.random(1 << L)
-    values[rng.random(1 << L) < 0.3] = 0.0
-    values /= values.sum()
-    pmf = EmpiricalPMF(L, {v: float(p) for v, p in enumerate(values) if p})
-    upsets = UpsetModel(L, tuple(rng.uniform(0, 0.3, L)), tuple(rng.random(L)))
-    dist, _ = analytic_single_error(pmf, upsets)
-    ref = loop_single_error(pmf, upsets)
-    assert set(dist.mass) == set(ref)
-    for m, v in ref.items():
+def test_analytic_single_error_runs_on_a_sparse_20_bit_pmf():
+    # the form costs O(|V| L), so a 20-bit word needs no 2**20 table
+    L = 20
+    pmf = EmpiricalPMF(L, {0: 0.4, 5: 0.1, (1 << 19) | 3: 0.3, (1 << L) - 1: 0.2})
+    upsets = UpsetModel(L, tuple(0.001 * (i + 1) for i in range(L)), tuple(i / (L - 1) for i in range(L)))
+    dist, report = analytic_single_error(pmf, upsets)
+    assert report.agreed and report.max_abs <= 1e-15
+    oracle = single_error_oracle(pmf, upsets)
+    assert set(dist.mass) == set(oracle.mass) == {0} | {1 << i for i in range(L)}
+    for m, v in oracle.mass.items():
         assert dist.at(m) == pytest.approx(v, rel=0, abs=1e-15)
 
 
@@ -761,18 +745,14 @@ def triple_loop_single_error_oracle(pmf, upsets):
 def test_single_error_oracle_bit_exact_against_triple_loop(seed):
     rng = np.random.default_rng([7, seed])
     L = int(rng.integers(1, 9))
-    # values in random order, some upset and forced-one odds exactly 0 or 1
-    values = rng.permutation(1 << L)[: int(rng.integers(1, (1 << L) + 1))]
-    weights = rng.random(values.size) + 0.01
-    pmf = EmpiricalPMF(L, dict(zip(values.tolist(), (weights / weights.sum()).tolist())))
-    upset = np.where(rng.random(L) < 0.2, 0.0, rng.uniform(0.0, 0.3, L))
-    forced_one = np.where(rng.random(L) < 0.3, rng.integers(0, 2, L), rng.random(L))
-    upsets = UpsetModel(L, tuple(upset.tolist()), tuple(forced_one.astype(float).tolist()))
+    pmf, upsets = random_pmf_and_upsets(rng, L)
     got = single_error_oracle(pmf, upsets).mass
     want = triple_loop_single_error_oracle(pmf, upsets)
     assert got == want
     assert list(got) == list(want)
     assert all(type(m) is int and type(v) is float for m, v in got.items())
+    report = analytic_single_error(pmf, upsets)[1]
+    assert report.agreed and report.max_abs <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,10 @@ def test_distort_single_error_uniform_divergence_report(tmp_path):
     upsets.write_text("format=vdb-upsets-v1\nL=3\n0,0.3,0.5\n")
     out = tmp_path / "fm.csv"
     assert main(["distort", "--pmf", str(pmf), "--upsets", str(upsets), "--mode", "single-error", "--out", str(out)]) == 0
-    assert "# max_abs_divergence=" in out.read_text()
+    text = out.read_text()
+    assert "# max_abs_divergence=0.0" in text
+    assert "# agreed=True" in text
+    assert "1,0.15,0.0,0.15,0.0" in text.splitlines()
 
 
 def test_verify_non_integer_table_header_is_usage_error(tmp_path, example_constraint_file, capsys):
