@@ -26,10 +26,11 @@ instead of sweeping (word, mask) pairs.  Each kernel is deterministic:
                                    |x - (x ^ e)| = m for some word x; a word
                                    sweep that visits each unordered pair
                                    {x, x ^ e} once, from the word with e's
-                                   top bit t clear, and only the 2**t words
-                                   below 2**t (at most 2**(L - 1)): the
-                                   bits above t are equal in x and x ^ e
-                                   and cancel in the distance; O(2**L)
+                                   top bit t clear; the bits above t and
+                                   below e's lowest bit b are equal in x and
+                                   x ^ e and cancel in the distance, so it
+                                   sweeps 2**(t - b) words against e >> b,
+                                   distances scaled by 2**b; O(2**L)
                                    memory, kept as the brute-force oracle
                                    of the placement sets
     mask_probabilities(probs)      float64 [2**L]; the product measure of mask e,
@@ -66,11 +67,12 @@ def signed_sums(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
 
 # Each unordered pair {x, x ^ e} is visited once, from the word x with
 # the mask's top bit t clear: x ^ e agrees with x above t and has bit t
-# set, so (x ^ e) - x > 0.  The bits above t are the same in x and x ^ e
-# and cancel in the difference, so the 2**t words x < 2**t reach every
-# distance the mask reaches, and each distance is below 2**(t + 1).
-# `moved` and `seen` are reused for every mask; `seen` is cleared at just
-# the entries one mask set.
+# set, so (x ^ e) - x > 0.  The bits above t and below e's lowest bit b
+# are the same in x and x ^ e and cancel in the difference, so the
+# 2**(t - b) words j < 2**(t - b), swept against f = e >> b, reach every
+# distance the mask reaches, as ((j ^ f) - j) * 2**b; each unscaled
+# distance is below 2**(t - b + 1).  `moved` and `seen` are reused for
+# every mask; `seen` is cleared at just the entries one mask set.
 def reach_pairs(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     words = np.arange(1 << (L - 1), dtype=np.int64)
     moved = np.empty_like(words)
@@ -78,13 +80,16 @@ def reach_pairs(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     masks = mask_powers(L, w).sum(axis=1)
     ms = []
     for e in masks.tolist():
-        top = 1 << (e.bit_length() - 1)
+        low = (e & -e).bit_length() - 1
+        f = e >> low
+        top = 1 << (f.bit_length() - 1)
         x, d = words[:top], moved[:top]
-        np.bitwise_xor(x, e, out=d)
+        np.bitwise_xor(x, f, out=d)
         np.subtract(d, x, out=d)
         seen[d] = True
-        ms.append(np.flatnonzero(seen[: 2 * top]))
-        seen[ms[-1]] = False
+        hit = np.flatnonzero(seen[: 2 * top])
+        seen[hit] = False
+        ms.append(hit << low)
     return np.concatenate(ms), np.repeat(masks, [m.size for m in ms])
 
 

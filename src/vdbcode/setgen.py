@@ -73,9 +73,10 @@ def sets_bruteforce(L: int, k: int) -> PlacementSets:
     differing-bit mask e joins the set of the pair's integer distance.
     `_kernels.reach_pairs` sweeps one mask at a time and visits each
     unordered pair once, from the word with e's top bit t clear.  The
-    bits above t are equal in x and x ^ e and cancel in the distance, so
-    only the 2**t words below 2**t are swept (at most 2**(L - 1)), and
-    memory stays O(2**L) plus the pairs found.
+    bits above t and below e's lowest bit b are equal in x and x ^ e and
+    cancel in the distance, so only 2**(t - b) words are swept against
+    e >> b, distances scaled by 2**b, and memory stays O(2**L) plus the
+    pairs found.
     """
     distortion_range(WordSpec(L, SYMMETRIC), k)  # validates L and k
     ms, masks = zip(*(_kernels.reach_pairs(L, w) for w in range(1, k + 1)))

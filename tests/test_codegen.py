@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -117,6 +118,53 @@ def test_array_lhs_matches_constraint_lhs(L, k):
         # binning the pairs by m itself gives S_3, which has no pairs, an lhs of 0
         rows.index = sets.ms
         assert 3 not in rows.keys and rows.lhs(p_vec)[3] == 0.0
+
+
+# Every float is a dyadic rational, so Fractions give each mask probability
+# and each row sum exactly: the ground truth for the round-off bounds that
+# `_Rows.lhs` and `_Rows.allowance` rest on.
+def _exact_row_sums(groups, p_vec):
+    p = [Fraction(v) for v in p_vec]
+
+    def prob(e):
+        out = Fraction(1)
+        for i, v in enumerate(p):
+            out *= v if e >> i & 1 else 1 - v
+        return out
+
+    probs = {e: prob(e) for s in groups.values() for e in s}
+    return {m: sum(probs[e] for e in s) for m, s in groups.items()}
+
+
+@pytest.mark.parametrize("L,k", [(3, 3), (5, 2), (6, 3), (8, 3)])
+def test_row_sums_and_margins_within_round_off_of_exact_rationals(L, k):
+    # Seeded tables drawn uniform, as u**8 (small p, where relative error
+    # shows) and as 1 - u**8 (p near 1), and the solvers' own outputs.  Each
+    # row's lhs lies within gamma_n * lhs of its exact sum (n = 2L + n_m,
+    # gamma_n = n*u / (1 - n*u), taken exactly here), and each computed
+    # margin F(m) - lhs(m) within `_Rows.allowance` of the exact margin.
+    sets, c = sets_fast(L, k), TailConstraint.reciprocal(L, k)
+    rows = _Rows(sets, c)
+    groups = sets.sets
+    iid = solve_iid(sets, c)
+    u = np.random.default_rng(L * 10 + k).random((8, L))
+    tables = [*u, *u**8, *(1 - u**8), solve_perbit(sets, c).p_vec, iid.p_vec]
+    tables.append([iid.metadata["first_infeasible_p"]] * L)
+    unit = Fraction(1, 1 << 53)
+    for p_vec in tables:
+        exact = _exact_row_sums(groups, p_vec)
+        lhs = rows.lhs(p_vec)
+        allowance = rows.allowance(lhs)
+        margins, passed = rows.margins(p_vec)
+        exact_margins = []
+        for j, m in enumerate(rows.keys.tolist()):
+            n = 2 * L + len(groups[m])
+            gamma = n * unit / (1 - n * unit)
+            assert abs(Fraction(lhs[j]) - exact[m]) <= gamma * exact[m]
+            exact_margins.append(Fraction(c.bounds[m - 1]) - exact[m])
+            assert abs(Fraction(margins[m]) - exact_margins[-1]) <= Fraction(allowance[j])
+        # so a table that meets every bound exactly always passes
+        assert passed or min(exact_margins) < 0
 
 
 def _bisection_limit(sets, c, p_vec, i, tol):

@@ -126,10 +126,11 @@ def test_submask_counts_match_loop(L, k):
 )
 def test_reach_pairs_match_loop(L, w):
     # The true cells of the loop's reach matrix, row-major: masks ascending,
-    # each mask's m ascending.  A mask with top bit t is swept only over the
-    # 2**t words below 2**t; (1, 1) is a one-word sweep, (5, 5) has w = L,
-    # and in (9, 2), (10, 3), (11, 2) and (12, 1) the masks' top bits run
-    # through many or all t, (12, 1) from t = 0 to L - 1.
+    # each mask's m ascending.  A mask with top bit t and lowest bit b is
+    # swept only over 2**(t - b) words, distances scaled by 2**b; (1, 1) is
+    # a one-word sweep, (5, 5) has w = L, and in (9, 2), (10, 3), (11, 2)
+    # and (12, 1) the masks' top and lowest bits run through many or all
+    # positions, (12, 1) one-word sweeps scaled by every 2**b up to 2**(L - 1).
     masks = ref_masks(L, (w,))
     rows, ms = np.nonzero(ref_reach_matrix(L, masks))
     got_ms, got_masks = _kernels.reach_pairs(L, w)

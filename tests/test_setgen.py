@@ -37,10 +37,10 @@ def test_bruteforce_single_bit():
 
 @pytest.mark.parametrize("L,k", [(1, 1), (3, 1), (16, 3)])
 def test_bruteforce_memory_is_one_word_sweep(L, k):
-    # One mask's sweep at a time, over at most 2**(L - 1) words into one
-    # 2**L `seen` row; a (masks x 2**L) bool reach matrix at (16, 3) would
-    # hold 696 * 65536 entries, about 45 MB.  (3, 1) has an empty S_3,
-    # which must still give no rows.
+    # One mask's sweep at a time, over 2**(t - b) words for a mask with
+    # top bit t and lowest bit b, into one 2**L `seen` row; a (masks x 2**L)
+    # bool reach matrix at (16, 3) would hold 696 * 65536 entries, about
+    # 45 MB.  (3, 1) has an empty S_3, which must still give no rows.
     tracemalloc.start()
     try:
         ps = sets_bruteforce(L, k)
@@ -156,7 +156,7 @@ def test_fast_equals_bruteforce_small():
 
 
 def test_fast_equals_bruteforce_wide_word():
-    for L, k in [(12, 2), (12, 12), (14, 3), (16, 3), (16, 5), (18, 2)]:
+    for L, k in [(12, 2), (12, 12), (14, 3), (16, 3), (16, 5), (18, 2), (18, 3), (20, 3)]:
         assert sets_fast(L, k) == sets_bruteforce(L, k)
 
 
