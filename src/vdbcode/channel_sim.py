@@ -239,8 +239,9 @@ def _alias_table(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     topped up by the large whose surplus covers the start of its deficit,
     and a large whose surplus runs out inside a small's deficit is topped
     up, by the rest of that deficit, from the next large.  This is Vose's
-    two-pointer walk (IEEE TSE 17(9), 1991) as two `searchsorted` calls.
-    A zero-mass value gets t = 0 and is never an alias.
+    two-pointer walk (IEEE TSE 17(9), 1991) as one merge of the sorted
+    surplus ends with the sorted deficit starts.  A zero-mass value gets
+    t = 0 and is never an alias.
     """
     n = law.size
     q = law * n
@@ -251,12 +252,19 @@ def _alias_table(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     larges = np.flatnonzero(~small)
     deficits = np.concatenate(([0.0], np.cumsum(1.0 - q[smalls])))  # small i spans deficits[i:i + 2]
     surplus = np.cumsum(q[larges] - 1.0)  # large j's surplus ends at surplus[j]
+    # Both runs ascend, so a stable sort merges them in order, each keeping
+    # its own order; surplus ends go first on a tie.  Small i's start then
+    # has the surplus ends <= it before it, and large j's end the deficit
+    # starts < it: the searchsorted counts, sides "right" and "left".
+    is_start = np.argsort(np.concatenate((surplus, deficits[:-1])), kind="stable") >= larges.size
+    ends_below = np.flatnonzero(is_start) - np.arange(smalls.size)
+    starts_below = np.flatnonzero(~is_start) - np.arange(larges.size)
     t = np.ones(n)
     a = np.arange(n)
     t[smalls] = q[smalls]
-    a[smalls] = larges[np.minimum(np.searchsorted(surplus, deficits[:-1], side="right"), larges.size - 1)]
+    a[smalls] = larges[np.minimum(ends_below, larges.size - 1)]
     # The last small to start below a large's surplus end may end past it; the last large never spills.
-    spill = deficits[np.searchsorted(deficits[:-1], surplus[:-1], side="left")] - surplus[:-1]
+    spill = deficits[starts_below[:-1]] - surplus[:-1]
     j = np.flatnonzero(spill > 0)
     t[larges[j]] = np.maximum(1.0 - spill[j], 0.0)  # spill <= 1 up to rounding
     a[larges[j]] = larges[j + 1]

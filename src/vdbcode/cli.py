@@ -83,8 +83,8 @@ def cmd_sets(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    rows = combinatorics.bounds_dataset(args.L, args.k)
-    combinatorics.write_bounds_csv(rows, args.out)
+    table = combinatorics.bounds_dataset(args.L, args.k)
+    combinatorics.write_bounds_csv(table, args.out)
     _write_manifest(args, [], [args.out])
     return EXIT_OK
 

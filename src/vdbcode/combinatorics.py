@@ -13,17 +13,17 @@ Y*(L, k, m) counts the distinct error masks of weight at most k that
 can realize distortion m, which is |S_m|: one bincount over the m column
 of the placement sets.  The word-by-word brute-force sets remain the
 oracle for both.  The two closed-form upper bounds on Z are cheap to
-evaluate and the dataset generator emits the exact/tight/loose
-comparison rows.
+evaluate, and `bounds_dataset` sets the exact count beside both as a
+`BoundsTable`: four read-only int64 columns (m, z_exact, z_tight,
+z_loose) over m = 1..m_max, which yields `BoundsRow`s when iterated and
+which `write_bounds_csv` writes block by block from the columns.
 """
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -132,21 +132,62 @@ class BoundsRow(NamedTuple):
     z_loose: int
 
 
-def bounds_dataset(L: int, k: int) -> list[BoundsRow]:
-    """Exact-vs-bounds comparison rows for every m in the distortion range.
+# Rows are turned into Python objects one block at a time, so iterating a
+# table or writing it holds one block's lists, not one object per m.
+_BLOCK_ROWS = 1 << 14
+# csv.writer's bytes for one row of ints: comma-separated, CRLF-terminated.
+_CSV_ROW = "%d,%d,%d,%d\r\n"
 
-    The bounds are z_bound_loose and z_bound_tight, taken over all m at once.
+
+@dataclass(frozen=True, eq=False)
+class BoundsTable:
+    """Exact Z beside both bounds for m = 1..m_max, one read-only int64 column each.
+
+    `len` is m_max.  Iterating yields one `BoundsRow` of Python ints per
+    m, ascending, built lazily block by block.
+    """
+
+    m: np.ndarray
+    z_exact: np.ndarray
+    z_tight: np.ndarray
+    z_loose: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in self._columns():
+            column.flags.writeable = False
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.m, self.z_exact, self.z_tight, self.z_loose
+
+    def __len__(self) -> int:
+        return self.m.size
+
+    def _blocks(self) -> Iterator[np.ndarray]:
+        """The rows as [n, 4] int64 blocks of at most _BLOCK_ROWS rows, m ascending."""
+        for start in range(0, len(self), _BLOCK_ROWS):
+            yield np.stack([c[start : start + _BLOCK_ROWS] for c in self._columns()], axis=1)
+
+    def __iter__(self) -> Iterator[BoundsRow]:
+        for block in self._blocks():
+            yield from map(BoundsRow._make, block.tolist())
+
+
+def bounds_dataset(L: int, k: int) -> BoundsTable:
+    """Exact-vs-bounds comparison columns for every m in the distortion range.
+
+    The bounds are z_bound_loose and z_bound_tight, taken over all m at
+    once; z_exact is a view of z_exact_table(L, k) from m = 1.
     """
     z = z_exact_table(L, k)  # validates L and k
     ms = np.arange(1, z.size, dtype=np.int64)
     loose = (1 << (L + 1)) - 2 * ms
     tight = loose - loose % (1 << (L - k + 1))
-    fields = zip(ms.tolist(), z[1:].tolist(), tight.tolist(), loose.tolist())
-    return list(map(tuple.__new__, repeat(BoundsRow), fields))  # skips BoundsRow.__new__
+    return BoundsTable(ms, z[1:], tight, loose)
 
 
-def write_bounds_csv(rows: Iterable[BoundsRow], path) -> None:
+def write_bounds_csv(table: BoundsTable, path) -> None:
+    """The table as CSV, header first: the bytes csv.writer writes, CRLF line ends included."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BOUNDS_CSV_HEADER)
-        writer.writerows(rows)
+        fh.write(",".join(BOUNDS_CSV_HEADER) + "\r\n")
+        for block in table._blocks():
+            fh.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))

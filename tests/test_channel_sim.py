@@ -2,6 +2,8 @@ import csv
 import io
 import itertools
 import math
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +110,62 @@ def test_exact_distortion_flip_is_fair_forced_channel(values):
     flip = exact_distortion(CodeTable.perbit(4, 2, p), values)
     forced = exact_distortion(UpsetModel(4, tuple(2 * q for q in p), (0.5,) * 4), values)
     assert flip.mass == forced.mass
+
+
+def exact_fold_oracle(force_to_one, force_to_zero, value_probs):
+    """f_M in Fractions over every (word, per-bit outcome) pair, from the floats the fold reads.
+
+    Given word x, bit i moves with probability force_to_one[i] when it is
+    0 and force_to_zero[i] when it is 1; outcome e is the set of bits
+    that moved, and the distortion is |x - (x ^ e)|.
+    """
+    L = len(force_to_one)
+    q = [[Fraction(v) for v in force_to_one], [Fraction(v) for v in force_to_zero]]
+    out = defaultdict(Fraction)
+    for x, fx in enumerate(value_probs):
+        if not fx:
+            continue
+        probs = [Fraction(fx)]  # probs[e] over the bits folded so far; bit i of e: bit i moved
+        for i in range(L):
+            qi = q[x >> i & 1][i]
+            probs = [v * (1 - qi) for v in probs] + [v * qi for v in probs]
+        for e, prob in enumerate(probs):
+            out[abs(x - (x ^ e))] += prob
+    return out
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_exact_distortion_within_round_off_of_exact_rationals(L):
+    # Every float is a dyadic rational, so the oracle's law is exact.  All
+    # the fold's terms are nonnegative, and each final term is a value mass
+    # times one factor per bit.  Folding bit i, a term that stays put takes
+    # at most four roundings: 1 - q, the product, the sum of the two
+    # staying products, and the add onto the moved mass sharing its entry;
+    # a moved term takes two (product, add).  The closing fold of -m onto
+    # +m adds one, so n = 4L + 1 and every mass lies within
+    # gamma_n = n*u / (1 - n*u) of exact, u = 2**-53 (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., Lemma 3.1).
+    rng = np.random.default_rng(600 + L)
+    u = rng.random((3, L))
+    weights = rng.random(1 << L) * (rng.random(1 << L) < 0.7)
+    weights[rng.integers(1 << L)] += 1.0
+    pmf = EmpiricalPMF(L, {v: w / weights.sum() for v, w in enumerate(weights.tolist()) if w})
+    models = [CodeTable.perbit(L, L, p.tolist()) for p in (u[0], u[0] ** 8, 1 - u[0] ** 8)]
+    models += [UpsetModel(L, tuple(u[1].tolist()), tuple(u[2].tolist())),
+               UpsetModel(L, (1.0,) * L, tuple(rng.choice([0.0, 0.5, 1.0], L).tolist()))]
+    unit = Fraction(1, 1 << 53)
+    n = 4 * L + 1
+    gamma = n * unit / (1 - n * unit)
+    for model in models:
+        if isinstance(model, CodeTable):
+            q1 = q0 = model.p_vec
+        else:
+            q1, q0 = model.force_to_one().tolist(), model.force_to_zero().tolist()
+        for values, value_probs in (("uniform", [0.5**L] * (1 << L)), (pmf, pmf.to_array().tolist())):
+            exact = exact_fold_oracle(q1, q0, value_probs)
+            computed = exact_distortion(model, values).mass
+            for m in exact.keys() | computed.keys():
+                assert abs(Fraction(computed.get(m, 0.0)) - exact[m]) <= gamma * exact[m]
 
 
 def test_exact_distortion_rejects_large_words():
@@ -491,6 +549,45 @@ def test_alias_table_rebuilds_the_law(L):
         zero = law == 0.0
         assert (t[zero] == 0.0).all()
         assert not zero[a].any()  # a zero-mass value is never an alias target
+
+
+def searchsorted_alias_table(law):
+    """The alias table as two `searchsorted` calls: the reference for the one-sort build."""
+    n = law.size
+    q = law * n
+    small = q < 1.0
+    if small.all():
+        small[np.argmax(q)] = False
+    smalls = np.flatnonzero(small)
+    larges = np.flatnonzero(~small)
+    deficits = np.concatenate(([0.0], np.cumsum(1.0 - q[smalls])))
+    surplus = np.cumsum(q[larges] - 1.0)
+    t = np.ones(n)
+    a = np.arange(n)
+    t[smalls] = q[smalls]
+    a[smalls] = larges[np.minimum(np.searchsorted(surplus, deficits[:-1], side="right"), larges.size - 1)]
+    spill = deficits[np.searchsorted(deficits[:-1], surplus[:-1], side="left")] - surplus[:-1]
+    j = np.flatnonzero(spill > 0)
+    t[larges[j]] = np.maximum(1.0 - spill[j], 0.0)
+    a[larges[j]] = larges[j + 1]
+    return t, a
+
+
+@pytest.mark.parametrize("L", [*range(1, 13), 16, 20])
+def test_alias_table_equals_searchsorted_reference(L):
+    # q = law * 2**L of halves and of zeros and twos is exact, so surplus
+    # ends and deficit starts meet on the same doubles and ties are hit.
+    rng = np.random.default_rng(100 + L)
+    n = 1 << L
+    halves, zeros_twos = (rng.permutation(np.repeat(pair, n // 2 or 1)[:n]) for pair in ([0.5, 1.5], [0.0, 2.0]))
+    laws = [rng.random(n) ** 3, rng.integers(0, 4, n).astype(float), halves, zeros_twos]
+    laws = [law / law.sum() for law in laws]
+    if L <= 16:
+        laws += alias_test_laws(L, np.random.default_rng(L))  # uniform, point masses, zeros, rounding
+    for law in laws:
+        t, a = _alias_table(law)
+        want_t, want_a = searchsorted_alias_table(law)
+        assert np.array_equal(t, want_t) and np.array_equal(a, want_a)
 
 
 def test_raw_threshold_is_generator_random():

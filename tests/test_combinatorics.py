@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from vdbcode import (
+    SYMMETRIC,
     ParameterError,
+    WordSpec,
     bounds_dataset,
+    distortion_range,
     divisibility_report,
     y_star,
     z_bound_loose,
@@ -190,21 +193,50 @@ def test_z_exact_table_is_read_only():
 
 def test_bounds_dataset_row_count():
     assert len(bounds_dataset(3, 2)) == 6
-    rows = bounds_dataset(8, 3)
-    assert len(rows) == 224
-    assert all(r.z_exact <= r.z_tight <= r.z_loose for r in rows)
+    table = bounds_dataset(8, 3)
+    assert len(table) == 224
+    assert ((table.z_exact <= table.z_tight) & (table.z_tight <= table.z_loose)).all()
 
 
 @pytest.mark.parametrize("L,k", [(1, 1), (5, 2), (8, 3), (10, 10)])
 def test_bounds_dataset_matches_scalar_bounds(L, k):
-    rows = bounds_dataset(L, k)
-    assert [r.m for r in rows] == list(range(1, 2 ** (L - k) * (2**k - 1) + 1))
-    for r in rows:
+    table = bounds_dataset(L, k)
+    ms = list(range(1, 2 ** (L - k) * (2**k - 1) + 1))
+    assert table.m.tolist() == ms
+    assert table.z_exact.tolist() == [z_exact(L, k, m) for m in ms]
+    assert table.z_tight.tolist() == [z_bound_tight(L, k, m) for m in ms]
+    assert table.z_loose.tolist() == [z_bound_loose(L, m) for m in ms]
+    for r in table:
         assert type(r) is BoundsRow
-        assert (r.z_exact, r.z_tight, r.z_loose) == (
-            z_exact(L, k, r.m), z_bound_tight(L, k, r.m), z_bound_loose(L, r.m)
-        )
         assert all(type(v) is int for v in (r.m, r.z_exact, r.z_tight, r.z_loose))
+
+
+@pytest.mark.parametrize("L,k", [(1, 1), (8, 3), (16, 3)])
+def test_bounds_columns_are_read_only_int64(L, k):
+    table = bounds_dataset(L, k)
+    m_max = distortion_range(WordSpec(L, SYMMETRIC), k)[1]
+    assert len(table) == m_max
+    columns = (table.m, table.z_exact, table.z_tight, table.z_loose)
+    for column in columns:
+        assert column.dtype == np.int64 and column.shape == (m_max,)
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0
+    assert np.shares_memory(table.z_exact, z_exact_table(L, k))
+    # iteration reads the rows off the columns, across several row blocks at (16, 3)
+    assert list(table) == list(zip(*(c.tolist() for c in columns)))
+
+
+@pytest.mark.parametrize("L,k", [(1, 1), (3, 2), (8, 3), (12, 12), (16, 3)])
+def test_write_bounds_csv_matches_csv_writer(tmp_path, L, k):
+    # the reference is the csv.writer build the column writer replaced
+    table = bounds_dataset(L, k)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(BOUNDS_CSV_HEADER)
+        writer.writerows(table)
+    write_bounds_csv(table, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_bounds_csv_output(tmp_path):
