@@ -112,12 +112,6 @@ class UpsetModel:
                 if not 0.0 <= p <= 1.0:
                     raise ParameterError(f"{name}[{i}]={p} outside [0, 1]")
 
-    def force_probability(self, i: int, bit: int) -> float:
-        """Probability that position i is upset and forced to `bit`."""
-        if bit == 1:
-            return self.upset_prob[i] * self.forced_one_prob[i]
-        return self.upset_prob[i] * (1.0 - self.forced_one_prob[i])
-
     def force_to_one(self) -> np.ndarray:
         return np.asarray(self.upset_prob) * np.asarray(self.forced_one_prob)
 

@@ -1,8 +1,10 @@
 """Code-table solvers: maximal channel error probabilities under a tail bound.
 
-A TailConstraint assigns each distortion m a probability budget F(m).  A
-code table is feasible when, for every m, the total probability of the
-error placements that can realize m stays within F(m):
+A TailConstraint assigns each distortion m a probability budget F(m),
+held as the rows it was given, between which F is a step function; a
+budget costs its rows, not its m_max.  A code table is feasible when,
+for every m, the total probability of the error placements that can
+realize m stays within F(m):
 
     sum over masks e in S_m of  prod_i p_i**e_i (1-p_i)**(1-e_i)  <=  F(m)
 
@@ -53,80 +55,74 @@ class InfeasibleConstraintError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class TailConstraint:
-    """Per-m probability budget over the full distortion range of (L, k).
+    """Per-m probability budget over the full distortion range of (L, k), held as its rows.
 
-    F is held once, as the read-only float64 array `bounds` with
-    bounds[m - 1] = F(m) for m = 1..m_max (the same m - 1 indexing as the
-    Monte Carlo check columns); m_max is its length.
+    F(m) is values[j] for the last row with ms[j] <= m, 1.0 below ms[0]: ms
+    is read-only int64, strictly ascending within [1, m_max], and values is
+    read-only float64 in [0, 1].  A budget built here may rise from one row
+    to the next; from_table and the parsers refuse that.
     """
 
     L: int
     k: int
-    bounds: np.ndarray
+    ms: np.ndarray
+    values: np.ndarray
+    m_max: int = field(init=False)
 
     def __post_init__(self) -> None:
         _, m_max = distortion_range(WordSpec(self.L, SYMMETRIC), self.k)
-        bounds = np.array(self.bounds, dtype=np.float64)
-        if bounds.shape != (m_max,):
-            raise ParameterError(f"constraint needs F(1)..F({m_max}), got shape {bounds.shape}")
-        outside = np.flatnonzero(~((bounds >= 0.0) & (bounds <= 1.0)))
+        ms, values = np.array(self.ms, dtype=np.int64), np.array(self.values, dtype=np.float64)
+        if ms.ndim != 1 or ms.shape != values.shape:
+            raise ParameterError(f"constraint needs one bound per row, got m {ms.shape} and bounds {values.shape}")
+        outside = ms[(ms < 1) | (ms > m_max)]
         if outside.size:
-            m = int(outside[0]) + 1
-            raise ParameterError(f"bound at m={m} is {bounds[m - 1]}, outside [0, 1]")
-        bounds.flags.writeable = False
-        object.__setattr__(self, "bounds", bounds)
-
-    @property
-    def m_max(self) -> int:
-        return self.bounds.size
+            raise ParameterError(f"constraint m={outside[0]} outside [1, {m_max}]")
+        if (ms[1:] <= ms[:-1]).any():
+            raise ParameterError("constraint rows need m strictly ascending")
+        bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+        if bad.size:
+            raise ParameterError(f"bound at m={ms[bad[0]]} is {values[bad[0]]}, outside [0, 1]")
+        ms.flags.writeable = values.flags.writeable = False
+        for name, value in (("ms", ms), ("values", values), ("m_max", m_max)):
+            object.__setattr__(self, name, value)
 
     def bounds_at(self, ms: int | np.ndarray) -> float | np.ndarray:
         """F(m) for every m >= 1 of `ms` (a scalar or an array), each m > m_max taking F(m_max)."""
-        return self.bounds[np.minimum(ms, self.m_max) - 1]
+        return np.concatenate(([1.0], self.values))[np.searchsorted(self.ms, ms, side="right")]
 
     @classmethod
     def from_table(cls, L: int, k: int, bounds: Mapping[int, float]) -> "TailConstraint":
-        """F from rows {m: F(m)}, m an int: a gap takes the bound of the nearest row below, 1.0 before the first."""
-        _, m_max = distortion_range(WordSpec(L, SYMMETRIC), k)
+        """F from rows {m: F(m)} in any order, m an int; F may not rise by more than 1e-15 from one row to the next."""
         stray = next((m for m in bounds if isinstance(m, bool) or not isinstance(m, int)), None)
         if stray is not None:
             raise ParameterError(f"constraint m={stray!r} is not an int")
         ms = np.fromiter(bounds.keys(), dtype=np.int64, count=len(bounds))
         values = np.fromiter(bounds.values(), dtype=np.float64, count=len(bounds))
-        return cls(L, k, _step_fill(m_max, ms, values))
+        order = np.argsort(ms)
+        return _falling(cls(L, k, ms[order], values[order]))
 
     @classmethod
     def reciprocal(cls, L: int, k: int) -> "TailConstraint":
-        """The 1/(m+1) budget used throughout the Monte Carlo validation."""
+        """The 1/(m+1) budget used throughout the Monte Carlo validation, one row per m."""
         _, m_max = distortion_range(WordSpec(L, SYMMETRIC), k)
-        return cls(L, k, 1.0 / np.arange(2, m_max + 2))
+        return cls(L, k, np.arange(1, m_max + 1), 1.0 / np.arange(2, m_max + 2))
 
 
-def _step_fill(m_max: int, ms: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """F(1)..F(m_max) from rows F(ms) = values, the ms distinct; an m outside [1, m_max] is an error.
-
-    A gap takes the value of the nearest row below it, 1.0 before the first
-    row, and a rise of more than 1e-15 from one m to the next is an error.
-    """
-    outside = ms[(ms < 1) | (ms > m_max)]
-    if outside.size:
-        raise ParameterError(f"constraint m={outside[0]} outside [1, {m_max}]")
-    order = np.argsort(ms)
-    below = np.searchsorted(ms[order], np.arange(1, m_max + 1), side="right")
-    filled = np.concatenate(([1.0], values[order]))[below]
-    rises = np.flatnonzero(filled[1:] > filled[:-1] + 1e-15)
+def _falling(c: TailConstraint) -> TailConstraint:
+    """c, once no row's bound exceeds the row before it by more than 1e-15."""
+    rises = np.flatnonzero(c.values[1:] > c.values[:-1] + 1e-15)
     if rises.size:
-        m = int(rises[0]) + 1
-        raise ParameterError(f"bound increases from m={m} ({filled[m - 1]}) to m={m + 1} ({filled[m]})")
-    return filled
+        j = int(rises[0]) + 1
+        raise ParameterError(f"bound increases from m={c.ms[j] - 1} ({c.values[j - 1]}) to m={c.ms[j]} ({c.values[j]})")
+    return c
 
 
 def parse_constraint(text: str) -> TailConstraint:
     """Parse the vdb-constraint-v1 text format, reporting line numbers.
 
     After the few header lines, the block of `m,F(m)` rows is read with
-    one `np.loadtxt` into int64 m and float64 F(m), and the range, repeat,
-    [0, 1] and monotonicity checks run on those arrays; every file that
+    one `np.loadtxt` into int64 m and float64 F(m), sorted by m and handed
+    to the TailConstraint checks and the rise check; every file that
     `serialize_constraint` writes is read this way.  A block holding `/`,
     `#`, `=` or `"` (fractions, comments, or headers among the rows), and
     any block that `loadtxt` refuses or that fails a check, is parsed line
@@ -156,7 +152,6 @@ def _parse_constraint_arrays(lines: list[str]) -> TailConstraint | None:
         return None  # no rows
     if len(header) < 2:
         return None
-    _, m_max = distortion_range(WordSpec(header["L"], SYMMETRIC), header["k"])
     block = lines[lineno - 1 :]
     joined = "\n".join(block)
     if any(mark in joined for mark in '/#="'):
@@ -171,12 +166,9 @@ def _parse_constraint_arrays(lines: list[str]) -> TailConstraint | None:
             )
     except (ValueError, DeprecationWarning):
         return None
-    ms = rows["m"]
-    ascending = np.sort(ms)
-    if (ascending[1:] == ascending[:-1]).any():
-        return None
+    order = np.argsort(rows["m"])
     try:
-        return TailConstraint(header["L"], header["k"], _step_fill(m_max, ms, rows["bound"]))
+        return _falling(TailConstraint(header["L"], header["k"], rows["m"][order], rows["bound"][order]))
     except ParameterError:
         return None
 
@@ -233,8 +225,9 @@ def _parse_bound(text: str) -> float:
 
 
 def serialize_constraint(c: TailConstraint) -> str:
+    """The constraint file: the headers, then one `m,F(m)` line per row the budget holds."""
     lines = [f"format={CONSTRAINT_FORMAT}", f"L={c.L}", f"k={c.k}"]
-    lines += [f"{m},{b!r}" for m, b in enumerate(c.bounds.tolist(), start=1)]
+    lines += [f"{m},{b!r}" for m, b in zip(c.ms.tolist(), c.values.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -829,8 +829,8 @@ def triple_loop_single_error_oracle(pmf, upsets):
             for j in range(L):
                 if j != i:
                     others *= no_upset[j]
-            a_i = (a >> i) & 1
-            flip_prob = upsets.force_probability(i, 1 - a_i)
+            bit, f1 = 1 - ((a >> i) & 1), upsets.forced_one_prob[i]
+            flip_prob = upsets.upset_prob[i] * (f1 if bit else 1.0 - f1)
             if flip_prob:
                 m = 1 << i
                 mass[m] = mass.get(m, 0.0) + pa * flip_prob * others

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -80,8 +82,6 @@ def test_lhs_total_over_all_weights_is_one():
 
 
 def test_lhs_accuracy_against_fsum_oracle():
-    import math
-
     rng = np.random.default_rng(5)
     L = 12
     p_vec = [float(v) for v in rng.random(L)]
@@ -107,7 +107,7 @@ def test_array_lhs_matches_constraint_lhs(L, k):
     rows = _Rows(sets, c)
     assert rows.keys.tolist() == sorted(sets.sets)
     assert np.array_equal(rows.keys[rows.index], sets.ms)
-    assert rows.bounds.tolist() == [c.bounds[m - 1] for m in rows.keys.tolist()]
+    assert rows.bounds.tolist() == [1.0 / (m + 1) for m in rows.keys.tolist()]
     rng = np.random.default_rng(L * 10 + k)
     for _ in range(4):
         p_vec = rng.random(L)
@@ -161,7 +161,7 @@ def test_row_sums_and_margins_within_round_off_of_exact_rationals(L, k):
             n = 2 * L + len(groups[m])
             gamma = n * unit / (1 - n * unit)
             assert abs(Fraction(lhs[j]) - exact[m]) <= gamma * exact[m]
-            exact_margins.append(Fraction(c.bounds[m - 1]) - exact[m])
+            exact_margins.append(Fraction(c.bounds_at(m)) - exact[m])
             assert abs(Fraction(margins[m]) - exact_margins[-1]) <= Fraction(allowance[j])
         # so a table that meets every bound exactly always passes
         assert passed or min(exact_margins) < 0
@@ -172,7 +172,7 @@ def _bisection_limit(sets, c, p_vec, i, tol):
     def feasible(v):
         trial = list(p_vec)
         trial[i] = v
-        return all(constraint_lhs(s, trial, sets.L) <= c.bounds[m - 1] for m, s in sets.sets.items())
+        return all(constraint_lhs(s, trial, sets.L) <= c.bounds_at(m) for m, s in sets.sets.items())
 
     if feasible(1.0):
         return 1.0
@@ -216,7 +216,7 @@ def reference_coordinate_limit(rows, p, i):
 
 
 def _random_monotone_budget(rng, L, k):
-    m_max = len(TailConstraint.reciprocal(L, k).bounds)
+    m_max = TailConstraint.reciprocal(L, k).m_max
     f = np.minimum.accumulate(rng.uniform(0.0, 1.0) * rng.uniform(0.3, 1.0, m_max))
     return TailConstraint.from_table(L, k, {m + 1: float(v) for m, v in enumerate(f)})
 
@@ -227,7 +227,7 @@ def _design_budgets():
     budgets += [TailConstraint.reciprocal(L, k) for L, k in [(3, 3), (5, 3), (6, 6), (7, 7), (8, 3)]]
     rng = np.random.default_rng([1, 1])
     for L in (5, 6):
-        m = np.arange(1, len(TailConstraint.reciprocal(L, L).bounds) + 1)
+        m = np.arange(1, TailConstraint.reciprocal(L, L).m_max + 1)
         a, c = rng.uniform(0.8, 1.2), rng.uniform(0.7, 1.0)
         f = np.minimum.accumulate(np.clip(c / (m + 1.0) ** a * rng.uniform(0.9, 1.1, m.size), 0.0, 1.0))
         budgets.append(TailConstraint.from_table(L, L, {int(i): float(v) for i, v in zip(m, f)}))
@@ -291,7 +291,7 @@ def _assert_iid_bracket(sets, c):
 def test_solve_iid_brackets_single_root(example_sets, target):
     # only S_1 (mass p(1-p), rising below 1/2) binds, at exactly `target`
     p1 = constraint_lhs(example_sets.sets[1], [target] * 3)
-    c = TailConstraint(3, 2, np.array([p1, 1.0, 1.0, 1.0, 1.0, 1.0]))
+    c = TailConstraint(3, 2, [1, 2], [p1, 1.0])
     table = _assert_iid_bracket(example_sets, c)
     assert table.p <= target <= table.metadata["first_infeasible_p"]
 
@@ -346,6 +346,58 @@ def test_solve_iid_certified_answers(L, k, bounds, want):
     assert verify_table(sets, c, table).passed
 
 
+def _halves(coeffs, t):
+    """De Casteljau at t: the Bernstein coefficients of the same polynomial on [0, t] and on [t, 1]."""
+    left, right = [], []
+    while coeffs:
+        left.append(coeffs[0])
+        right.append(coeffs[-1])
+        coeffs = [(1 - t) * a + t * b for a, b in zip(coeffs, coeffs[1:])]
+    return left, right[::-1]
+
+
+def _halvings_to_certify(coeffs, depth=0):
+    """How deep halving must go until every piece's coefficients are <= 0; None if it cannot.
+
+    A piece with a positive end coefficient exceeds the bound at that end,
+    and a piece still open at depth 40 counts as not certified.
+    """
+    if all(c <= 0 for c in coeffs):
+        return depth
+    if coeffs[0] > 0 or coeffs[-1] > 0 or depth == 40:
+        return None
+    depths = [_halvings_to_certify(half, depth + 1) for half in _halves(coeffs, Fraction(1, 2))]
+    return None if None in depths else max(depths)
+
+
+@pytest.mark.parametrize("L,k", [(3, 2), (3, 3), (4, 4), (5, 5), (6, 6), (8, 3), (8, 8)])
+def test_solve_iid_certificate_holds_in_exact_rationals(L, k):
+    # With all p_i = p, row m's mass minus F(m) has Bernstein coefficients
+    # n_mw / C(L, w) - F(m) on [0, 1], n_mw counting the weight-w masks of
+    # S_m.  De Casteljau at the returned p gives them on [0, p], all in
+    # Fractions, and halving until every piece's coefficients are <= 0
+    # proves the row within F(m) on all of [0, p] (Lane & Riesenfeld,
+    # "Bounds on a polynomial", BIT 21, 1981).  One look at the
+    # coefficients on [0, p] is not enough: at reciprocal (4, 4) one row's
+    # coefficients reach +0.0032, and that row needs one halving.  At
+    # first_infeasible_p some row cannot be certified.
+    sets = sets_fast(L, k)
+    c = TailConstraint.from_table(3, 2, EXAMPLE_BOUNDS) if (L, k) == (3, 2) else TailConstraint.reciprocal(L, k)
+    table = solve_iid(sets, c)
+    rows = []
+    for m, masks in sets.sets.items():
+        counts = [0] * (L + 1)
+        for e in masks:
+            counts[e.bit_count()] += 1
+        bound = Fraction(c.bounds_at(m))
+        rows.append([Fraction(n, math.comb(L, w)) - bound for w, n in enumerate(counts)])
+    halvings = [_halvings_to_certify(_halves(coeffs, Fraction(table.p))[0]) for coeffs in rows]
+    assert None not in halvings
+    assert (max(halvings) > 0) == ((L, k) == (4, 4))
+    beyond = Fraction(table.metadata["first_infeasible_p"])
+    assert None in [_halvings_to_certify(_halves(coeffs, beyond)[0]) for coeffs in rows]
+
+
 def test_solve_iid_worked_example(example_sets, example_constraint):
     table = solve_iid(example_sets, example_constraint)
     assert table.p == pytest.approx(0.2180, abs=1e-3)
@@ -368,7 +420,7 @@ def test_solve_iid_zero_bound_on_weight_two_masks(example_sets):
     # derivative vanish at p = 0; the answer is still exactly 0, not a
     # subnormal number reached by halving towards 0
     assert set(map(int.bit_count, example_sets.sets[3])) == {2}
-    zero = TailConstraint(3, 2, np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
+    zero = TailConstraint(3, 2, [3], [0.0])
     assert solve_iid(example_sets, zero).p == 0.0
 
 
@@ -407,7 +459,7 @@ def test_solvers_handle_empty_placement_sets():
     # constraint is vacuous: it gets no margin
     sets = sets_fast(3, 1)
     assert 3 not in sets.sets
-    c = TailConstraint(3, 1, np.array([0.3, 0.3, 0.0, 0.3]))
+    c = TailConstraint(3, 1, [1, 3, 4], [0.3, 0.0, 0.3])
     iid = solve_iid(sets, c)
     assert iid.p > 0  # the zero bound at the empty m=3 never binds
     perbit = solve_perbit(sets, c)
@@ -569,14 +621,15 @@ def test_constraint_requires_unit_interval():
 def test_constraint_monotonicity_enforced_by_default():
     with pytest.raises(ParameterError):
         TailConstraint.from_table(3, 2, {1: 0.2, 2: 0.5})
-    # a budget built from its array may rise
-    c = TailConstraint(3, 2, np.array([0.2, 0.5, 0.5, 0.5, 0.5, 0.5]))
-    assert c.bounds[2 - 1] == 0.5
+    # a budget built from its rows may rise
+    c = TailConstraint(3, 2, [1, 2], [0.2, 0.5])
+    assert c.bounds_at(2) == 0.5
 
 
 def test_constraint_gap_inheritance():
-    c = TailConstraint.from_table(3, 2, {2: 0.5, 5: 0.25})
-    assert c.bounds.tolist() == [1.0, 0.5, 0.5, 0.5, 0.25, 0.25]
+    c = TailConstraint.from_table(3, 2, {5: 0.25, 2: 0.5})
+    assert c.ms.tolist() == [2, 5] and c.values.tolist() == [0.5, 0.25]
+    assert c.bounds_at(np.arange(1, 7)).tolist() == [1.0, 0.5, 0.5, 0.5, 0.25, 0.25]
 
 
 def test_constraint_extension_beyond_range():
@@ -589,9 +642,9 @@ def test_parse_constraint_fractions_and_decimals():
     c = parse_constraint(
         "format=vdb-constraint-v1\nL=3\nk=2\n1,22/30\n2,0.25\n"
     )
-    assert c.bounds[1 - 1] == pytest.approx(22 / 30)
-    assert c.bounds[2 - 1] == 0.25
-    assert c.bounds[6 - 1] == 0.25
+    assert c.bounds_at(1) == pytest.approx(22 / 30)
+    assert c.bounds_at(2) == 0.25
+    assert c.bounds_at(6) == 0.25
 
 
 def test_parse_constraint_reports_line_numbers():
@@ -623,7 +676,8 @@ def test_constraint_roundtrip(tmp_path, example_constraint):
     path = tmp_path / "c.txt"
     path.write_text(serialize_constraint(example_constraint))
     loaded = load_constraint(path)
-    assert np.array_equal(loaded.bounds, example_constraint.bounds)
+    assert np.array_equal(loaded.ms, example_constraint.ms)
+    assert np.array_equal(loaded.values, example_constraint.values)
 
 
 GAPPED_ROWS = {2: 0.5, 5: 0.25, 9: 0.2, 20: 0.125, 28: 0.1}
@@ -633,16 +687,17 @@ GAPPED_TEXT = "format=vdb-constraint-v1\nL=5\nk=3\n2,1/2\n# gap\n5,0.25\n9,0.2\n
 def test_from_table_and_parse_constraint_give_same_array():
     c = TailConstraint.from_table(5, 3, GAPPED_ROWS)
     parsed = parse_constraint(GAPPED_TEXT)
-    assert np.array_equal(parsed.bounds, c.bounds)
-    assert c.bounds.dtype == np.float64 and c.m_max == c.bounds.size == 28
-    assert c.bounds[:4].tolist() == [1.0, 0.5, 0.5, 0.5]
-    assert c.bounds[19:].tolist() == [0.125] * 8 + [0.1]
+    assert np.array_equal(parsed.ms, c.ms) and np.array_equal(parsed.values, c.values)
+    assert c.ms.dtype == np.int64 and c.values.dtype == np.float64 and c.m_max == 28
+    assert c.ms.tolist() == list(GAPPED_ROWS) and c.values.tolist() == list(GAPPED_ROWS.values())
+    assert c.bounds_at(np.arange(1, 5)).tolist() == [1.0, 0.5, 0.5, 0.5]
+    assert c.bounds_at(np.arange(20, 29)).tolist() == [0.125] * 8 + [0.1]
     assert c.bounds_at(29) == 0.1
     assert c.bounds_at(np.array([27, 28, 29, 1000])).tolist() == [0.125, 0.1, 0.1, 0.1]
 
 
 def test_monotonicity_tolerance():
-    assert TailConstraint.from_table(3, 2, {1: 0.5, 2: 0.5 + 1e-16}).bounds[1] == 0.5 + 1e-16
+    assert TailConstraint.from_table(3, 2, {1: 0.5, 2: 0.5 + 1e-16}).bounds_at(2) == 0.5 + 1e-16
     with pytest.raises(ParameterError, match="from m=1 .* to m=2"):
         TailConstraint.from_table(3, 2, {1: 0.5, 2: 0.5 + 1e-12})
 
@@ -650,14 +705,16 @@ def test_monotonicity_tolerance():
 @pytest.mark.parametrize("L,k", [(3, 2), (5, 3), (6, 6), (12, 3)])
 def test_reciprocal_bounds_are_one_over_m_plus_one(L, k):
     c = TailConstraint.reciprocal(L, k)
-    assert c.bounds.tolist() == [1.0 / (m + 1) for m in range(1, c.m_max + 1)]
+    assert c.ms.tolist() == list(range(1, c.m_max + 1))
+    assert c.bounds_at(c.ms).tolist() == [1.0 / (m + 1) for m in range(1, c.m_max + 1)]
 
 
 def test_constraint_serialize_parse_roundtrip_is_exact():
     recip = TailConstraint.reciprocal(12, 3)
-    assert np.array_equal(parse_constraint(serialize_constraint(recip)).bounds, recip.bounds)
+    parsed = parse_constraint(serialize_constraint(recip))
+    assert np.array_equal(parsed.ms, recip.ms) and np.array_equal(parsed.values, recip.values)
     rows = {1: 0.3, 4: 0.7, 7: 0.1, 19: 0.9, 28: 1 / 3}
-    rising = TailConstraint(5, 3, np.array([rows[max(r for r in rows if r <= m)] for m in range(1, 29)]))
+    rising = TailConstraint(5, 3, list(rows), list(rows.values()))
     text = serialize_constraint(rising)
     with pytest.raises(ParameterError, match="increases"):
         parse_constraint(text)
@@ -671,12 +728,13 @@ def test_parse_constraint_row_block_read_as_arrays_or_by_line_gives_same_bounds(
     assert _parse_constraint_arrays(commented.splitlines()) is None
     crlf = plain.replace("\n", "\r\n")
     for text in (commented, crlf, plain.replace("2,0.3333333333333333", "2,1/3")):
-        assert np.array_equal(parse_constraint(text).bounds, parse_constraint(plain).bounds)
+        assert constraint_outcome(parse_constraint, text) == constraint_outcome(parse_constraint, plain)
 
 
 def constraint_outcome(parse, source):
     try:
-        return parse(source).bounds.tolist()
+        c = parse(source)
+        return c.ms.tolist(), c.values.tolist()
     except ParameterError as exc:
         return str(exc)
 
@@ -692,26 +750,119 @@ def test_parse_constraint_matches_line_by_line_parse(rows):
     reference = constraint_outcome(_parse_constraint_lines, text.splitlines())
     assert constraint_outcome(parse_constraint, text) == reference
     fast = _parse_constraint_arrays(text.splitlines())
-    assert fast is None or fast.bounds.tolist() == reference
+    assert fast is None or (fast.ms.tolist(), fast.values.tolist()) == reference
 
 
 def test_constraint_bounds_are_read_only():
     c = TailConstraint.from_table(3, 2, EXAMPLE_BOUNDS)
-    with pytest.raises(ValueError):
-        c.bounds[0] = 0.0
-    given = np.full(6, 0.5)
-    c = TailConstraint(3, 2, given)
-    given[0] = 0.0
-    assert given.flags.writeable and c.bounds[0] == 0.5
+    for column in (c.ms, c.values):
+        with pytest.raises(ValueError):
+            column[0] = 0
+    given_ms, given_values = np.arange(1, 7), np.full(6, 0.5)
+    c = TailConstraint(3, 2, given_ms, given_values)
+    given_ms[0], given_values[0] = 2, 0.0
+    assert given_ms.flags.writeable and given_values.flags.writeable
+    assert c.ms[0] == 1 and c.values[0] == 0.5
 
 
 def test_constraint_array_validation():
-    with pytest.raises(ParameterError, match="F\\(1\\)..F\\(6\\)"):
-        TailConstraint(3, 2, np.full(5, 0.5))
+    with pytest.raises(ParameterError, match="one bound per row"):
+        TailConstraint(3, 2, np.arange(1, 7), np.full(5, 0.5))
+    with pytest.raises(ParameterError, match="one bound per row"):
+        TailConstraint(3, 2, [[1, 2]], [[0.5, 0.5]])
     with pytest.raises(ParameterError, match="m=3"):
-        TailConstraint(3, 2, np.array([1.0, 0.5, np.nan, 0.5, 0.5, 0.5]))
+        TailConstraint(3, 2, np.arange(1, 7), [1.0, 0.5, np.nan, 0.5, 0.5, 0.5])
+    with pytest.raises(ParameterError, match="m=3 is -0.1, outside \\[0, 1\\]"):
+        TailConstraint(3, 2, [1, 3], [0.5, -0.1])
+    with pytest.raises(ParameterError, match="m=7 outside \\[1, 6\\]"):
+        TailConstraint(3, 2, [1, 7], [0.5, 0.5])
+    with pytest.raises(ParameterError, match="m=0 outside"):
+        TailConstraint(3, 2, [0, 1], [0.5, 0.5])
+    for ms in ([1, 1], [2, 1]):
+        with pytest.raises(ParameterError, match="strictly ascending"):
+            TailConstraint(3, 2, ms, [0.5, 0.5])
     with pytest.raises(ParameterError, match="m=9 outside"):
         TailConstraint.from_table(3, 2, {9: 0.5})
+
+
+def step_fill_reference(m_max, ms, values, refuse_rise=True):
+    """F(1)..F(m_max) as a dense array, the way a budget was held before it kept only its rows.
+
+    A transcription of the former codegen._step_fill: a gap takes the value
+    of the nearest row below it, 1.0 before the first row, and (with
+    refuse_rise) a rise of more than 1e-15 from one m to the next is an
+    error.  A budget built directly from its dense array could rise.
+    """
+    outside = ms[(ms < 1) | (ms > m_max)]
+    if outside.size:
+        raise ParameterError(f"constraint m={outside[0]} outside [1, {m_max}]")
+    order = np.argsort(ms)
+    below = np.searchsorted(ms[order], np.arange(1, m_max + 1), side="right")
+    filled = np.concatenate(([1.0], values[order]))[below]
+    rises = np.flatnonzero(filled[1:] > filled[:-1] + 1e-15)
+    if refuse_rise and rises.size:
+        m = int(rises[0]) + 1
+        raise ParameterError(f"bound increases from m={m} ({filled[m - 1]}) to m={m + 1} ({filled[m]})")
+    return filled
+
+
+def test_bounds_at_equals_the_dense_step_fill_at_every_m():
+    # 300 seeded budgets at (3, 2)..(12, 3): a random subset of the rows,
+    # falling (ties included) and given as a dict in shuffled order, and the
+    # same rows in drawn order built directly, which may rise.  Every m in
+    # 1..2*m_max reads the dense array's F(min(m, m_max)).
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        L, k = int(rng.integers(3, 13)), int(rng.integers(2, 4))
+        m_max = TailConstraint.reciprocal(L, k).m_max
+        n = int(rng.integers(0, m_max + 1))
+        ms = np.sort(rng.choice(np.arange(1, m_max + 1), n, replace=False))
+        drawn = rng.random(n)
+        if rng.random() < 0.5:
+            drawn = np.round(drawn, 1)
+        falling = np.sort(drawn)[::-1]
+        shuffled = rng.permutation(n)
+        table = dict(zip(ms[shuffled].tolist(), falling[shuffled].tolist()))
+        m = np.arange(1, 2 * m_max + 1)
+        for c, dense in (
+            (TailConstraint.from_table(L, k, table), step_fill_reference(m_max, ms, falling)),
+            (TailConstraint(L, k, ms, drawn), step_fill_reference(m_max, ms, drawn, refuse_rise=False)),
+        ):
+            assert c.m_max == m_max and c.ms.tolist() == ms.tolist()
+            assert np.array_equal(c.bounds_at(m), dense[np.minimum(m, m_max) - 1])
+            assert [c.bounds_at(v) for v in (1, m_max, 2 * m_max)] == [dense[0], dense[-1], dense[-1]]
+
+
+def test_constraint_rows_refuse_what_the_dense_array_refused():
+    # from_table and both parse paths still refuse a bound outside [0, 1],
+    # an m outside [1, m_max], a repeated m (parse only) and a rise
+    for rows, message in [({1: 1.5}, "outside \\[0, 1\\]"), ({2: 0.5, 9: 0.2}, "m=9 outside"),
+                          ({1: 0.2, 4: 0.5}, "increases")]:
+        with pytest.raises(ParameterError, match=message):
+            TailConstraint.from_table(3, 2, rows)
+        text = "format=vdb-constraint-v1\nL=3\nk=2\n" + "".join(f"{m},{v}\n" for m, v in rows.items())
+        assert _parse_constraint_arrays(text.splitlines()) is None
+        with pytest.raises(ParameterError, match=message):
+            parse_constraint(text)
+    repeated = "format=vdb-constraint-v1\nL=3\nk=2\n2,0.5\n2,0.5\n"
+    assert _parse_constraint_arrays(repeated.splitlines()) is None
+    with pytest.raises(ParameterError, match="line 5: duplicate bound for m=2"):
+        parse_constraint(repeated)
+
+
+def test_three_row_budget_at_24_3_parses_in_under_1_mb():
+    # A dense array over m = 1..m_max would be 14.7 M floats (118 MB) here.
+    text = "format=vdb-constraint-v1\nL=24\nk=3\n1,0.5\n64,0.05\n4096,0.001\n"
+    tracemalloc.start()
+    try:
+        c = parse_constraint(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert c.m_max == 7 << 21 and c.ms.tolist() == [1, 64, 4096]
+    assert c.bounds_at(np.array([1, 63, 64, 4095, 4096, c.m_max])).tolist() == [0.5, 0.5, 0.05, 0.05, 0.001, 0.001]
+    assert serialize_constraint(c) == text
 
 
 @pytest.mark.parametrize("key", [1.5, "1", True, 2.0])
