@@ -6,7 +6,8 @@ flip, and each sign pattern on a weight-w mask is the bit pattern on e
 of exactly 2**(L - w) words.  The signed-sum kernel lists those changes
 from the mask side and so covers every (word, mask) pair without
 sweeping the words; only the reach-pairs kernel, which serves the
-brute-force placement sets, sweeps the words, one mask at a time.
+brute-force placement sets, sweeps the words, once per mask shape
+e >> b (b the mask's lowest bit), shared by every shift of that shape.
 The distortion-law kernel likewise folds the word one bit at a time
 instead of sweeping (word, mask) pairs.  Each kernel is deterministic:
 
@@ -29,10 +30,13 @@ instead of sweeping (word, mask) pairs.  Each kernel is deterministic:
                                    top bit t clear; the bits above t and
                                    below e's lowest bit b are equal in x and
                                    x ^ e and cancel in the distance, so it
-                                   sweeps 2**(t - b) words against e >> b,
-                                   distances scaled by 2**b; O(2**L)
-                                   memory, kept as the brute-force oracle
-                                   of the placement sets
+                                   sweeps 2**(t - b) words against the
+                                   shape e >> b, once per distinct shape,
+                                   and every shift of that shape reuses
+                                   its distances scaled by 2**b; O(2**L)
+                                   memory plus at most 2**(w - 1) distances
+                                   per shape, kept as the brute-force
+                                   oracle of the placement sets
     mask_probabilities(probs)      float64 [2**L]; the product measure of mask e,
                                    with bit i of e set <-> factor probs[i]
     distortion_pmf_forced(q1, q0, f_V)
@@ -69,26 +73,32 @@ def signed_sums(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
 # the mask's top bit t clear: x ^ e agrees with x above t and has bit t
 # set, so (x ^ e) - x > 0.  The bits above t and below e's lowest bit b
 # are the same in x and x ^ e and cancel in the difference, so the
-# 2**(t - b) words j < 2**(t - b), swept against f = e >> b, reach every
-# distance the mask reaches, as ((j ^ f) - j) * 2**b; each unscaled
-# distance is below 2**(t - b + 1).  `moved` and `seen` are reused for
-# every mask; `seen` is cleared at just the entries one mask set.
+# 2**(t - b) words j < 2**(t - b), swept against the shape f = e >> b,
+# reach every distance the mask reaches, as ((j ^ f) - j) * 2**b; each
+# unscaled distance is below 2**(t - b + 1).  Every shift f << b of one
+# shape reaches the same distances times 2**b, so each distinct f is
+# swept once and its hits, at most 2**(w - 1), are kept for the shifts
+# that follow.  `moved` and `seen` are reused for every sweep; `seen` is
+# cleared at just the entries one sweep set.
 def reach_pairs(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     words = np.arange(1 << (L - 1), dtype=np.int64)
     moved = np.empty_like(words)
     seen = np.zeros(1 << L, dtype=np.bool_)
     masks = mask_powers(L, w).sum(axis=1)
+    shapes: dict[int, np.ndarray] = {}
     ms = []
     for e in masks.tolist():
         low = (e & -e).bit_length() - 1
         f = e >> low
-        top = 1 << (f.bit_length() - 1)
-        x, d = words[:top], moved[:top]
-        np.bitwise_xor(x, f, out=d)
-        np.subtract(d, x, out=d)
-        seen[d] = True
-        hit = np.flatnonzero(seen[: 2 * top])
-        seen[hit] = False
+        hit = shapes.get(f)
+        if hit is None:
+            top = 1 << (f.bit_length() - 1)
+            x, d = words[:top], moved[:top]
+            np.bitwise_xor(x, f, out=d)
+            np.subtract(d, x, out=d)
+            seen[d] = True
+            hit = shapes[f] = np.flatnonzero(seen[: 2 * top])
+            seen[hit] = False
         ms.append(hit << low)
     return np.concatenate(ms), np.repeat(masks, [m.size for m in ms])
 

@@ -274,6 +274,7 @@ class CodeTable:
 
     @classmethod
     def iid(cls, L: int, k: int, p: float, metadata: dict | None = None) -> "CodeTable":
+        WordSpec(L, SYMMETRIC)  # a float L fails here, not in (p,) * L
         return cls(MODE_IID, L, k, (p,) * L, metadata or {})
 
     @classmethod

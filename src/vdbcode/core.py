@@ -10,6 +10,7 @@ validate; the line helpers of the text-format parsers live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterator, Sequence
 
 SYMMETRIC = "symmetric"
@@ -51,6 +52,12 @@ def reject_repeat(seen: dict, key, lineno: int, what: str) -> None:
         raise ParameterError(f"line {lineno}: duplicate {what.format(key)} (first at line {first})")
 
 
+def _require_int(name: str, value) -> None:
+    """A ParameterError unless `value` is an integer (numpy's too), bool and float excluded."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
+        raise ParameterError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WordSpec:
     """Word length plus channel polarity; defines the universe of words.
@@ -62,6 +69,7 @@ class WordSpec:
     polarity: str = SYMMETRIC
 
     def __post_init__(self) -> None:
+        _require_int("word_length", self.word_length)
         if not 1 <= self.word_length <= MAX_WORD_LENGTH:
             raise ParameterError(
                 f"word_length must be in [1, {MAX_WORD_LENGTH}], got {self.word_length}"
@@ -78,6 +86,7 @@ def distortion_range(spec: WordSpec, k: int) -> tuple[int, int]:
     opposing the rest yields distortion 1.
     """
     L = spec.word_length
+    _require_int("k", k)
     if not 1 <= k <= L:
         raise ParameterError(f"k must be in [1, {L}], got {k}")
     m_max = (1 << (L - k)) * ((1 << k) - 1)

@@ -14,12 +14,13 @@ serialize_sets writes the output-only vdb-sets-v1 text.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import _kernels
-from .core import SYMMETRIC, WordSpec, distortion_range
+from .core import SYMMETRIC, ParameterError, WordSpec, distortion_range
 
 SETS_FORMAT = "vdb-sets-v1"
 
@@ -29,12 +30,18 @@ class PlacementSets:
 
     `ms` and `masks` are read-only int64 arrays sorted by (m, mask); an m
     whose S_m is empty has no rows.  PlacementSets(L, k, {m: masks})
-    builds the family from a mapping.
+    builds the family from a mapping; each mask must be a nonzero L-bit
+    word, as serialize_sets writes exactly L digits of it.
     """
 
     def __init__(self, L: int, k: int, sets: Mapping[int, Iterable[int]]) -> None:
+        distortion_range(WordSpec(L, SYMMETRIC), k)  # validates L and k
         pairs = np.array([(m, e) for m, s in sets.items() for e in s], dtype=np.int64)
-        self._freeze(L, k, *pairs.reshape(-1, 2).T)
+        ms, masks = pairs.reshape(-1, 2).T
+        stray = masks[(masks < 1) | (masks >> L != 0)]
+        if stray.size:
+            raise ParameterError(f"mask {stray[0]} is not a nonzero {L}-bit word")
+        self._freeze(L, k, ms, masks)
 
     def _freeze(self, L: int, k: int, ms: np.ndarray, masks: np.ndarray) -> PlacementSets:
         order = np.lexsort((masks, ms))
@@ -71,12 +78,12 @@ def sets_bruteforce(L: int, k: int) -> PlacementSets:
 
     Every pair at Hamming distance <= k is one {x, x ^ e}; the
     differing-bit mask e joins the set of the pair's integer distance.
-    `_kernels.reach_pairs` sweeps one mask at a time and visits each
-    unordered pair once, from the word with e's top bit t clear.  The
-    bits above t and below e's lowest bit b are equal in x and x ^ e and
-    cancel in the distance, so only 2**(t - b) words are swept against
-    e >> b, distances scaled by 2**b, and memory stays O(2**L) plus the
-    pairs found.
+    `_kernels.reach_pairs` takes each unordered pair once, from the word
+    with e's top bit t clear.  The bits above t and below e's lowest bit
+    b are equal in x and x ^ e and cancel in the distance, so only
+    2**(t - b) words are swept against the shape e >> b.  Each distinct
+    shape is swept once, and every shift of it takes its distances
+    scaled by 2**b; memory stays O(2**L) plus the pairs found.
     """
     distortion_range(WordSpec(L, SYMMETRIC), k)  # validates L and k
     ms, masks = zip(*(_kernels.reach_pairs(L, w) for w in range(1, k + 1)))
@@ -104,8 +111,13 @@ def sets_fast(L: int, k: int) -> PlacementSets:
     return _from_pairs(L, k, np.concatenate(ms), np.concatenate(masks))
 
 
+# Row r's digits are bits L-1..0 of masks[r] as ASCII '0'/'1', one byte
+# each, so the n x L digit matrix viewed as S{L} holds one row's digit
+# string per entry, and one %-format writes every row.
 def serialize_sets(ps: PlacementSets) -> str:
     """Text form: header lines, then one `m,mask` row per member, sorted."""
-    lines = [f"format={SETS_FORMAT}", f"L={ps.L}", f"k={ps.k}"]
-    lines += [f"{m},{mask:0{ps.L}b}" for m, mask in zip(ps.ms.tolist(), ps.masks.tolist())]
-    return "\n".join(lines) + "\n"
+    bits = (ps.masks[:, None] >> np.arange(ps.L - 1, -1, -1)) & 1
+    digits = (bits.astype(np.uint8) + ord("0")).view(f"S{ps.L}").ravel()
+    rows = chain.from_iterable(zip(ps.ms.tolist(), digits.tolist()))
+    body = b"%d,%s\n" * ps.ms.size % tuple(rows)
+    return f"format={SETS_FORMAT}\nL={ps.L}\nk={ps.k}\n" + body.decode("ascii")

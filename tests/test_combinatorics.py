@@ -77,15 +77,15 @@ def test_z_exact_parameter_errors():
 LOOKUPS = [
     ((16, 3, 5), (4, 49152)),
     ((16, 3, 57344), (1, 16384)),
-    ((True, 1, 1), (1, 2)),
-    ((16.0, 3, 5), TypeError("unsupported operand type(s) for <<: 'int' and 'float'")),
+    ((True, 1, 1), ParameterError("word_length must be an int, got True")),
+    ((16.0, 3, 5), ParameterError("word_length must be an int, got 16.0")),
     ((16, 3, 0), ParameterError("m must be in [1, 57344], got 0")),
     ((16, 3, 57345), ParameterError("m must be in [1, 57344], got 57345")),
     ((0, 1, 1), ParameterError("word_length must be in [1, 24], got 0")),
     ((25, 1, 1), ParameterError("word_length must be in [1, 24], got 25")),
     ((5, 6, 1), ParameterError("k must be in [1, 5], got 6")),
     ((16, 3, 2.0), IndexError("only integers")),
-    (("16", 3, 5), TypeError("'<=' not supported between instances of 'int' and 'str'")),
+    (("16", 3, 5), ParameterError("word_length must be an int, got '16'")),
 ]
 
 
@@ -93,8 +93,8 @@ LOOKUPS = [
 @pytest.mark.parametrize("args,want", LOOKUPS)
 def test_lookup_results_and_errors(args, want, warm):
     # The lookups read the cached tables first; a warm cache holding the
-    # int tables must give the same answers, so a float or bool L may
-    # never hit an int entry.
+    # int tables must give the same answers, so a float or bool L never
+    # hits an int entry and is refused.
     z_exact_table.cache_clear()
     _y_star_counts.cache_clear()
     if warm:

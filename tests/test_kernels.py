@@ -2,7 +2,9 @@
 integer kernels bit for bit, the distortion-law kernel to round-off.
 The signed-sum kernel is checked against the word-sweep loops, alone and
 through the Z counts and the Y* counts read off it (Y* through the
-signed-digit placement sets)."""
+signed-digit placement sets).  The reach-pairs kernel, which sweeps each
+mask shape once for all its shifts, is also checked at wider words against
+a sweep per mask."""
 import numpy as np
 import pytest
 
@@ -37,6 +39,27 @@ def ref_reach_matrix(L, masks):
 def ref_masks(L, weights):
     """Every L-bit mask whose weight is in `weights`, ascending."""
     return np.array([e for e in range(1 << L) if bin(e).count("1") in weights], dtype=np.int64)
+
+
+def ref_reach_pairs_per_mask(L, w):
+    """reach_pairs with one word sweep per mask: no mask reuses another's hits."""
+    words = np.arange(1 << (L - 1), dtype=np.int64)
+    moved = np.empty_like(words)
+    seen = np.zeros(1 << L, dtype=np.bool_)
+    masks = _kernels.mask_powers(L, w).sum(axis=1)
+    ms = []
+    for e in masks.tolist():
+        low = (e & -e).bit_length() - 1
+        f = e >> low
+        top = 1 << (f.bit_length() - 1)
+        x, d = words[:top], moved[:top]
+        np.bitwise_xor(x, f, out=d)
+        np.subtract(d, x, out=d)
+        seen[d] = True
+        hit = np.flatnonzero(seen[: 2 * top])
+        seen[hit] = False
+        ms.append(hit << low)
+    return np.concatenate(ms), np.repeat(masks, [m.size for m in ms])
 
 
 def ref_mask_probabilities(probs):
@@ -127,16 +150,33 @@ def test_submask_counts_match_loop(L, k):
 def test_reach_pairs_match_loop(L, w):
     # The true cells of the loop's reach matrix, row-major: masks ascending,
     # each mask's m ascending.  A mask with top bit t and lowest bit b is
-    # swept only over 2**(t - b) words, distances scaled by 2**b; (1, 1) is
-    # a one-word sweep, (5, 5) has w = L, and in (9, 2), (10, 3), (11, 2)
-    # and (12, 1) the masks' top and lowest bits run through many or all
-    # positions, (12, 1) one-word sweeps scaled by every 2**b up to 2**(L - 1).
+    # reached through its shape e >> b, swept once over 2**(t - b) words for
+    # all its shifts, distances scaled by 2**b; (1, 1) is a one-word sweep,
+    # (5, 5) has w = L, and in (9, 2), (10, 3), (11, 2) and (12, 1) the
+    # masks' top and lowest bits run through many or all positions, (12, 1)
+    # one one-word sweep shared by every shift 2**b up to 2**(L - 1).
     masks = ref_masks(L, (w,))
     rows, ms = np.nonzero(ref_reach_matrix(L, masks))
     got_ms, got_masks = _kernels.reach_pairs(L, w)
     assert got_ms.dtype == got_masks.dtype == np.int64
     assert np.array_equal(got_ms, ms)
     assert np.array_equal(got_masks, masks[rows])
+
+
+@pytest.mark.parametrize(
+    "L,w",
+    [(L, w) for L in range(13, 17) for w in range(1, 5)]
+    + [(16, 5), (18, 3), (20, 2)]
+    + [(12, w) for w in range(1, 13)],
+)
+def test_reach_pairs_equal_the_per_mask_sweep(L, w):
+    # Sharing one sweep among the shifts of a shape changes no array,
+    # dtype or order; at these sizes many masks share a shape, and masks
+    # of one span t - b but different shapes must not share hits.
+    got, ref = _kernels.reach_pairs(L, w), ref_reach_pairs_per_mask(L, w)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
 
 
 def test_mask_probabilities_matches_loop_bitwise():

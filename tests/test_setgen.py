@@ -37,10 +37,12 @@ def test_bruteforce_single_bit():
 
 @pytest.mark.parametrize("L,k", [(1, 1), (3, 1), (16, 3)])
 def test_bruteforce_memory_is_one_word_sweep(L, k):
-    # One mask's sweep at a time, over 2**(t - b) words for a mask with
-    # top bit t and lowest bit b, into one 2**L `seen` row; a (masks x 2**L)
-    # bool reach matrix at (16, 3) would hold 696 * 65536 entries, about
-    # 45 MB.  (3, 1) has an empty S_3, which must still give no rows.
+    # One sweep per distinct shape e >> b, over 2**(t - b) words for a
+    # mask with top bit t and lowest bit b, into one 2**L `seen` row, its
+    # at most 2**(w - 1) distances kept for every shift of the shape; a
+    # (masks x 2**L) bool reach matrix at (16, 3) would hold 696 * 65536
+    # entries, about 45 MB.  (3, 1) has an empty S_3, which must still give
+    # no rows.
     tracemalloc.start()
     try:
         ps = sets_bruteforce(L, k)
@@ -129,6 +131,16 @@ def test_sets_fast_parameter_errors():
         sets_fast(3, 4)  # k > L
 
 
+def test_placement_sets_refuse_masks_beyond_l_bits():
+    # serialize_sets writes L digits per mask, so a mask of more bits,
+    # or none, would be written as another mask
+    for stray in (0, 0b1000, -1):
+        with pytest.raises(ParameterError):
+            PlacementSets(3, 2, {1: {0b001, stray}})
+    with pytest.raises(ParameterError):
+        PlacementSets(True, 1, {1: {1}})
+
+
 def test_sets_fast_row_count():
     # each (m, mask) pair comes out once: no pair lost, none merged
     for L in range(1, 17):
@@ -156,7 +168,7 @@ def test_fast_equals_bruteforce_small():
 
 
 def test_fast_equals_bruteforce_wide_word():
-    for L, k in [(12, 2), (12, 12), (14, 3), (16, 3), (16, 5), (18, 2), (18, 3), (20, 3)]:
+    for L, k in [(12, 2), (12, 12), (14, 3), (16, 3), (16, 5), (18, 2), (18, 3), (20, 3), (22, 3)]:
         assert sets_fast(L, k) == sets_bruteforce(L, k)
 
 
@@ -194,6 +206,19 @@ def test_serialize_golden_l3k2():
         "5,101\n"
         "6,110\n"
     )
+
+
+def serialize_sets_by_row(ps):
+    """serialize_sets written one f-string per row."""
+    lines = ["format=vdb-sets-v1", f"L={ps.L}", f"k={ps.k}"]
+    lines += [f"{m},{mask:0{ps.L}b}" for m, mask in zip(ps.ms.tolist(), ps.masks.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("L,k", [(1, 1), (3, 2), (3, 3), (8, 8), (12, 3), (16, 3), (20, 3), (12, 12)])
+def test_serialize_equals_the_row_by_row_form(L, k):
+    ps = sets_fast(L, k)
+    assert serialize_sets(ps) == serialize_sets_by_row(ps)
 
 
 def test_serialize_roundtrip():
