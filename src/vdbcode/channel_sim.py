@@ -24,6 +24,7 @@ restricted enumeration rather than trusted.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,7 +34,9 @@ import numpy as np
 
 from . import _kernels, setgen
 from .codegen import CodeTable, TailConstraint
-from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range, format_lines, reject_repeat
+from .core import (
+    ParameterError, SYMMETRIC, WordSpec, _require_int, distortion_range, format_lines, reject_repeat,
+)
 
 GENERATOR_ID = "pcg64-run-alias-multibit"
 UPSETS_FORMAT = "vdb-upsets-v1"
@@ -62,6 +65,7 @@ class EmpiricalPMF:
         WordSpec(self.L, SYMMETRIC)
         n = 1 << self.L
         for v, p in self.mass.items():
+            _require_int("value", v)
             if not 0 <= v < n:
                 raise ParameterError(f"value {v} outside [0, {n})")
             if not 0.0 <= p < math.inf:
@@ -587,25 +591,63 @@ def ingest_trace(
     non-ASCII digits and integers beyond int64.  `loadtxt` skips lines
     where `csv.reader` skips rows, so a skipped header holding a quote,
     which may open a row spanning lines, is read by the walk too.
+
+    A stream that can be read twice (`seekable()`, and `tell()` works,
+    which it does not on a text file advanced by `next()`) is not listed:
+    the header lines are read off it and `loadtxt` iterates the rest, the
+    same lines a list would hold, so no line outlives its parse.  If the
+    walk is needed, the stream is sought back to where it stood and
+    listed, so rows are numbered from that position.  Any other stream,
+    such as a list, a generator or a pipe, is listed once.  The counts are
+    a `bincount` over all 2**L values when there are at least as many
+    samples, and an `np.unique` otherwise, so the histogram never takes
+    more memory than the samples.
     """
     WordSpec(L, SYMMETRIC)
+    for name, value in (("column", column), ("skip_header", skip_header), ("signed_offset", signed_offset)):
+        _require_int(name, value)
     if column < 0:
         raise ParameterError(f"column must be >= 0, got {column}")
     if skip_header < 0:
         raise ParameterError(f"skip_header must be >= 0, got {skip_header}")
+    signed_offset = int(signed_offset)  # a numpy integer would wrap where int() grows
     n = 1 << L
-    lines = list(stream)
+    start = _position(stream)
+    if start is None:
+        lines = list(stream)
+        header, body, skip = lines[:skip_header], lines, skip_header
+    else:
+        header, body, skip = list(itertools.islice(stream, skip_header)), stream, 0
     values = None
-    if not any('"' in line for line in lines[:skip_header]):
-        values = _column_array(lines, column, skip_header, signed_offset)
+    if not any('"' in line for line in header):
+        values = _column_array(body, column, skip, signed_offset)
     if values is None or not clamp and values.size and (values.min() < 0 or values.max() >= n):
+        if start is not None:
+            stream.seek(start)
+            lines = list(stream)
         values = _column_rows(lines, column, n, signed_offset, clamp, skip_header)
-    # np.unique keeps memory at the sample count; a bincount would span all 2**L values.
-    seen, counts = np.unique(np.clip(values, 0, n - 1), return_counts=True)
+    elif clamp:
+        values = np.clip(values, 0, n - 1)
+    # A bincount spans all 2**L values, so it is taken only when the samples are at least as many;
+    # otherwise np.unique keeps the counts within the samples' memory.
+    if n <= values.size:
+        counts = np.bincount(values, minlength=n)
+        seen = np.flatnonzero(counts)
+        counts = counts[seen]
+    else:
+        seen, counts = np.unique(values, return_counts=True)
     return EmpiricalPMF.from_counts(L, dict(zip(seen.tolist(), counts.tolist())))
 
 
-def _column_array(lines: list[str], column: int, skip: int, offset: int) -> np.ndarray | None:
+def _position(stream) -> int | None:
+    """Where `stream` stands if it can be sought back there, else None."""
+    try:
+        return stream.tell() if stream.seekable() else None
+    except (AttributeError, OSError):  # not a file, or a text file whose iteration disabled tell()
+        return None
+
+
+def _column_array(lines: Iterable[str], column: int, skip: int, offset: int) -> np.ndarray | None:
     """The column plus `offset` as int64, parsed by `np.loadtxt`; None where it fails or would overflow."""
     try:
         with warnings.catch_warnings():
@@ -625,7 +667,10 @@ def _column_array(lines: list[str], column: int, skip: int, offset: int) -> np.n
 
 
 def _column_rows(lines: list[str], column: int, n: int, offset: int, clamp: bool, skip: int) -> np.ndarray:
-    """The column plus `offset`, one `csv.reader` row and one `int()` at a time; the first bad row raises."""
+    """The column plus `offset` (clamped to [0, n) with `clamp`), one `csv.reader` row and one `int()` at a time.
+
+    The first bad row raises.
+    """
     values = []
     rownum = 0
     try:
@@ -641,12 +686,14 @@ def _column_rows(lines: list[str], column: int, n: int, offset: int, clamp: bool
                 raise ParameterError(
                     f"row {rownum}, column {column}: cannot parse {text!r} as integer"
                 ) from None
-            if not clamp and not 0 <= value < n:
-                raise ParameterError(f"row {rownum}: value {value} outside [0, {n}) after offset {offset}")
+            if not 0 <= value < n:
+                if not clamp:
+                    raise ParameterError(f"row {rownum}: value {value} outside [0, {n}) after offset {offset}")
+                value = min(max(value, 0), n - 1)
             values.append(value)
     except csv.Error as exc:  # e.g. a bare "\r" inside a line of a stream not read in universal-newline mode
         raise ParameterError(f"row {rownum + 1}: {exc}") from None
-    return np.array(values)
+    return np.array(values, dtype=np.int64)
 
 
 def format_distribution_csv(d: DistortionDistribution) -> str:

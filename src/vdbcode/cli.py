@@ -314,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except UnicodeDecodeError as exc:  # an input file that is not UTF-8 text
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except codegen.InfeasibleConstraintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+import re
 from collections import defaultdict
 from fractions import Fraction
 
@@ -983,8 +984,12 @@ INGEST_EDGE_CASES = [
 
 def ingest_outcome(fn, source, column, kwargs):
     lines = source if isinstance(source, list) else io.StringIO(source).readlines()
+    return stream_outcome(fn, iter(lines), column, kwargs)
+
+
+def stream_outcome(fn, stream, column, kwargs):
     try:
-        pmf = fn(iter(lines), column, 3, **kwargs)
+        pmf = fn(stream, column, 3, **kwargs)
     except Exception as exc:  # the same exception type and message is the requirement
         return type(exc).__name__, str(exc)
     return pmf.mass, pmf.sample_count
@@ -1009,6 +1014,74 @@ def test_ingest_trace_reads_a_plain_trace_as_one_array():
     lines = ["t,v\n"] + [f"{i},{v}\r\n" for i, v in enumerate(rng.integers(-40, 300, 5000))]
     assert _column_array(lines, 1, 1, 40) is not None
     assert ingest_trace(lines, 1, 9, 40, skip_header=1) == reference_ingest(lines, 1, 9, 40, skip_header=1)
+
+
+@pytest.mark.parametrize("source,column,kwargs", INGEST_EDGE_CASES)
+def test_ingest_trace_streams_a_file_as_the_row_walk_reads_its_lines(tmp_path, source, column, kwargs):
+    # A file opened with newline="" splits a bare "\r" into lines of its own, unlike io.StringIO.
+    path = tmp_path / "trace.csv"
+    path.write_text("".join(source), encoding="utf-8", newline="")
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+        fh.seek(0)
+        assert channel_sim._position(fh) == 0  # the seekable path, no list of lines
+        got = stream_outcome(ingest_trace, fh, column, kwargs)
+    assert got == stream_outcome(reference_ingest, lines, column, kwargs)
+
+
+def test_ingest_trace_lists_a_text_file_advanced_by_next(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("t,v\n1,2\n3,4\n3,5\n", newline="")
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert next(fh) == "t,v\n"
+        with pytest.raises(OSError, match="telling position disabled by next"):
+            fh.tell()
+        pmf = ingest_trace(fh, 1, 3)
+    assert pmf == EmpiricalPMF(3, {2: 1 / 3, 4: 1 / 3, 5: 1 / 3}, sample_count=3)
+
+
+@pytest.mark.parametrize("header,row,message", [
+    ("t,v", "3,x", "row 3, column 1: cannot parse 'x' as integer"),  # loadtxt fails
+    ("t,v", "3,9", "row 3: value 9 outside [0, 8) after offset 0"),  # loadtxt reads an out-of-range value
+    ('"t",v', "3,x", "row 3, column 1: cannot parse 'x' as integer"),  # a quoted header goes to the walk
+])
+def test_ingest_trace_numbers_rows_from_where_the_stream_stands(tmp_path, header, row, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"# logger 2\n# 100 Hz\n{header}\n1,2\n{row}\n5,6\n", newline="")
+    with open(path, encoding="utf-8", newline="") as fh:
+        fh.readline()
+        fh.readline()
+        assert channel_sim._position(fh) is not None  # readline, unlike next, leaves tell() working
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            ingest_trace(fh, 1, 3, skip_header=1)
+
+
+@pytest.mark.parametrize("rows", [7, 8])  # 2**L = 8: np.unique below, bincount from 8 samples on
+def test_ingest_trace_histogram_on_either_side_of_2_to_the_L_samples(rows):
+    values = np.random.default_rng(rows).integers(0, 8, rows)
+    seen, counts = np.unique(values, return_counts=True)
+    pmf = ingest_trace(io.StringIO("".join(f"{v}\n" for v in values.tolist())), 0, 3)
+    assert pmf == EmpiricalPMF.from_counts(3, dict(zip(seen.tolist(), counts.tolist())))
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"signed_offset": 0.5}, "signed_offset must be an int, got 0.5"),
+    ({"column": True}, "column must be an int, got True"),
+    ({"column": 1.5}, "column must be an int, got 1.5"),
+    ({"skip_header": 1.0}, "skip_header must be an int, got 1.0"),
+])
+def test_ingest_trace_refuses_arguments_that_are_not_integers(kwargs, message):
+    args = {"column": 1, "skip_header": 1, **kwargs}
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        ingest_trace(io.StringIO("t,v\n1,2\n3,4\n"), L=3, **args)
+
+
+def test_ingest_trace_takes_numpy_integers_as_ints():
+    # An int64 offset of 1 would wrap the top int64 value to the bottom one; as an int it clamps to 7.
+    text = f"t,v\n1,{(1 << 63) - 1}\n3,4\n"
+    got = ingest_trace(io.StringIO(text), np.int64(1), 3, np.int64(1), clamp=True, skip_header=np.int8(1))
+    assert got == ingest_trace(io.StringIO(text), 1, 3, 1, clamp=True, skip_header=1)
+    assert got.mass == {7: 0.5, 5: 0.5}
 
 
 # ---------------------------------------------------------------------------
@@ -1112,6 +1185,10 @@ def test_pmf_validation():
         EmpiricalPMF(2, {0: 1.5, 1: -0.5})  # sums to 1
     with pytest.raises(ParameterError, match="value 0 has mass inf"):
         EmpiricalPMF(2, {0: math.inf, 1: -math.inf})
+    for key in (2.5, 2.0, True):
+        with pytest.raises(ParameterError, match=f"value must be an int, got {key!r}"):
+            EmpiricalPMF(3, {key: 1.0})
+    assert EmpiricalPMF(3, {np.int64(2): 1.0}).to_array()[2] == 1.0
 
 
 def test_upset_model_and_distortion_law_validation():

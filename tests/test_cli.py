@@ -354,6 +354,19 @@ def test_ingest_negative_index_is_usage_error(tmp_path, capsys, extra, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,option,text", [
+    (["ingest", "--column", "1", "--bits", "4", "--skip-header", "1"], "--input", b"t,v\n1,\xe9\n"),
+    (["encode", "--mode", "iid"], "--constraint", EXAMPLE_CONSTRAINT_TEXT.encode() + b"# \xe9\n"),
+])
+def test_an_input_that_is_not_utf8_is_usage_error(tmp_path, capsys, command, option, text):
+    path = tmp_path / "input.bin"
+    path.write_bytes(text)
+    assert main([*command, option, str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")
+    assert not (tmp_path / "o").exists()
+
+
 def test_distort_nan_mass_is_usage_error(tmp_path, capsys):
     pmf = tmp_path / "pmf.csv"
     pmf.write_text("# L=2\nvalue,mass\n0,nan\n1,0.5\n")
