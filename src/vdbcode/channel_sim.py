@@ -626,8 +626,7 @@ def ingest_trace(
             stream.seek(start)
             lines = list(stream)
         values = _column_rows(lines, column, n, signed_offset, clamp, skip_header)
-    elif clamp:
-        values = np.clip(values, 0, n - 1)
+    values = np.clip(values, 0, n - 1).astype(np.int64, copy=False)  # the walk may give uint64 or Python ints
     # A bincount spans all 2**L values, so it is taken only when the samples are at least as many;
     # otherwise np.unique keeps the counts within the samples' memory.
     if n <= values.size:
@@ -658,6 +657,8 @@ def _column_array(lines: Iterable[str], column: int, skip: int, offset: int) -> 
                 lines, dtype=np.int64, delimiter=",", usecols=column, skiprows=skip,
                 comments=None, quotechar='"', ndmin=1,
             )
+    except UnicodeDecodeError:  # a ValueError too, but the walk would only decode the file again
+        raise
     except (ValueError, DeprecationWarning):
         return None
     low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
@@ -667,10 +668,7 @@ def _column_array(lines: Iterable[str], column: int, skip: int, offset: int) -> 
 
 
 def _column_rows(lines: list[str], column: int, n: int, offset: int, clamp: bool, skip: int) -> np.ndarray:
-    """The column plus `offset` (clamped to [0, n) with `clamp`), one `csv.reader` row and one `int()` at a time.
-
-    The first bad row raises.
-    """
+    """The column plus `offset`, one `csv.reader` row and one `int()` at a time; the first bad row raises."""
     values = []
     rownum = 0
     try:
@@ -686,14 +684,12 @@ def _column_rows(lines: list[str], column: int, n: int, offset: int, clamp: bool
                 raise ParameterError(
                     f"row {rownum}, column {column}: cannot parse {text!r} as integer"
                 ) from None
-            if not 0 <= value < n:
-                if not clamp:
-                    raise ParameterError(f"row {rownum}: value {value} outside [0, {n}) after offset {offset}")
-                value = min(max(value, 0), n - 1)
+            if not clamp and not 0 <= value < n:
+                raise ParameterError(f"row {rownum}: value {value} outside [0, {n}) after offset {offset}")
             values.append(value)
     except csv.Error as exc:  # e.g. a bare "\r" inside a line of a stream not read in universal-newline mode
         raise ParameterError(f"row {rownum + 1}: {exc}") from None
-    return np.array(values, dtype=np.int64)
+    return np.array(values)
 
 
 def format_distribution_csv(d: DistortionDistribution) -> str:

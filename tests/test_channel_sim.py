@@ -1029,6 +1029,20 @@ def test_ingest_trace_streams_a_file_as_the_row_walk_reads_its_lines(tmp_path, s
     assert got == stream_outcome(reference_ingest, lines, column, kwargs)
 
 
+class NoSeekBack(io.TextIOWrapper):
+    def seek(self, *args):
+        pytest.fail("the stream was sought back to be read again")
+
+
+def test_ingest_trace_raises_a_decode_error_from_loadtxt_without_reading_again():
+    # 4096 rows fill the first 8 KB decode buffer, so the bad byte is met while loadtxt iterates.
+    data = b"t,v\n" + b"1,2\n" * 4096 + b"1,\xe9\n"
+    with NoSeekBack(io.BytesIO(data), encoding="utf-8", newline="") as fh:
+        assert channel_sim._position(fh) == 0
+        with pytest.raises(UnicodeDecodeError, match="can.t decode byte 0xe9"):
+            ingest_trace(fh, 1, 3, skip_header=1)
+
+
 def test_ingest_trace_lists_a_text_file_advanced_by_next(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("t,v\n1,2\n3,4\n3,5\n", newline="")

@@ -356,6 +356,9 @@ def test_ingest_negative_index_is_usage_error(tmp_path, capsys, extra, message):
 
 @pytest.mark.parametrize("command,option,text", [
     (["ingest", "--column", "1", "--bits", "4", "--skip-header", "1"], "--input", b"t,v\n1,\xe9\n"),
+    # Past the first 8 KB decode buffer, so the byte is met inside np.loadtxt, not in the header.
+    (["ingest", "--column", "1", "--bits", "4", "--skip-header", "1"], "--input",
+     b"t,v\n" + b"1,2\n" * 4096 + b"1,\xe9\n"),
     (["encode", "--mode", "iid"], "--constraint", EXAMPLE_CONSTRAINT_TEXT.encode() + b"# \xe9\n"),
 ])
 def test_an_input_that_is_not_utf8_is_usage_error(tmp_path, capsys, command, option, text):
@@ -364,6 +367,7 @@ def test_an_input_that_is_not_utf8_is_usage_error(tmp_path, capsys, command, opt
     assert main([*command, option, str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: input is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")
+    assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 
