@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
 
@@ -35,7 +35,8 @@ import numpy as np
 from . import _kernels, setgen
 from .codegen import CodeTable, TailConstraint
 from .core import (
-    ParameterError, SYMMETRIC, WordSpec, _require_int, distortion_range, format_lines, reject_repeat,
+    ParameterError, SYMMETRIC, WordSpec, _require_int, distortion_range, format_lines, read_csv_array,
+    reject_repeat,
 )
 
 GENERATOR_ID = "pcg64-run-alias-multibit"
@@ -583,25 +584,25 @@ def ingest_trace(
 ) -> EmpiricalPMF:
     """Histogram a CSV column of integers into an L-bit value PMF.
 
-    The column is read as one int64 array by `np.loadtxt` (comma
-    delimiter, `"` quotes, no comment character) and range-checked as an
-    array.  Whenever that fails, the rows are walked one at a time with
+    The column is read as one int64 array by `np.loadtxt`
+    (`core.read_csv_array`, `"` quotes) and range-checked as an array.
+    Whenever that fails, the rows are walked one at a time with
     `csv.reader` and `int()`, the reference semantics: that walk names the
     first bad row, and it accepts what `loadtxt` refuses, such as `1_0`,
     non-ASCII digits and integers beyond int64.  `loadtxt` skips lines
     where `csv.reader` skips rows, so a skipped header holding a quote,
     which may open a row spanning lines, is read by the walk too.
 
-    A stream that can be read twice (`seekable()`, and `tell()` works,
-    which it does not on a text file advanced by `next()`) is not listed:
-    the header lines are read off it and `loadtxt` iterates the rest, the
-    same lines a list would hold, so no line outlives its parse.  If the
-    walk is needed, the stream is sought back to where it stood and
-    listed, so rows are numbered from that position.  Any other stream,
-    such as a list, a generator or a pipe, is listed once.  The counts are
-    a `bincount` over all 2**L values when there are at least as many
-    samples, and an `np.unique` otherwise, so the histogram never takes
-    more memory than the samples.
+    Every input is read through one source: the stream itself when it can
+    be sought back (`seekable()`, and `tell()` works, which it does not on
+    a text file advanced by `next()`), so no line outlives its parse, and
+    otherwise an iterator over its listed lines, as for a list, a
+    generator or a pipe.  The header lines are taken off that source and
+    `loadtxt` iterates the rest.  If the walk is needed, a stream is
+    sought back to where it stood and listed, so rows are numbered from
+    that position.  The counts are a `bincount` over all 2**L values when
+    there are at least as many samples, and an `np.unique` otherwise, so
+    the histogram never takes more memory than the samples.
     """
     WordSpec(L, SYMMETRIC)
     for name, value in (("column", column), ("skip_header", skip_header), ("signed_offset", signed_offset)):
@@ -615,12 +616,11 @@ def ingest_trace(
     start = _position(stream)
     if start is None:
         lines = list(stream)
-        header, body, skip = lines[:skip_header], lines, skip_header
-    else:
-        header, body, skip = list(itertools.islice(stream, skip_header)), stream, 0
+    source = iter(lines) if start is None else stream
+    header = list(itertools.islice(source, min(skip_header, sys.maxsize)))  # no stream holds more lines
     values = None
     if not any('"' in line for line in header):
-        values = _column_array(body, column, skip, signed_offset)
+        values = _column_array(source, column, signed_offset)
     if values is None or not clamp and values.size and (values.min() < 0 or values.max() >= n):
         if start is not None:
             stream.seek(start)
@@ -646,20 +646,10 @@ def _position(stream) -> int | None:
         return None
 
 
-def _column_array(lines: Iterable[str], column: int, skip: int, offset: int) -> np.ndarray | None:
+def _column_array(lines: Iterable[str], column: int, offset: int) -> np.ndarray | None:
     """The column plus `offset` as int64, parsed by `np.loadtxt`; None where it fails or would overflow."""
-    try:
-        with warnings.catch_warnings():
-            # numpy < 2.3 parses "5.0" or "1e3" as an int with a DeprecationWarning; int() refuses them.
-            warnings.simplefilter("error", DeprecationWarning)
-            warnings.simplefilter("ignore", UserWarning)  # no data: an empty column, "no samples" below
-            values = np.loadtxt(
-                lines, dtype=np.int64, delimiter=",", usecols=column, skiprows=skip,
-                comments=None, quotechar='"', ndmin=1,
-            )
-    except UnicodeDecodeError:  # a ValueError too, but the walk would only decode the file again
-        raise
-    except (ValueError, DeprecationWarning):
+    values = read_csv_array(lines, dtype=np.int64, usecols=column, quotechar='"')
+    if values is None:
         return None
     low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
     if not all(_INT64.min <= x <= _INT64.max for x in (offset, low + offset, high + offset)):
@@ -790,6 +780,7 @@ def parse_upsets(text: str) -> UpsetModel:
         reject_repeat(seen, bit, lineno, "row for bit {}")
     if L is None:
         raise ParameterError("upsets file missing L= header")
+    WordSpec(L, SYMMETRIC)  # before L sizes a list
     upset = [0.0] * L
     forced_one = [0.0] * L
     for bit, (u, f1) in rows.items():

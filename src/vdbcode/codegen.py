@@ -31,8 +31,8 @@ oracle for the array evaluation.
 """
 from __future__ import annotations
 
+import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -40,7 +40,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import _kernels
-from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range, format_lines, reject_repeat
+from .core import (
+    ParameterError, SYMMETRIC, WordSpec, distortion_range, format_lines, read_csv_array, reject_repeat,
+)
 from .setgen import PlacementSets
 
 CONSTRAINT_FORMAT = "vdb-constraint-v1"
@@ -120,101 +122,78 @@ def _falling(c: TailConstraint) -> TailConstraint:
 def parse_constraint(text: str) -> TailConstraint:
     """Parse the vdb-constraint-v1 text format, reporting line numbers.
 
-    After the few header lines, the block of `m,F(m)` rows is read with
-    one `np.loadtxt` into int64 m and float64 F(m), sorted by m and handed
-    to the TailConstraint checks and the rise check; every file that
-    `serialize_constraint` writes is read this way.  A block holding `/`,
-    `#`, `=` or `"` (fractions, comments, or headers among the rows), and
-    any block that `loadtxt` refuses or that fails a check, is parsed line
-    by line instead (`_parse_constraint_lines`).  That path is the
-    reference: it names the offending line, and it accepts what `loadtxt`
-    refuses, such as `1_0`, non-ASCII digits, m beyond int64 and fractions.
+    The `L=`/`k=` headers are scanned once, up to the first row.  The
+    block of `m,F(m)` rows from there on is read with one `np.loadtxt`
+    (`core.read_csv_array`) into int64 m and float64 F(m), sorted by m and
+    handed to the TailConstraint checks and the rise check; every file
+    that `serialize_constraint` writes is read this way.  Only a block
+    that `loadtxt` refuses, such as one holding fractions, comments or
+    headers, or one that fails a check, is walked one row at a time
+    (`_parse_constraint_rows`).  The walk is the reference: it names the
+    offending line, and it accepts what `loadtxt` refuses, such as `1_0`,
+    non-ASCII digits, m beyond int64 and fractions.
     """
     lines = text.splitlines()
-    c = _parse_constraint_arrays(lines)
-    return c if c is not None else _parse_constraint_lines(lines)
-
-
-def _parse_constraint_arrays(lines: list[str]) -> TailConstraint | None:
-    """The constraint from one `np.loadtxt` of its row block; None where the line-by-line parse must run."""
     header: dict[str, int] = {}
-    for lineno, line in format_lines(lines, CONSTRAINT_FORMAT):
+    seen: dict[str | int, int] = {}  # the line of each header and of each row's m
+    rows = format_lines(lines, CONSTRAINT_FORMAT)
+    for lineno, line in rows:
         key, _, value = line.partition("=")
         if key not in ("L", "k"):
             break
-        if key in header:
-            return None
+        reject_repeat(seen, key, lineno, "{}= header")
         try:
             header[key] = int(value)
         except ValueError:
-            return None
+            raise ParameterError(f"line {lineno}: bad header {line!r}") from None
     else:
-        return None  # no rows
+        if len(header) < 2:
+            raise ParameterError("constraint file missing format/L/k headers")
+        return TailConstraint.from_table(header["L"], header["k"], {})
     if len(header) < 2:
-        return None
-    block = lines[lineno - 1 :]
-    joined = "\n".join(block)
-    if any(mark in joined for mark in '/#="'):
-        return None
-    try:
-        with warnings.catch_warnings():
-            # numpy < 2.3 parses "5.0" as an int with a DeprecationWarning; int() refuses it.
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(
-                block, dtype=[("m", np.int64), ("bound", np.float64)], delimiter=",",
-                comments=None, ndmin=1,
-            )
-    except (ValueError, DeprecationWarning):
-        return None
-    order = np.argsort(rows["m"])
-    try:
-        return _falling(TailConstraint(header["L"], header["k"], rows["m"][order], rows["bound"][order]))
-    except ParameterError:
-        return None
+        raise ParameterError(f"line {lineno}: rows before L=/k= headers")
+    L, k = header["L"], header["k"]
+    _, m_max = distortion_range(WordSpec(L, SYMMETRIC), k)
+    block = read_csv_array(lines[lineno - 1 :], dtype=[("m", np.int64), ("bound", np.float64)])
+    if block is not None:
+        order = np.argsort(block["m"])
+        try:
+            return _falling(TailConstraint(L, k, block["m"][order], block["bound"][order]))
+        except ParameterError:
+            pass
+    return _parse_constraint_rows(itertools.chain([(lineno, line)], rows), L, k, m_max, seen)
 
 
-def _parse_constraint_lines(text_lines: list[str]) -> TailConstraint:
-    """The constraint parsed one line at a time, each error naming its line."""
-    header: dict[str, int] = {}
+def _parse_constraint_rows(
+    rows: Iterable[tuple[int, str]], L: int, k: int, m_max: int, seen: dict[str | int, int]
+) -> TailConstraint:
+    """The numbered row lines parsed one at a time, each error naming its line; `seen` holds the headers' lines."""
     given: dict[int, float] = {}
-    lines: dict[str | int, int] = {}  # the line of each header and of each row's m
-    m_max = None
-    for lineno, line in format_lines(text_lines, CONSTRAINT_FORMAT):
-        key, _, value = line.partition("=")
+    for lineno, line in rows:
+        key = line.partition("=")[0]
         if key in ("L", "k"):
-            reject_repeat(lines, key, lineno, "{}= header")
-            try:
-                header[key] = int(value)
-            except ValueError:
-                raise ParameterError(f"line {lineno}: bad header {line!r}") from None
-            continue
-        if m_max is None:
-            if len(header) < 2:
-                raise ParameterError(f"line {lineno}: rows before L=/k= headers")
-            _, m_max = distortion_range(WordSpec(header["L"], SYMMETRIC), header["k"])
+            reject_repeat(seen, key, lineno, "{}= header")  # both are already seen, so this raises
         m_text, _, bound_text = line.partition(",")
         try:
             m = int(m_text)
             bound = _parse_bound(bound_text)
         except (ValueError, ZeroDivisionError):
             raise ParameterError(f"line {lineno}: bad row {line!r}") from None
-        reject_repeat(lines, m, lineno, "bound for m={}")
+        reject_repeat(seen, m, lineno, "bound for m={}")
         if not 1 <= m <= m_max:
             raise ParameterError(f"line {lineno}: m={m} outside [1, {m_max}]")
         if not 0.0 <= bound <= 1.0:
             raise ParameterError(f"line {lineno}: bound {bound_text} outside [0, 1]")
         given[m] = bound
-    if len(header) < 2:
-        raise ParameterError("constraint file missing format/L/k headers")
     # F rises only at a row, and F(m) comes from the nearest row at or below m.
-    rows = sorted(given.items())
-    for (below, low), (m, high) in zip(rows, rows[1:]):
+    ordered = sorted(given.items())
+    for (below, low), (m, high) in zip(ordered, ordered[1:]):
         if high > low + 1e-15:
             raise ParameterError(
-                f"line {lines[m]}: bound at m={m} ({high}) increases from "
-                f"m={below} ({low}) at line {lines[below]}"
+                f"line {seen[m]}: bound at m={m} ({high}) increases from "
+                f"m={below} ({low}) at line {seen[below]}"
             )
-    return TailConstraint.from_table(header["L"], header["k"], given)
+    return TailConstraint.from_table(L, k, given)
 
 
 def _parse_bound(text: str) -> float:
@@ -331,6 +310,7 @@ def parse_table(text: str) -> CodeTable:
         if p_single is None:
             raise ParameterError("iid table missing p= line")
         return CodeTable.iid(L, k, p_single)
+    WordSpec(L, SYMMETRIC)  # before L sizes a list
     if sorted(p_lines) != list(range(L)):
         raise ParameterError(f"perbit table needs p_0..p_{L - 1} lines")
     return CodeTable.perbit(L, k, [p_lines[i] for i in range(L)])

@@ -20,7 +20,6 @@ which `write_bounds_csv` writes block by block from the columns.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -29,8 +28,6 @@ import numpy as np
 
 from . import _kernels, setgen
 from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range
-
-logger = logging.getLogger(__name__)
 
 BOUNDS_CSV_HEADER = ("m", "z_exact", "z_tight", "z_loose")
 
@@ -116,12 +113,10 @@ def divisibility_report(L: int, k: int) -> DivisibilityReport:
     A violation marks a count that is neither 0, 1, nor a multiple of
     2**(L-k+1).  Since z_exact_table builds every count as a multiple of
     2**(L-k+1), divisibility holds by construction and the report
-    is always clean; a violation would be logged, not raised.
+    is always clean.
     """
     z = z_exact_table(L, k)
     violations = np.flatnonzero((z > 1) & (z % (1 << (L - k + 1)) != 0)).tolist()
-    for m in violations:
-        logger.warning("divisibility violation: L=%d k=%d m=%d count=%d", L, k, m, z[m])
     return DivisibilityReport(L, k, tuple(violations))
 
 

@@ -5,13 +5,17 @@ Words are unsigned integers read as L-bit vectors, bit i carrying weight
 differ, while the values differ by |x - (x ^ e)|, which depends wildly on
 which positions are hit; that gap is the whole point of the package.
 WordSpec and distortion_range fix the (L, k) domain the other modules
-validate; the line helpers of the text-format parsers live here too.
+validate; the line helpers of the text-format parsers and the `np.loadtxt`
+read their fast paths share live here too.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 SYMMETRIC = "symmetric"
 
@@ -50,6 +54,25 @@ def reject_repeat(seen: dict, key, lineno: int, what: str) -> None:
     first = seen.setdefault(key, lineno)
     if first != lineno:
         raise ParameterError(f"line {lineno}: duplicate {what.format(key)} (first at line {first})")
+
+
+def read_csv_array(lines: Iterable[str], **kw) -> np.ndarray | None:
+    """One `np.loadtxt` of comma-separated `lines`, no comment character, `ndmin=1`; None where it refuses them.
+
+    `kw` goes to `loadtxt` (dtype, usecols, quotechar).  numpy < 2.3 reads "5.0" or "1e3" as an int with a
+    DeprecationWarning where `int()` refuses them, so that warning is a refusal too, as is an OverflowError
+    (a `usecols` beyond an index).  No lines give an empty array without numpy's warning.  A
+    UnicodeDecodeError met while a file is read is raised: a line walk would only decode the file again.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, **kw)
+    except UnicodeDecodeError:  # a ValueError too
+        raise
+    except (ValueError, OverflowError, DeprecationWarning):
+        return None
 
 
 def _require_int(name: str, value) -> None:

@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import re
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 
@@ -1012,7 +1013,7 @@ def test_ingest_trace_names_the_row_csv_cannot_split(text, row):
 def test_ingest_trace_reads_a_plain_trace_as_one_array():
     rng = np.random.default_rng(7)
     lines = ["t,v\n"] + [f"{i},{v}\r\n" for i, v in enumerate(rng.integers(-40, 300, 5000))]
-    assert _column_array(lines, 1, 1, 40) is not None
+    assert _column_array(lines[1:], 1, 40) is not None
     assert ingest_trace(lines, 1, 9, 40, skip_header=1) == reference_ingest(lines, 1, 9, 40, skip_header=1)
 
 
@@ -1041,6 +1042,21 @@ def test_ingest_trace_raises_a_decode_error_from_loadtxt_without_reading_again()
         assert channel_sim._position(fh) == 0
         with pytest.raises(UnicodeDecodeError, match="can.t decode byte 0xe9"):
             ingest_trace(fh, 1, 3, skip_header=1)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"column": 1, "skip_header": 1 << 64}, "no samples"),
+    ({"column": 1 << 64, "skip_header": 1}, "row 2: no column 18446744073709551616 (row has 2)"),
+])
+@pytest.mark.parametrize("as_file", [False, True])
+def test_ingest_trace_takes_a_column_or_header_count_beyond_int64(tmp_path, kwargs, message, as_file):
+    # islice refuses a stop past sys.maxsize and loadtxt a usecols past an index: neither may escape
+    text = "t,v\n1,2\n3,4\n"
+    path = tmp_path / "trace.csv"
+    path.write_text(text, newline="")
+    with open(path, encoding="utf-8", newline="") as fh:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            ingest_trace(fh if as_file else text.splitlines(keepends=True), L=3, **kwargs)
 
 
 def test_ingest_trace_lists_a_text_file_advanced_by_next(tmp_path):
@@ -1175,6 +1191,19 @@ def test_upsets_rejects_bad_and_repeated_entries():
         parse_upsets("format=vdb-upsets-v1\n0,0.1,0.5\n")
     with pytest.raises(ParameterError, match="bit 3 outside \\[0, 3\\)"):
         parse_upsets("format=vdb-upsets-v1\nL=3\n3,0.1,0.5\n")
+
+
+@pytest.mark.parametrize("L", ["2000000", str(1 << 63), "-1", "0"])
+def test_upsets_check_the_word_length_before_sizing_lists(L):
+    # L=2000000 built 64 MB of lists and tuples before UpsetModel refused it, and L >= 2**63 raised OverflowError
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=f"^word_length must be in \\[1, 24\\], got {L}$"):
+            parse_upsets(f"format=vdb-upsets-v1\nL={L}\n0,0.1,0.5\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_pmf_to_array_is_the_value_loop():

@@ -345,6 +345,9 @@ def test_ingest_range_error_reports_row(tmp_path, capsys):
 @pytest.mark.parametrize("extra,message", [
     (["--column", "-1"], "column must be >= 0, got -1"),
     (["--column", "0", "--skip-header", "-1"], "skip_header must be >= 0, got -1"),
+    # past sys.maxsize for the header islice and past an index for loadtxt's usecols
+    (["--column", "0", "--skip-header", str(1 << 64)], "error: no samples\n"),
+    (["--column", str(1 << 64)], "error: row 1: no column 18446744073709551616 (row has 2)\n"),
 ])
 def test_ingest_negative_index_is_usage_error(tmp_path, capsys, extra, message):
     trace = tmp_path / "trace.csv"
@@ -352,6 +355,15 @@ def test_ingest_negative_index_is_usage_error(tmp_path, capsys, extra, message):
     code = main(["ingest", "--input", str(trace), "--bits", "3", "--out", str(tmp_path / "o"), *extra])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_upsets_with_huge_word_length_is_usage_error(tmp_path, capsys):
+    pmf, upsets = tmp_path / "pmf.csv", tmp_path / "upsets.txt"
+    pmf.write_text("# L=3\nvalue,mass\n0,1.0\n")
+    upsets.write_text(f"format=vdb-upsets-v1\nL={1 << 64}\n0,0.2,1.0\n")
+    code = main(["distort", "--pmf", str(pmf), "--upsets", str(upsets), "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: word_length must be in [1, 24], got {1 << 64}\n"
 
 
 @pytest.mark.parametrize("command,option,text", [

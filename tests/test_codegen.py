@@ -17,11 +17,10 @@ from vdbcode import (
     verify_table,
 )
 from vdbcode import codegen
+from vdbcode.core import SYMMETRIC, WordSpec, distortion_range, format_lines, reject_repeat
 from vdbcode.codegen import (
     PERBIT_TOL,
     InfeasibleConstraintError,
-    _parse_constraint_arrays,
-    _parse_constraint_lines,
     _Rows,
     load_constraint,
     load_table,
@@ -720,15 +719,56 @@ def test_constraint_serialize_parse_roundtrip_is_exact():
         parse_constraint(text)
 
 
-def test_parse_constraint_row_block_read_as_arrays_or_by_line_gives_same_bounds():
-    plain = serialize_constraint(TailConstraint.reciprocal(12, 3))
-    lines = plain.splitlines()
-    commented = "\n".join(lines[:50] + ["# a comment among the rows"] + lines[50:]) + "\n"
-    assert _parse_constraint_arrays(plain.splitlines()) is not None
-    assert _parse_constraint_arrays(commented.splitlines()) is None
-    crlf = plain.replace("\n", "\r\n")
-    for text in (commented, crlf, plain.replace("2,0.3333333333333333", "2,1/3")):
-        assert constraint_outcome(parse_constraint, text) == constraint_outcome(parse_constraint, plain)
+def reference_parse_constraint(text_lines: list[str]) -> TailConstraint:
+    """The constraint parsed one line at a time, each error naming its line.
+
+    A transcription of the former codegen._parse_constraint_lines, which
+    read the headers and the rows in one walk; parse_constraint must give
+    the same rows or the same message for every text.
+    """
+    header: dict[str, int] = {}
+    given: dict[int, float] = {}
+    lines: dict[str | int, int] = {}  # the line of each header and of each row's m
+    m_max = None
+    for lineno, line in format_lines(text_lines, codegen.CONSTRAINT_FORMAT):
+        key, _, value = line.partition("=")
+        if key in ("L", "k"):
+            reject_repeat(lines, key, lineno, "{}= header")
+            try:
+                header[key] = int(value)
+            except ValueError:
+                raise ParameterError(f"line {lineno}: bad header {line!r}") from None
+            continue
+        if m_max is None:
+            if len(header) < 2:
+                raise ParameterError(f"line {lineno}: rows before L=/k= headers")
+            _, m_max = distortion_range(WordSpec(header["L"], SYMMETRIC), header["k"])
+        m_text, _, bound_text = line.partition(",")
+        try:
+            m = int(m_text)
+            bound = reference_bound(bound_text.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ParameterError(f"line {lineno}: bad row {line!r}") from None
+        reject_repeat(lines, m, lineno, "bound for m={}")
+        if not 1 <= m <= m_max:
+            raise ParameterError(f"line {lineno}: m={m} outside [1, {m_max}]")
+        if not 0.0 <= bound <= 1.0:
+            raise ParameterError(f"line {lineno}: bound {bound_text} outside [0, 1]")
+        given[m] = bound
+    if len(header) < 2:
+        raise ParameterError("constraint file missing format/L/k headers")
+    rows = sorted(given.items())
+    for (below, low), (m, high) in zip(rows, rows[1:]):
+        if high > low + 1e-15:
+            raise ParameterError(
+                f"line {lines[m]}: bound at m={m} ({high}) increases from "
+                f"m={below} ({low}) at line {lines[below]}"
+            )
+    return TailConstraint.from_table(header["L"], header["k"], given)
+
+
+def reference_bound(text: str) -> float:
+    return float(Fraction(text)) if "/" in text else float(text)
 
 
 def constraint_outcome(parse, source):
@@ -739,6 +779,28 @@ def constraint_outcome(parse, source):
         return str(exc)
 
 
+@pytest.fixture
+def row_walks(monkeypatch):
+    """The number of times parse_constraint has fallen back to its row walk."""
+    walks = []
+    walk = codegen._parse_constraint_rows
+    monkeypatch.setattr(codegen, "_parse_constraint_rows", lambda *args: walks.append(1) or walk(*args))
+    return walks
+
+
+def test_parse_constraint_row_block_read_as_arrays_or_by_line_gives_same_bounds(row_walks):
+    plain = serialize_constraint(TailConstraint.reciprocal(12, 3))
+    expected = constraint_outcome(parse_constraint, plain)
+    assert not row_walks  # a plain reciprocal file is one loadtxt read
+    lines = plain.splitlines()
+    commented = "\n".join(lines[:50] + ["# a comment among the rows"] + lines[50:]) + "\n"
+    crlf = plain.replace("\n", "\r\n")
+    for text, walked in ((commented, 1), (crlf, 0), (plain.replace("2,0.3333333333333333", "2,1/3"), 1)):
+        del row_walks[:]
+        assert constraint_outcome(parse_constraint, text) == expected
+        assert len(row_walks) == walked
+
+
 @pytest.mark.parametrize("rows", [
     " 1 , 0.5 \n2,0.25", "+1,0.5\n02,.25", "1,5e-1\n6,-0.0", "1,0.5\n\n\n3,0.5", "1,0.5\n   \n3,0.5",
     "1.0,0.5", "1e0,0.5", "1,nan", "1,inf", "1,-1e-300", "1,0.5,", "1,0.5,0.2", "1", "1,", ",0.5",
@@ -747,10 +809,46 @@ def constraint_outcome(parse, source):
 ])
 def test_parse_constraint_matches_line_by_line_parse(rows):
     text = f"format=vdb-constraint-v1\nL=3\nk=2\n{rows}\n"
-    reference = constraint_outcome(_parse_constraint_lines, text.splitlines())
+    reference = constraint_outcome(reference_parse_constraint, text.splitlines())
     assert constraint_outcome(parse_constraint, text) == reference
-    fast = _parse_constraint_arrays(text.splitlines())
-    assert fast is None or (fast.ms.tolist(), fast.values.tolist()) == reference
+
+
+def random_constraint_line(rng, m_max: int) -> str:
+    """One line of a constraint text: mostly a row, sometimes a header, a comment, a blank or junk."""
+    kind = rng.random()
+    if kind < 0.08:
+        return f"{rng.choice(['L', 'k'])}={rng.choice(['3', '2', '4', 'x', '', '3.0', '30', '-1', ' 3'])}"
+    if kind < 0.13:
+        return str(rng.choice(["# note", "", "   ", "#", "format=vdb-constraint-v1", "m,F", '"1",0.5', "1;0.5"]))
+    m = str(int(rng.integers(-1, m_max + 3)))
+    if kind < 0.16:
+        m = str(rng.choice(["99999999999999999999", "-99999999999999999999", "1_0", "1.0", "\u0661", " 2 "]))
+    bound = rng.random()
+    text = str(rng.choice([repr(bound), f"{bound:.2f}", f"{int(rng.integers(0, 9))}/{int(rng.integers(0, 9))}",
+                           "nan", "1.5", "-0.0", "1e-1", " 0.5 ", "", "0.5,0.1"]))
+    return f"{m},{text}"
+
+
+def test_parse_constraint_matches_the_line_walk_on_random_texts():
+    # 3000 seeded texts at (3, 2): headers among rows, repeats, comments, CR/CRLF, fractions,
+    # m beyond int64, bad headers and a missing format line.  Each gives the reference's rows or message.
+    rng = np.random.default_rng(32)
+    outcomes = set()
+    for _ in range(3000):
+        lines = [] if rng.random() < 0.05 else ["format=vdb-constraint-v1"]
+        if rng.random() < 0.3:
+            lines.insert(0, str(rng.choice(["# budget", "", "L=3"])))
+        headers = ["L=3", "k=2"] if rng.random() < 0.85 else [random_constraint_line(rng, 6) for _ in range(2)]
+        lines += headers
+        if rng.random() < 0.5:
+            ms = np.sort(rng.choice(np.arange(1, 7), int(rng.integers(1, 7)), replace=False))
+            lines += [f"{m},{v!r}" for m, v in zip(ms.tolist(), np.sort(rng.random(ms.size))[::-1].tolist())]
+        lines += [random_constraint_line(rng, 6) for _ in range(int(rng.integers(0, 4)))]
+        text = str(rng.choice(["\n", "\r\n", "\r"])).join(lines) + str(rng.choice(["\n", ""]))
+        reference = constraint_outcome(reference_parse_constraint, text.splitlines())
+        assert constraint_outcome(parse_constraint, text) == reference, text
+        outcomes.add(reference if isinstance(reference, str) else "rows")
+    assert "rows" in outcomes and len(outcomes) > 50  # both accepted texts and many distinct messages
 
 
 def test_constraint_bounds_are_read_only():
@@ -833,7 +931,7 @@ def test_bounds_at_equals_the_dense_step_fill_at_every_m():
             assert [c.bounds_at(v) for v in (1, m_max, 2 * m_max)] == [dense[0], dense[-1], dense[-1]]
 
 
-def test_constraint_rows_refuse_what_the_dense_array_refused():
+def test_constraint_rows_refuse_what_the_dense_array_refused(row_walks):
     # from_table and both parse paths still refuse a bound outside [0, 1],
     # an m outside [1, m_max], a repeated m (parse only) and a rise
     for rows, message in [({1: 1.5}, "outside \\[0, 1\\]"), ({2: 0.5, 9: 0.2}, "m=9 outside"),
@@ -841,13 +939,12 @@ def test_constraint_rows_refuse_what_the_dense_array_refused():
         with pytest.raises(ParameterError, match=message):
             TailConstraint.from_table(3, 2, rows)
         text = "format=vdb-constraint-v1\nL=3\nk=2\n" + "".join(f"{m},{v}\n" for m, v in rows.items())
-        assert _parse_constraint_arrays(text.splitlines()) is None
         with pytest.raises(ParameterError, match=message):
             parse_constraint(text)
     repeated = "format=vdb-constraint-v1\nL=3\nk=2\n2,0.5\n2,0.5\n"
-    assert _parse_constraint_arrays(repeated.splitlines()) is None
     with pytest.raises(ParameterError, match="line 5: duplicate bound for m=2"):
         parse_constraint(repeated)
+    assert len(row_walks) == 4  # loadtxt reads each block, the checks refuse it, and the walk names the line
 
 
 def test_three_row_budget_at_24_3_parses_in_under_1_mb():
@@ -935,6 +1032,22 @@ def test_parse_table_errors():
         parse_table("format=vdb-table-v1\nL=3\nk=2\nmode=both\np=0.1\n")
     with pytest.raises(ParameterError, match="missing header 'mode'"):
         parse_table("format=vdb-table-v1\nL=3\nk=2\np=0.1\n")
+
+
+@pytest.mark.parametrize("L", ["2000000", str(1 << 63), "-1", "0"])
+def test_perbit_table_checks_the_word_length_before_sizing_a_list(L):
+    # L=2000000 built an 80 MB range list and then asked for p_0..p_1999999 lines,
+    # and L >= 2**63 raised OverflowError
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=f"^word_length must be in \\[1, 24\\], got {L}$"):
+            parse_table(f"format=vdb-table-v1\nL={L}\nk=2\nmode=perbit\np_0=0.1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ParameterError, match="^perbit table needs p_0..p_2 lines$"):
+        parse_table("format=vdb-table-v1\nL=3\nk=2\nmode=perbit\np_0=0.1\n")
 
 
 @pytest.mark.parametrize("mode,lines,stray", [
