@@ -35,8 +35,7 @@ import numpy as np
 from . import _kernels, setgen
 from .codegen import CodeTable, TailConstraint
 from .core import (
-    ParameterError, SYMMETRIC, WordSpec, _require_int, distortion_range, format_lines, read_csv_array,
-    reject_repeat,
+    ParameterError, WordSpec, check_int, distortion_range, format_lines, is_int, read_csv_array, reject_repeat,
 )
 
 GENERATOR_ID = "pcg64-run-alias-multibit"
@@ -63,10 +62,10 @@ class EmpiricalPMF:
     sample_count: int | None = None
 
     def __post_init__(self) -> None:
-        WordSpec(self.L, SYMMETRIC)
+        WordSpec(self.L)
         n = 1 << self.L
         for v, p in self.mass.items():
-            _require_int("value", v)
+            check_int("value", v)
             if not 0 <= v < n:
                 raise ParameterError(f"value {v} outside [0, {n})")
             if not 0.0 <= p < math.inf:
@@ -75,7 +74,7 @@ class EmpiricalPMF:
         if abs(total - 1.0) > 1e-9:
             raise ParameterError(f"masses sum to {total}, not 1")
         count = self.sample_count
-        if count is not None and not (type(count) is int and count >= 1):  # bool is no count
+        if count is not None and not (is_int(count) and count >= 1):
             raise ParameterError(f"sample_count must be a positive int, got {count!r}")
 
     def to_array(self) -> np.ndarray:
@@ -109,7 +108,7 @@ class UpsetModel:
     forced_one_prob: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        WordSpec(self.L, SYMMETRIC)
+        WordSpec(self.L)
         if len(self.upset_prob) != self.L or len(self.forced_one_prob) != self.L:
             raise ParameterError(f"need {self.L} per-bit entries")
         for name, probs in (("upset_prob", self.upset_prob), ("forced_one_prob", self.forced_one_prob)):
@@ -396,14 +395,12 @@ def simulate(
     The distortion is computed as |2(w & e) - e|, which equals
     |w - (w ^ e)| since w ^ e = w + e - 2(w & e).
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    check_int("trials", trials, 1)
     if trials > _INT64.max:
         raise ParameterError(f"trials must be below 2**63, the int64 limit of a multinomial, got {trials}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    if cap_weight is not None and cap_weight < 0:
-        raise ParameterError(f"cap_weight must be >= 0, got {cap_weight}")
+    check_int("seed", seed, 0)
+    if cap_weight is not None:
+        check_int("cap_weight", cap_weight, 0)
     if (table.L, table.k) != (constraint.L, constraint.k):
         raise ParameterError(
             f"table is (L={table.L}, k={table.k}) but constraint is (L={constraint.L}, k={constraint.k})"
@@ -489,7 +486,7 @@ def placement_mass(table: CodeTable) -> dict[int, float]:
     are sorted by (m, mask), so each m's masses are summed in ascending
     mask order.
     """
-    _, m_max = distortion_range(WordSpec(table.L, SYMMETRIC), table.k)
+    _, m_max = distortion_range(WordSpec(table.L), table.k)
     sets = setgen.sets_fast(table.L, table.k)
     terms = _kernels.mask_probabilities(np.asarray(table.p_vec, dtype=np.float64))[sets.masks]
     out = np.bincount(sets.ms, weights=terms, minlength=m_max + 1)
@@ -604,13 +601,10 @@ def ingest_trace(
     there are at least as many samples, and an `np.unique` otherwise, so
     the histogram never takes more memory than the samples.
     """
-    WordSpec(L, SYMMETRIC)
-    for name, value in (("column", column), ("skip_header", skip_header), ("signed_offset", signed_offset)):
-        _require_int(name, value)
-    if column < 0:
-        raise ParameterError(f"column must be >= 0, got {column}")
-    if skip_header < 0:
-        raise ParameterError(f"skip_header must be >= 0, got {skip_header}")
+    WordSpec(L)
+    check_int("column", column, 0)
+    check_int("skip_header", skip_header, 0)
+    check_int("signed_offset", signed_offset)
     signed_offset = int(signed_offset)  # a numpy integer would wrap where int() grows
     n = 1 << L
     start = _position(stream)
@@ -706,7 +700,7 @@ def format_pmf_csv(pmf: EmpiricalPMF) -> str:
     if pmf.sample_count is not None:
         lines.append(f"# sample_count={pmf.sample_count}")
     lines.append("value,mass")
-    lines += [f"{v},{pmf.mass[v]!r}" for v in sorted(pmf.mass)]
+    lines += [f"{v},{float(pmf.mass[v])!r}" for v in sorted(pmf.mass)]
     return "\n".join(lines) + "\n"
 
 
@@ -754,7 +748,7 @@ def load_pmf_csv(path) -> EmpiricalPMF:
 def serialize_upsets(model: UpsetModel) -> str:
     lines = [f"format={UPSETS_FORMAT}", f"L={model.L}"]
     lines += [
-        f"{i},{model.upset_prob[i]!r},{model.forced_one_prob[i]!r}" for i in range(model.L)
+        f"{i},{float(model.upset_prob[i])!r},{float(model.forced_one_prob[i])!r}" for i in range(model.L)
     ]
     return "\n".join(lines) + "\n"
 
@@ -780,7 +774,7 @@ def parse_upsets(text: str) -> UpsetModel:
         reject_repeat(seen, bit, lineno, "row for bit {}")
     if L is None:
         raise ParameterError("upsets file missing L= header")
-    WordSpec(L, SYMMETRIC)  # before L sizes a list
+    WordSpec(L)  # before L sizes a list
     upset = [0.0] * L
     forced_one = [0.0] * L
     for bit, (u, f1) in rows.items():

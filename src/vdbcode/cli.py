@@ -117,8 +117,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ParameterError(f"--trials must be >= 1, got {args.trials}")
     constraint = codegen.load_constraint(args.constraint)
     table = codegen.load_table(args.table)
     inputs = [args.table, args.constraint]

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _kernels
 from .core import (
-    ParameterError, SYMMETRIC, WordSpec, distortion_range, format_lines, read_csv_array, reject_repeat,
+    ParameterError, WordSpec, distortion_range, format_lines, is_int, read_csv_array, reject_repeat,
 )
 from .setgen import PlacementSets
 
@@ -59,10 +59,10 @@ class InfeasibleConstraintError(RuntimeError):
 class TailConstraint:
     """Per-m probability budget over the full distortion range of (L, k), held as its rows.
 
-    F(m) is values[j] for the last row with ms[j] <= m, 1.0 below ms[0]: ms
-    is read-only int64, strictly ascending within [1, m_max], and values is
-    read-only float64 in [0, 1].  A budget built here may rise from one row
-    to the next; from_table and the parsers refuse that.
+    F(m) is values[j] for the last row with ms[j] <= m, 1.0 below ms[0]: ms,
+    given as integers, is read-only int64, strictly ascending within [1,
+    m_max], and values is read-only float64 in [0, 1].  A budget built here
+    may rise from one row to the next; from_table and the parsers refuse that.
     """
 
     L: int
@@ -72,8 +72,11 @@ class TailConstraint:
     m_max: int = field(init=False)
 
     def __post_init__(self) -> None:
-        _, m_max = distortion_range(WordSpec(self.L, SYMMETRIC), self.k)
-        ms, values = np.array(self.ms, dtype=np.int64), np.array(self.values, dtype=np.float64)
+        _, m_max = distortion_range(WordSpec(self.L), self.k)
+        given = np.asarray(self.ms)
+        if given.size and not np.issubdtype(given.dtype, np.integer):
+            raise ParameterError(f"constraint m must be ints, got an array of {given.dtype}")
+        ms, values = np.array(given, dtype=np.int64), np.array(self.values, dtype=np.float64)
         if ms.ndim != 1 or ms.shape != values.shape:
             raise ParameterError(f"constraint needs one bound per row, got m {ms.shape} and bounds {values.shape}")
         outside = ms[(ms < 1) | (ms > m_max)]
@@ -95,9 +98,9 @@ class TailConstraint:
     @classmethod
     def from_table(cls, L: int, k: int, bounds: Mapping[int, float]) -> "TailConstraint":
         """F from rows {m: F(m)} in any order, m an int; F may not rise by more than 1e-15 from one row to the next."""
-        stray = next((m for m in bounds if isinstance(m, bool) or not isinstance(m, int)), None)
-        if stray is not None:
-            raise ParameterError(f"constraint m={stray!r} is not an int")
+        for m in bounds:
+            if not is_int(m):
+                raise ParameterError(f"constraint m={m!r} is not an int")
         ms = np.fromiter(bounds.keys(), dtype=np.int64, count=len(bounds))
         values = np.fromiter(bounds.values(), dtype=np.float64, count=len(bounds))
         order = np.argsort(ms)
@@ -106,7 +109,7 @@ class TailConstraint:
     @classmethod
     def reciprocal(cls, L: int, k: int) -> "TailConstraint":
         """The 1/(m+1) budget used throughout the Monte Carlo validation, one row per m."""
-        _, m_max = distortion_range(WordSpec(L, SYMMETRIC), k)
+        _, m_max = distortion_range(WordSpec(L), k)
         return cls(L, k, np.arange(1, m_max + 1), 1.0 / np.arange(2, m_max + 2))
 
 
@@ -153,7 +156,7 @@ def parse_constraint(text: str) -> TailConstraint:
     if len(header) < 2:
         raise ParameterError(f"line {lineno}: rows before L=/k= headers")
     L, k = header["L"], header["k"]
-    _, m_max = distortion_range(WordSpec(L, SYMMETRIC), k)
+    _, m_max = distortion_range(WordSpec(L), k)
     block = read_csv_array(lines[lineno - 1 :], dtype=[("m", np.int64), ("bound", np.float64)])
     if block is not None:
         order = np.argsort(block["m"])
@@ -238,7 +241,7 @@ class CodeTable:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_IID, MODE_PERBIT):
             raise ParameterError(f"unknown table mode {self.mode!r}")
-        distortion_range(WordSpec(self.L, SYMMETRIC), self.k)
+        distortion_range(WordSpec(self.L), self.k)
         if len(self.p_vec) != self.L:
             raise ParameterError(f"expected {self.L} probabilities, got {len(self.p_vec)}")
         for i, p in enumerate(self.p_vec):
@@ -253,7 +256,7 @@ class CodeTable:
 
     @classmethod
     def iid(cls, L: int, k: int, p: float, metadata: dict | None = None) -> "CodeTable":
-        WordSpec(L, SYMMETRIC)  # a float L fails here, not in (p,) * L
+        WordSpec(L)  # a float L fails here, not in (p,) * L
         return cls(MODE_IID, L, k, (p,) * L, metadata or {})
 
     @classmethod
@@ -265,9 +268,9 @@ def serialize_table(table: CodeTable) -> str:
     """The table file, with `# sweeps=`, `# first_infeasible_p=` and `# margin` lines from its metadata."""
     lines = [f"format={TABLE_FORMAT}", f"L={table.L}", f"k={table.k}", f"mode={table.mode}"]
     if table.mode == MODE_IID:
-        lines.append(f"p={table.p!r}")
+        lines.append(f"p={float(table.p)!r}")
     else:
-        lines += [f"p_{i}={p!r}" for i, p in enumerate(table.p_vec)]
+        lines += [f"p_{i}={float(p)!r}" for i, p in enumerate(table.p_vec)]
     for key in ("sweeps", "first_infeasible_p"):
         if key in table.metadata:
             lines.append(f"# {key}={table.metadata[key]}")
@@ -310,7 +313,7 @@ def parse_table(text: str) -> CodeTable:
         if p_single is None:
             raise ParameterError("iid table missing p= line")
         return CodeTable.iid(L, k, p_single)
-    WordSpec(L, SYMMETRIC)  # before L sizes a list
+    WordSpec(L)  # before L sizes a list
     if sorted(p_lines) != list(range(L)):
         raise ParameterError(f"perbit table needs p_0..p_{L - 1} lines")
     return CodeTable.perbit(L, k, [p_lines[i] for i in range(L)])

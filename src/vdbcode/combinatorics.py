@@ -27,23 +27,19 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import _kernels, setgen
-from .core import ParameterError, SYMMETRIC, WordSpec, distortion_range
+from .core import WordSpec, check_int, distortion_range
 
 BOUNDS_CSV_HEADER = ("m", "z_exact", "z_tight", "z_loose")
 
 
-def _check_params(L: int, k: int) -> tuple[int, int]:
-    spec = WordSpec(L, SYMMETRIC)
-    return distortion_range(spec, k)
-
-
 # The cached tables validate L and k when they are built, and span
-# m = 0..m_max, so a lookup needs only the range check on m.  The caches
-# are typed, so a float or bool L never hits an int entry.
+# m = 0..m_max, so a lookup needs only the check on m, which a Python int
+# in range passes without a call.  The caches are typed, so a float or
+# bool L never hits an int entry.
 def _at_m(table: np.ndarray, m: int) -> int:
-    if not 1 <= m < table.size:
-        raise ParameterError(f"m must be in [1, {table.size - 1}], got {m}")
-    return int(table[m])
+    if type(m) is not int or not 1 <= m < table.size:
+        check_int("m", m, 1, table.size - 1)
+    return table.item(m)
 
 
 @lru_cache(maxsize=128, typed=True)
@@ -54,7 +50,7 @@ def z_exact_table(L: int, k: int) -> np.ndarray:
     with + on top stands for its mirror too, and each sign pattern for
     the 2**(L - k) words that carry it.  No pair is at distance 0.
     """
-    _, m_max = _check_params(L, k)
+    _, m_max = distortion_range(WordSpec(L), k)
     ms, _ = _kernels.signed_sums(L, k)
     z = np.bincount(ms, minlength=m_max + 1) << (L - k + 1)
     z.flags.writeable = False
@@ -67,15 +63,15 @@ def z_exact(L: int, k: int, m: int) -> int:
 
 
 def z_bound_loose(L: int, m: int) -> int:
-    """Triangle bound 2**(L+1) - 2m."""
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
+    """Triangle bound 2**(L+1) - 2m, for 1 <= m <= 2**L, where it reaches 0."""
+    WordSpec(L)
+    check_int("m", m, 1, 1 << L)
     return (1 << (L + 1)) - 2 * m
 
 
 def z_bound_tight(L: int, k: int, m: int) -> int:
     """Staircase bound: the loose bound rounded down to a multiple of 2**(L-k+1)."""
-    _check_params(L, k)
+    distortion_range(WordSpec(L), k)
     v = z_bound_loose(L, m)
     return v - (v % (1 << (L - k + 1)))
 
@@ -83,7 +79,7 @@ def z_bound_tight(L: int, k: int, m: int) -> int:
 @lru_cache(maxsize=128, typed=True)
 def _y_star_counts(L: int, k: int) -> np.ndarray:
     """|S_m| for m = 0..m_max, as a read-only int64 array."""
-    _, m_max = _check_params(L, k)
+    _, m_max = distortion_range(WordSpec(L), k)
     counts = np.bincount(setgen.sets_fast(L, k).ms, minlength=m_max + 1)
     counts.flags.writeable = False
     return counts

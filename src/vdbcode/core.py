@@ -4,9 +4,10 @@ Words are unsigned integers read as L-bit vectors, bit i carrying weight
 2**i.  Flipping the bits of a mask e moves x to x ^ e: popcount(e) bits
 differ, while the values differ by |x - (x ^ e)|, which depends wildly on
 which positions are hit; that gap is the whole point of the package.
-WordSpec and distortion_range fix the (L, k) domain the other modules
-validate; the line helpers of the text-format parsers and the `np.loadtxt`
-read their fast paths share live here too.
+`check_int` is the one rule for the integer arguments the package takes,
+and WordSpec and distortion_range fix the (L, k) domain with it; the line
+helpers of the text-format parsers and the `np.loadtxt` read their fast
+paths share live here too.
 """
 from __future__ import annotations
 
@@ -75,10 +76,19 @@ def read_csv_array(lines: Iterable[str], **kw) -> np.ndarray | None:
         return None
 
 
-def _require_int(name: str, value) -> None:
-    """A ParameterError unless `value` is an integer (numpy's too), bool and float excluded."""
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
+def is_int(value) -> bool:
+    """Whether `value` is an integer (numpy's too), bool and float excluded."""
+    return type(value) is int or not isinstance(value, bool) and isinstance(value, Integral)
+
+
+def check_int(name: str, value, lo: int | None = None, hi: int | None = None) -> None:
+    """A ParameterError unless `value` is an integer (see `is_int`) >= lo and, if hi is given, <= hi."""
+    if not is_int(value):
         raise ParameterError(f"{name} must be an int, got {value!r}")
+    if hi is not None and not lo <= value <= hi:
+        raise ParameterError(f"{name} must be in [{lo}, {hi}], got {value}")
+    if lo is not None and value < lo:
+        raise ParameterError(f"{name} must be >= {lo}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -92,11 +102,7 @@ class WordSpec:
     polarity: str = SYMMETRIC
 
     def __post_init__(self) -> None:
-        _require_int("word_length", self.word_length)
-        if not 1 <= self.word_length <= MAX_WORD_LENGTH:
-            raise ParameterError(
-                f"word_length must be in [1, {MAX_WORD_LENGTH}], got {self.word_length}"
-            )
+        check_int("word_length", self.word_length, 1, MAX_WORD_LENGTH)
         if self.polarity != SYMMETRIC:
             raise ParameterError(f"unknown polarity {self.polarity!r}")
 
@@ -109,8 +115,6 @@ def distortion_range(spec: WordSpec, k: int) -> tuple[int, int]:
     opposing the rest yields distortion 1.
     """
     L = spec.word_length
-    _require_int("k", k)
-    if not 1 <= k <= L:
-        raise ParameterError(f"k must be in [1, {L}], got {k}")
+    check_int("k", k, 1, L)
     m_max = (1 << (L - k)) * ((1 << k) - 1)
     return 1, m_max

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import _kernels
-from .core import SYMMETRIC, ParameterError, WordSpec, distortion_range
+from .core import ParameterError, WordSpec, check_int, distortion_range
 
 SETS_FORMAT = "vdb-sets-v1"
 
@@ -30,17 +30,21 @@ class PlacementSets:
 
     `ms` and `masks` are read-only int64 arrays sorted by (m, mask); an m
     whose S_m is empty has no rows.  PlacementSets(L, k, {m: masks})
-    builds the family from a mapping; each mask must be a nonzero L-bit
-    word, as serialize_sets writes exactly L digits of it.
+    builds the family from a mapping; each m must be in [1, m_max] and each
+    mask a nonzero L-bit word, as serialize_sets writes exactly L digits of it.
     """
 
     def __init__(self, L: int, k: int, sets: Mapping[int, Iterable[int]]) -> None:
-        distortion_range(WordSpec(L, SYMMETRIC), k)  # validates L and k
-        pairs = np.array([(m, e) for m, s in sets.items() for e in s], dtype=np.int64)
-        ms, masks = pairs.reshape(-1, 2).T
-        stray = masks[(masks < 1) | (masks >> L != 0)]
-        if stray.size:
-            raise ParameterError(f"mask {stray[0]} is not a nonzero {L}-bit word")
+        _, m_max = distortion_range(WordSpec(L), k)
+        pairs = []
+        for m, s in sets.items():
+            check_int("m", m, 1, m_max)
+            for e in s:
+                check_int("mask", e)
+                if not 0 < e < 1 << L:
+                    raise ParameterError(f"mask {e} is not a nonzero {L}-bit word")
+                pairs.append((m, e))
+        ms, masks = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
         self._freeze(L, k, ms, masks)
 
     def _freeze(self, L: int, k: int, ms: np.ndarray, masks: np.ndarray) -> PlacementSets:
@@ -85,7 +89,7 @@ def sets_bruteforce(L: int, k: int) -> PlacementSets:
     shape is swept once, and every shift of it takes its distances
     scaled by 2**b; memory stays O(2**L) plus the pairs found.
     """
-    distortion_range(WordSpec(L, SYMMETRIC), k)  # validates L and k
+    distortion_range(WordSpec(L), k)  # validates L and k
     ms, masks = zip(*(_kernels.reach_pairs(L, w) for w in range(1, k + 1)))
     return _from_pairs(L, k, np.concatenate(ms), np.concatenate(masks))
 
@@ -106,7 +110,7 @@ def sets_fast(L: int, k: int) -> PlacementSets:
     pairs in all, and no dedup is needed.  `_kernels.signed_sums` lists
     the patterns of one weight.
     """
-    distortion_range(WordSpec(L, SYMMETRIC), k)  # validates L and k
+    distortion_range(WordSpec(L), k)  # validates L and k
     ms, masks = zip(*(_kernels.signed_sums(L, w) for w in range(1, k + 1)))
     return _from_pairs(L, k, np.concatenate(ms), np.concatenate(masks))
 

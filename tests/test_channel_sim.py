@@ -24,6 +24,7 @@ from vdbcode import (
     tail_of,
 )
 from vdbcode import channel_sim
+from vdbcode.codegen import parse_table, serialize_table
 from vdbcode.channel_sim import (
     DistortionDistribution,
     EmpiricalPMF,
@@ -378,6 +379,12 @@ def test_simulate_parameter_validation(reciprocal_constraint):
     for trials in (2**63, 2**64 + 5):  # the run's mask counts are one int64 multinomial draw
         with pytest.raises(ParameterError, match=r"below 2\*\*63, the int64 limit"):
             simulate(table, reciprocal_constraint, trials, seed=0)
+    for kw, message in (({"trials": 1000.0}, "trials must be an int, got 1000.0"),
+                        ({"trials": True}, "trials must be an int, got True"),
+                        ({"seed": 1.5}, "seed must be an int, got 1.5"),
+                        ({"cap_weight": 1.5}, "cap_weight must be an int, got 1.5")):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            simulate(table, reciprocal_constraint, **{"trials": 10, "seed": 0, **kw})
 
 
 
@@ -1152,6 +1159,18 @@ def test_upsets_roundtrip():
     assert loaded == model
 
 
+def test_writers_round_trip_models_built_from_numpy_scalars():
+    # repr of a numpy float is "np.float64(0.1)", which no reader takes
+    p = np.array([0.1, 0.2, 0.3])
+    for table, p_vec in ((CodeTable.iid(3, 2, p[0]), (0.1,) * 3), (CodeTable.perbit(3, 2, p), (0.1, 0.2, 0.3))):
+        assert parse_table(serialize_table(table)).p_vec == p_vec
+    model = UpsetModel(3, tuple(p), tuple(p[::-1]))
+    assert parse_upsets(serialize_upsets(model)) == UpsetModel(3, (0.1, 0.2, 0.3), (0.3, 0.2, 0.1))
+    pmf = EmpiricalPMF(2, {np.int64(0): np.float64(0.75), np.int64(3): np.float64(0.25)}, np.int64(4))
+    assert format_pmf_csv(pmf) == "# L=2\n# sample_count=4\nvalue,mass\n0,0.75\n3,0.25\n"
+    assert parse_pmf_csv(format_pmf_csv(pmf)) == EmpiricalPMF(2, {0: 0.75, 3: 0.25}, 4)
+
+
 def test_pmf_csv_rejects_bad_and_repeated_entries():
     with pytest.raises(ParameterError, match="line 1: bad header '# L=three'"):
         parse_pmf_csv("# L=three\nvalue,mass\n0,1.0\n")
@@ -1232,6 +1251,10 @@ def test_pmf_validation():
         with pytest.raises(ParameterError, match=f"value must be an int, got {key!r}"):
             EmpiricalPMF(3, {key: 1.0})
     assert EmpiricalPMF(3, {np.int64(2): 1.0}).to_array()[2] == 1.0
+    assert EmpiricalPMF(3, {2: 1.0}, sample_count=np.int64(5)).sample_count == 5
+    for count in (True, 1.5):
+        with pytest.raises(ParameterError, match=f"sample_count must be a positive int, got {count!r}"):
+            EmpiricalPMF(3, {2: 1.0}, sample_count=count)
 
 
 def test_upset_model_and_distortion_law_validation():

@@ -881,6 +881,11 @@ def test_constraint_array_validation():
             TailConstraint(3, 2, ms, [0.5, 0.5])
     with pytest.raises(ParameterError, match="m=9 outside"):
         TailConstraint.from_table(3, 2, {9: 0.5})
+    # the int64 conversion read 1.5 as m=1 and "1" and True as m=1
+    for ms in ([1.5], ["1"], [True]):
+        with pytest.raises(ParameterError, match="constraint m must be ints"):
+            TailConstraint(3, 2, ms, [0.5])
+    assert TailConstraint(3, 2, [], []).ms.size == 0
 
 
 def step_fill_reference(m_max, ms, values, refuse_rise=True):
@@ -962,11 +967,16 @@ def test_three_row_budget_at_24_3_parses_in_under_1_mb():
     assert serialize_constraint(c) == text
 
 
-@pytest.mark.parametrize("key", [1.5, "1", True, 2.0])
+@pytest.mark.parametrize("key", [1.5, "1", True, 2.0, None])
 def test_from_table_rejects_keys_that_are_not_ints(key):
     # the int64 conversion read 1.5 as m=1 and "1" as m=1
     with pytest.raises(ParameterError, match=f"constraint m={key!r} is not an int"):
         TailConstraint.from_table(3, 2, {key: 0.5, 3: 0.25})
+
+
+def test_from_table_takes_numpy_int_keys():
+    c = TailConstraint.from_table(3, 2, {np.int64(3): 0.25, 1: 0.5})
+    assert c.ms.tolist() == [1, 3] and c.values.tolist() == [0.5, 0.25]
 
 
 def test_monotonicity_error_names_both_lines_briefly():

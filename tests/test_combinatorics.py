@@ -84,8 +84,9 @@ LOOKUPS = [
     ((0, 1, 1), ParameterError("word_length must be in [1, 24], got 0")),
     ((25, 1, 1), ParameterError("word_length must be in [1, 24], got 25")),
     ((5, 6, 1), ParameterError("k must be in [1, 5], got 6")),
-    ((16, 3, 2.0), IndexError("only integers")),
+    ((16, 3, 2.0), ParameterError("m must be an int, got 2.0")),
     (("16", 3, 5), ParameterError("word_length must be an int, got '16'")),
+    ((3, 2, True), ParameterError("m must be an int, got True")),
 ]
 
 
@@ -113,6 +114,11 @@ def test_z_bound_loose_examples():
     assert z_bound_loose(8, 1) == 510
     assert z_bound_loose(3, 6) == 4
     assert z_bound_loose(8, 256) == 0
+    for args, message in (((3, 100), "m must be in [1, 8], got 100"), ((8, 0), "m must be in [1, 256], got 0"),
+                          ((-1, 1), "word_length must be in [1, 24], got -1"),
+                          ((3, 1.5), "m must be an int, got 1.5")):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            z_bound_loose(*args)
 
 
 def test_z_bound_tight_examples():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import product
 from math import comb
@@ -139,6 +140,12 @@ def test_placement_sets_refuse_masks_beyond_l_bits():
             PlacementSets(3, 2, {1: {0b001, stray}})
     with pytest.raises(ParameterError):
         PlacementSets(True, 1, {1: {1}})
+    # the int64 conversion read m = 1.5 and mask 1.5 as 1, and no m was checked against m_max = 6
+    for sets, message in (({1.5: [1]}, "m must be an int, got 1.5"), ({100: [2]}, "m must be in [1, 6], got 100"),
+                          ({0: [2]}, "m must be in [1, 6], got 0"), ({1: [1.5]}, "mask must be an int, got 1.5"),
+                          ({1: ["1"]}, "mask must be an int, got '1'")):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            PlacementSets(3, 2, sets)
 
 
 def test_sets_fast_row_count():
