@@ -135,7 +135,7 @@ class DistortionDistribution:
 
     def __post_init__(self) -> None:
         total = math.fsum(self.mass.values())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # a NaN total fails too
             raise ParameterError(f"masses sum to {total}, not 1")
 
     def at(self, m: int) -> float:

@@ -91,11 +91,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     constraint = codegen.load_constraint(args.constraint)
-    sets = setgen.sets_fast(constraint.L, constraint.k)
-    if args.mode == codegen.MODE_IID:
-        table = codegen.solve_iid(sets, constraint)
-    else:
-        table = codegen.solve_perbit(sets, constraint)
+    table = (codegen.solve_iid if args.mode == codegen.MODE_IID else codegen.solve_perbit)(constraint)
     # Both solvers re-verify their table and keep the margins they checked.
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(codegen.serialize_table(table))
@@ -106,8 +102,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     constraint = codegen.load_constraint(args.constraint)
     table = codegen.load_table(args.table)
-    sets = setgen.sets_fast(constraint.L, constraint.k)
-    report = codegen.verify_table(sets, constraint, table)
+    report = codegen.verify_table(table, constraint)
     rows = sorted(report.margins.items())
     sys.stdout.write(
         "m=%d margin=%.9g\n" * len(rows) % tuple(itertools.chain.from_iterable(rows))

@@ -8,11 +8,12 @@ realize m stays within F(m):
 
     sum over masks e in S_m of  prod_i p_i**e_i (1-p_i)**(1-e_i)  <=  F(m)
 
-The solvers and verify_table evaluate every left-hand side at once
-through one row object, _Rows: one bincount over the placement sets'
-sorted (m, mask) arrays sums the product measure over all masks per m.
-An empty S_m carries no mass and can never bind, so only the nonempty
-S_m are rows, given margins and reported.
+The solvers and verify_table take only the budget: the family S_m is
+fixed by its (L, k), and one row object, _Rows, builds it with
+setgen.sets_fast and evaluates every left-hand side at once: one bincount
+over the sorted (m, mask) arrays sums the product measure over all masks
+per m.  An empty S_m carries no mass and can never bind, so only the
+nonempty S_m are rows, given margins and reported.
 
 The i.i.d. solver maximizes a single p.  Its constraint polynomials are
 not monotone in p (mass can flow back out of S_m as p grows), so the
@@ -39,11 +40,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, setgen
 from .core import (
     ParameterError, WordSpec, distortion_range, format_lines, is_int, read_csv_array, reject_repeat,
 )
-from .setgen import PlacementSets
 
 CONSTRAINT_FORMAT = "vdb-constraint-v1"
 TABLE_FORMAT = "vdb-table-v1"
@@ -73,15 +73,17 @@ class TailConstraint:
 
     def __post_init__(self) -> None:
         _, m_max = distortion_range(WordSpec(self.L), self.k)
-        given = np.asarray(self.ms)
-        if given.size and not np.issubdtype(given.dtype, np.integer):
+        # Python ints beyond int64 arrive as an object array; m is range-checked before the cast to int64.
+        given, values = np.asarray(self.ms), np.array(self.values, dtype=np.float64)
+        ints = np.issubdtype(given.dtype, np.integer) or given.dtype == object and all(map(is_int, given.flat))
+        if given.size and not ints:
             raise ParameterError(f"constraint m must be ints, got an array of {given.dtype}")
-        ms, values = np.array(given, dtype=np.int64), np.array(self.values, dtype=np.float64)
-        if ms.ndim != 1 or ms.shape != values.shape:
-            raise ParameterError(f"constraint needs one bound per row, got m {ms.shape} and bounds {values.shape}")
-        outside = ms[(ms < 1) | (ms > m_max)]
+        if given.ndim != 1 or given.shape != values.shape:
+            raise ParameterError(f"constraint needs one bound per row, got m {given.shape} and bounds {values.shape}")
+        outside = given[(given < 1) | (given > m_max)]
         if outside.size:
             raise ParameterError(f"constraint m={outside[0]} outside [1, {m_max}]")
+        ms = np.array(given, dtype=np.int64)
         if (ms[1:] <= ms[:-1]).any():
             raise ParameterError("constraint rows need m strictly ascending")
         bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
@@ -101,7 +103,10 @@ class TailConstraint:
         for m in bounds:
             if not is_int(m):
                 raise ParameterError(f"constraint m={m!r} is not an int")
-        ms = np.fromiter(bounds.keys(), dtype=np.int64, count=len(bounds))
+        try:
+            ms = np.fromiter(bounds.keys(), dtype=np.int64, count=len(bounds))
+        except OverflowError:  # an m beyond int64, which the constructor refuses by its range
+            ms = np.array(list(bounds), dtype=object)
         values = np.fromiter(bounds.values(), dtype=np.float64, count=len(bounds))
         order = np.argsort(ms)
         return _falling(cls(L, k, ms[order], values[order]))
@@ -118,7 +123,7 @@ def _falling(c: TailConstraint) -> TailConstraint:
     rises = np.flatnonzero(c.values[1:] > c.values[:-1] + 1e-15)
     if rises.size:
         j = int(rises[0]) + 1
-        raise ParameterError(f"bound increases from m={c.ms[j] - 1} ({c.values[j - 1]}) to m={c.ms[j]} ({c.values[j]})")
+        raise ParameterError(f"bound increases from m={c.ms[j - 1]} ({c.values[j - 1]}) to m={c.ms[j]} ({c.values[j]})")
     return c
 
 
@@ -352,20 +357,22 @@ def constraint_lhs(placements: Iterable[int], p_vec: Sequence[float], L: int | N
 # Unit round-off of float64.
 _U = 2.0**-53
 
+# The iid walk stops on an interval narrower than this fraction of its
+# right end, so p and first_infeasible_p agree to about six digits.
+_IID_REL_WIDTH = 1e-6
+
 
 class _Rows:
-    """The nonempty S_m as rows: m ascending, F(m), and the row index of every (m, mask) pair.
+    """The nonempty S_m of c's (L, k) as rows: m ascending, F(m), and the row index of every (m, mask) pair.
 
-    sets.ms is sorted, so each S_m is one run of pairs.
+    The pairs come from setgen.sets_fast, sorted by m, so each S_m is one run of pairs.
     """
 
-    def __init__(self, sets: PlacementSets, c: TailConstraint) -> None:
-        if (sets.L, sets.k) != (c.L, c.k):
-            raise ParameterError(
-                f"placement sets are (L={sets.L}, k={sets.k}) but constraint is (L={c.L}, k={c.k})"
-            )
+    def __init__(self, c: TailConstraint) -> None:
+        sets = setgen.sets_fast(c.L, c.k)
         first = np.ones(sets.ms.size, dtype=bool)
         np.not_equal(sets.ms[1:], sets.ms[:-1], out=first[1:])
+        self.L = c.L
         self.masks = sets.masks
         self.keys = sets.ms[first]
         self.bounds = c.bounds_at(self.keys)
@@ -375,7 +382,7 @@ class _Rows:
         # gamma_n * lhs of the exact value for n = 2L + n_m, gamma_n =
         # n*u / (1 - n*u), u = 2**-53 (Higham, Accuracy and Stability of
         # Numerical Algorithms, 2nd ed., 3.1 and 4.2); F - lhs adds u * F.
-        n = 2 * sets.L + np.bincount(self.index)
+        n = 2 * c.L + np.bincount(self.index)
         self._gamma = n * _U / (1.0 - n * _U)
 
     def lhs(self, p_vec: Sequence[float]) -> np.ndarray:
@@ -442,17 +449,44 @@ class _Rows:
             return 1.0, None
         return float(limits[j]), int(self.keys[rising[j]])
 
+    def iid_walk(self) -> tuple[float, float | None]:
+        """solve_iid's Bernstein walk: p and first_infeasible_p (None when all of [0, 1] is certified)."""
+        width = self.L + 1
+        cells = self.index * width + np.bitwise_count(self.masks)
+        profile = np.bincount(cells, minlength=self.keys.size * width).reshape(-1, width)
+        # Coefficients c on [a, b] are c @ left on [a, mid] and c @ right on
+        # [mid, b]: left-half coefficient i is sum_j C(i, j) c_j / 2**i, and
+        # the right half mirrors it.
+        pascal = np.array([[math.comb(i, j) for j in range(width)] for i in range(width)], dtype=np.float64)
+        left = (pascal / 2.0 ** np.arange(width)[:, None]).T
+        right = left[::-1, ::-1]
+
+        # Each stack entry is an interval with its parent's coefficients and
+        # the halving matrix that maps them onto it; the top is leftmost.
+        coeffs = profile / pascal[-1] - self.bounds[:, None]
+        stack = [(0.5, 1.0, coeffs, right), (0.0, 0.5, coeffs, left)]
+        while stack:
+            a, b, parent, half = stack.pop()
+            coeffs = parent @ half
+            coeffs = coeffs[(coeffs > 0.0).any(axis=1)]
+            if not len(coeffs):
+                continue
+            # Only a row with c_0 = (its value at a) >= 0 can have a positive first nonzero coefficient.
+            if b - a <= _IID_REL_WIDTH * b or (
+                coeffs[:, 0].max() >= 0.0
+                and (coeffs[np.arange(len(coeffs)), (coeffs != 0.0).argmax(axis=1)] > 0.0).any()
+            ):
+                return a, b
+            mid = (a + b) / 2.0
+            stack += [(mid, b, coeffs, right), (a, mid, coeffs, left)]
+        return 1.0, None
+
 
 # ---------------------------------------------------------------------------
 # Solvers
 
 
-# The iid walk stops on an interval narrower than this fraction of its
-# right end, so p and first_infeasible_p agree to about six digits.
-_IID_REL_WIDTH = 1e-6
-
-
-def solve_iid(sets: PlacementSets, c: TailConstraint) -> CodeTable:
+def solve_iid(c: TailConstraint) -> CodeTable:
     """Largest single error probability on the feasible interval at p=0.
 
     With all p_i equal, S_m's mass minus F(m) is a polynomial of degree L
@@ -471,50 +505,21 @@ def solve_iid(sets: PlacementSets, c: TailConstraint) -> CodeTable:
     p is exactly 1 and first_infeasible_p is None.  The returned table is
     re-verified by direct constraint evaluation.
     """
-    rows = _Rows(sets, c)
-    width = sets.L + 1
-    cells = rows.index * width + np.bitwise_count(sets.masks)
-    profile = np.bincount(cells, minlength=rows.keys.size * width).reshape(-1, width)
-    # Coefficients c on [a, b] are c @ left on [a, mid] and c @ right on
-    # [mid, b]: left-half coefficient i is sum_j C(i, j) c_j / 2**i, and
-    # the right half mirrors it.
-    pascal = np.array([[math.comb(i, j) for j in range(width)] for i in range(width)], dtype=np.float64)
-    left = (pascal / 2.0 ** np.arange(width)[:, None]).T
-    right = left[::-1, ::-1]
-
-    # Each stack entry is an interval with its parent's coefficients and
-    # the halving matrix that maps them onto it; the top is leftmost.
-    coeffs = profile / pascal[-1] - rows.bounds[:, None]
-    stack = [(0.5, 1.0, coeffs, right), (0.0, 0.5, coeffs, left)]
-    p_star, first_infeasible = 1.0, None
-    while stack:
-        a, b, parent, half = stack.pop()
-        coeffs = parent @ half
-        coeffs = coeffs[(coeffs > 0.0).any(axis=1)]
-        if not len(coeffs):
-            continue
-        # Only a row with c_0 = (its value at a) >= 0 can have a positive first nonzero coefficient.
-        if b - a <= _IID_REL_WIDTH * b or (
-            coeffs[:, 0].max() >= 0.0
-            and (coeffs[np.arange(len(coeffs)), (coeffs != 0.0).argmax(axis=1)] > 0.0).any()
-        ):
-            p_star, first_infeasible = a, b
-            break
-        mid = (a + b) / 2.0
-        stack += [(mid, b, coeffs, right), (a, mid, coeffs, left)]
-    metadata = {"first_infeasible_p": first_infeasible, "margins": rows.checked_margins((p_star,) * sets.L)}
-    return CodeTable.iid(sets.L, sets.k, p_star, metadata)
+    rows = _Rows(c)
+    p, first_infeasible = rows.iid_walk()
+    metadata = {"first_infeasible_p": first_infeasible, "margins": rows.checked_margins((p,) * c.L)}
+    return CodeTable.iid(c.L, c.k, p, metadata)
 
 
-def solve_perbit(sets: PlacementSets, c: TailConstraint) -> CodeTable:
+def solve_perbit(c: TailConstraint) -> CodeTable:
     """Coordinate-ascent maximization of the per-bit probabilities.
 
-    Starts from the iid solution and repeatedly maximizes one p_i with
-    the rest held fixed, sweeping i from the most significant bit down,
-    until a full sweep moves no coordinate by more than PERBIT_TOL (1e-4)
-    or MAX_SWEEPS (200) sweeps have run; it takes no options.  With all
-    other coordinates fixed every constraint is affine in p_i, so each
-    step is exact: one mask table and one bincount give every m's
+    Starts from solve_iid's p, walked on its own rows (_Rows.iid_walk),
+    and repeatedly maximizes one p_i with the rest held fixed, sweeping i
+    from the most significant bit down, until a full sweep moves no
+    coordinate by more than PERBIT_TOL (1e-4) or MAX_SWEEPS (200) sweeps
+    have run; it takes no options.  With all other coordinates fixed
+    every constraint is affine in p_i, so each step is exact: one mask table and one bincount give every m's
     intercept and slope (see _Rows.affine), and p_i rises to the
     smallest (F_m - a_m) / slope_m over the m with a positive slope, or
     to 1 when none binds sooner.  The metadata holds "sweeps", the
@@ -524,11 +529,11 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint) -> CodeTable:
     boundary).  Which local maximum is reached depends on the sweep order
     and the steps taken on the way.
     """
-    rows = _Rows(sets, c)
-    p = np.full(sets.L, solve_iid(sets, c).p, dtype=np.float64)
+    rows = _Rows(c)
+    p = np.full(c.L, rows.iid_walk()[0], dtype=np.float64)
     for sweeps in range(1, MAX_SWEEPS + 1):
         largest_move = 0.0
-        for i in range(sets.L - 1, -1, -1):
+        for i in range(c.L - 1, -1, -1):
             # Round-off can put the limit a hair below the current value.
             limit = max(p[i], rows.limit(p, i)[0])
             largest_move = max(largest_move, limit - p[i])
@@ -537,7 +542,7 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint) -> CodeTable:
             break
 
     certificate, binding = [], []
-    for i in range(sets.L):
+    for i in range(c.L):
         if p[i] >= 1.0:
             certificate.append("at-domain-boundary")
             binding.append(None)
@@ -554,7 +559,7 @@ def solve_perbit(sets: PlacementSets, c: TailConstraint) -> CodeTable:
         "binding": tuple(binding),
         "margins": rows.checked_margins(p_vec),
     }
-    return CodeTable.perbit(sets.L, sets.k, p_vec, metadata)
+    return CodeTable.perbit(c.L, c.k, p_vec, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +576,8 @@ class VerifyReport:
         return min(self.margins.values(), default=math.inf)
 
 
-def verify_table(sets: PlacementSets, c: TailConstraint, table: CodeTable) -> VerifyReport:
+def verify_table(table: CodeTable, c: TailConstraint) -> VerifyReport:
     """Per-m margins F(m) - lhs(m); passes when no margin is below minus its round-off allowance."""
-    rows = _Rows(sets, c)
-    if (table.L, table.k) != (sets.L, sets.k):
-        raise ParameterError(
-            f"table is (L={table.L}, k={table.k}) but sets are (L={sets.L}, k={sets.k})"
-        )
-    return VerifyReport(*rows.margins(table.p_vec))
+    if (table.L, table.k) != (c.L, c.k):
+        raise ParameterError(f"table is (L={table.L}, k={table.k}) but constraint is (L={c.L}, k={c.k})")
+    return VerifyReport(*_Rows(c).margins(table.p_vec))

@@ -49,11 +49,6 @@ def reciprocal_constraint():
     return TailConstraint.reciprocal(3, 3)
 
 
-@pytest.fixture(scope="session")
-def sets_l3k3():
-    return sets_fast(3, 3)
-
-
 # Calibrated comparison of a simulated law with an exact one.  Values the
 # simulation should hit fewer than MIN_EXPECTED_HITS times are pooled into
 # one bin, so the normal approximation holds; the z of every bin a test

@@ -52,9 +52,9 @@ def _report(number: int, ok: bool, detail: str, elapsed: float, budget: float) -
     print(f"ACCEPTANCE {number}: {status} - {detail} ({elapsed:.2f}s, budget {budget:g}s)", flush=True)
 
 
-def test_criterion_1_iid_solver_regression(example_sets, example_constraint):
+def test_criterion_1_iid_solver_regression(example_constraint):
     start = time.perf_counter()
-    table = solve_iid(example_sets, example_constraint)
+    table = solve_iid(example_constraint)
     elapsed = time.perf_counter() - start
     ok = abs(table.p - 0.2180) <= 0.001
     _report(1, ok, f"iid solver returns p={table.p:.4f} (target 0.2180 +/- 0.001)", elapsed, 1.0)
@@ -62,13 +62,11 @@ def test_criterion_1_iid_solver_regression(example_sets, example_constraint):
     assert elapsed < 1.0
 
 
-def test_criterion_2_perbit_feasibility(example_sets, example_constraint):
+def test_criterion_2_perbit_feasibility(example_constraint):
     start = time.perf_counter()
-    reference_report = verify_table(
-        example_sets, example_constraint, CodeTable.perbit(3, 2, REFERENCE_PERBIT_L3K2)
-    )
-    ours = solve_perbit(example_sets, example_constraint)
-    ours_report = verify_table(example_sets, example_constraint, ours)
+    reference_report = verify_table(CodeTable.perbit(3, 2, REFERENCE_PERBIT_L3K2), example_constraint)
+    ours = solve_perbit(example_constraint)
+    ours_report = verify_table(ours, example_constraint)
     elapsed = time.perf_counter() - start
     reference_ok = reference_report.passed and reference_report.worst >= -1e-3
     ours_ok = ours_report.passed and all(
@@ -87,10 +85,10 @@ def test_criterion_2_perbit_feasibility(example_sets, example_constraint):
     assert elapsed < 5.0
 
 
-def test_criterion_3_monte_carlo_reproduction(sets_l3k3, reciprocal_constraint):
+def test_criterion_3_monte_carlo_reproduction(reciprocal_constraint):
     start = time.perf_counter()
     iid_table = CodeTable.iid(3, 3, 0.29)
-    assert verify_table(sets_l3k3, reciprocal_constraint, iid_table).passed
+    assert verify_table(iid_table, reciprocal_constraint).passed
     iid_flip = simulate(iid_table, reciprocal_constraint, 10_000, seed=0)
     iid_cap = simulate(iid_table, reciprocal_constraint, 10_000, seed=0, cap_weight=3)
 
@@ -100,7 +98,7 @@ def test_criterion_3_monte_carlo_reproduction(sets_l3k3, reciprocal_constraint):
     orders = {}
     for perm in permutations(REPORTED_L3K3):
         table = CodeTable.perbit(3, 3, perm)
-        if not verify_table(sets_l3k3, reciprocal_constraint, table).passed:
+        if not verify_table(table, reciprocal_constraint).passed:
             orders[perm] = "infeasible"
             continue
         result = simulate(table, reciprocal_constraint, 10_000, seed=0)

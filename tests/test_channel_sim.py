@@ -1268,3 +1268,6 @@ def test_upset_model_and_distortion_law_validation():
         UpsetModel(3, (0.1,) * 3, (0.5, 0.5, -0.1))
     with pytest.raises(ParameterError, match="masses sum to 0.75, not 1"):
         DistortionDistribution({0: 0.5, 3: 0.25}, "exact")
+    for mass in ({0: math.nan}, {0: 0.5, 1: math.nan}, {0: math.inf}):
+        with pytest.raises(ParameterError, match="masses sum to (nan|inf), not 1"):
+            DistortionDistribution(mass, "exact")

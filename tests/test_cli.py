@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import vdbcode
-from vdbcode import channel_sim, codegen, sets_fast
+from vdbcode import channel_sim, codegen, setgen
 from vdbcode.channel_sim import GENERATOR_ID
 from vdbcode.cli import main
 from conftest import EXAMPLE_CONSTRAINT_TEXT, RECIPROCAL_CONSTRAINT_TEXT
@@ -189,6 +189,39 @@ def test_verify_zero_table(tmp_path, example_constraint_file):
     table = tmp_path / "zero.txt"
     table.write_text("format=vdb-table-v1\nL=3\nk=2\nmode=iid\np=0\n")
     assert main(["verify", "--constraint", str(example_constraint_file), "--table", str(table)]) == 0
+
+
+def test_verify_table_of_another_word_is_usage_error(tmp_path, example_constraint_file, capsys):
+    table = tmp_path / "l4.txt"
+    table.write_text("format=vdb-table-v1\nL=4\nk=2\nmode=iid\np=0.1\n")
+    assert main(["verify", "--constraint", str(example_constraint_file), "--table", str(table)]) == 2
+    assert capsys.readouterr() == ("", "error: table is (L=4, k=2) but constraint is (L=3, k=2)\n")
+
+
+@pytest.mark.parametrize("solve", ["solve_perbit", "encode"])
+def test_perbit_solve_builds_one_family_and_one_row_object(
+    tmp_path, example_constraint, example_constraint_file, monkeypatch, solve
+):
+    # the per-bit solver walks its iid start on its own rows; it does not call solve_iid
+    calls = {"sets_fast": 0, "_Rows": 0}
+    sets_fast, init = setgen.sets_fast, codegen._Rows.__init__
+
+    def counted_sets_fast(L, k):
+        calls["sets_fast"] += 1
+        return sets_fast(L, k)
+
+    def counted_init(rows, c):
+        calls["_Rows"] += 1
+        init(rows, c)
+
+    monkeypatch.setattr(setgen, "sets_fast", counted_sets_fast)
+    monkeypatch.setattr(codegen._Rows, "__init__", counted_init)
+    if solve == "solve_perbit":
+        codegen.solve_perbit(example_constraint)
+    else:
+        argv = ["encode", "--constraint", str(example_constraint_file), "--mode", "perbit", "--out", str(tmp_path / "t")]
+        assert main(argv) == 0
+    assert calls == {"sets_fast": 1, "_Rows": 1}
 
 
 def test_simulate_p29_passes(tmp_path, reciprocal_file):
@@ -583,7 +616,7 @@ def test_percent_formats_match_the_f_string_specs():
 
 def reference_verify_stdout(constraint_path, table_path):
     c = codegen.load_constraint(constraint_path)
-    report = codegen.verify_table(sets_fast(c.L, c.k), c, codegen.load_table(table_path))
+    report = codegen.verify_table(codegen.load_table(table_path), c)
     lines = [f"m={m} margin={margin:.9g}" for m, margin in sorted(report.margins.items())]
     lines.append(f"verify: {'pass' if report.passed else 'FAIL'} (worst margin {report.worst:.9g})")
     return "".join(line + "\n" for line in lines)

@@ -103,7 +103,7 @@ def test_lhs_accuracy_against_fsum_oracle():
 def test_array_lhs_matches_constraint_lhs(L, k):
     sets = sets_fast(L, k)
     c = TailConstraint.reciprocal(L, k)
-    rows = _Rows(sets, c)
+    rows = _Rows(c)
     assert rows.keys.tolist() == sorted(sets.sets)
     assert np.array_equal(rows.keys[rows.index], sets.ms)
     assert rows.bounds.tolist() == [1.0 / (m + 1) for m in rows.keys.tolist()]
@@ -143,11 +143,11 @@ def test_row_sums_and_margins_within_round_off_of_exact_rationals(L, k):
     # gamma_n = n*u / (1 - n*u), taken exactly here), and each computed
     # margin F(m) - lhs(m) within `_Rows.allowance` of the exact margin.
     sets, c = sets_fast(L, k), TailConstraint.reciprocal(L, k)
-    rows = _Rows(sets, c)
+    rows = _Rows(c)
     groups = sets.sets
-    iid = solve_iid(sets, c)
+    iid = solve_iid(c)
     u = np.random.default_rng(L * 10 + k).random((8, L))
-    tables = [*u, *u**8, *(1 - u**8), solve_perbit(sets, c).p_vec, iid.p_vec]
+    tables = [*u, *u**8, *(1 - u**8), solve_perbit(c).p_vec, iid.p_vec]
     tables.append([iid.metadata["first_infeasible_p"]] * L)
     unit = Fraction(1, 1 << 53)
     for p_vec in tables:
@@ -189,8 +189,8 @@ def _bisection_limit(sets, c, p_vec, i, tol):
 def test_coordinate_limit_matches_bisection(L, k):
     sets = sets_fast(L, k)
     c = TailConstraint.reciprocal(L, k)
-    rows = _Rows(sets, c)
-    p_vec = np.full(L, 0.5 * solve_iid(sets, c).p)
+    rows = _Rows(c)
+    p_vec = np.full(L, 0.5 * solve_iid(c).p)
     for i in range(L):
         limit, _ = rows.limit(p_vec, i)
         lo = _bisection_limit(sets, c, p_vec, i, PERBIT_TOL)
@@ -241,9 +241,8 @@ def test_coordinate_limit_equals_the_two_table_reference():
         L = int(rng.integers(2, 10))
         budgets.append(_random_monotone_budget(rng, L, int(rng.integers(1, L + 1))))
     for c in budgets:
-        sets = sets_fast(c.L, c.k)
-        rows = _Rows(sets, c)
-        points = [np.full(c.L, solve_iid(sets, c).p), np.asarray(solve_perbit(sets, c).p_vec)]
+        rows = _Rows(c)
+        points = [np.full(c.L, solve_iid(c).p), np.asarray(solve_perbit(c).p_vec)]
         for _ in range(4):
             p = rng.uniform(0.0, 1.0, c.L)
             p[rng.random(c.L) < 0.25] = 0.0
@@ -259,10 +258,10 @@ def test_coordinate_limit_equals_the_two_table_reference():
 
 def test_solve_perbit_equals_the_two_table_reference(monkeypatch):
     budgets = _design_budgets()
-    tables = [solve_perbit(sets_fast(c.L, c.k), c) for c in budgets]
+    tables = [solve_perbit(c) for c in budgets]
     monkeypatch.setattr(_Rows, "limit", lambda rows, p, i: reference_coordinate_limit(rows, p, i)[2:])
     for c, table in zip(budgets, tables):
-        want = solve_perbit(sets_fast(c.L, c.k), c)
+        want = solve_perbit(c)
         assert table.p_vec == want.p_vec and table.metadata == want.metadata
 
 
@@ -270,18 +269,18 @@ def test_solve_perbit_equals_the_two_table_reference(monkeypatch):
 # solve_iid
 
 
-def _assert_iid_bracket(sets, c):
+def _assert_iid_bracket(c):
     """solve_iid's p is feasible on [0, p] and, unless it is 1, within 1e-6 (relative) of an infeasible point."""
-    table = solve_iid(sets, c)
+    table = solve_iid(c)
     for p in np.linspace(0.0, table.p, 51):
-        assert verify_table(sets, c, CodeTable.iid(sets.L, sets.k, float(p))).passed
+        assert verify_table(CodeTable.iid(c.L, c.k, float(p)), c).passed
     hi = table.metadata["first_infeasible_p"]
     if table.p == 1.0:
         assert hi is None
         return table
     assert table.p < hi and hi - table.p <= 1e-6 * hi
     # some row exceeds F at hi, by more than round-off can explain
-    report = verify_table(sets, c, CodeTable.iid(sets.L, sets.k, hi))
+    report = verify_table(CodeTable.iid(c.L, c.k, hi), c)
     assert report.worst < 0 and not report.passed
     return table
 
@@ -291,39 +290,34 @@ def test_solve_iid_brackets_single_root(example_sets, target):
     # only S_1 (mass p(1-p), rising below 1/2) binds, at exactly `target`
     p1 = constraint_lhs(example_sets.sets[1], [target] * 3)
     c = TailConstraint(3, 2, [1, 2], [p1, 1.0])
-    table = _assert_iid_bracket(example_sets, c)
+    table = _assert_iid_bracket(c)
     assert table.p <= target <= table.metadata["first_infeasible_p"]
 
 
 @pytest.mark.parametrize("L", range(3, 13))
 def test_solve_iid_bracket_reciprocal(L):
-    _assert_iid_bracket(sets_fast(L, 3), TailConstraint.reciprocal(L, 3))
+    _assert_iid_bracket(TailConstraint.reciprocal(L, 3))
 
 
 @pytest.mark.parametrize("L,k", [(11, 3), (12, 3), (12, 12)])
 def test_verify_fails_excess_under_1e9_at_first_infeasible_p(L, k):
     # the excess at first_infeasible_p is below 1e-9 here; only an allowance
     # scaled to each row's round-off tells it from a feasible margin
-    sets, c = sets_fast(L, k), TailConstraint.reciprocal(L, k)
-    table = solve_iid(sets, c)
-    report = verify_table(sets, c, CodeTable.iid(L, k, table.metadata["first_infeasible_p"]))
+    c = TailConstraint.reciprocal(L, k)
+    table = solve_iid(c)
+    report = verify_table(CodeTable.iid(L, k, table.metadata["first_infeasible_p"]), c)
     assert -1e-9 <= report.worst < 0 and not report.passed
-    assert verify_table(sets, c, table).passed
+    assert verify_table(table, c).passed
 
 
 @pytest.mark.parametrize("solve", [solve_iid, solve_perbit])
-def test_failed_self_check_names_the_worst_row_in_one_line(
-    monkeypatch, example_sets, example_constraint, solve
-):
-    margins = solve(example_sets, example_constraint).metadata["margins"]
+def test_failed_self_check_names_the_worst_row_in_one_line(monkeypatch, example_constraint, solve):
+    margins = solve(example_constraint).metadata["margins"]
     worst = min(margins, key=margins.get)
-    # the per-bit solver starts from the iid table, whose own check must not raise first
-    iid = solve_iid(example_sets, example_constraint)
-    monkeypatch.setattr(codegen, "solve_iid", lambda sets, c: iid)
     # a negative allowance fails every row, as a real excess would
     monkeypatch.setattr(_Rows, "allowance", lambda rows, lhs: np.full(lhs.shape, -2.0))
     with pytest.raises(InfeasibleConstraintError) as info:
-        solve(example_sets, example_constraint)
+        solve(example_constraint)
     assert str(info.value) == (
         f"solver output failed re-verification: worst margin m={worst}: {margins[worst]!r}"
     )
@@ -338,11 +332,10 @@ def test_failed_self_check_names_the_worst_row_in_one_line(
     (16, 6, None, 3.05306e-05),
 ])
 def test_solve_iid_certified_answers(L, k, bounds, want):
-    sets = sets_fast(L, k)
     c = TailConstraint.reciprocal(L, k) if bounds is None else TailConstraint.from_table(L, k, bounds)
-    table = solve_iid(sets, c)
+    table = solve_iid(c)
     assert table.p == pytest.approx(want, rel=2e-6)
-    assert verify_table(sets, c, table).passed
+    assert verify_table(table, c).passed
 
 
 def _halves(coeffs, t):
@@ -382,7 +375,7 @@ def test_solve_iid_certificate_holds_in_exact_rationals(L, k):
     # first_infeasible_p some row cannot be certified.
     sets = sets_fast(L, k)
     c = TailConstraint.from_table(3, 2, EXAMPLE_BOUNDS) if (L, k) == (3, 2) else TailConstraint.reciprocal(L, k)
-    table = solve_iid(sets, c)
+    table = solve_iid(c)
     rows = []
     for m, masks in sets.sets.items():
         counts = [0] * (L + 1)
@@ -397,21 +390,21 @@ def test_solve_iid_certificate_holds_in_exact_rationals(L, k):
     assert None in [_halvings_to_certify(_halves(coeffs, beyond)[0]) for coeffs in rows]
 
 
-def test_solve_iid_worked_example(example_sets, example_constraint):
-    table = solve_iid(example_sets, example_constraint)
+def test_solve_iid_worked_example(example_constraint):
+    table = solve_iid(example_constraint)
     assert table.p == pytest.approx(0.2180, abs=1e-3)
     assert table.mode == "iid"
-    assert verify_table(example_sets, example_constraint, table).passed
+    assert verify_table(table, example_constraint).passed
 
 
-def test_solve_iid_vacuous_constraint(example_sets):
+def test_solve_iid_vacuous_constraint():
     ones = TailConstraint.from_table(3, 2, {m: 1.0 for m in range(1, 7)})
-    assert solve_iid(example_sets, ones).p == 1.0
+    assert solve_iid(ones).p == 1.0
 
 
-def test_solve_iid_zero_bound(example_sets):
+def test_solve_iid_zero_bound():
     zero = TailConstraint.from_table(3, 2, {1: 0.0})
-    assert solve_iid(example_sets, zero).p == 0.0
+    assert solve_iid(zero).p == 0.0
 
 
 def test_solve_iid_zero_bound_on_weight_two_masks(example_sets):
@@ -420,18 +413,17 @@ def test_solve_iid_zero_bound_on_weight_two_masks(example_sets):
     # subnormal number reached by halving towards 0
     assert set(map(int.bit_count, example_sets.sets[3])) == {2}
     zero = TailConstraint(3, 2, [3], [0.0])
-    assert solve_iid(example_sets, zero).p == 0.0
+    assert solve_iid(zero).p == 0.0
 
 
-def test_solve_iid_maximality_certificate(example_sets, example_constraint):
-    table = _assert_iid_bracket(example_sets, example_constraint)
+def test_solve_iid_maximality_certificate(example_constraint):
+    table = _assert_iid_bracket(example_constraint)
     hi = table.metadata["first_infeasible_p"]
-    assert not verify_table(example_sets, example_constraint, CodeTable.iid(3, 2, hi)).passed
+    assert not verify_table(CodeTable.iid(3, 2, hi), example_constraint).passed
 
 
 def test_solve_iid_maximality_randomized():
     rng = np.random.default_rng(11)
-    ps = sets_fast(4, 2)
     for _ in range(10):
         bounds = {m: float(rng.uniform(0.05, 1.0)) for m in range(1, 13)}
         # enforce a nonincreasing staircase
@@ -439,18 +431,13 @@ def test_solve_iid_maximality_randomized():
         for m in sorted(bounds):
             running = min(running, bounds[m])
             bounds[m] = running
-        _assert_iid_bracket(ps, TailConstraint.from_table(4, 2, bounds))
+        _assert_iid_bracket(TailConstraint.from_table(4, 2, bounds))
 
 
-def test_solve_iid_deterministic(example_sets, example_constraint):
-    a = solve_iid(example_sets, example_constraint)
-    b = solve_iid(example_sets, example_constraint)
+def test_solve_iid_deterministic(example_constraint):
+    a = solve_iid(example_constraint)
+    b = solve_iid(example_constraint)
     assert a.p == b.p and a.metadata == b.metadata
-
-
-def test_solve_iid_rejects_mismatched_dimensions(example_constraint):
-    with pytest.raises(ParameterError):
-        solve_iid(sets_fast(4, 2), example_constraint)
 
 
 def test_solvers_handle_empty_placement_sets():
@@ -459,10 +446,10 @@ def test_solvers_handle_empty_placement_sets():
     sets = sets_fast(3, 1)
     assert 3 not in sets.sets
     c = TailConstraint(3, 1, [1, 3, 4], [0.3, 0.0, 0.3])
-    iid = solve_iid(sets, c)
+    iid = solve_iid(c)
     assert iid.p > 0  # the zero bound at the empty m=3 never binds
-    perbit = solve_perbit(sets, c)
-    report = verify_table(sets, c, perbit)
+    perbit = solve_perbit(c)
+    report = verify_table(perbit, c)
     assert report.passed and sorted(report.margins) == [1, 2, 4]
 
 
@@ -470,80 +457,79 @@ def test_solvers_handle_empty_placement_sets():
 # solve_perbit
 
 
-def test_reference_perbit_point_is_feasible(example_sets, example_constraint):
+def test_reference_perbit_point_is_feasible(example_constraint):
     table = CodeTable.perbit(3, 2, REFERENCE_PERBIT)
-    report = verify_table(example_sets, example_constraint, table)
+    report = verify_table(table, example_constraint)
     assert report.passed
     assert report.worst >= -1e-3
 
 
-def test_solve_perbit_feasible_and_certified(example_sets, example_constraint):
-    table = solve_perbit(example_sets, example_constraint)
-    assert verify_table(example_sets, example_constraint, table).passed
+def test_solve_perbit_feasible_and_certified(example_constraint):
+    table = solve_perbit(example_constraint)
+    assert verify_table(table, example_constraint).passed
     assert all(c in ("blocked", "at-domain-boundary") for c in table.metadata["certificate"])
 
 
-def test_solve_perbit_dominates_iid(example_sets, example_constraint):
-    iid = solve_iid(example_sets, example_constraint)
-    perbit = solve_perbit(example_sets, example_constraint)
+def test_solve_perbit_dominates_iid(example_constraint):
+    iid = solve_iid(example_constraint)
+    perbit = solve_perbit(example_constraint)
     assert all(p >= iid.p - PERBIT_TOL for p in perbit.p_vec)
 
 
-def test_solve_perbit_local_maximality(example_sets, example_constraint):
-    table = solve_perbit(example_sets, example_constraint)
+def test_solve_perbit_local_maximality(example_constraint):
+    table = solve_perbit(example_constraint)
     for i, p in enumerate(table.p_vec):
         if p >= 1.0:
             continue
         bumped = list(table.p_vec)
         bumped[i] = min(1.0, p + 4 * PERBIT_TOL)
-        assert not verify_table(example_sets, example_constraint, CodeTable.perbit(3, 2, bumped)).passed
+        assert not verify_table(CodeTable.perbit(3, 2, bumped), example_constraint).passed
 
 
-def _assert_binding_blocks(sets, c, table, tol):
+def _assert_binding_blocks(c, table, tol):
     binding = table.metadata["binding"]
-    assert len(binding) == sets.L
+    assert len(binding) == c.L
     for i, (p, m) in enumerate(zip(table.p_vec, binding)):
         if p >= 1.0:
             assert m is None
             continue
         bumped = list(table.p_vec)
         bumped[i] = p + 4 * tol
-        assert verify_table(sets, c, CodeTable.perbit(sets.L, sets.k, bumped)).margins[m] < 0
+        assert verify_table(CodeTable.perbit(c.L, c.k, bumped), c).margins[m] < 0
 
 
-def test_solve_perbit_binding_example(example_sets, example_constraint):
-    table = solve_perbit(example_sets, example_constraint)
-    _assert_binding_blocks(example_sets, example_constraint, table, PERBIT_TOL)
+def test_solve_perbit_binding_example(example_constraint):
+    table = solve_perbit(example_constraint)
+    _assert_binding_blocks(example_constraint, table, PERBIT_TOL)
 
 
 def _seeded_l5_budget():
     rng = np.random.default_rng(2024)
     L = 5
-    sets = sets_fast(L, L)
-    m = np.arange(1, max(sets.sets) + 1)
+    m = np.arange(1, 2**L)
     f = np.minimum.accumulate(0.8 / (m + 1.0) * rng.uniform(0.9, 1.1, m.size))
-    return sets, TailConstraint.from_table(L, L, {int(i): float(v) for i, v in zip(m, f)})
+    return TailConstraint.from_table(L, L, {int(i): float(v) for i, v in zip(m, f)})
 
 
 def test_solve_perbit_binding_seeded_budget():
-    sets, c = _seeded_l5_budget()
-    table = solve_perbit(sets, c)
+    c = _seeded_l5_budget()
+    table = solve_perbit(c)
     assert all(b is not None for b in table.metadata["binding"])
-    _assert_binding_blocks(sets, c, table, PERBIT_TOL)
+    _assert_binding_blocks(c, table, PERBIT_TOL)
 
 
 @pytest.mark.parametrize("case", ["example", "seeded-5", "reciprocal-6-6"])
-def test_solve_perbit_certificate_matches_bump_check(example_sets, example_constraint, case):
+def test_solve_perbit_certificate_matches_bump_check(example_constraint, case):
     # the certificate comes from the coordinate limit; evaluating every row
     # with p_i raised by 4*tol must give the same verdict
     if case == "example":
-        sets, c = example_sets, example_constraint
+        c = example_constraint
     elif case == "seeded-5":
-        sets, c = _seeded_l5_budget()
+        c = _seeded_l5_budget()
     else:
-        sets, c = sets_fast(6, 6), TailConstraint.reciprocal(6, 6)
-    table = solve_perbit(sets, c)
-    rows = _Rows(sets, c)
+        c = TailConstraint.reciprocal(6, 6)
+    table = solve_perbit(c)
+    rows = _Rows(c)
     want = []
     for i, p in enumerate(table.p_vec):
         if p >= 1.0:
@@ -556,30 +542,30 @@ def test_solve_perbit_certificate_matches_bump_check(example_sets, example_const
     assert table.metadata["certificate"] == tuple(want)
 
 
-def test_solve_perbit_binding_none_at_domain_boundary(example_sets):
+def test_solve_perbit_binding_none_at_domain_boundary():
     ones = TailConstraint.from_table(3, 2, {m: 1.0 for m in range(1, 7)})
-    table = solve_perbit(example_sets, ones)
+    table = solve_perbit(ones)
     assert table.p_vec == (1.0, 1.0, 1.0)
     assert table.metadata["binding"] == (None, None, None)
 
 
-def test_solve_perbit_zero_bounds(sets_l3k3):
+def test_solve_perbit_zero_bounds():
     zero = TailConstraint.from_table(3, 3, {1: 0.0})
-    table = solve_perbit(sets_l3k3, zero)
+    table = solve_perbit(zero)
     assert table.p_vec == (0.0, 0.0, 0.0)
 
 
-def test_solve_perbit_deterministic(example_sets, example_constraint):
-    a = solve_perbit(example_sets, example_constraint)
-    b = solve_perbit(example_sets, example_constraint)
+def test_solve_perbit_deterministic(example_constraint):
+    a = solve_perbit(example_constraint)
+    b = solve_perbit(example_constraint)
     assert a.p_vec == b.p_vec
 
 
-def test_reported_l3k3_point_feasible_in_some_order(sets_l3k3, reciprocal_constraint):
+def test_reported_l3k3_point_feasible_in_some_order(reciprocal_constraint):
     feasible = [
         perm
         for perm in permutations((0.25, 0.44, 0.31))
-        if verify_table(sets_l3k3, reciprocal_constraint, CodeTable.perbit(3, 3, perm)).passed
+        if verify_table(CodeTable.perbit(3, 3, perm), reciprocal_constraint).passed
     ]
     assert feasible  # at least one bit-order assignment satisfies the bound
 
@@ -588,22 +574,29 @@ def test_reported_l3k3_point_feasible_in_some_order(sets_l3k3, reciprocal_constr
 # verify_table
 
 
-def test_verify_reference_iid_point(example_sets, example_constraint):
-    report = verify_table(example_sets, example_constraint, CodeTable.iid(3, 2, 0.2180))
+def test_verify_reference_iid_point(example_constraint):
+    report = verify_table(CodeTable.iid(3, 2, 0.2180), example_constraint)
     assert report.passed and all(v >= 0 for v in report.margins.values())
 
 
-def test_verify_half_fails(example_sets, example_constraint):
-    report = verify_table(example_sets, example_constraint, CodeTable.iid(3, 2, 0.5))
+def test_verify_half_fails(example_constraint):
+    report = verify_table(CodeTable.iid(3, 2, 0.5), example_constraint)
     assert not report.passed
     assert report.margins[5] < 0  # p^2(1-p) = 0.125 > 2/30
 
 
-def test_verify_zero_table_margins_equal_bounds(example_sets, example_constraint):
-    report = verify_table(example_sets, example_constraint, CodeTable.iid(3, 2, 0.0))
+def test_verify_zero_table_margins_equal_bounds(example_constraint):
+    report = verify_table(CodeTable.iid(3, 2, 0.0), example_constraint)
     assert report.passed
     for m, margin in report.margins.items():
         assert margin == pytest.approx(EXAMPLE_BOUNDS[m])
+
+
+@pytest.mark.parametrize("L,k", [(4, 2), (3, 3), (3, 1)])
+def test_verify_refuses_a_table_of_another_word(example_constraint, L, k):
+    with pytest.raises(ParameterError) as info:
+        verify_table(CodeTable.iid(L, k, 0.1), example_constraint)
+    assert str(info.value) == f"table is (L={L}, k={k}) but constraint is (L=3, k=2)"
 
 
 # ---------------------------------------------------------------------------
@@ -965,6 +958,28 @@ def test_three_row_budget_at_24_3_parses_in_under_1_mb():
     assert c.m_max == 7 << 21 and c.ms.tolist() == [1, 64, 4096]
     assert c.bounds_at(np.array([1, 63, 64, 4095, 4096, c.m_max])).tolist() == [0.5, 0.5, 0.05, 0.05, 0.001, 0.001]
     assert serialize_constraint(c) == text
+
+
+def test_rise_across_a_gap_names_the_row_below():
+    # the row below m=4096 is m=64, not m=4095
+    with pytest.raises(ParameterError) as info:
+        TailConstraint.from_table(20, 3, {1: 0.5, 64: 0.05, 4096: 0.1})
+    assert str(info.value) == "bound increases from m=64 (0.05) to m=4096 (0.1)"
+
+
+@pytest.mark.parametrize("m,build", [
+    (2**70, lambda m: TailConstraint.from_table(3, 2, {m: 0.5})),
+    (-(2**70), lambda m: TailConstraint.from_table(3, 2, {1: 0.5, m: 0.25})),
+    (2**63, lambda m: TailConstraint.from_table(3, 2, {np.uint64(m): 0.5})),
+    (2**70, lambda m: TailConstraint(3, 2, [m], [0.5])),
+    (2**63, lambda m: TailConstraint(3, 2, np.array([m], dtype=np.uint64), [0.5])),
+], ids=["from_table", "from_table-negative", "from_table-uint64", "list", "uint64-array"])
+def test_m_beyond_int64_is_outside_the_range(m, build):
+    # no overflow out of the int64 conversion, no "must be ints" for Python
+    # ints and no uint64 m wrapped to a negative one
+    with pytest.raises(ParameterError) as info:
+        build(m)
+    assert str(info.value) == f"constraint m={m} outside [1, 6]"
 
 
 @pytest.mark.parametrize("key", [1.5, "1", True, 2.0, None])
