@@ -20,6 +20,11 @@ covered by the same exact fold plus the single-error analytic form: one
 upset moves the value by exactly 2**i, so that form is one matrix
 product over the value PMF's bit planes, and it is checked against a
 restricted enumeration rather than trusted.
+
+A value PMF and a distortion law are each two read-only arrays over their
+support, int64 keys and float64 masses, built straight from the numpy
+results that produce them and read as arrays by every consumer; their
+`mass` dict is a view built on first read.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ import csv
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
@@ -51,41 +56,180 @@ MODE_CAPPED = "cap-weight"
 _CHUNK_SIZE = 1 << 16
 _MAX_EXACT_L = 16
 _INT64 = np.iinfo(np.int64)
+_TOLERANCE = 1e-9  # how far a law's total may stray from 1, and a distortion mass below 0
 
 
-@dataclass(frozen=True)
-class EmpiricalPMF:
-    """Probability mass function over L-bit values."""
+class _Law:
+    """A law over integer keys, held as two read-only arrays over its support.
 
-    L: int
-    mass: dict[int, float]
-    sample_count: int | None = None
+    `keys` (int64) and `masses` (float64) list the support in the order it
+    was given: a mapping's order, or ascending from the producers.  Neither
+    is ever 2**L long unless the support is.  `mass` is the same law as a
+    plain dict {key: mass} in that order, built from the arrays on first
+    read and cached; nothing in the package reads it, and it is kept for
+    callers that read a law as a dict, the benchmark among them.
+    Instances are read-only, and two laws are equal when their other
+    fields are and they give each key the same mass, in whatever order.
+    """
 
-    def __post_init__(self) -> None:
-        WordSpec(self.L)
-        n = 1 << self.L
-        for v, p in self.mass.items():
-            check_int("value", v)
-            if not 0 <= v < n:
-                raise ParameterError(f"value {v} outside [0, {n})")
-            if not 0.0 <= p < math.inf:
-                raise ParameterError(f"value {v} has mass {p!r}, not a finite number >= 0")
-        total = math.fsum(self.mass.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ParameterError(f"masses sum to {total}, not 1")
-        count = self.sample_count
-        if count is not None and not (is_int(count) and count >= 1):
-            raise ParameterError(f"sample_count must be a positive int, got {count!r}")
+    __slots__ = ("keys", "masses", "_mass")
+    _KEY = "key"  # the keys' name in messages
+
+    def _set_law(self, keys: np.ndarray, masses: np.ndarray) -> None:
+        keys.setflags(write=False)
+        masses.setflags(write=False)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "_mass", None)
+
+    def _from_mapping(self, mapping: Mapping[int, float], hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """`mapping`'s keys as int64 and masses as float64, in its order; each key must be an int in [0, hi)."""
+        for key in mapping:
+            _check_key(self._KEY, key, hi)
+        return self._from_arrays(np.fromiter(mapping, np.int64, len(mapping)), list(mapping.values()), hi)
+
+    def _from_arrays(self, keys, masses, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of `keys` as int64 and `masses` as float64; the keys must be distinct ints in [0, hi)."""
+        keys = np.asarray(keys)
+        try:
+            masses = np.asarray(masses)
+        except ValueError as exc:  # ragged
+            raise ParameterError(f"masses must be real numbers ({exc})") from None
+        if masses.size and masses.dtype.kind not in "biuf":
+            raise ParameterError(f"masses must be real numbers, got an array of {masses.dtype}")
+        masses = masses.astype(np.float64)
+        if keys.ndim != 1 or keys.shape != masses.shape:
+            raise ParameterError(f"need one mass per {self._KEY}, got shapes {keys.shape} and {masses.shape}")
+        if keys.dtype == object:  # Python ints, some perhaps beyond int64
+            for key in keys.tolist():
+                _check_key(self._KEY, key, hi)
+            keys = keys.astype(np.int64)
+        if keys.size and keys.dtype.kind not in "iu":
+            raise ParameterError(f"{self._KEY}s must be ints, got an array of {keys.dtype}")
+        bad = (keys < 0) | (keys > hi - 1)  # hi - 1 fits int64 and uint64, where 2**63 does not
+        if bad.any():
+            _check_key(self._KEY, keys[np.argmax(bad)].item(), hi)
+        if not (keys[1:] > keys[:-1]).all():  # the producers' keys ascend, so only other orders pay for the sort
+            ordered = np.sort(keys)
+            twice = ordered[1:][ordered[1:] == ordered[:-1]]
+            if twice.size:
+                raise ParameterError(f"{self._KEY} {twice[0]} is listed twice")
+        return keys.astype(np.int64), masses
+
+    def _check_masses(self, floor: float) -> None:
+        ok = (self.masses >= floor) & (self.masses < math.inf)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ParameterError(
+                f"{self._KEY} {self.keys[i]} has mass {self.masses[i].item()!r}, not a finite number >= 0"
+            )
+
+    @property
+    def mass(self) -> dict[int, float]:
+        if self._mass is None:
+            object.__setattr__(self, "_mass", dict(zip(self.keys.tolist(), self.masses.tolist())))
+        return self._mass
+
+    def _fields(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._fields() != other._fields() or self.keys.size != other.keys.size:
+            return False
+        mine, theirs = np.argsort(self.keys), np.argsort(other.keys)
+        return bool(
+            (self.keys[mine] == other.keys[theirs]).all() and (self.masses[mine] == other.masses[theirs]).all()
+        )
+
+    __hash__ = None
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _check_key(name: str, key, hi: int) -> None:
+    check_int(name, key)
+    if not 0 <= key < hi:
+        raise ParameterError(f"{name} {key} outside [0, {hi})")
+
+
+def _check_total(masses: np.ndarray) -> None:
+    """A ParameterError unless `math.fsum(masses)` is within 1e-9 of 1; a NaN, inf or overflowing sum fails.
+
+    A pairwise `np.sum` is within n * 2**-52 * sum|x| of the exact sum, and
+    so of fsum's, so it settles every total but one that close to the
+    edge; only those, and the refusals, pay for the fsum.
+    """
+    with np.errstate(all="ignore"):
+        fast = float(masses.sum())
+        slack = masses.size * 2.0**-52 * float(np.abs(masses).sum())
+    if abs(fast - 1.0) <= _TOLERANCE - slack:
+        return
+    try:
+        total = math.fsum(masses.tolist())
+    except ValueError:  # inf + -inf
+        total = math.nan
+    except OverflowError:
+        total = math.inf
+    if not abs(total - 1.0) <= _TOLERANCE:  # a NaN total fails too
+        raise ParameterError(f"masses sum to {total}, not 1")
+
+
+class EmpiricalPMF(_Law):
+    """Probability mass function over L-bit values.
+
+    `EmpiricalPMF(L, mapping, sample_count)` takes {value: mass};
+    `from_arrays` takes the values and masses as two arrays.  Either way
+    each value is an int in [0, 2**L), each mass a finite number >= 0, and
+    the masses sum to 1 within 1e-9.
+    """
+
+    __slots__ = ("L", "sample_count")
+    _KEY = "value"
+
+    def __init__(self, L: int, mass: Mapping[int, float], sample_count: int | None = None) -> None:
+        WordSpec(L)
+        self._init(L, *self._from_mapping(mass, 1 << L), sample_count)
+
+    @classmethod
+    def from_arrays(cls, L: int, values, masses, sample_count: int | None = None) -> "EmpiricalPMF":
+        WordSpec(L)
+        pmf = cls.__new__(cls)
+        pmf._init(L, *pmf._from_arrays(values, masses, 1 << L), sample_count)
+        return pmf
+
+    def _init(self, L: int, values: np.ndarray, masses: np.ndarray, sample_count: int | None) -> None:
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "sample_count", sample_count)
+        self._set_law(values, masses)
+        self._check_masses(0.0)
+        _check_total(masses)
+        if sample_count is not None and not (is_int(sample_count) and sample_count >= 1):
+            raise ParameterError(f"sample_count must be a positive int, got {sample_count!r}")
+
+    def _fields(self) -> tuple:
+        return self.L, self.sample_count
+
+    def __repr__(self) -> str:
+        return f"EmpiricalPMF(L={self.L!r}, mass={self.mass!r}, sample_count={self.sample_count!r})"
+
+    def __reduce__(self):
+        return EmpiricalPMF.from_arrays, (self.L, self.keys, self.masses, self.sample_count)
 
     def to_array(self) -> np.ndarray:
         arr = np.zeros(1 << self.L, dtype=np.float64)
-        arr[list(self.mass)] = list(self.mass.values())
+        arr[self.keys] = self.masses
         return arr
 
     @classmethod
     def uniform(cls, L: int) -> "EmpiricalPMF":
         n = 1 << L
-        return cls(L, {v: 1.0 / n for v in range(n)})
+        return cls.from_arrays(L, np.arange(n), np.full(n, 1.0 / n))
 
     @classmethod
     def point_mass(cls, L: int, value: int) -> "EmpiricalPMF":
@@ -123,33 +267,73 @@ class UpsetModel:
         return np.asarray(self.upset_prob) * (1.0 - np.asarray(self.forced_one_prob))
 
 
-@dataclass(frozen=True)
-class DistortionDistribution:
-    """PMF over integer distortion m, with provenance metadata."""
+class DistortionDistribution(_Law):
+    """PMF over integer distortion m, with provenance metadata.
 
-    mass: dict[int, float]
-    provenance: str
-    trials: int | None = None
-    seed: int | None = None
-    generator: str | None = None
+    `DistortionDistribution(mapping, provenance, ...)` takes {m: mass};
+    `from_arrays` takes the m and masses as two arrays.  Either way each m
+    is an int in [0, 2**63), the masses sum to 1 within 1e-9, and no mass
+    is below -1e-9: the single-error law's m = 0 remainder, one minus the
+    other masses, dips below 0 by round-off when a value PMF totals up to
+    1 + 1e-9, as a PMF may.
+    """
 
-    def __post_init__(self) -> None:
-        total = math.fsum(self.mass.values())
-        if not abs(total - 1.0) <= 1e-9:  # a NaN total fails too
-            raise ParameterError(f"masses sum to {total}, not 1")
+    __slots__ = ("provenance", "trials", "seed", "generator")
+    _KEY = "m"
+
+    def __init__(
+        self,
+        mass: Mapping[int, float],
+        provenance: str,
+        trials: int | None = None,
+        seed: int | None = None,
+        generator: str | None = None,
+    ) -> None:
+        self._init(*self._from_mapping(mass, 1 << 63), provenance, trials, seed, generator)
+
+    @classmethod
+    def from_arrays(
+        cls, ms, masses, provenance: str, trials: int | None = None, seed: int | None = None,
+        generator: str | None = None,
+    ) -> "DistortionDistribution":
+        dist = cls.__new__(cls)
+        dist._init(*dist._from_arrays(ms, masses, 1 << 63), provenance, trials, seed, generator)
+        return dist
+
+    def _init(self, ms, masses, provenance, trials, seed, generator) -> None:
+        for name, value in (("provenance", provenance), ("trials", trials), ("seed", seed), ("generator", generator)):
+            object.__setattr__(self, name, value)
+        self._set_law(ms, masses)
+        _check_total(masses)  # first, so a NaN or infinite mass reads as the sum it makes
+        self._check_masses(-_TOLERANCE)
+
+    def _fields(self) -> tuple:
+        return self.provenance, self.trials, self.seed, self.generator
+
+    def __repr__(self) -> str:
+        return (
+            f"DistortionDistribution(mass={self.mass!r}, provenance={self.provenance!r}, trials={self.trials!r}, "
+            f"seed={self.seed!r}, generator={self.generator!r})"
+        )
+
+    def __reduce__(self):
+        return DistortionDistribution.from_arrays, (self.keys, self.masses, *self._fields())
 
     def at(self, m: int) -> float:
-        return self.mass.get(m, 0.0)
+        hit = np.flatnonzero(self.keys == m)
+        return self.masses[hit[0]].item() if hit.size else 0.0
 
 
-def _mass_and_tail(d: DistortionDistribution, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masses f(m) and tails Pr(M > m) for m = 0..top, as float64 arrays.
+def _mass_and_tail(d: DistortionDistribution, top: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Masses f(m) and tails Pr(M > m) for m = 0..top (default: the support's top), as float64 arrays.
 
     The tail is a running sum from the top of the support down (cumsum
     adds in sequence), so every entry is bit-for-bit that loop's value.
     """
+    if top is None:
+        top = int(d.keys.max())
     mass = np.zeros(top + 1, dtype=np.float64)
-    mass[list(d.mass)] = list(d.mass.values())
+    mass[d.keys] = d.masses
     tail = np.zeros(top + 1, dtype=np.float64)
     tail[:-1] = np.cumsum(mass[:0:-1])[::-1]
     return mass, tail
@@ -157,9 +341,7 @@ def _mass_and_tail(d: DistortionDistribution, top: int) -> tuple[np.ndarray, np.
 
 def tail_of(d: DistortionDistribution) -> dict[int, float]:
     """Complementary cumulative masses Pr(M > m) for m = 0..max support."""
-    if not d.mass:
-        return {}
-    _, tail = _mass_and_tail(d, max(d.mass))
+    _, tail = _mass_and_tail(d)
     return dict(enumerate(tail.tolist()))
 
 
@@ -419,9 +601,8 @@ def simulate(
     counts = _distortion_counts(rng, trials, mask_law, value_law, table.L)
 
     seen = np.flatnonzero(counts)
-    mass = dict(zip(seen.tolist(), (counts[seen] / trials).tolist()))
-    dist = DistortionDistribution(
-        mass, PROVENANCE_MONTE_CARLO, trials=trials, seed=seed, generator=GENERATOR_ID
+    dist = DistortionDistribution.from_arrays(
+        seen, counts[seen] / trials, PROVENANCE_MONTE_CARLO, trials=trials, seed=seed, generator=GENERATOR_ID
     )
     mode = MODE_FLIP if cap_weight is None else f"{MODE_CAPPED}<={cap_weight}"
     columns, passed = check_against_constraint(dist, constraint, trials)
@@ -436,7 +617,7 @@ def check_against_constraint(
     top is the larger of the support's top and the constraint's m_max;
     an m beyond m_max is checked against F(m_max).
     """
-    top = max(max(dist.mass, default=0), constraint.m_max)
+    top = max(int(dist.keys.max()), constraint.m_max)
     mass, tail = _mass_and_tail(dist, top)
     ms = np.arange(1, top + 1)
     bound = constraint.bounds_at(ms)
@@ -473,8 +654,7 @@ def exact_distortion(
         force_to_one, force_to_zero = model.force_to_one(), model.force_to_zero()
     pmf = _kernels.distortion_pmf_forced(force_to_one, force_to_zero, value_probs)
     seen = np.flatnonzero(pmf)
-    mass = dict(zip(seen.tolist(), pmf[seen].tolist()))
-    return DistortionDistribution(mass, PROVENANCE_EXACT)
+    return DistortionDistribution.from_arrays(seen, pmf[seen], PROVENANCE_EXACT)
 
 
 def placement_mass(table: CodeTable) -> dict[int, float]:
@@ -519,7 +699,7 @@ def single_error_oracle(pmf: EmpiricalPMF, upsets: UpsetModel) -> DistortionDist
     # Bit i of a value a is forced to the other value: to 1 when a_i = 0, to 0 when a_i = 1.
     forced = (upsets.force_to_one().tolist(), upsets.force_to_zero().tolist())
     mass: dict[int, float] = {}
-    for a, pa in pmf.mass.items():
+    for a, pa in zip(pmf.keys.tolist(), pmf.masses.tolist()):
         for i in range(L):
             flip_prob = forced[(a >> i) & 1][i]
             if flip_prob:
@@ -547,20 +727,18 @@ def analytic_single_error(
     if pmf.L != upsets.L:
         raise ParameterError("PMF and upset model have different word lengths")
     L = pmf.L
-    values = np.fromiter(pmf.mass, dtype=np.int64, count=len(pmf.mass))
-    probs = np.fromiter(pmf.mass.values(), dtype=np.float64, count=len(pmf.mass))
-    planes = (values[:, None] >> np.arange(L)) & 1
+    planes = (pmf.keys[:, None] >> np.arange(L)) & 1
     # Bit i is forced to the other value: to 0 when a_i = 1, to 1 when a_i = 0.
-    flips = probs @ np.where(planes, upsets.force_to_zero(), upsets.force_to_one())
+    flips = pmf.masses @ np.where(planes, upsets.force_to_zero(), upsets.force_to_one())
     others = np.where(np.eye(L, dtype=bool), 1.0, 1.0 - np.asarray(upsets.upset_prob)).prod(axis=1)
     terms = flips * others
     seen = np.flatnonzero(terms)
-    mass = dict(zip((1 << seen).tolist(), terms[seen].tolist()))
-    mass[0] = 1.0 - math.fsum(mass.values())
-    analytic = DistortionDistribution(mass, PROVENANCE_SINGLE_ERROR)
+    hit = terms[seen]
+    masses = np.append(hit, 1.0 - math.fsum(hit.tolist()))  # the rest at m = 0, listed last
+    analytic = DistortionDistribution.from_arrays(np.append(1 << seen, 0), masses, PROVENANCE_SINGLE_ERROR)
 
     oracle = single_error_oracle(pmf, upsets)
-    ms = sorted(set(analytic.mass) | set(oracle.mass))
+    ms = sorted(set(analytic.keys.tolist()) | set(oracle.keys.tolist()))
     rows = {m: (analytic.at(m), oracle.at(m)) for m in ms}
     max_abs = max((abs(a - b) for a, b in rows.values()), default=0.0)
     return analytic, DivergenceReport(rows, max_abs, max_abs <= 1e-9)
@@ -621,6 +799,8 @@ def ingest_trace(
             lines = list(stream)
         values = _column_rows(lines, column, n, signed_offset, clamp, skip_header)
     values = np.clip(values, 0, n - 1).astype(np.int64, copy=False)  # the walk may give uint64 or Python ints
+    if not values.size:
+        raise ParameterError("no samples")
     # A bincount spans all 2**L values, so it is taken only when the samples are at least as many;
     # otherwise np.unique keeps the counts within the samples' memory.
     if n <= values.size:
@@ -629,7 +809,7 @@ def ingest_trace(
         counts = counts[seen]
     else:
         seen, counts = np.unique(values, return_counts=True)
-    return EmpiricalPMF.from_counts(L, dict(zip(seen.tolist(), counts.tolist())))
+    return EmpiricalPMF.from_arrays(L, seen, counts / values.size, sample_count=values.size)
 
 
 def _position(stream) -> int | None:
@@ -685,7 +865,7 @@ def format_distribution_csv(d: DistortionDistribution) -> str:
     if d.generator is not None:
         lines.append(f"# generator={d.generator}")
     lines.append("m,mass,tail")
-    mass, tail = _mass_and_tail(d, max(d.mass, default=0))
+    mass, tail = _mass_and_tail(d)
     lines += [f"{m},{f!r},{t!r}" for m, (f, t) in enumerate(zip(mass.tolist(), tail.tolist()))]
     return "\n".join(lines) + "\n"
 
@@ -700,7 +880,8 @@ def format_pmf_csv(pmf: EmpiricalPMF) -> str:
     if pmf.sample_count is not None:
         lines.append(f"# sample_count={pmf.sample_count}")
     lines.append("value,mass")
-    lines += [f"{v},{float(pmf.mass[v])!r}" for v in sorted(pmf.mass)]
+    order = np.argsort(pmf.keys)
+    lines += [f"{v},{p!r}" for v, p in zip(pmf.keys[order].tolist(), pmf.masses[order].tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -2,9 +2,11 @@ import csv
 import io
 import itertools
 import math
+import pickle
 import re
 import tracemalloc
 from collections import defaultdict
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -1271,3 +1273,216 @@ def test_upset_model_and_distortion_law_validation():
     for mass in ({0: math.nan}, {0: 0.5, 1: math.nan}, {0: math.inf}):
         with pytest.raises(ParameterError, match="masses sum to (nan|inf), not 1"):
             DistortionDistribution(mass, "exact")
+
+
+# ---------------------------------------------------------------------------
+# laws held as arrays, with the dict view built on first read
+
+
+def _items(mapping):
+    """A law's entries in order, each mass as its exact bits."""
+    return [(k, float(v).hex()) for k, v in mapping.items()]
+
+
+def _spy(monkeypatch, owner, name):
+    """Wrap owner.name so that every value it returns is appended to the returned list."""
+    real, seen = getattr(owner, name), []
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(owner, name, spy)
+    return seen
+
+
+def _random_pmf(L, seed, support=None):
+    rng = np.random.default_rng(seed)
+    n = 1 << L
+    values = rng.permutation(n)[: support or n]  # unsorted, so the mapping's order is kept
+    weights = rng.random(values.size)
+    return EmpiricalPMF(L, dict(zip(values.tolist(), (weights / weights.sum()).tolist())))
+
+
+def _random_table(L, seed, k=None):
+    p = np.random.default_rng(seed).uniform(0.01, 0.3, L)
+    return CodeTable.perbit(L, k or min(L, 3), p.tolist())
+
+
+@pytest.mark.parametrize("L", [3, 8, 12])
+@pytest.mark.parametrize("mode", ["uniform", "pmf", "capped"])
+def test_simulate_mass_is_the_dict_built_from_its_counts(monkeypatch, L, mode):
+    table = _random_table(L, L)
+    constraint = TailConstraint.reciprocal(L, table.k)
+    counts = _spy(monkeypatch, channel_sim, "_distortion_counts")
+    source = "uniform" if mode == "uniform" else _random_pmf(L, L + 1, support=(1 << L) // 2)
+    trials = 30_000
+    result = simulate(table, constraint, trials, 5, source, cap_weight=2 if mode == "capped" else None)
+    (arr,) = counts
+    seen = np.flatnonzero(arr)
+    assert _items(result.distribution.mass) == _items(dict(zip(seen.tolist(), (arr[seen] / trials).tolist())))
+
+
+@pytest.mark.parametrize("L", [3, 8, 12])
+@pytest.mark.parametrize("model", ["table", "upsets"])
+def test_exact_distortion_mass_is_the_dict_built_from_the_fold(monkeypatch, L, model):
+    rng = np.random.default_rng(L)
+    if model == "table":
+        model = _random_table(L, L)
+    else:
+        model = UpsetModel(L, tuple(rng.uniform(0, 0.1, L).tolist()), tuple(rng.uniform(0, 1, L).tolist()))
+    folds = _spy(monkeypatch, channel_sim._kernels, "distortion_pmf_forced")
+    for source in ("uniform", _random_pmf(L, L + 2, support=max(1, (1 << L) // 3))):
+        d = exact_distortion(model, source)
+        arr = folds[-1]
+        seen = np.flatnonzero(arr)
+        assert _items(d.mass) == _items(dict(zip(seen.tolist(), arr[seen].tolist())))
+
+
+@pytest.mark.parametrize("L", [3, 8, 12])
+def test_analytic_single_error_mass_is_the_dict_built_from_its_terms(L):
+    pmf = _random_pmf(L, L, support=max(2, (1 << L) // 5))
+    rng = np.random.default_rng(L)
+    upsets = UpsetModel(L, tuple(rng.uniform(0, 0.05, L).tolist()), tuple(rng.uniform(0, 1, L).tolist()))
+    d, _ = analytic_single_error(pmf, upsets)
+    # The law built as a dict from the PMF's dict: the powers of two with mass, then the rest at m = 0.
+    values = np.fromiter(pmf.mass, dtype=np.int64, count=len(pmf.mass))
+    probs = np.fromiter(pmf.mass.values(), dtype=np.float64, count=len(pmf.mass))
+    planes = (values[:, None] >> np.arange(L)) & 1
+    flips = probs @ np.where(planes, upsets.force_to_zero(), upsets.force_to_one())
+    others = np.where(np.eye(L, dtype=bool), 1.0, 1.0 - np.asarray(upsets.upset_prob)).prod(axis=1)
+    terms = flips * others
+    seen = np.flatnonzero(terms)
+    want = dict(zip((1 << seen).tolist(), terms[seen].tolist()))
+    want[0] = 1.0 - math.fsum(want.values())
+    assert _items(d.mass) == _items(want)
+
+
+@pytest.mark.parametrize("L", [3, 8, 12])
+@pytest.mark.parametrize("side", ["bincount", "unique"])
+def test_ingest_trace_mass_is_the_dict_built_from_its_counts(L, side):
+    n = 1 << L
+    rows = 2 * n if side == "bincount" else n // 2 + 1
+    values = np.random.default_rng(L).integers(0, n, rows)
+    pmf = ingest_trace(io.StringIO("".join(f"{v}\n" for v in values.tolist())), 0, L)
+    seen, counts = np.unique(values, return_counts=True)
+    want = {v: c / rows for v, c in zip(seen.tolist(), counts.tolist())}
+    assert _items(pmf.mass) == _items(want)
+    assert pmf.sample_count == rows
+
+
+@pytest.mark.parametrize("L", [3, 8, 12])
+def test_parse_pmf_csv_mass_keeps_the_file_order(L):
+    pmf = _random_pmf(L, L)
+    want = pmf.mass
+    text = f"# L={L}\nvalue,mass\n" + "".join(f"{v},{p!r}\n" for v, p in want.items())
+    got = parse_pmf_csv(text)
+    assert _items(got.mass) == _items(want)
+    assert list(got.keys) == list(want) and got == pmf
+
+
+def test_law_arrays_are_read_only_and_the_view_is_cached():
+    pmf = EmpiricalPMF(3, {5: 0.25, 0: 0.75}, sample_count=4)
+    assert pmf.keys.dtype == np.int64 and pmf.masses.dtype == np.float64
+    assert not pmf.keys.flags.writeable and not pmf.masses.flags.writeable
+    assert pmf.mass is pmf.mass and list(pmf.mass) == [5, 0]
+    with pytest.raises(FrozenInstanceError):
+        pmf.L = 4
+    with pytest.raises(FrozenInstanceError):
+        pmf.keys = np.array([1])
+    d = DistortionDistribution({2: 0.5, 0: 0.5}, "exact_enumeration")
+    assert d.at(2) == 0.5 and d.at(1) == 0.0 and d.at(0) == 0.5
+    with pytest.raises(FrozenInstanceError):
+        d.provenance = "monte_carlo"
+
+
+def test_laws_compare_by_content_in_any_order_and_pickle():
+    pmf = EmpiricalPMF(3, {5: 0.25, 0: 0.75}, sample_count=4)
+    assert pmf == EmpiricalPMF(3, {0: 0.75, 5: 0.25}, 4)
+    assert pmf == EmpiricalPMF.from_arrays(3, np.array([0, 5]), np.array([0.75, 0.25]), 4)
+    assert pmf != EmpiricalPMF(3, {0: 0.75, 5: 0.25})
+    assert pmf != EmpiricalPMF(3, {0: 0.75, 6: 0.25}, 4)
+    assert pmf != EmpiricalPMF(4, {0: 0.75, 5: 0.25}, 4)
+    d = DistortionDistribution({0: 0.5, 2: 0.5}, "monte_carlo", trials=2, seed=1, generator="g")
+    assert d == DistortionDistribution.from_arrays([2, 0], [0.5, 0.5], "monte_carlo", 2, 1, "g")
+    assert d != DistortionDistribution({0: 0.5, 2: 0.5}, "monte_carlo", trials=2, seed=2, generator="g")
+    for law in (pmf, d):
+        again = pickle.loads(pickle.dumps(law))
+        assert again == law and _items(again.mass) == _items(law.mass)
+    assert repr(pmf) == "EmpiricalPMF(L=3, mass={5: 0.25, 0: 0.75}, sample_count=4)"
+
+
+def test_from_arrays_copies_and_checks_its_arrays():
+    values, masses = np.array([1, 3]), np.array([0.5, 0.5])
+    pmf = EmpiricalPMF.from_arrays(2, values, masses)
+    values[0] = 2
+    assert values.flags.writeable and pmf.keys.tolist() == [1, 3]
+    assert EmpiricalPMF.from_arrays(2, np.array([1, 3], dtype=object), [0.5, 0.5]) == pmf
+    for args, message in (
+        (([1, 4], [0.5, 0.5]), "value 4 outside [0, 4)"),
+        (([-1, 1], [0.5, 0.5]), "value -1 outside [0, 4)"),
+        (([1.0, 2.0], [0.5, 0.5]), "values must be ints, got an array of float64"),
+        (([True, False], [0.5, 0.5]), "values must be ints, got an array of bool"),
+        (([1, 2], [1.0]), "need one mass per value, got shapes (2,) and (1,)"),
+        (([1, 2], [math.nan, 0.5]), "value 1 has mass nan, not a finite number >= 0"),
+        (([1, 2], [0.5, 0.25]), "masses sum to 0.75, not 1"),
+        (([3, 1, 3], [0.25, 0.5, 0.25]), "value 3 is listed twice"),
+        (([2**70, 1], [0.5, 0.5]), "value 1180591620717411303424 outside [0, 4)"),
+        (([1, 2], [0.5, "x"]), "masses must be real numbers, got an array of <U32"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            EmpiricalPMF.from_arrays(2, *args)
+    with pytest.raises(ParameterError, match="^m -2 outside"):
+        DistortionDistribution.from_arrays([0, -2], [0.5, 0.5], "exact_enumeration")
+    with pytest.raises(ParameterError, match="^no samples$"):
+        ingest_trace(io.StringIO("t,v\n"), 1, 3, skip_header=1)
+
+
+@pytest.mark.parametrize("mass,message", [
+    ({0: 1.5, 1: -0.5}, "m 1 has mass -0.5, not a finite number >= 0"),
+    ({True: 1.0}, "m must be an int, got True"),
+    ({0.5: 1.0}, "m must be an int, got 0.5"),
+    ({-3: 1.0}, "m -3 outside [0, 9223372036854775808)"),
+    ({2**63: 1.0}, "m 9223372036854775808 outside [0, 9223372036854775808)"),
+    ({0: math.inf, 1: -math.inf}, "masses sum to nan, not 1"),
+    ({0: 1e308, 1: 1e308}, "masses sum to inf, not 1"),
+    ({0: 10**400}, "masses must be real numbers, got an array of object"),
+    ({0: 1j}, "masses must be real numbers, got an array of complex128"),
+    ({0: "1.0"}, "masses must be real numbers, got an array of <U3"),
+    ({0: None}, "masses must be real numbers, got an array of object"),
+    ({0: [1.0]}, "need one mass per m, got shapes (1,) and (1, 1)"),
+])
+def test_distortion_law_refuses_each_bad_entry(mass, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        DistortionDistribution(mass, "exact_enumeration")
+
+
+def test_single_error_remainder_below_zero_by_round_off_is_kept():
+    # A PMF may total 1 + 1e-9; with bit 0 always upset to 1, f_M(1) is that total and the
+    # m = 0 remainder 1 - f_M(1) is about -5e-10.  The law keeps it, as the dict form did.
+    pmf = EmpiricalPMF(1, {0: 1.0 + 5e-10})
+    d, report = analytic_single_error(pmf, UpsetModel(1, (1.0,), (1.0,)))
+    assert _items(d.mass) == _items({1: 1.0 + 5e-10, 0: 1.0 - (1.0 + 5e-10)})
+    assert -1e-9 < d.at(0) < 0 and report.agreed
+    assert single_error_oracle(pmf, UpsetModel(1, (1.0,), (1.0,))) == DistortionDistribution(
+        {1: 1.0 + 5e-10, 0: 1.0 - (1.0 + 5e-10)}, "exact_enumeration"
+    )
+    # Past the total's own slack a negative mass is refused.
+    with pytest.raises(ParameterError, match="^m 0 has mass -2e-09, not a finite number >= 0$"):
+        DistortionDistribution({1: 1.0 + 2e-9, 0: -2e-9}, "exact_enumeration")
+
+
+def test_law_total_is_decided_as_fsum_decides_at_the_edge():
+    # The doubles farthest from 1 within 1e-9 are accepted as totals, the next ones out are refused.
+    high = 1.0 + math.floor(1e-9 / 2**-52) * 2**-52
+    low = 1.0 - math.floor(1e-9 / 2**-53) * 2**-53
+    for total, ok in ((high, True), (np.nextafter(high, 2.0), False), (low, True), (np.nextafter(low, 0.0), False)):
+        masses = [0.5, total - 0.5]
+        assert (abs(math.fsum(masses) - 1.0) <= 1e-9) == ok
+        for build in (lambda: EmpiricalPMF.from_arrays(1, [0, 1], masses),
+                      lambda: DistortionDistribution(dict(enumerate(masses)), "exact_enumeration")):
+            if ok:
+                build()
+            else:
+                with pytest.raises(ParameterError, match="^masses sum to"):
+                    build()

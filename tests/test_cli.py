@@ -684,3 +684,35 @@ def test_version_flag(capsys):
 
 def test_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["verify", "--constraint", str(tmp_path / "nope"), "--table", str(tmp_path / "nope2")]) == 2
+
+
+def test_audit_path_runs_without_the_mass_dicts(tmp_path, example_constraint_file, monkeypatch):
+    # Producers and consumers read the law arrays; only callers outside the package read `.mass`.
+    def unread(law):
+        raise AssertionError(f"{type(law).__name__}.mass was read")
+
+    monkeypatch.setattr(channel_sim._Law, "mass", property(unread))
+    (tmp_path / "trace.csv").write_text("t,adc\n" + "".join(f"{t},{t * 5 % 11 - 4}\n" for t in range(40)))
+    (tmp_path / "upsets.txt").write_text("format=vdb-upsets-v1\nL=3\n0,0.1,0.5\n1,0.2,0.3\n2,0.05,0.9\n")
+    table = tmp_path / "table.txt"
+    table.write_text(REFERENCE_PERBIT_TABLE_TEXT)
+    pmf, upsets = str(tmp_path / "pmf.csv"), str(tmp_path / "upsets.txt")
+    assert main(["ingest", "--input", str(tmp_path / "trace.csv"), "--column", "1", "--bits", "3",
+                 "--offset", "4", "--clamp", "--skip-header", "1", "--out", pmf]) == 0
+    for mode in ("exact", "single-error"):
+        assert main(["distort", "--pmf", pmf, "--upsets", upsets, "--mode", mode,
+                     "--out", str(tmp_path / f"{mode}.csv")]) == 0
+    assert main(["simulate", "--table", str(table), "--constraint", str(example_constraint_file),
+                 "--trials", "5000", "--seed", "3", "--pmf", pmf, "--out", str(tmp_path / "sim.csv")]) in (0, 1)
+
+    law = channel_sim.load_pmf_csv(pmf)
+    model = channel_sim.load_upsets(upsets)
+    dist = channel_sim.exact_distortion(model, law)
+    constraint = codegen.load_constraint(example_constraint_file)
+    channel_sim.check_against_constraint(dist, constraint, 1000)
+    channel_sim._mass_and_tail(dist)
+    channel_sim.tail_of(dist)
+    law.to_array()
+    channel_sim.format_distribution_csv(dist)
+    channel_sim.format_pmf_csv(law)
+    channel_sim.analytic_single_error(law, model)
