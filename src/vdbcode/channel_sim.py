@@ -32,8 +32,8 @@ import csv
 import itertools
 import math
 import sys
-from dataclasses import FrozenInstanceError, dataclass
-from typing import Callable, Iterable, Mapping, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar, Iterable, Mapping, Union
 
 import numpy as np
 
@@ -56,24 +56,29 @@ MODE_CAPPED = "cap-weight"
 _CHUNK_SIZE = 1 << 16
 _MAX_EXACT_L = 16
 _INT64 = np.iinfo(np.int64)
-_TOLERANCE = 1e-9  # how far a law's total may stray from 1, and a distortion mass below 0
+_TOLERANCE = 1e-9  # how far a law's total may stray from 1
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class _Law:
     """A law over integer keys, held as two read-only arrays over its support.
 
     `keys` (int64) and `masses` (float64) list the support in the order it
-    was given: a mapping's order, or ascending from the producers.  Neither
+    was given: a mapping's order, or the producer's (ascending, but for a
+    single-error law's m = 0, listed last).  Neither
     is ever 2**L long unless the support is.  `mass` is the same law as a
     plain dict {key: mass} in that order, built from the arrays on first
     read and cached; nothing in the package reads it, and it is kept for
     callers that read a law as a dict, the benchmark among them.
-    Instances are read-only, and two laws are equal when their other
-    fields are and they give each key the same mass, in whatever order.
+    Two laws are equal when their other fields are and they give each key
+    the same mass, in whatever order.
     """
 
-    __slots__ = ("keys", "masses", "_mass")
-    _KEY = "key"  # the keys' name in messages
+    # compare=False marks the fields that __eq__ does not compare as plain values.
+    keys: np.ndarray = field(compare=False)
+    masses: np.ndarray = field(compare=False)
+    _mass: dict[int, float] | None = field(compare=False, repr=False)
+    _KEY: ClassVar[str] = "key"  # the keys' name in messages
 
     def _set_law(self, keys: np.ndarray, masses: np.ndarray) -> None:
         keys.setflags(write=False)
@@ -82,11 +87,23 @@ class _Law:
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "_mass", None)
 
+    def __setstate__(self, state: dict) -> None:  # a pickle gives the arrays back writeable
+        self.__dict__.update(state)
+        self._set_law(self.keys, self.masses)
+
     def _from_mapping(self, mapping: Mapping[int, float], hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """`mapping`'s keys as int64 and masses as float64, in its order; each key must be an int in [0, hi)."""
+        """`mapping`'s keys as int64 and masses as float64, in its order.
+
+        Each key must be an int in [0, hi), and each mass anything `float()`
+        takes, so Fraction and Decimal masses are read too.
+        """
         for key in mapping:
             _check_key(self._KEY, key, hi)
-        return self._from_arrays(np.fromiter(mapping, np.int64, len(mapping)), list(mapping.values()), hi)
+        try:
+            masses = np.fromiter(mapping.values(), np.float64, len(mapping))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParameterError(f"masses must be real numbers ({exc})") from None
+        return self._from_arrays(np.fromiter(mapping, np.int64, len(mapping)), masses, hi)
 
     def _from_arrays(self, keys, masses, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Copies of `keys` as int64 and `masses` as float64; the keys must be distinct ints in [0, hi)."""
@@ -116,8 +133,9 @@ class _Law:
                 raise ParameterError(f"{self._KEY} {twice[0]} is listed twice")
         return keys.astype(np.int64), masses
 
-    def _check_masses(self, floor: float) -> None:
-        ok = (self.masses >= floor) & (self.masses < math.inf)
+    def _check_masses(self, n: int) -> None:
+        """A ParameterError unless each of the first `n` masses is finite and >= 0."""
+        ok = (self.masses[:n] >= 0) & (self.masses[:n] < math.inf)
         if not ok.all():
             i = int(np.argmin(ok))
             raise ParameterError(
@@ -130,26 +148,17 @@ class _Law:
             object.__setattr__(self, "_mass", dict(zip(self.keys.tolist(), self.masses.tolist())))
         return self._mass
 
-    def _fields(self) -> tuple:
-        raise NotImplementedError
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self._fields() != other._fields() or self.keys.size != other.keys.size:
+        mine, theirs = ([getattr(law, f.name) for f in fields(law) if f.compare] for law in (self, other))
+        if mine != theirs or self.keys.size != other.keys.size:
             return False
-        mine, theirs = np.argsort(self.keys), np.argsort(other.keys)
+        order, other_order = np.argsort(self.keys), np.argsort(other.keys)
         return bool(
-            (self.keys[mine] == other.keys[theirs]).all() and (self.masses[mine] == other.masses[theirs]).all()
+            (self.keys[order] == other.keys[other_order]).all()
+            and (self.masses[order] == other.masses[other_order]).all()
         )
-
-    __hash__ = None
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _check_key(name: str, key, hi: int) -> None:
@@ -159,17 +168,7 @@ def _check_key(name: str, key, hi: int) -> None:
 
 
 def _check_total(masses: np.ndarray) -> None:
-    """A ParameterError unless `math.fsum(masses)` is within 1e-9 of 1; a NaN, inf or overflowing sum fails.
-
-    A pairwise `np.sum` is within n * 2**-52 * sum|x| of the exact sum, and
-    so of fsum's, so it settles every total but one that close to the
-    edge; only those, and the refusals, pay for the fsum.
-    """
-    with np.errstate(all="ignore"):
-        fast = float(masses.sum())
-        slack = masses.size * 2.0**-52 * float(np.abs(masses).sum())
-    if abs(fast - 1.0) <= _TOLERANCE - slack:
-        return
+    """A ParameterError unless `math.fsum(masses)` is within 1e-9 of 1; a NaN, inf or overflowing sum fails."""
     try:
         total = math.fsum(masses.tolist())
     except ValueError:  # inf + -inf
@@ -180,6 +179,7 @@ def _check_total(masses: np.ndarray) -> None:
         raise ParameterError(f"masses sum to {total}, not 1")
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class EmpiricalPMF(_Law):
     """Probability mass function over L-bit values.
 
@@ -189,8 +189,9 @@ class EmpiricalPMF(_Law):
     the masses sum to 1 within 1e-9.
     """
 
-    __slots__ = ("L", "sample_count")
-    _KEY = "value"
+    L: int
+    sample_count: int | None
+    _KEY: ClassVar[str] = "value"
 
     def __init__(self, L: int, mass: Mapping[int, float], sample_count: int | None = None) -> None:
         WordSpec(L)
@@ -207,19 +208,10 @@ class EmpiricalPMF(_Law):
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "sample_count", sample_count)
         self._set_law(values, masses)
-        self._check_masses(0.0)
+        self._check_masses(masses.size)
         _check_total(masses)
         if sample_count is not None and not (is_int(sample_count) and sample_count >= 1):
             raise ParameterError(f"sample_count must be a positive int, got {sample_count!r}")
-
-    def _fields(self) -> tuple:
-        return self.L, self.sample_count
-
-    def __repr__(self) -> str:
-        return f"EmpiricalPMF(L={self.L!r}, mass={self.mass!r}, sample_count={self.sample_count!r})"
-
-    def __reduce__(self):
-        return EmpiricalPMF.from_arrays, (self.L, self.keys, self.masses, self.sample_count)
 
     def to_array(self) -> np.ndarray:
         arr = np.zeros(1 << self.L, dtype=np.float64)
@@ -267,19 +259,21 @@ class UpsetModel:
         return np.asarray(self.upset_prob) * (1.0 - np.asarray(self.forced_one_prob))
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class DistortionDistribution(_Law):
     """PMF over integer distortion m, with provenance metadata.
 
     `DistortionDistribution(mapping, provenance, ...)` takes {m: mass};
     `from_arrays` takes the m and masses as two arrays.  Either way each m
-    is an int in [0, 2**63), the masses sum to 1 within 1e-9, and no mass
-    is below -1e-9: the single-error law's m = 0 remainder, one minus the
-    other masses, dips below 0 by round-off when a value PMF totals up to
-    1 + 1e-9, as a PMF may.
+    is an int in [0, 2**63), each mass a finite number >= 0, and the masses
+    sum to 1 within 1e-9.
     """
 
-    __slots__ = ("provenance", "trials", "seed", "generator")
-    _KEY = "m"
+    provenance: str
+    trials: int | None
+    seed: int | None
+    generator: str | None
+    _KEY: ClassVar[str] = "m"
 
     def __init__(
         self,
@@ -300,24 +294,27 @@ class DistortionDistribution(_Law):
         dist._init(*dist._from_arrays(ms, masses, 1 << 63), provenance, trials, seed, generator)
         return dist
 
-    def _init(self, ms, masses, provenance, trials, seed, generator) -> None:
+    @classmethod
+    def _with_rest_at_zero(cls, ms, masses, provenance: str) -> "DistortionDistribution":
+        """The law with `masses` at `ms` and the rest, 1 minus their fsum, at m = 0, listed last.
+
+        Only the given masses are held to >= 0.  The rest dips below 0 by
+        round-off when the value PMF behind the masses totals up to
+        1 + 1e-9, as a PMF may, and that law is kept as it is.
+        """
+        ms = np.append(np.asarray(ms, dtype=np.int64), 0)
+        masses = np.asarray(masses, dtype=np.float64)
+        masses = np.append(masses, 1.0 - math.fsum(masses.tolist()))
+        dist = cls.__new__(cls)
+        dist._init(*dist._from_arrays(ms, masses, 1 << 63), provenance, None, None, None, checked=ms.size - 1)
+        return dist
+
+    def _init(self, ms, masses, provenance, trials, seed, generator, checked: int | None = None) -> None:
         for name, value in (("provenance", provenance), ("trials", trials), ("seed", seed), ("generator", generator)):
             object.__setattr__(self, name, value)
         self._set_law(ms, masses)
         _check_total(masses)  # first, so a NaN or infinite mass reads as the sum it makes
-        self._check_masses(-_TOLERANCE)
-
-    def _fields(self) -> tuple:
-        return self.provenance, self.trials, self.seed, self.generator
-
-    def __repr__(self) -> str:
-        return (
-            f"DistortionDistribution(mass={self.mass!r}, provenance={self.provenance!r}, trials={self.trials!r}, "
-            f"seed={self.seed!r}, generator={self.generator!r})"
-        )
-
-    def __reduce__(self):
-        return DistortionDistribution.from_arrays, (self.keys, self.masses, *self._fields())
+        self._check_masses(masses.size if checked is None else checked)
 
     def at(self, m: int) -> float:
         hit = np.flatnonzero(self.keys == m)
@@ -705,8 +702,7 @@ def single_error_oracle(pmf: EmpiricalPMF, upsets: UpsetModel) -> DistortionDist
             if flip_prob:
                 m = 1 << i
                 mass[m] = mass.get(m, 0.0) + pa * flip_prob * others[i]
-    mass[0] = 1.0 - math.fsum(v for m, v in mass.items() if m != 0)
-    return DistortionDistribution(mass, PROVENANCE_EXACT)
+    return DistortionDistribution._with_rest_at_zero(list(mass), list(mass.values()), PROVENANCE_EXACT)
 
 
 def analytic_single_error(
@@ -733,9 +729,7 @@ def analytic_single_error(
     others = np.where(np.eye(L, dtype=bool), 1.0, 1.0 - np.asarray(upsets.upset_prob)).prod(axis=1)
     terms = flips * others
     seen = np.flatnonzero(terms)
-    hit = terms[seen]
-    masses = np.append(hit, 1.0 - math.fsum(hit.tolist()))  # the rest at m = 0, listed last
-    analytic = DistortionDistribution.from_arrays(np.append(1 << seen, 0), masses, PROVENANCE_SINGLE_ERROR)
+    analytic = DistortionDistribution._with_rest_at_zero(1 << seen, terms[seen], PROVENANCE_SINGLE_ERROR)
 
     oracle = single_error_oracle(pmf, upsets)
     ms = sorted(set(analytic.keys.tolist()) | set(oracle.keys.tolist()))

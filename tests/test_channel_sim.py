@@ -7,6 +7,7 @@ import re
 import tracemalloc
 from collections import defaultdict
 from dataclasses import FrozenInstanceError
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -1409,7 +1410,10 @@ def test_laws_compare_by_content_in_any_order_and_pickle():
     for law in (pmf, d):
         again = pickle.loads(pickle.dumps(law))
         assert again == law and _items(again.mass) == _items(law.mass)
-    assert repr(pmf) == "EmpiricalPMF(L=3, mass={5: 0.25, 0: 0.75}, sample_count=4)"
+        assert not again.keys.flags.writeable and not again.masses.flags.writeable
+    assert repr(pmf) == "EmpiricalPMF(keys=array([5, 0]), masses=array([0.25, 0.75]), L=3, sample_count=4)"
+    # A mapping's masses are read with float(), as the dict form read them.
+    assert EmpiricalPMF(3, {5: Fraction(1, 4), 0: Decimal("0.75")}, 4) == pmf
 
 
 def test_from_arrays_copies_and_checks_its_arrays():
@@ -1446,11 +1450,11 @@ def test_from_arrays_copies_and_checks_its_arrays():
     ({2**63: 1.0}, "m 9223372036854775808 outside [0, 9223372036854775808)"),
     ({0: math.inf, 1: -math.inf}, "masses sum to nan, not 1"),
     ({0: 1e308, 1: 1e308}, "masses sum to inf, not 1"),
-    ({0: 10**400}, "masses must be real numbers, got an array of object"),
-    ({0: 1j}, "masses must be real numbers, got an array of complex128"),
-    ({0: "1.0"}, "masses must be real numbers, got an array of <U3"),
-    ({0: None}, "masses must be real numbers, got an array of object"),
-    ({0: [1.0]}, "need one mass per m, got shapes (1,) and (1, 1)"),
+    ({0: 10**400}, "masses must be real numbers (int too large to convert to float)"),
+    ({0: 1j}, "masses must be real numbers (float() argument must be a string or a real number, not 'complex')"),
+    ({0: "x"}, "masses must be real numbers (could not convert string to float: 'x')"),
+    ({0: None}, "masses sum to nan, not 1"),
+    ({0: [1.0]}, "masses must be real numbers (setting an array element with a sequence.)"),
 ])
 def test_distortion_law_refuses_each_bad_entry(mass, message):
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
@@ -1464,12 +1468,33 @@ def test_single_error_remainder_below_zero_by_round_off_is_kept():
     d, report = analytic_single_error(pmf, UpsetModel(1, (1.0,), (1.0,)))
     assert _items(d.mass) == _items({1: 1.0 + 5e-10, 0: 1.0 - (1.0 + 5e-10)})
     assert -1e-9 < d.at(0) < 0 and report.agreed
-    assert single_error_oracle(pmf, UpsetModel(1, (1.0,), (1.0,))) == DistortionDistribution(
-        {1: 1.0 + 5e-10, 0: 1.0 - (1.0 + 5e-10)}, "exact_enumeration"
-    )
-    # Past the total's own slack a negative mass is refused.
-    with pytest.raises(ParameterError, match="^m 0 has mass -2e-09, not a finite number >= 0$"):
-        DistortionDistribution({1: 1.0 + 2e-9, 0: -2e-9}, "exact_enumeration")
+    oracle = single_error_oracle(pmf, UpsetModel(1, (1.0,), (1.0,)))
+    assert _items(oracle.mass) == _items(d.mass)
+    # A law given whole holds every mass to >= 0, however small the dip.
+    for dip in (5e-10, 2e-9):
+        with pytest.raises(ParameterError, match=f"^m 0 has mass {-dip!r}, not a finite number >= 0$"):
+            DistortionDistribution({1: 1.0 + dip, 0: -dip}, "exact_enumeration")
+
+
+def test_single_error_remainder_past_minus_1e9_is_kept_at_the_pmf_total_edge():
+    # The PMF's fsum is the largest double within 1e-9 of 1, 1 + n ulps, but the running sum
+    # over values 0, 2, 4 rounds up twice (each a tie to even, n being odd) and lands one ulp
+    # past it.  With bit 0 always forced to 1, f_M(1) is that running sum in the oracle, so its
+    # m = 0 rest is -(n + 1) ulps, below -1e-9.  The analytic form takes f_M(1) as a dot
+    # product, whose order is the BLAS's, so only its rest's definition is checked.
+    ulp, n = 2.0**-52, math.floor(1e-9 / 2.0**-52)
+    masses = [0.25 + 3 * ulp / 4, 0.25, 0.5 + (4 * n - 2) * ulp / 4]
+    high = 1.0 + n * ulp
+    assert math.fsum(masses) == high and (masses[0] + masses[1]) + masses[2] == high + ulp
+    pmf = EmpiricalPMF(3, dict(zip([0, 2, 4], masses)))
+    upsets = UpsetModel(3, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    oracle = single_error_oracle(pmf, upsets)
+    assert _items(oracle.mass) == _items({1: high + ulp, 0: -(n + 1) * ulp}) and oracle.at(0) < -1e-9
+    analytic, report = analytic_single_error(pmf, upsets)
+    assert list(analytic.mass) == [1, 0] and analytic.at(0) == 1.0 - analytic.at(1) and report.agreed
+    # The masses a producer gives are held to >= 0 all the same; only the rest is not.
+    with pytest.raises(ParameterError, match="^m 1 has mass -0.5, not a finite number >= 0$"):
+        DistortionDistribution._with_rest_at_zero([1, 2], [-0.5, 1.0], "exact_enumeration")
 
 
 def test_law_total_is_decided_as_fsum_decides_at_the_edge():

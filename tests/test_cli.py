@@ -324,6 +324,19 @@ def test_distort_single_error_two_point(tmp_path):
     assert "# agreed=True" in text
 
 
+def test_distort_single_error_keeps_a_rest_below_minus_1e9(tmp_path):
+    # The PMF's fsum is 1 + n ulps, the largest double within 1e-9 of 1, but its running sum is
+    # one ulp more, so the oracle's m = 0 rest is -(n + 1) ulps, past -1e-9.
+    v, n = 2.0**-54, math.floor(1e-9 / 2.0**-52)
+    pmf = tmp_path / "pmf.csv"
+    pmf.write_text(f"# L=3\nvalue,mass\n0,{0.25 + 3 * v!r}\n2,0.25\n4,{0.5 + (4 * n - 2) * v!r}\n")
+    upsets = tmp_path / "upsets.txt"
+    upsets.write_text("format=vdb-upsets-v1\nL=3\n0,1.0,1.0\n")
+    out = tmp_path / "fm.csv"
+    assert main(["distort", "--pmf", str(pmf), "--upsets", str(upsets), "--mode", "single-error", "--out", str(out)]) == 0
+    assert "# agreed=True" in out.read_text()
+
+
 def test_distort_single_error_uniform_divergence_report(tmp_path):
     pmf = tmp_path / "pmf.csv"
     pmf.write_text("# L=3\nvalue,mass\n" + "\n".join(f"{v},0.125" for v in range(8)) + "\n")
