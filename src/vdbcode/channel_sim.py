@@ -24,7 +24,7 @@ restricted enumeration rather than trusted.
 A value PMF and a distortion law are each two read-only arrays over their
 support, int64 keys and float64 masses, built straight from the numpy
 results that produce them and read as arrays by every consumer; their
-`mass` dict is a view built on first read.
+`mass` dict is built from the arrays on each read.
 """
 from __future__ import annotations
 
@@ -40,7 +40,8 @@ import numpy as np
 from . import _kernels, setgen
 from .codegen import CodeTable, TailConstraint
 from .core import (
-    ParameterError, WordSpec, check_int, distortion_range, format_lines, is_int, read_csv_array, reject_repeat,
+    ParameterError, WordSpec, check_int, check_ints, check_real, distortion_range, format_lines, read_csv_array,
+    reject_repeat,
 )
 
 GENERATOR_ID = "pcg64-run-alias-multibit"
@@ -67,9 +68,9 @@ class _Law:
     was given: a mapping's order, or the producer's (ascending, but for a
     single-error law's m = 0, listed last).  Neither
     is ever 2**L long unless the support is.  `mass` is the same law as a
-    plain dict {key: mass} in that order, built from the arrays on first
-    read and cached; nothing in the package reads it, and it is kept for
-    callers that read a law as a dict, the benchmark among them.
+    plain dict {key: mass} in that order, built from the arrays on each
+    read; nothing in the package reads it, and it is kept for callers that
+    read a law as a dict, the benchmark among them.
     Two laws are equal when their other fields are and they give each key
     the same mass, in whatever order.
     """
@@ -77,37 +78,16 @@ class _Law:
     # compare=False marks the fields that __eq__ does not compare as plain values.
     keys: np.ndarray = field(compare=False)
     masses: np.ndarray = field(compare=False)
-    _mass: dict[int, float] | None = field(compare=False, repr=False)
     _KEY: ClassVar[str] = "key"  # the keys' name in messages
 
-    def _set_law(self, keys: np.ndarray, masses: np.ndarray) -> None:
-        keys.setflags(write=False)
-        masses.setflags(write=False)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "_mass", None)
+    def _build(self, keys, masses, hi: int, floored: int | None = None, **others) -> _Law:
+        """Set the fields `others` and the law `keys` -> `masses`, validate it, freeze it and return self.
 
-    def __setstate__(self, state: dict) -> None:  # a pickle gives the arrays back writeable
-        self.__dict__.update(state)
-        self._set_law(self.keys, self.masses)
-
-    def _from_mapping(self, mapping: Mapping[int, float], hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """`mapping`'s keys as int64 and masses as float64, in its order.
-
-        Each key must be an int in [0, hi), and each mass anything `float()`
-        takes, so Fraction and Decimal masses are read too.
+        The keys must be distinct ints in [0, hi) (`check_ints`), the masses
+        real numbers, one per key; `_check` then checks the masses, holding
+        the first `floored` of them (default: all) to >= 0.
         """
-        for key in mapping:
-            _check_key(self._KEY, key, hi)
-        try:
-            masses = np.fromiter(mapping.values(), np.float64, len(mapping))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"masses must be real numbers ({exc})") from None
-        return self._from_arrays(np.fromiter(mapping, np.int64, len(mapping)), masses, hi)
-
-    def _from_arrays(self, keys, masses, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of `keys` as int64 and `masses` as float64; the keys must be distinct ints in [0, hi)."""
-        keys = np.asarray(keys)
+        keys = check_ints(self._KEY, keys, 0, hi - 1)
         try:
             masses = np.asarray(masses)
         except ValueError as exc:  # ragged
@@ -115,26 +95,24 @@ class _Law:
         if masses.size and masses.dtype.kind not in "biuf":
             raise ParameterError(f"masses must be real numbers, got an array of {masses.dtype}")
         masses = masses.astype(np.float64)
-        if keys.ndim != 1 or keys.shape != masses.shape:
+        if keys.shape != masses.shape:
             raise ParameterError(f"need one mass per {self._KEY}, got shapes {keys.shape} and {masses.shape}")
-        if keys.dtype == object:  # Python ints, some perhaps beyond int64
-            for key in keys.tolist():
-                _check_key(self._KEY, key, hi)
-            keys = keys.astype(np.int64)
-        if keys.size and keys.dtype.kind not in "iu":
-            raise ParameterError(f"{self._KEY}s must be ints, got an array of {keys.dtype}")
-        bad = (keys < 0) | (keys > hi - 1)  # hi - 1 fits int64 and uint64, where 2**63 does not
-        if bad.any():
-            _check_key(self._KEY, keys[np.argmax(bad)].item(), hi)
         if not (keys[1:] > keys[:-1]).all():  # the producers' keys ascend, so only other orders pay for the sort
             ordered = np.sort(keys)
             twice = ordered[1:][ordered[1:] == ordered[:-1]]
             if twice.size:
                 raise ParameterError(f"{self._KEY} {twice[0]} is listed twice")
-        return keys.astype(np.int64), masses
+        self.__setstate__({**others, "keys": keys, "masses": masses})  # sets the fields as unpickling does
+        self._check(floored)
+        return self
 
-    def _check_masses(self, n: int) -> None:
-        """A ParameterError unless each of the first `n` masses is finite and >= 0."""
+    def __setstate__(self, state: dict) -> None:  # a pickle gives the arrays back writeable
+        self.__dict__.update(state)
+        self.keys.setflags(write=False)
+        self.masses.setflags(write=False)
+
+    def _check_masses(self, n: int | None) -> None:
+        """A ParameterError unless each of the first `n` masses (all, if None) is finite and >= 0."""
         ok = (self.masses[:n] >= 0) & (self.masses[:n] < math.inf)
         if not ok.all():
             i = int(np.argmin(ok))
@@ -144,27 +122,21 @@ class _Law:
 
     @property
     def mass(self) -> dict[int, float]:
-        if self._mass is None:
-            object.__setattr__(self, "_mass", dict(zip(self.keys.tolist(), self.masses.tolist())))
-        return self._mass
+        return dict(zip(self.keys.tolist(), self.masses.tolist()))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         mine, theirs = ([getattr(law, f.name) for f in fields(law) if f.compare] for law in (self, other))
-        if mine != theirs or self.keys.size != other.keys.size:
-            return False
-        order, other_order = np.argsort(self.keys), np.argsort(other.keys)
-        return bool(
-            (self.keys[order] == other.keys[other_order]).all()
-            and (self.masses[order] == other.masses[other_order]).all()
-        )
+        return mine == theirs and self.mass == other.mass
 
 
-def _check_key(name: str, key, hi: int) -> None:
-    check_int(name, key)
-    if not 0 <= key < hi:
-        raise ParameterError(f"{name} {key} outside [0, {hi})")
+def _mapping_masses(mapping: Mapping[int, float]) -> np.ndarray:
+    """`mapping`'s masses as float64, in its order: anything `float()` takes, so Fraction and Decimal work too."""
+    try:
+        return np.fromiter(mapping.values(), np.float64, len(mapping))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"masses must be real numbers ({exc})") from None
 
 
 def _check_total(masses: np.ndarray) -> None:
@@ -195,23 +167,18 @@ class EmpiricalPMF(_Law):
 
     def __init__(self, L: int, mass: Mapping[int, float], sample_count: int | None = None) -> None:
         WordSpec(L)
-        self._init(L, *self._from_mapping(mass, 1 << L), sample_count)
+        self._build(mass.keys(), _mapping_masses(mass), 1 << L, L=L, sample_count=sample_count)
 
     @classmethod
     def from_arrays(cls, L: int, values, masses, sample_count: int | None = None) -> "EmpiricalPMF":
         WordSpec(L)
-        pmf = cls.__new__(cls)
-        pmf._init(L, *pmf._from_arrays(values, masses, 1 << L), sample_count)
-        return pmf
+        return cls.__new__(cls)._build(values, masses, 1 << L, L=L, sample_count=sample_count)
 
-    def _init(self, L: int, values: np.ndarray, masses: np.ndarray, sample_count: int | None) -> None:
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "sample_count", sample_count)
-        self._set_law(values, masses)
-        self._check_masses(masses.size)
-        _check_total(masses)
-        if sample_count is not None and not (is_int(sample_count) and sample_count >= 1):
-            raise ParameterError(f"sample_count must be a positive int, got {sample_count!r}")
+    def _check(self, floored: int | None) -> None:
+        self._check_masses(floored)
+        _check_total(self.masses)
+        if self.sample_count is not None:
+            check_int("sample_count", self.sample_count, 1)
 
     def to_array(self) -> np.ndarray:
         arr = np.zeros(1 << self.L, dtype=np.float64)
@@ -227,17 +194,10 @@ class EmpiricalPMF(_Law):
     def point_mass(cls, L: int, value: int) -> "EmpiricalPMF":
         return cls(L, {value: 1.0})
 
-    @classmethod
-    def from_counts(cls, L: int, counts: Mapping[int, int]) -> "EmpiricalPMF":
-        total = sum(counts.values())
-        if total <= 0:
-            raise ParameterError("no samples")
-        return cls(L, {v: c / total for v, c in counts.items() if c}, sample_count=total)
-
 
 @dataclass(frozen=True)
 class UpsetModel:
-    """Forced-value channel: per-bit upset probability and target-bit law."""
+    """Forced-value channel: per-bit upset probability and target-bit law, held as tuples."""
 
     L: int
     upset_prob: tuple[float, ...]
@@ -245,10 +205,13 @@ class UpsetModel:
 
     def __post_init__(self) -> None:
         WordSpec(self.L)
+        for name in ("upset_prob", "forced_one_prob"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.upset_prob) != self.L or len(self.forced_one_prob) != self.L:
             raise ParameterError(f"need {self.L} per-bit entries")
         for name, probs in (("upset_prob", self.upset_prob), ("forced_one_prob", self.forced_one_prob)):
             for i, p in enumerate(probs):
+                check_real(f"{name}[{i}]", p)
                 if not 0.0 <= p <= 1.0:
                     raise ParameterError(f"{name}[{i}]={p} outside [0, 1]")
 
@@ -283,16 +246,19 @@ class DistortionDistribution(_Law):
         seed: int | None = None,
         generator: str | None = None,
     ) -> None:
-        self._init(*self._from_mapping(mass, 1 << 63), provenance, trials, seed, generator)
+        self._build(
+            mass.keys(), _mapping_masses(mass), 1 << 63,
+            provenance=provenance, trials=trials, seed=seed, generator=generator,
+        )
 
     @classmethod
     def from_arrays(
         cls, ms, masses, provenance: str, trials: int | None = None, seed: int | None = None,
         generator: str | None = None,
     ) -> "DistortionDistribution":
-        dist = cls.__new__(cls)
-        dist._init(*dist._from_arrays(ms, masses, 1 << 63), provenance, trials, seed, generator)
-        return dist
+        return cls.__new__(cls)._build(
+            ms, masses, 1 << 63, provenance=provenance, trials=trials, seed=seed, generator=generator
+        )
 
     @classmethod
     def _with_rest_at_zero(cls, ms, masses, provenance: str) -> "DistortionDistribution":
@@ -305,16 +271,13 @@ class DistortionDistribution(_Law):
         ms = np.append(np.asarray(ms, dtype=np.int64), 0)
         masses = np.asarray(masses, dtype=np.float64)
         masses = np.append(masses, 1.0 - math.fsum(masses.tolist()))
-        dist = cls.__new__(cls)
-        dist._init(*dist._from_arrays(ms, masses, 1 << 63), provenance, None, None, None, checked=ms.size - 1)
-        return dist
+        return cls.__new__(cls)._build(
+            ms, masses, 1 << 63, ms.size - 1, provenance=provenance, trials=None, seed=None, generator=None
+        )
 
-    def _init(self, ms, masses, provenance, trials, seed, generator, checked: int | None = None) -> None:
-        for name, value in (("provenance", provenance), ("trials", trials), ("seed", seed), ("generator", generator)):
-            object.__setattr__(self, name, value)
-        self._set_law(ms, masses)
-        _check_total(masses)  # first, so a NaN or infinite mass reads as the sum it makes
-        self._check_masses(masses.size if checked is None else checked)
+    def _check(self, floored: int | None) -> None:
+        _check_total(self.masses)  # first, so a NaN or infinite mass reads as the sum it makes
+        self._check_masses(floored)
 
     def at(self, m: int) -> float:
         hit = np.flatnonzero(self.keys == m)

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import _kernels, setgen
 from .core import (
-    ParameterError, WordSpec, distortion_range, format_lines, is_int, read_csv_array, reject_repeat,
+    ParameterError, WordSpec, check_ints, check_real, distortion_range, format_lines, read_csv_array, reject_repeat,
 )
 
 CONSTRAINT_FORMAT = "vdb-constraint-v1"
@@ -73,17 +73,9 @@ class TailConstraint:
 
     def __post_init__(self) -> None:
         _, m_max = distortion_range(WordSpec(self.L), self.k)
-        # Python ints beyond int64 arrive as an object array; m is range-checked before the cast to int64.
-        given, values = np.asarray(self.ms), np.array(self.values, dtype=np.float64)
-        ints = np.issubdtype(given.dtype, np.integer) or given.dtype == object and all(map(is_int, given.flat))
-        if given.size and not ints:
-            raise ParameterError(f"constraint m must be ints, got an array of {given.dtype}")
-        if given.ndim != 1 or given.shape != values.shape:
-            raise ParameterError(f"constraint needs one bound per row, got m {given.shape} and bounds {values.shape}")
-        outside = given[(given < 1) | (given > m_max)]
-        if outside.size:
-            raise ParameterError(f"constraint m={outside[0]} outside [1, {m_max}]")
-        ms = np.array(given, dtype=np.int64)
+        ms, values = check_ints("constraint m", self.ms, 1, m_max), _bounds(self.values)
+        if ms.shape != values.shape:
+            raise ParameterError(f"constraint needs one bound per row, got m {ms.shape} and bounds {values.shape}")
         if (ms[1:] <= ms[:-1]).any():
             raise ParameterError("constraint rows need m strictly ascending")
         bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
@@ -100,14 +92,8 @@ class TailConstraint:
     @classmethod
     def from_table(cls, L: int, k: int, bounds: Mapping[int, float]) -> "TailConstraint":
         """F from rows {m: F(m)} in any order, m an int; F may not rise by more than 1e-15 from one row to the next."""
-        for m in bounds:
-            if not is_int(m):
-                raise ParameterError(f"constraint m={m!r} is not an int")
-        try:
-            ms = np.fromiter(bounds.keys(), dtype=np.int64, count=len(bounds))
-        except OverflowError:  # an m beyond int64, which the constructor refuses by its range
-            ms = np.array(list(bounds), dtype=object)
-        values = np.fromiter(bounds.values(), dtype=np.float64, count=len(bounds))
+        _, m_max = distortion_range(WordSpec(L), k)
+        ms, values = check_ints("constraint m", bounds.keys(), 1, m_max), _bounds(list(bounds.values()))
         order = np.argsort(ms)
         return _falling(cls(L, k, ms[order], values[order]))
 
@@ -116,6 +102,15 @@ class TailConstraint:
         """The 1/(m+1) budget used throughout the Monte Carlo validation, one row per m."""
         _, m_max = distortion_range(WordSpec(L), k)
         return cls(L, k, np.arange(1, m_max + 1), 1.0 / np.arange(2, m_max + 2))
+
+
+def _bounds(values) -> np.ndarray:
+    """`values` as a new float64 array; a non-numeric array's entries must each pass `check_real`."""
+    given = np.asarray(values)
+    if given.dtype.kind not in "biuf":
+        for value in np.asarray(values, dtype=object).ravel().tolist():
+            check_real("bound", value)
+    return given.astype(np.float64)
 
 
 def _falling(c: TailConstraint) -> TailConstraint:
@@ -250,6 +245,7 @@ class CodeTable:
         if len(self.p_vec) != self.L:
             raise ParameterError(f"expected {self.L} probabilities, got {len(self.p_vec)}")
         for i, p in enumerate(self.p_vec):
+            check_real(f"p_{i}", p)
             if not 0.0 <= p <= 1.0:
                 raise ParameterError(f"p_{i}={p} outside [0, 1]")
 

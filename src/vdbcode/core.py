@@ -5,7 +5,9 @@ Words are unsigned integers read as L-bit vectors, bit i carrying weight
 differ, while the values differ by |x - (x ^ e)|, which depends wildly on
 which positions are hit; that gap is the whole point of the package.
 `check_int` is the one rule for the integer arguments the package takes,
-and WordSpec and distortion_range fix the (L, k) domain with it; the line
+`check_ints` its form for integer arrays, and `check_real` the rule for
+the probabilities; WordSpec and distortion_range fix the (L, k) domain
+with `check_int`; the line
 helpers of the text-format parsers and the `np.loadtxt` read their fast
 paths share live here too.
 """
@@ -89,6 +91,35 @@ def check_int(name: str, value, lo: int | None = None, hi: int | None = None) ->
         raise ParameterError(f"{name} must be in [{lo}, {hi}], got {value}")
     if lo is not None and value < lo:
         raise ParameterError(f"{name} must be >= {lo}, got {value}")
+
+
+def check_ints(name: str, values, lo: int, hi: int) -> np.ndarray:
+    """`values` as a new 1-D int64 array, a ParameterError unless each entry passes `check_int(name, entry, lo, hi)`.
+
+    [lo, hi] must lie within int64.  A 1-D integer ndarray is range-checked as an array.  Anything else (a
+    list, a mapping's keys, a bool, float, string or object array) is checked one entry at a time, so a bool
+    or a Python int beyond int64 is named as `check_int` names it.
+    """
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        outside = (values < lo) | (values > hi)
+        if outside.any():
+            check_int(name, values[np.argmax(outside)].item(), lo, hi)
+        return values.astype(np.int64)
+    entries = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    for value in entries:
+        check_int(name, value, lo, hi)
+    return np.array(entries, dtype=np.int64)
+
+
+def check_real(name: str, value) -> None:
+    """A ParameterError unless `value` is a real number: one that orders against a float, and no str, bytes or complex."""
+    if not isinstance(value, (str, bytes, complex, np.complexfloating)):
+        try:
+            value < 0.0  # a TypeError unless value orders against a float
+            return
+        except TypeError:
+            pass
+    raise ParameterError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)

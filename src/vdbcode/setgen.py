@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import _kernels
-from .core import ParameterError, WordSpec, check_int, distortion_range
+from .core import WordSpec, check_ints, distortion_range
 
 SETS_FORMAT = "vdb-sets-v1"
 
@@ -36,15 +36,9 @@ class PlacementSets:
 
     def __init__(self, L: int, k: int, sets: Mapping[int, Iterable[int]]) -> None:
         _, m_max = distortion_range(WordSpec(L), k)
-        pairs = []
-        for m, s in sets.items():
-            check_int("m", m, 1, m_max)
-            for e in s:
-                check_int("mask", e)
-                if not 0 < e < 1 << L:
-                    raise ParameterError(f"mask {e} is not a nonzero {L}-bit word")
-                pairs.append((m, e))
-        ms, masks = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        groups = [list(s) for s in sets.values()]
+        ms = np.repeat(check_ints("m", sets.keys(), 1, m_max), [len(g) for g in groups])
+        masks = check_ints("mask", chain.from_iterable(groups), 1, (1 << L) - 1)
         self._freeze(L, k, ms, masks)
 
     def _freeze(self, L: int, k: int, ms: np.ndarray, masks: np.ndarray) -> PlacementSets:

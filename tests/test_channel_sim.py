@@ -939,7 +939,15 @@ def reference_ingest(lines, column, L, signed_offset=0, *, clamp=False, skip_hea
             raise ParameterError(f"row {rownum}: value {value} outside [0, {n}) after offset {signed_offset}")
         value = min(max(value, 0), n - 1)
         counts[value] = counts.get(value, 0) + 1
-    return EmpiricalPMF.from_counts(L, counts)
+    return pmf_of_counts(L, counts)
+
+
+def pmf_of_counts(L, counts):
+    """The PMF of the sample counts {value: count}, each mass count / total."""
+    total = sum(counts.values())
+    if not total:
+        raise ParameterError("no samples")
+    return EmpiricalPMF(L, {v: c / total for v, c in counts.items()}, sample_count=total)
 
 
 BIG = str(1 << 70)
@@ -1101,7 +1109,7 @@ def test_ingest_trace_histogram_on_either_side_of_2_to_the_L_samples(rows):
     values = np.random.default_rng(rows).integers(0, 8, rows)
     seen, counts = np.unique(values, return_counts=True)
     pmf = ingest_trace(io.StringIO("".join(f"{v}\n" for v in values.tolist())), 0, 3)
-    assert pmf == EmpiricalPMF.from_counts(3, dict(zip(seen.tolist(), counts.tolist())))
+    assert pmf == pmf_of_counts(3, dict(zip(seen.tolist(), counts.tolist())))
 
 
 @pytest.mark.parametrize("kwargs,message", [
@@ -1194,7 +1202,7 @@ def test_pmf_csv_rejects_bad_and_repeated_entries():
 
 @pytest.mark.parametrize("count", ["0", "-5"])
 def test_pmf_csv_rejects_non_positive_sample_count(count):
-    with pytest.raises(ParameterError, match=f"sample_count must be a positive int, got {count}"):
+    with pytest.raises(ParameterError, match=f"sample_count must be >= 1, got {count}"):
         parse_pmf_csv(f"# L=3\n# sample_count={count}\nvalue,mass\n0,1.0\n")
 
 
@@ -1256,7 +1264,7 @@ def test_pmf_validation():
     assert EmpiricalPMF(3, {np.int64(2): 1.0}).to_array()[2] == 1.0
     assert EmpiricalPMF(3, {2: 1.0}, sample_count=np.int64(5)).sample_count == 5
     for count in (True, 1.5):
-        with pytest.raises(ParameterError, match=f"sample_count must be a positive int, got {count!r}"):
+        with pytest.raises(ParameterError, match=f"sample_count must be an int, got {count!r}"):
             EmpiricalPMF(3, {2: 1.0}, sample_count=count)
 
 
@@ -1382,11 +1390,13 @@ def test_parse_pmf_csv_mass_keeps_the_file_order(L):
     assert list(got.keys) == list(want) and got == pmf
 
 
-def test_law_arrays_are_read_only_and_the_view_is_cached():
+def test_law_arrays_are_read_only_and_the_view_is_built_on_each_read():
     pmf = EmpiricalPMF(3, {5: 0.25, 0: 0.75}, sample_count=4)
     assert pmf.keys.dtype == np.int64 and pmf.masses.dtype == np.float64
     assert not pmf.keys.flags.writeable and not pmf.masses.flags.writeable
-    assert pmf.mass is pmf.mass and list(pmf.mass) == [5, 0]
+    assert pmf.mass is not pmf.mass and pmf.mass == {5: 0.25, 0: 0.75} and list(pmf.mass) == [5, 0]
+    pmf.mass[5] = 1.0  # a caller's edit of the dict leaves the law as it was
+    assert pmf.mass[5] == 0.25
     with pytest.raises(FrozenInstanceError):
         pmf.L = 4
     with pytest.raises(FrozenInstanceError):
@@ -1423,20 +1433,22 @@ def test_from_arrays_copies_and_checks_its_arrays():
     assert values.flags.writeable and pmf.keys.tolist() == [1, 3]
     assert EmpiricalPMF.from_arrays(2, np.array([1, 3], dtype=object), [0.5, 0.5]) == pmf
     for args, message in (
-        (([1, 4], [0.5, 0.5]), "value 4 outside [0, 4)"),
-        (([-1, 1], [0.5, 0.5]), "value -1 outside [0, 4)"),
-        (([1.0, 2.0], [0.5, 0.5]), "values must be ints, got an array of float64"),
-        (([True, False], [0.5, 0.5]), "values must be ints, got an array of bool"),
+        (([1, 4], [0.5, 0.5]), "value must be in [0, 3], got 4"),
+        (([-1, 1], [0.5, 0.5]), "value must be in [0, 3], got -1"),
+        (([1.0, 2.0], [0.5, 0.5]), "value must be an int, got 1.0"),
+        ((np.array([1.0, 2.0]), [0.5, 0.5]), "value must be an int, got 1.0"),
+        (([True, False], [0.5, 0.5]), "value must be an int, got True"),
+        ((np.array([True, False]), [0.5, 0.5]), "value must be an int, got True"),
         (([1, 2], [1.0]), "need one mass per value, got shapes (2,) and (1,)"),
         (([1, 2], [math.nan, 0.5]), "value 1 has mass nan, not a finite number >= 0"),
         (([1, 2], [0.5, 0.25]), "masses sum to 0.75, not 1"),
         (([3, 1, 3], [0.25, 0.5, 0.25]), "value 3 is listed twice"),
-        (([2**70, 1], [0.5, 0.5]), "value 1180591620717411303424 outside [0, 4)"),
+        (([2**70, 1], [0.5, 0.5]), "value must be in [0, 3], got 1180591620717411303424"),
         (([1, 2], [0.5, "x"]), "masses must be real numbers, got an array of <U32"),
     ):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             EmpiricalPMF.from_arrays(2, *args)
-    with pytest.raises(ParameterError, match="^m -2 outside"):
+    with pytest.raises(ParameterError, match="^m must be in \\[0, 9223372036854775807\\], got -2$"):
         DistortionDistribution.from_arrays([0, -2], [0.5, 0.5], "exact_enumeration")
     with pytest.raises(ParameterError, match="^no samples$"):
         ingest_trace(io.StringIO("t,v\n"), 1, 3, skip_header=1)
@@ -1446,8 +1458,8 @@ def test_from_arrays_copies_and_checks_its_arrays():
     ({0: 1.5, 1: -0.5}, "m 1 has mass -0.5, not a finite number >= 0"),
     ({True: 1.0}, "m must be an int, got True"),
     ({0.5: 1.0}, "m must be an int, got 0.5"),
-    ({-3: 1.0}, "m -3 outside [0, 9223372036854775808)"),
-    ({2**63: 1.0}, "m 9223372036854775808 outside [0, 9223372036854775808)"),
+    ({-3: 1.0}, "m must be in [0, 9223372036854775807], got -3"),
+    ({2**63: 1.0}, "m must be in [0, 9223372036854775807], got 9223372036854775808"),
     ({0: math.inf, 1: -math.inf}, "masses sum to nan, not 1"),
     ({0: 1e308, 1: 1e308}, "masses sum to inf, not 1"),
     ({0: 10**400}, "masses must be real numbers (int too large to convert to float)"),

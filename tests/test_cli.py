@@ -449,7 +449,7 @@ def test_distort_non_positive_sample_count_is_usage_error(tmp_path, capsys):
     out = tmp_path / "fm.csv"
     code = main(["distort", "--pmf", str(pmf), "--upsets", str(upsets), "--out", str(out)])
     assert code == 2
-    assert "sample_count must be a positive int, got -5" in capsys.readouterr().err
+    assert "sample_count must be >= 1, got -5" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
@@ -860,23 +861,25 @@ def test_constraint_array_validation():
     with pytest.raises(ParameterError, match="one bound per row"):
         TailConstraint(3, 2, np.arange(1, 7), np.full(5, 0.5))
     with pytest.raises(ParameterError, match="one bound per row"):
+        TailConstraint(3, 2, np.arange(1, 3), [[0.5, 0.5]])
+    with pytest.raises(ParameterError, match="constraint m must be an int, got \\[1, 2\\]"):
         TailConstraint(3, 2, [[1, 2]], [[0.5, 0.5]])
     with pytest.raises(ParameterError, match="m=3"):
         TailConstraint(3, 2, np.arange(1, 7), [1.0, 0.5, np.nan, 0.5, 0.5, 0.5])
     with pytest.raises(ParameterError, match="m=3 is -0.1, outside \\[0, 1\\]"):
         TailConstraint(3, 2, [1, 3], [0.5, -0.1])
-    with pytest.raises(ParameterError, match="m=7 outside \\[1, 6\\]"):
+    with pytest.raises(ParameterError, match="constraint m must be in \\[1, 6\\], got 7"):
         TailConstraint(3, 2, [1, 7], [0.5, 0.5])
-    with pytest.raises(ParameterError, match="m=0 outside"):
+    with pytest.raises(ParameterError, match="constraint m must be in \\[1, 6\\], got 0"):
         TailConstraint(3, 2, [0, 1], [0.5, 0.5])
     for ms in ([1, 1], [2, 1]):
         with pytest.raises(ParameterError, match="strictly ascending"):
             TailConstraint(3, 2, ms, [0.5, 0.5])
-    with pytest.raises(ParameterError, match="m=9 outside"):
+    with pytest.raises(ParameterError, match="constraint m must be in \\[1, 6\\], got 9"):
         TailConstraint.from_table(3, 2, {9: 0.5})
     # the int64 conversion read 1.5 as m=1 and "1" and True as m=1
-    for ms in ([1.5], ["1"], [True]):
-        with pytest.raises(ParameterError, match="constraint m must be ints"):
+    for ms, shown in (([1.5], "1.5"), (["1"], "'1'"), ([True], "True"), (np.array([True]), "True")):
+        with pytest.raises(ParameterError, match=f"^constraint m must be an int, got {shown}$"):
             TailConstraint(3, 2, ms, [0.5])
     assert TailConstraint(3, 2, [], []).ms.size == 0
 
@@ -932,12 +935,16 @@ def test_bounds_at_equals_the_dense_step_fill_at_every_m():
 def test_constraint_rows_refuse_what_the_dense_array_refused(row_walks):
     # from_table and both parse paths still refuse a bound outside [0, 1],
     # an m outside [1, m_max], a repeated m (parse only) and a rise
-    for rows, message in [({1: 1.5}, "outside \\[0, 1\\]"), ({2: 0.5, 9: 0.2}, "m=9 outside"),
-                          ({1: 0.2, 4: 0.5}, "increases")]:
+    # (the row walk names the line of an m outside the range, from_table its value)
+    for rows, message, parse_message in [
+        ({1: 1.5}, "outside \\[0, 1\\]", "outside \\[0, 1\\]"),
+        ({2: 0.5, 9: 0.2}, "constraint m must be in \\[1, 6\\], got 9", "line 5: m=9 outside"),
+        ({1: 0.2, 4: 0.5}, "increases", "increases"),
+    ]:
         with pytest.raises(ParameterError, match=message):
             TailConstraint.from_table(3, 2, rows)
         text = "format=vdb-constraint-v1\nL=3\nk=2\n" + "".join(f"{m},{v}\n" for m, v in rows.items())
-        with pytest.raises(ParameterError, match=message):
+        with pytest.raises(ParameterError, match=parse_message):
             parse_constraint(text)
     repeated = "format=vdb-constraint-v1\nL=3\nk=2\n2,0.5\n2,0.5\n"
     with pytest.raises(ParameterError, match="line 5: duplicate bound for m=2"):
@@ -979,13 +986,13 @@ def test_m_beyond_int64_is_outside_the_range(m, build):
     # ints and no uint64 m wrapped to a negative one
     with pytest.raises(ParameterError) as info:
         build(m)
-    assert str(info.value) == f"constraint m={m} outside [1, 6]"
+    assert str(info.value) == f"constraint m must be in [1, 6], got {m}"
 
 
 @pytest.mark.parametrize("key", [1.5, "1", True, 2.0, None])
 def test_from_table_rejects_keys_that_are_not_ints(key):
     # the int64 conversion read 1.5 as m=1 and "1" as m=1
-    with pytest.raises(ParameterError, match=f"constraint m={key!r} is not an int"):
+    with pytest.raises(ParameterError, match=f"^constraint m must be an int, got {re.escape(repr(key))}$"):
         TailConstraint.from_table(3, 2, {key: 0.5, 3: 0.25})
 
 
