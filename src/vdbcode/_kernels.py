@@ -38,7 +38,11 @@ instead of sweeping (word, mask) pairs.  Each kernel is deterministic:
                                    per shape, kept as the brute-force
                                    oracle of the placement sets
     mask_probabilities(probs)      float64 [2**L]; the product measure of mask e,
-                                   with bit i of e set <-> factor probs[i]
+                                   with bit i of e set <-> factor probs[i],
+                                   multiplied from bit 0 up; read by
+                                   simulate and placement_mass (the solvers
+                                   take the same products from their own
+                                   masks, in the same order)
     distortion_pmf_forced(q1, q0, f_V)
                                    float64 [2**L]; exact f_M of the forced-value
                                    channel (q1/q0: per-bit force-to-1/0 laws)

@@ -131,8 +131,11 @@ class _Law:
         return mine == theirs and self.mass == other.mass
 
 
-def _mapping_masses(mapping: Mapping[int, float]) -> np.ndarray:
-    """`mapping`'s masses as float64, in its order: anything `float()` takes, so Fraction and Decimal work too."""
+def _mapping_masses(mapping: Mapping[int, float], key: str) -> np.ndarray:
+    """`mapping`'s masses as float64, in its order; each must pass `check_real`, so Fraction and Decimal work too."""
+    for k, mass in mapping.items():
+        if not isinstance(mass, float):  # a float passes; only other types pay for the check and its name
+            check_real(f"mass of {key} {k}", mass)
     try:
         return np.fromiter(mapping.values(), np.float64, len(mapping))
     except (TypeError, ValueError, OverflowError) as exc:
@@ -167,7 +170,7 @@ class EmpiricalPMF(_Law):
 
     def __init__(self, L: int, mass: Mapping[int, float], sample_count: int | None = None) -> None:
         WordSpec(L)
-        self._build(mass.keys(), _mapping_masses(mass), 1 << L, L=L, sample_count=sample_count)
+        self._build(mass.keys(), _mapping_masses(mass, self._KEY), 1 << L, L=L, sample_count=sample_count)
 
     @classmethod
     def from_arrays(cls, L: int, values, masses, sample_count: int | None = None) -> "EmpiricalPMF":
@@ -247,7 +250,7 @@ class DistortionDistribution(_Law):
         generator: str | None = None,
     ) -> None:
         self._build(
-            mass.keys(), _mapping_masses(mass), 1 << 63,
+            mass.keys(), _mapping_masses(mass, self._KEY), 1 << 63,
             provenance=provenance, trials=trials, seed=seed, generator=generator,
         )
 

@@ -10,10 +10,11 @@ realize m stays within F(m):
 
 The solvers and verify_table take only the budget: the family S_m is
 fixed by its (L, k), and one row object, _Rows, builds it with
-setgen.sets_fast and evaluates every left-hand side at once: one bincount
-over the sorted (m, mask) arrays sums the product measure over all masks
-per m.  An empty S_m carries no mass and can never bind, so only the
-nonempty S_m are rows, given margins and reported.
+setgen.sets_fast and evaluates every left-hand side at once from the
+family's own masks, with no 2**L table: each distinct mask's product is
+taken once, and one bincount over the sorted (m, mask) arrays sums those
+products per m.  An empty S_m carries no mass and can never bind, so only
+the nonempty S_m are rows, given margins and reported.
 
 The i.i.d. solver maximizes a single p.  Its constraint polynomials are
 not monotone in p (mass can flow back out of S_m as p grows), so the
@@ -40,7 +41,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import _kernels, setgen
+from . import setgen
 from .core import (
     ParameterError, WordSpec, check_ints, check_real, distortion_range, format_lines, read_csv_array, reject_repeat,
 )
@@ -361,7 +362,9 @@ _IID_REL_WIDTH = 1e-6
 class _Rows:
     """The nonempty S_m of c's (L, k) as rows: m ascending, F(m), and the row index of every (m, mask) pair.
 
-    The pairs come from setgen.sets_fast, sorted by m, so each S_m is one run of pairs.
+    The pairs come from setgen.sets_fast, sorted by m, so each S_m is one
+    run of pairs.  A row is evaluated from its own masks: each distinct
+    mask's product is taken once and summed into every row that holds it.
     """
 
     def __init__(self, c: TailConstraint) -> None:
@@ -373,6 +376,8 @@ class _Rows:
         self.keys = sets.ms[first]
         self.bounds = c.bounds_at(self.keys)
         self.index = np.cumsum(first) - 1
+        distinct, self._distinct_index = np.unique(self.masks, return_inverse=True)
+        self._bits = ((distinct >> np.arange(c.L)[:, None]) & 1).astype(bool)  # L x distinct masks
         # A row's lhs sums n_m products of L factors: at most L roundings of
         # 1 - p_i, L - 1 of products and n_m - 1 of sums, so it lies within
         # gamma_n * lhs of the exact value for n = 2L + n_m, gamma_n =
@@ -382,9 +387,15 @@ class _Rows:
         self._gamma = n * _U / (1.0 - n * _U)
 
     def lhs(self, p_vec: Sequence[float]) -> np.ndarray:
-        """Placement mass of every row under independent per-bit errors."""
-        probs = _kernels.mask_probabilities(np.asarray(p_vec, dtype=np.float64))
-        return np.bincount(self.index, weights=probs[self.masks])
+        """Placement mass of every row under independent per-bit errors.
+
+        Each mask's factors p_i or 1 - p_i are multiplied from bit 0 up, the
+        order of _kernels.mask_probabilities, so every product is that
+        table's entry bit for bit; each row sums its products in pair order.
+        """
+        p = np.asarray(p_vec, dtype=np.float64)[:, None]
+        probs = np.multiply.reduce(np.where(self._bits, p, 1.0 - p), axis=0)
+        return np.bincount(self.index, weights=probs[self._distinct_index])
 
     def allowance(self, lhs: np.ndarray) -> np.ndarray:
         """The most that round-off can take from each row's computed margin F(m) - lhs(m)."""
@@ -407,35 +418,19 @@ class _Rows:
             )
         return margins
 
-    def affine(self, p: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's lhs as a + p_i * slope, with the other coordinates of p fixed.
-
-        a = lhs(p_i=0) and slope = lhs(p_i=1) - a.  Both come from one table,
-        mask_probabilities(p with p_i = 1): its entry at e | 2**i is, bit for
-        bit, the product of e's factors other than bit i's, since the factor
-        there is exactly 1.0, as (1 - p_i) is at p_i = 0.  One gather at
-        masks | 2**i and one bincount over (row, bit i of the mask) sum those
-        products into a (the masks with bit i clear) and a + slope (the masks
-        with bit i set).
-        """
-        trial = p.copy()
-        trial[i] = 1.0
-        probs = _kernels.mask_probabilities(trial)
-        bit = 1 << i
-        sums = np.bincount(
-            2 * self.index + ((self.masks & bit) >> i), weights=probs[self.masks | bit],
-            minlength=2 * self.keys.size,
-        ).reshape(-1, 2)
-        return sums[:, 0], sums[:, 1] - sums[:, 0]
-
     def limit(self, p: np.ndarray, i: int) -> tuple[float, int | None]:
         """Largest feasible p_i with the other coordinates of p fixed, and the m that sets it.
 
-        Only the rows with a positive slope bound p_i from above, at
-        (F_m - a_m) / slope_m.  Returns (1.0, None) when no m binds before
-        the domain boundary.
+        Every row is affine in p_i, a + p_i * slope with a = lhs(p_i = 0) and
+        slope = lhs(p_i = 1) - a, so only the rows with a positive slope bound
+        p_i from above, at (F_m - a_m) / slope_m.  Returns (1.0, None) when
+        no m binds before the domain boundary.
         """
-        a, slope = self.affine(p, i)
+        trial = p.copy()
+        trial[i] = 0.0
+        a = self.lhs(trial)
+        trial[i] = 1.0
+        slope = self.lhs(trial) - a
         rising = np.flatnonzero(slope > 0.0)
         if rising.size == 0:
             return 1.0, None
@@ -515,8 +510,9 @@ def solve_perbit(c: TailConstraint) -> CodeTable:
     from the most significant bit down, until a full sweep moves no
     coordinate by more than PERBIT_TOL (1e-4) or MAX_SWEEPS (200) sweeps
     have run; it takes no options.  With all other coordinates fixed
-    every constraint is affine in p_i, so each step is exact: one mask table and one bincount give every m's
-    intercept and slope (see _Rows.affine), and p_i rises to the
+    every constraint is affine in p_i, so each step is exact: two row
+    evaluations, at p_i = 0 and p_i = 1, give every m's intercept and
+    slope (see _Rows.limit), and p_i rises to the
     smallest (F_m - a_m) / slope_m over the m with a positive slope, or
     to 1 when none binds sooner.  The metadata holds "sweeps", the
     margins it re-verified, a local-maximality "certificate" (each p_i is

@@ -1422,8 +1422,10 @@ def test_laws_compare_by_content_in_any_order_and_pickle():
         assert again == law and _items(again.mass) == _items(law.mass)
         assert not again.keys.flags.writeable and not again.masses.flags.writeable
     assert repr(pmf) == "EmpiricalPMF(keys=array([5, 0]), masses=array([0.25, 0.75]), L=3, sample_count=4)"
-    # A mapping's masses are read with float(), as the dict form read them.
+    # A mapping's masses pass check_real, then are read with float(), as the dict form read them.
     assert EmpiricalPMF(3, {5: Fraction(1, 4), 0: Decimal("0.75")}, 4) == pmf
+    assert EmpiricalPMF(3, {5: np.float32(0.25), 0: np.float16(0.75)}, 4) == pmf
+    assert EmpiricalPMF(3, {0: np.int64(1)}) == EmpiricalPMF.point_mass(3, 0)
 
 
 def test_from_arrays_copies_and_checks_its_arrays():
@@ -1463,14 +1465,24 @@ def test_from_arrays_copies_and_checks_its_arrays():
     ({0: math.inf, 1: -math.inf}, "masses sum to nan, not 1"),
     ({0: 1e308, 1: 1e308}, "masses sum to inf, not 1"),
     ({0: 10**400}, "masses must be real numbers (int too large to convert to float)"),
-    ({0: 1j}, "masses must be real numbers (float() argument must be a string or a real number, not 'complex')"),
-    ({0: "x"}, "masses must be real numbers (could not convert string to float: 'x')"),
-    ({0: None}, "masses sum to nan, not 1"),
-    ({0: [1.0]}, "masses must be real numbers (setting an array element with a sequence.)"),
+    ({0: 1j}, "mass of m 0 must be a real number, got 1j"),
+    ({0: 0.5, 1: np.complex128(0.5)}, "mass of m 1 must be a real number, got np.complex128(0.5+0j)"),
+    ({0: "x"}, "mass of m 0 must be a real number, got 'x'"),
+    ({0: "1.0"}, "mass of m 0 must be a real number, got '1.0'"),
+    ({0: b"0.5", 1: 0.5}, "mass of m 0 must be a real number, got b'0.5'"),
+    ({0: None}, "mass of m 0 must be a real number, got None"),
+    ({0: None, 1: 1.0}, "mass of m 0 must be a real number, got None"),
+    ({0: [1.0]}, "mass of m 0 must be a real number, got [1.0]"),
 ])
 def test_distortion_law_refuses_each_bad_entry(mass, message):
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         DistortionDistribution(mass, "exact_enumeration")
+
+
+@pytest.mark.parametrize("mass,got", [({0: "1.0"}, "'1.0'"), ({0: b"0.5", 1: 0.5}, "b'0.5'"), ({0: None, 1: 1.0}, "None")])
+def test_pmf_mapping_masses_follow_check_real(mass, got):
+    with pytest.raises(ParameterError, match=f"^mass of value 0 must be a real number, got {re.escape(got)}$"):
+        EmpiricalPMF(3, mass)
 
 
 def test_single_error_remainder_below_zero_by_round_off_is_kept():

@@ -17,7 +17,7 @@ from vdbcode import (
     solve_perbit,
     verify_table,
 )
-from vdbcode import codegen
+from vdbcode import _kernels, codegen
 from vdbcode.core import SYMMETRIC, WordSpec, distortion_range, format_lines, reject_repeat
 from vdbcode.codegen import (
     PERBIT_TOL,
@@ -198,13 +198,18 @@ def test_coordinate_limit_matches_bisection(L, k):
         assert lo <= limit <= lo + PERBIT_TOL
 
 
+def _table_lhs(rows, p):
+    """Every row's lhs read from the full mask table, `mask_probabilities(p)[masks]`."""
+    return np.bincount(rows.index, weights=_kernels.mask_probabilities(np.asarray(p, dtype=np.float64))[rows.masks])
+
+
 def reference_coordinate_limit(rows, p, i):
-    """The coordinate step from two lhs evaluations, at p_i = 0 and p_i = 1: (a, slope, limit, m)."""
+    """The coordinate step from two mask tables, at p_i = 0 and p_i = 1: (a, slope, limit, m)."""
     trial = p.copy()
     trial[i] = 0.0
-    a = rows.lhs(trial)
+    a = _table_lhs(rows, trial)
     trial[i] = 1.0
-    slope = rows.lhs(trial) - a
+    slope = _table_lhs(rows, trial) - a
     rising = np.flatnonzero(slope > 0.0)
     if rising.size == 0:
         return a, slope, 1.0, None
@@ -234,8 +239,22 @@ def _design_budgets():
     return budgets
 
 
+@pytest.mark.parametrize("L,k", [(1, 1), (3, 2), (6, 6), (8, 8), (12, 3), (12, 12), (16, 3), (16, 5)])
+def test_row_products_equal_the_mask_table_bit_for_bit(L, k):
+    rows = _Rows(TailConstraint.reciprocal(L, k))
+    rng = np.random.default_rng([L, k])
+    points = [np.zeros(L), np.ones(L), np.full(L, 0.5)]
+    for _ in range(6):
+        p = rng.uniform(0.0, 1.0, L) ** rng.choice([1, 8])
+        p[rng.random(L) < 0.2] = 0.0
+        p[rng.random(L) < 0.2] = 1.0
+        points.append(p)
+    for p in points:
+        assert np.array_equal(rows.lhs(p), _table_lhs(rows, p))
+
+
 def test_coordinate_limit_equals_the_two_table_reference():
-    # One table at p_i = 1, read at masks | 2**i, must give the same floats as the two tables did.
+    # The step read from the rows' own masks gives the same floats as two full mask tables.
     rng = np.random.default_rng(21)
     budgets = _design_budgets()
     for _ in range(60):
@@ -251,19 +270,37 @@ def test_coordinate_limit_equals_the_two_table_reference():
             points.append(p)
         for p in points:
             for i in range(c.L):
-                a, slope, limit, m = reference_coordinate_limit(rows, p, i)
-                got_a, got_slope = rows.affine(p, i)
-                assert np.array_equal(got_a, a) and np.array_equal(got_slope, slope)
-                assert rows.limit(p, i) == (limit, m)
+                assert rows.limit(p, i) == reference_coordinate_limit(rows, p, i)[2:]
 
 
 def test_solve_perbit_equals_the_two_table_reference(monkeypatch):
     budgets = _design_budgets()
     tables = [solve_perbit(c) for c in budgets]
     monkeypatch.setattr(_Rows, "limit", lambda rows, p, i: reference_coordinate_limit(rows, p, i)[2:])
+    monkeypatch.setattr(_Rows, "lhs", _table_lhs)
     for c, table in zip(budgets, tables):
         want = solve_perbit(c)
         assert table.p_vec == want.p_vec and table.metadata == want.metadata
+
+
+def test_solvers_at_24_3_build_no_mask_table(monkeypatch):
+    # A step budget at (24, 3), rows at m = 2**j <= m_max with F = 1/(m + 1): its 8,672 pairs
+    # hold 2,324 masks, so each evaluation costs those, not a 2**24 table.
+    def refuse(probs):
+        raise AssertionError("built a 2**L mask table")
+
+    monkeypatch.setattr(_kernels, "mask_probabilities", refuse)
+    ms = 1 << np.arange(24)
+    c = TailConstraint(24, 3, ms, 1.0 / (ms + 1.0))
+    iid, perbit = solve_iid(c), solve_perbit(c)
+    assert min(perbit.p_vec) >= iid.p > 0.0
+    assert verify_table(iid, c).passed and verify_table(perbit, c).passed
+    rng = np.random.default_rng(24)
+    p_vec = rng.uniform(0.0, 0.01, 24)
+    margins = verify_table(CodeTable.perbit(24, 3, p_vec), c).margins
+    groups = sets_fast(24, 3).sets
+    for m in rng.choice(sorted(margins), 20, replace=False).tolist():
+        assert abs(margins[m] - (c.bounds_at(m) - constraint_lhs(groups[m], p_vec, 24))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
