@@ -33,7 +33,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Callable, ClassVar, Iterable, Mapping, Union
+from typing import Callable, ClassVar, Iterable, Mapping
 
 import numpy as np
 
@@ -188,15 +188,6 @@ class EmpiricalPMF(_Law):
         arr[self.keys] = self.masses
         return arr
 
-    @classmethod
-    def uniform(cls, L: int) -> "EmpiricalPMF":
-        n = 1 << L
-        return cls.from_arrays(L, np.arange(n), np.full(n, 1.0 / n))
-
-    @classmethod
-    def point_mass(cls, L: int, value: int) -> "EmpiricalPMF":
-        return cls(L, {value: 1.0})
-
 
 @dataclass(frozen=True)
 class UpsetModel:
@@ -302,10 +293,9 @@ def _mass_and_tail(d: DistortionDistribution, top: int | None = None) -> tuple[n
     return mass, tail
 
 
-def tail_of(d: DistortionDistribution) -> dict[int, float]:
-    """Complementary cumulative masses Pr(M > m) for m = 0..max support."""
-    _, tail = _mass_and_tail(d)
-    return dict(enumerate(tail.tolist()))
+def tail_of(d: DistortionDistribution) -> np.ndarray:
+    """Complementary cumulative masses Pr(M > m) for m = 0..max support, as a float64 array indexed by m."""
+    return _mass_and_tail(d)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +323,15 @@ class SimulationResult:
     mode: str
 
 
-def _value_probs(value_source: Union[str, EmpiricalPMF], L: int) -> np.ndarray | None:
-    if isinstance(value_source, EmpiricalPMF):
-        if value_source.L != L:
-            raise ParameterError(f"PMF is {value_source.L}-bit but table is {L}-bit")
-        return value_source.to_array()
-    if value_source == "uniform":
+def _value_probs(value_source: EmpiricalPMF | None, L: int) -> np.ndarray | None:
+    """The PMF's masses over all 2**L values, or None (uniform words) for `value_source` None."""
+    if value_source is None:
         return None
-    raise ParameterError(f"unknown value source {value_source!r}")
+    if not isinstance(value_source, EmpiricalPMF):
+        raise ParameterError(f"unknown value source {value_source!r}")
+    if value_source.L != L:
+        raise ParameterError(f"PMF is {value_source.L}-bit but table is {L}-bit")
+    return value_source.to_array()
 
 
 def _law(weights: np.ndarray) -> np.ndarray:
@@ -497,7 +488,7 @@ def simulate(
     constraint: TailConstraint,
     trials: int,
     seed: int,
-    value_source: Union[str, EmpiricalPMF] = "uniform",
+    value_source: EmpiricalPMF | None = None,
     cap_weight: int | None = None,
 ) -> SimulationResult:
     """Monte Carlo channel run followed by the constraint check.
@@ -509,8 +500,9 @@ def simulate(
     at most that many set bits and renormalised, which is the channel
     conditioned on <= cap_weight upsets.  The check requires every per-m
     mass and every tail Pr(M > m) to stay within the constraint plus
-    3-sigma binomial slack.  Trials come from one PCG64 stream seeded
-    with `seed`, so a seed fixes the result.  `trials` must be below
+    3-sigma binomial slack.  Words are uniform when `value_source` is
+    None and follow its PMF otherwise.  Trials come from one PCG64 stream
+    seeded with `seed`, so a seed fixes the result.  `trials` must be below
     2**63, numpy's int64 limit for a multinomial draw.
 
     The run's mask counts are one `Generator.multinomial` draw from the
@@ -596,14 +588,15 @@ def check_against_constraint(
 
 
 def exact_distortion(
-    model: Union[CodeTable, UpsetModel], value_source: Union[str, EmpiricalPMF] = "uniform"
+    model: CodeTable | UpsetModel, value_source: EmpiricalPMF | None = None
 ) -> DistortionDistribution:
     """Exact f_M, folding the word's value law through one bit at a time.
 
     Given the word, each bit moves the value by an independent step: a
     flip under a `CodeTable` (probability p_i either way), a force to the
     other value under an `UpsetModel`.  The law is that sum of steps,
-    computed exactly by `_kernels.distortion_pmf_forced`.
+    computed exactly by `_kernels.distortion_pmf_forced`, over uniform
+    words when `value_source` is None and over its PMF otherwise.
     """
     L = model.L
     if L > _MAX_EXACT_L:

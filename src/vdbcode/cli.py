@@ -115,7 +115,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     constraint = codegen.load_constraint(args.constraint)
     table = codegen.load_table(args.table)
     inputs = [args.table, args.constraint]
-    value_source: str | channel_sim.EmpiricalPMF = "uniform"
+    value_source = None
     if args.pmf:
         value_source = channel_sim.load_pmf_csv(args.pmf)
         inputs.append(args.pmf)
@@ -144,7 +144,7 @@ def cmd_distort(args: argparse.Namespace) -> int:
         channel_sim.write_distribution_csv(dist, args.out)
     else:
         dist, report = channel_sim.analytic_single_error(pmf, upsets)
-        tails = channel_sim.tail_of(dist)
+        tails = channel_sim.tail_of(dist).tolist()
         lines = [
             f"# provenance={dist.provenance}",
             f"# max_abs_divergence={report.max_abs!r}",
@@ -154,7 +154,7 @@ def cmd_distort(args: argparse.Namespace) -> int:
         for m in sorted(report.rows):
             analytic, oracle = report.rows[m]
             lines.append(
-                f"{m},{analytic!r},{tails.get(m, 0.0)!r},{oracle!r},{abs(analytic - oracle)!r}"
+                f"{m},{analytic!r},{tails[m] if m < len(tails) else 0.0!r},{oracle!r},{abs(analytic - oracle)!r}"
             )
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

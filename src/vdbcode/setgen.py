@@ -41,9 +41,13 @@ class PlacementSets:
         masks = check_ints("mask", chain.from_iterable(groups), 1, (1 << L) - 1)
         self._freeze(L, k, ms, masks)
 
+    # m and mask are each below 2**L, so one key (m << L) | mask sorts the
+    # rows by (m, mask), and a repeated row keeps both copies.  Keys stay
+    # below 2**48 at MAX_WORD_LENGTH = 24; L = 32 (ROADMAP item 12) needs
+    # unsigned keys.
     def _freeze(self, L: int, k: int, ms: np.ndarray, masks: np.ndarray) -> PlacementSets:
-        order = np.lexsort((masks, ms))
-        self.L, self.k, self.ms, self.masks = L, k, ms[order], masks[order]
+        key = np.sort((ms << L) | masks)
+        self.L, self.k, self.ms, self.masks = L, k, key >> L, key & ((1 << L) - 1)
         self.ms.flags.writeable = self.masks.flags.writeable = False
         return self
 

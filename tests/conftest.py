@@ -1,9 +1,10 @@
 import math
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 
-from vdbcode import TailConstraint, sets_fast
+from vdbcode import EmpiricalPMF, TailConstraint, sets_fast
 
 # Worked L=3, k=2 example used across the solver and CLI tests.
 EXAMPLE_BOUNDS = {1: 22 / 30, 2: 14 / 30, 3: 6 / 30, 4: 4 / 30, 5: 2 / 30, 6: 2 / 30}
@@ -47,6 +48,11 @@ def example_sets():
 @pytest.fixture(scope="session")
 def reciprocal_constraint():
     return TailConstraint.reciprocal(3, 3)
+
+
+def uniform_pmf(L):
+    """The uniform law over all 2**L values, as a PMF."""
+    return EmpiricalPMF.from_arrays(L, np.arange(1 << L), np.full(1 << L, 0.5**L))
 
 
 # Calibrated comparison of a simulated law with an exact one.  Values the

@@ -32,7 +32,7 @@ from vdbcode import (
 from vdbcode.channel_sim import EmpiricalPMF, UpsetModel
 from vdbcode.combinatorics import z_exact_table
 from vdbcode.setgen import serialize_sets
-from conftest import bin_sigmas, law_bins, sidak_z
+from conftest import bin_sigmas, law_bins, sidak_z, uniform_pmf
 
 REFERENCE_PERBIT_L3K2 = (0.4485, 0.4011, 0.2266)
 REPORTED_L3K3 = (0.25, 0.44, 0.31)
@@ -43,7 +43,7 @@ def warm_kernels():
     # load numpy's code paths and fill the lru caches outside the timed sections
     sets_bruteforce(3, 2)
     exact_distortion(CodeTable.iid(3, 2, 0.1))
-    exact_distortion(UpsetModel(2, (0.1, 0.0), (1.0, 0.0)), EmpiricalPMF.uniform(2))
+    exact_distortion(UpsetModel(2, (0.1, 0.0), (1.0, 0.0)))
     simulate(CodeTable.iid(3, 2, 0.1), TailConstraint.from_table(3, 2, {1: 1.0}), 64, seed=0)
 
 
@@ -215,13 +215,13 @@ def test_criterion_7_single_error_oracle_check():
     start = time.perf_counter()
     q = 0.2
     point, point_report = analytic_single_error(
-        EmpiricalPMF.point_mass(3, 0), UpsetModel(3, (q, 0.0, 0.0), (1.0, 0.0, 0.0))
+        EmpiricalPMF(3, {0: 1.0}), UpsetModel(3, (q, 0.0, 0.0), (1.0, 0.0, 0.0))
     )
     none, none_report = analytic_single_error(
-        EmpiricalPMF.point_mass(3, 0), UpsetModel(3, (0.0,) * 3, (0.0,) * 3)
+        EmpiricalPMF(3, {0: 1.0}), UpsetModel(3, (0.0,) * 3, (0.0,) * 3)
     )
     uniform, uniform_report = analytic_single_error(
-        EmpiricalPMF.uniform(3), UpsetModel(3, (0.3, 0.0, 0.0), (0.5, 0.0, 0.0))
+        uniform_pmf(3), UpsetModel(3, (0.3, 0.0, 0.0), (0.5, 0.0, 0.0))
     )
     elapsed = time.perf_counter() - start
 

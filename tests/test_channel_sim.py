@@ -47,7 +47,7 @@ from vdbcode.channel_sim import (
     _word_draw,
 )
 from vdbcode._kernels import mask_probabilities
-from conftest import EXAMPLE_BOUNDS, bin_sigmas, law_bins, sidak_z
+from conftest import EXAMPLE_BOUNDS, bin_sigmas, law_bins, sidak_z, uniform_pmf
 
 
 def flip_oracle(p_vec, value_probs):
@@ -95,19 +95,19 @@ def test_exact_distortion_perbit_and_nonuniform_values():
 def test_exact_distortion_forced_full_masking():
     # forcing every bit to the value it already holds distorts nothing
     model = UpsetModel(3, (1.0, 1.0, 1.0), (1.0, 0.0, 1.0))
-    d = exact_distortion(model, EmpiricalPMF.point_mass(3, 0b101))
+    d = exact_distortion(model, EmpiricalPMF(3, {0b101: 1.0}))
     assert d.at(0) == pytest.approx(1.0)
 
 
 def test_exact_distortion_forced_vs_manual():
     # one upset site forcing bit 0 high: uniform values flip half the time
     model = UpsetModel(3, (0.4, 0.0, 0.0), (1.0, 0.0, 0.0))
-    d = exact_distortion(model, "uniform")
+    d = exact_distortion(model)
     assert d.at(1) == pytest.approx(0.2)
     assert d.at(0) == pytest.approx(0.8)
 
 
-@pytest.mark.parametrize("values", ["uniform", EmpiricalPMF(4, {0: 0.5, 6: 0.3, 15: 0.2})])
+@pytest.mark.parametrize("values", [pytest.param(None, id="uniform"), EmpiricalPMF(4, {0: 0.5, 6: 0.3, 15: 0.2})])
 def test_exact_distortion_flip_is_fair_forced_channel(values):
     # Flipping bit i with probability p_i is upsetting it with probability
     # 2 p_i toward a fair-coin target: half of the upsets are masked.  The
@@ -167,7 +167,7 @@ def test_exact_distortion_within_round_off_of_exact_rationals(L):
             q1 = q0 = model.p_vec
         else:
             q1, q0 = model.force_to_one().tolist(), model.force_to_zero().tolist()
-        for values, value_probs in (("uniform", [0.5**L] * (1 << L)), (pmf, pmf.to_array().tolist())):
+        for values, value_probs in ((None, [0.5**L] * (1 << L)), (pmf, pmf.to_array().tolist())):
             exact = exact_fold_oracle(q1, q0, value_probs)
             computed = exact_distortion(model, values).mass
             for m in exact.keys() | computed.keys():
@@ -181,7 +181,16 @@ def test_exact_distortion_rejects_large_words():
 
 def test_exact_distortion_rejects_a_pmf_of_another_word_length():
     with pytest.raises(ParameterError, match="PMF is 2-bit but table is 3-bit"):
-        exact_distortion(CodeTable.iid(3, 2, 0.1), EmpiricalPMF.point_mass(2, 1))
+        exact_distortion(CodeTable.iid(3, 2, 0.1), EmpiricalPMF(2, {1: 1.0}))
+
+
+def test_exact_distortion_takes_none_or_a_pmf():
+    # None is the uniform law; the string "uniform" is not a value source.
+    table = CodeTable.iid(3, 2, 0.1)
+    assert exact_distortion(table) == exact_distortion(table, None) == exact_distortion(table, uniform_pmf(3))
+    for source in ("uniform", {0: 1.0}):
+        with pytest.raises(ParameterError, match=re.escape(f"unknown value source {source!r}")):
+            exact_distortion(table, source)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +322,8 @@ def test_simulate_cap_weight_matches_conditional_law():
     bins = []
     for table, cap, pmf in cases:
         c = TailConstraint.from_table(table.L, table.k, {1: 1.0})
-        source = "uniform" if pmf is None else pmf
-        result = simulate(table, c, trials, seed=21, value_source=source, cap_weight=cap)
-        values = (pmf or EmpiricalPMF.uniform(table.L)).to_array()
+        result = simulate(table, c, trials, seed=21, value_source=pmf, cap_weight=cap)
+        values = (pmf or uniform_pmf(table.L)).to_array()
         exact = capped_flip_oracle(table.p_vec, cap, values)
         bins += law_bins(result.distribution.mass, exact, trials)
     assert max(bin_sigmas(bins, trials)) <= sidak_z(len(bins))
@@ -336,7 +344,7 @@ def test_simulate_law_over_several_chunks(L):
     c = TailConstraint.from_table(L, 3, {1: 1.0})
     cap = 3 if L == 12 else 2
     cases = [
-        ("uniform", None, exact_distortion(table).mass),
+        (None, None, exact_distortion(table).mass),
         (pmf, None, exact_distortion(table, pmf).mass),
         (pmf, cap, capped_flip_oracle(table.p_vec, cap, pmf.to_array())),
     ]
@@ -378,7 +386,9 @@ def test_simulate_parameter_validation(reciprocal_constraint):
     with pytest.raises(ParameterError):
         simulate(CodeTable.iid(4, 2, 0.1), reciprocal_constraint, 10, seed=0)
     with pytest.raises(ParameterError, match="PMF is 4-bit but table is 3-bit"):
-        simulate(table, reciprocal_constraint, 10, seed=0, value_source=EmpiricalPMF.uniform(4))
+        simulate(table, reciprocal_constraint, 10, seed=0, value_source=uniform_pmf(4))
+    with pytest.raises(ParameterError, match="unknown value source 'uniform'"):
+        simulate(table, reciprocal_constraint, 10, seed=0, value_source="uniform")
     for trials in (2**63, 2**64 + 5):  # the run's mask counts are one int64 multinomial draw
         with pytest.raises(ParameterError, match=r"below 2\*\*63, the int64 limit"):
             simulate(table, reciprocal_constraint, trials, seed=0)
@@ -412,7 +422,7 @@ def test_simulate_histogram_counts_sum_to_trials_on_the_exact_support(L, trials)
     law /= law.sum()
     pmf = EmpiricalPMF(L, {v: float(q) for v, q in enumerate(law) if q})
     c = TailConstraint.from_table(L, table.k, {1: 1.0})
-    for source, cap in (("uniform", None), (pmf, None), ("uniform", 2)):
+    for source, cap in ((None, None), (pmf, None), (None, 2)):
         result = simulate(table, c, trials, seed=L + trials, value_source=source, cap_weight=cap)
         mass = result.distribution.mass
         counts = np.array(list(mass.values())) * trials
@@ -459,7 +469,7 @@ def test_simulate_counts_are_pinned_for_a_seed():
 
 
 def test_simulate_uniform_counts_are_pinned_for_a_seed():
-    assert pinned_run_counts("uniform", None) == PINNED_UNIFORM_COUNTS
+    assert pinned_run_counts(None, None) == PINNED_UNIFORM_COUNTS
 
 
 def reference_chunk_counts(table, trials, seed, value_probs=None, cap_weight=None):
@@ -643,7 +653,7 @@ def test_simulate_counts_equal_the_reference_chunk_loop(L, trials):
     law /= law.sum()
     pmf = EmpiricalPMF(L, {v: float(q) for v, q in enumerate(law) if q})
     c = TailConstraint.from_table(L, L, {1: 1.0})
-    for source, probs, cap in (("uniform", None, None), (pmf, pmf.to_array(), None), ("uniform", None, 2)):
+    for source, probs, cap in ((None, None, None), (pmf, pmf.to_array(), None), (None, None, 2)):
         counts = reference_chunk_counts(table, trials, 7 * L + trials, probs, cap)
         seen = np.flatnonzero(counts)
         want = dict(zip(seen.tolist(), (counts[seen] / trials).tolist()))
@@ -658,7 +668,7 @@ SINGLE_BIT_PMF = EmpiricalPMF(4, {0: 0.5, 5: 0.25, 15: 0.25})
     "table",
     [CodeTable.iid(4, 4, 0.0), CodeTable.perbit(4, 4, (0.3, 0, 0, 0)), CodeTable.perbit(4, 4, (0, 0, 1, 0))],
 )
-@pytest.mark.parametrize("source", ["uniform", SINGLE_BIT_PMF])
+@pytest.mark.parametrize("source", [pytest.param(None, id="uniform"), SINGLE_BIT_PMF])
 def test_single_bit_masks_draw_no_words(monkeypatch, table, source):
     # Every mask these tables can draw is 0 or 2**i, which moves any word by itself,
     # so the counts are the mask multinomial's and no word is drawn.
@@ -674,7 +684,7 @@ def test_single_bit_masks_draw_no_words(monkeypatch, table, source):
     assert {m: round(f * trials) for m, f in got.items()} == {e: n for e, n in enumerate(drawn.tolist()) if n}
 
 
-@pytest.mark.parametrize("source", ["uniform", SINGLE_BIT_PMF])
+@pytest.mark.parametrize("source", [pytest.param(None, id="uniform"), SINGLE_BIT_PMF])
 def test_only_multibit_masks_draw_words(monkeypatch, source):
     # Masks 0, 1 and 2 draw no word; each draw of mask 3 takes one, and 2**16 of
     # them fill the first chunk.  Distortions 0 and 2 come only from masks 0 and 2.
@@ -709,35 +719,36 @@ def test_only_multibit_masks_draw_words(monkeypatch, source):
 
 def test_tail_of_point_mass_at_zero():
     d = DistortionDistribution({0: 1.0}, "exact_enumeration")
-    assert tail_of(d) == {0: 0.0}
+    tails = tail_of(d)
+    assert tails.dtype == np.float64
+    assert tails.tolist() == [0.0]
 
 
 def test_tail_of_uniform_two_point():
     d = DistortionDistribution({0: 0.5, 1: 0.5}, "exact_enumeration")
-    tails = tail_of(d)
-    assert tails[0] == pytest.approx(0.5)
-    assert tails[1] == 0.0
+    assert tail_of(d).tolist() == [0.5, 0.0]
 
 
 def test_tail_of_step_distribution():
     # a 99/100-at-4, 1/100-at-10 mass gives the 1/100 tail plateau on
     # 4 <= m < 10 and zero from 10 up
     d = DistortionDistribution({4: 0.99, 10: 0.01}, "exact_enumeration")
-    tails = tail_of(d)
-    assert tails[0] == pytest.approx(1.0)
-    assert tails[3] == pytest.approx(1.0)
-    assert tails[4] == pytest.approx(1 / 100)
-    assert tails[9] == pytest.approx(1 / 100)
-    assert tails[10] == 0.0
+    want = np.array([1.0] * 4 + [0.01] * 6 + [0.0])
+    np.testing.assert_array_equal(tail_of(d), want)
 
 
-def test_tail_of_nonincreasing_and_start():
-    table = CodeTable.iid(3, 3, 0.29)
-    d = exact_distortion(table)
+def test_tail_of_is_the_running_sum_from_the_top():
+    # Pr(M > m) for m = 0..top, each entry the loop's sum f(top) + ... + f(m + 1)
+    d = exact_distortion(CodeTable.iid(3, 3, 0.29))
     tails = tail_of(d)
+    top = int(d.keys.max())
+    want, acc = [0.0] * (top + 1), 0.0
+    for m in range(top, 0, -1):
+        acc += d.at(m)
+        want[m - 1] = acc
+    np.testing.assert_array_equal(tails, np.array(want))
     assert tails[0] == pytest.approx(1.0 - d.at(0))
-    values = [tails[m] for m in sorted(tails)]
-    assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+    assert (np.diff(tails) <= 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +758,7 @@ def test_tail_of_nonincreasing_and_start():
 def test_analytic_single_error_point_mass_single_site():
     # transmitted value always 0; bit 0 upset to 1 with probability q
     q = 0.2
-    pmf = EmpiricalPMF.point_mass(3, 0)
+    pmf = EmpiricalPMF(3, {0: 1.0})
     upsets = UpsetModel(3, (q, 0.0, 0.0), (1.0, 0.0, 0.0))
     dist, report = analytic_single_error(pmf, upsets)
     assert dist.at(1) == pytest.approx(q, abs=1e-15)
@@ -756,7 +767,7 @@ def test_analytic_single_error_point_mass_single_site():
 
 
 def test_analytic_single_error_no_upsets():
-    pmf = EmpiricalPMF.point_mass(3, 5)
+    pmf = EmpiricalPMF(3, {5: 1.0})
     upsets = UpsetModel(3, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     dist, report = analytic_single_error(pmf, upsets)
     assert dist.mass == {0: 1.0}
@@ -766,7 +777,7 @@ def test_analytic_single_error_no_upsets():
 def test_analytic_single_error_uniform_reports_divergence():
     # a spread-out value law: each upset of bit 0 that is not masked moves
     # the value by exactly 1, so the form and the oracle agree on 0.15
-    pmf = EmpiricalPMF.uniform(3)
+    pmf = uniform_pmf(3)
     upsets = UpsetModel(3, (0.3, 0.0, 0.0), (0.5, 0.0, 0.0))
     dist, report = analytic_single_error(pmf, upsets)
     assert report.agreed
@@ -815,7 +826,7 @@ def test_analytic_single_error_runs_on_a_sparse_20_bit_pmf():
 
 
 def test_single_error_forms_reject_mismatched_word_lengths():
-    pmf = EmpiricalPMF.point_mass(3, 5)
+    pmf = EmpiricalPMF(3, {5: 1.0})
     upsets = UpsetModel(2, (0.1, 0.1), (0.5, 0.5))
     for form in (single_error_oracle, analytic_single_error):
         with pytest.raises(ParameterError, match="different word lengths"):
@@ -824,7 +835,7 @@ def test_single_error_forms_reject_mismatched_word_lengths():
 
 def test_single_error_oracle_masking():
     # downward force on a bit that is already 0 is masked
-    pmf = EmpiricalPMF.point_mass(2, 0)
+    pmf = EmpiricalPMF(2, {0: 1.0})
     upsets = UpsetModel(2, (0.7, 0.0), (0.0, 0.0))
     d = single_error_oracle(pmf, upsets)
     assert d.mass == {0: 1.0}
@@ -1158,7 +1169,7 @@ def test_pmf_csv_roundtrip():
 def test_pmf_csv_file_roundtrip(tmp_path):
     from vdbcode.channel_sim import write_pmf_csv
 
-    pmf = EmpiricalPMF.uniform(2)
+    pmf = uniform_pmf(2)
     path = tmp_path / "pmf.csv"
     write_pmf_csv(pmf, path)
     assert load_pmf_csv(path).mass == pytest.approx(pmf.mass)
@@ -1324,7 +1335,7 @@ def test_simulate_mass_is_the_dict_built_from_its_counts(monkeypatch, L, mode):
     table = _random_table(L, L)
     constraint = TailConstraint.reciprocal(L, table.k)
     counts = _spy(monkeypatch, channel_sim, "_distortion_counts")
-    source = "uniform" if mode == "uniform" else _random_pmf(L, L + 1, support=(1 << L) // 2)
+    source = None if mode == "uniform" else _random_pmf(L, L + 1, support=(1 << L) // 2)
     trials = 30_000
     result = simulate(table, constraint, trials, 5, source, cap_weight=2 if mode == "capped" else None)
     (arr,) = counts
@@ -1341,7 +1352,7 @@ def test_exact_distortion_mass_is_the_dict_built_from_the_fold(monkeypatch, L, m
     else:
         model = UpsetModel(L, tuple(rng.uniform(0, 0.1, L).tolist()), tuple(rng.uniform(0, 1, L).tolist()))
     folds = _spy(monkeypatch, channel_sim._kernels, "distortion_pmf_forced")
-    for source in ("uniform", _random_pmf(L, L + 2, support=max(1, (1 << L) // 3))):
+    for source in (None, _random_pmf(L, L + 2, support=max(1, (1 << L) // 3))):
         d = exact_distortion(model, source)
         arr = folds[-1]
         seen = np.flatnonzero(arr)
@@ -1425,7 +1436,7 @@ def test_laws_compare_by_content_in_any_order_and_pickle():
     # A mapping's masses pass check_real, then are read with float(), as the dict form read them.
     assert EmpiricalPMF(3, {5: Fraction(1, 4), 0: Decimal("0.75")}, 4) == pmf
     assert EmpiricalPMF(3, {5: np.float32(0.25), 0: np.float16(0.75)}, 4) == pmf
-    assert EmpiricalPMF(3, {0: np.int64(1)}) == EmpiricalPMF.point_mass(3, 0)
+    assert EmpiricalPMF(3, {0: np.int64(1)}) == EmpiricalPMF(3, {0: 1.0})
 
 
 def test_from_arrays_copies_and_checks_its_arrays():

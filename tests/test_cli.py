@@ -649,7 +649,7 @@ def test_verify_stdout_matches_per_line_reference(tmp_path, example_constraint_f
 
 
 def reference_simulate_stdout(table_path, constraint_path, trials, seed, pmf_path=None, cap=None):
-    source = "uniform" if pmf_path is None else channel_sim.load_pmf_csv(pmf_path)
+    source = None if pmf_path is None else channel_sim.load_pmf_csv(pmf_path)
     result = channel_sim.simulate(codegen.load_table(table_path), codegen.load_constraint(constraint_path),
                                   trials, seed, source, cap_weight=cap)
     lines = [f"mode={result.mode} trials={trials} seed={seed}"]

@@ -11,6 +11,7 @@ from vdbcode import (
     PlacementSets,
     sets_bruteforce,
     sets_fast,
+    _kernels,
     y_star,
 )
 from vdbcode.setgen import serialize_sets
@@ -166,6 +167,23 @@ def test_rows_follow_the_mapping():
         ps.masks[0] = 0
     with pytest.raises(ValueError):
         ps.ms[0] = 0
+
+
+@pytest.mark.parametrize("L, k", [(3, 1), (6, 6), (8, 3), (12, 12), (16, 3), (16, 6)])
+def test_rows_are_in_lexsort_order(L, k):
+    # The rows each kernel gives, put in (m, mask) order by np.lexsort.
+    for build, kernel in ((sets_fast, _kernels.signed_sums), (sets_bruteforce, _kernels.reach_pairs)):
+        ms, masks = (np.concatenate(a) for a in zip(*(kernel(L, w) for w in range(1, k + 1))))
+        order = np.lexsort((masks, ms))
+        ps = build(L, k)
+        np.testing.assert_array_equal(ps.ms, ms[order])
+        np.testing.assert_array_equal(ps.masks, masks[order])
+
+
+def test_a_mask_listed_twice_keeps_both_rows():
+    ps = PlacementSets(3, 2, {3: [0b101, 0b011, 0b101], 1: [0b001]})
+    assert ps.ms.tolist() == [1, 3, 3, 3]
+    assert ps.masks.tolist() == [0b001, 0b011, 0b101, 0b101]
 
 
 def test_fast_equals_bruteforce_small():
